@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -48,9 +47,12 @@ class FDAlgebra:
     that require it gate on the declaration, and
     :func:`has_only_trivial_idempotents_bruteforce` can certify it over small
     prime fields.
+
+    ``memo`` holds values derived from the (immutable) algebra, such as its
+    center, computed once and freed with the algebra.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "only_trivial_idempotents")
+    __slots__ = ("field", "labels", "table", "unit", "only_trivial_idempotents", "memo", "__weakref__")
 
     def __init__(
         self,
@@ -72,6 +74,7 @@ class FDAlgebra:
                     raise ValueError("structure constant vectors must have length dim")
         self.unit = tuple(unit) if unit is not None else None
         self.only_trivial_idempotents = only_trivial_idempotents
+        self.memo: dict = {}
         self._validate()
 
     @property
@@ -267,10 +270,11 @@ class TriangularAlgebra:
 
     Basis order: A's basis, then M's, then B's, so coordinate projections and
     embeddings are index slices.  ``p`` and ``q`` are the complementary
-    diagonal idempotents (1_A, 0, 0) and (0, 0, 1_B).
+    diagonal idempotents (1_A, 0, 0) and (0, 0, 1_B).  ``memo`` holds values
+    derived from the algebra, computed once and freed with it.
     """
 
-    __slots__ = ("A", "M", "B", "algebra", "p", "q")
+    __slots__ = ("A", "M", "B", "algebra", "p", "q", "memo", "__weakref__")
 
     def __init__(self, A: FDAlgebra, M: Bimodule, B: FDAlgebra, *, require_faithful: bool = True):
         if not (A.is_unital and B.is_unital):
@@ -278,6 +282,7 @@ class TriangularAlgebra:
         if M.left_algebra is not A or M.right_algebra is not B:
             raise ValueError("bimodule does not act for the given algebras")
         self.A, self.M, self.B = A, M, B
+        self.memo: dict = {}
         if require_faithful:
             self._check_faithful()
         self.algebra = self._assemble()
@@ -381,30 +386,27 @@ def make_triangular(A: FDAlgebra, M: Bimodule, B: FDAlgebra, *, require_faithful
 # centers
 
 
-@lru_cache(maxsize=None)
 def center_subspace(algebra: FDAlgebra) -> Subspace:
     """The set of x with [x, e_i] = 0 for every basis element, as a kernel."""
-    f = algebra.field
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        e = algebra.basis_vector(i)
-        diff = algebra.right_mul_matrix(e) - algebra.left_mul_matrix(e)
-        rows.extend(diff.entries)
-    return kernel_basis(Matrix(f, rows, ncols=n))
+    if "center" not in algebra.memo:
+        rows = []
+        for i in range(algebra.dim):
+            e = algebra.basis_vector(i)
+            rows.extend((algebra.right_mul_matrix(e) - algebra.left_mul_matrix(e)).entries)
+        algebra.memo["center"] = kernel_basis(Matrix(algebra.field, rows, ncols=algebra.dim))
+    return algebra.memo["center"]
 
 
-@lru_cache(maxsize=None)
 def sigma_center_subspace(algebra: FDAlgebra, sigma: Matrix) -> Subspace:
     """Twisted center {λ : σ(x)λ = λx for all x}, computed as a kernel."""
-    f = algebra.field
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        e = algebra.basis_vector(i)
-        diff = algebra.left_mul_matrix(sigma.mul_vec(e)) - algebra.right_mul_matrix(e)
-        rows.extend(diff.entries)
-    return kernel_basis(Matrix(f, rows, ncols=n))
+    key = ("sigma_center", sigma)
+    if key not in algebra.memo:
+        rows = []
+        for i in range(algebra.dim):
+            e = algebra.basis_vector(i)
+            rows.extend((algebra.left_mul_matrix(sigma.mul_vec(e)) - algebra.right_mul_matrix(e)).entries)
+        algebra.memo[key] = kernel_basis(Matrix(algebra.field, rows, ncols=algebra.dim))
+    return algebra.memo[key]
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,10 @@ def fmt_subspace(field: Field, s: Subspace) -> dict:
 
 def parse_scalar(field: Field, x):
     if isinstance(x, str):
-        return field.parse(x)
+        try:
+            return field.parse(x)
+        except ZeroDivisionError as exc:
+            raise ConfigError("scalar", f"{x!r} has a zero denominator") from exc
     if isinstance(x, int):
         return field.from_int(x)
     raise ConfigError("scalar", f"expected string or integer, got {x!r}")
@@ -418,9 +421,9 @@ def run_config(config: dict) -> tuple[dict, int]:
     tasks = config.get("tasks")
     if not isinstance(tasks, list) or not all(isinstance(x, str) for x in tasks):
         raise ConfigError("tasks", "tasks must be a list of strings")
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 50))
-    bound = int(config.get("enumeration_bound", 200_000))
+    seed = _config_int(config, "seed", 0)
+    samples = _config_int(config, "samples", 50, minimum=1)
+    bound = _config_int(config, "enumeration_bound", 200_000)
     _validate_tasks(tasks)
     flags_certified = _certify_flags(instance, bound)
 
@@ -489,6 +492,16 @@ def _field_from_config(config: dict) -> Field:
         return field_from_spec(config.get("field", "rational"))
     except ValueError as exc:
         raise ConfigError("field", str(exc)) from exc
+
+
+def _config_int(config: dict, key: str, default: int, minimum: int | None = None) -> int:
+    """An integer config field; booleans, floats and strings are rejected."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(key, f"must be at least {minimum}, got {value}")
+    return value
 
 
 def _validate_tasks(tasks: list[str]) -> None:

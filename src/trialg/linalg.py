@@ -1,9 +1,15 @@
-"""Dense exact linear algebra: matrices, kernels, solving, canonical subspaces.
+"""Exact linear algebra over Q and F_p: vectors, matrices, kernels, solving,
+canonical subspaces.
 
-All computations are exact.  Over Q, elimination runs on denominator-cleared
-integer rows kept primitive (content 1), which is much faster in CPython than
-Fraction arithmetic; rows are converted back to leading-one Fraction form at
-the end.  Over F_p rows are plain ints reduced mod p.
+Every echelon form, rank, inverse, kernel and solution comes from one sparse
+elimination engine.  Its rows are ``{col: value}`` dicts of nonzero entries.
+Over Q each row's denominators are cleared once on entry, elimination is
+fraction-free on primitive integer rows, and ``Fraction`` appears only when the
+pivot rows are normalized to leading one at the end; over F_p rows are ints
+reduced mod p.  :func:`rref`, :func:`kernel_basis` and :func:`solve_linear`
+take dense rows and convert them; :func:`sparse_kernel` and
+:func:`sparse_solve` take sparse rows, so a large sparse system never has to
+be stored densely.
 
 A :class:`Subspace` is always stored by its reduced row-echelon basis, so two
 subspaces are equal iff their representations are identical entry-wise.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fields import Field, Scalar
 
@@ -53,82 +59,112 @@ def vec_is_zero(u: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form
+# the elimination engine
+#
+# Pivot rows are kept fully reduced (zero in every other pivot column) and a
+# new pivot always takes the row's leftmost nonzero column.  So reducing an
+# incoming row touches each pivot column it holds exactly once, and the
+# result is the canonical reduced row echelon form of the span.
 
 
-def _reduce_content(row: list[int]) -> None:
-    g = 0
-    for a in row:
+def _integer_rows(field: Field, rows: Iterable[dict]) -> Iterator[dict[int, int]]:
+    """The engine's input: rows of ints, zeros dropped.
+
+    Over Q each row is scaled once by the lcm of its denominators (an integral
+    entry may be an ``int`` or a ``Fraction``); over F_p entries are reduced
+    mod p.  A row can come out empty.
+    """
+    p = field.char
+    for row in rows:
+        if p:
+            yield {c: a % p for c, a in row.items() if a % p}
+        else:
+            d = lcm(*(a.denominator for a in row.values()))
+            yield {c: a.numerator * (d // a.denominator) for c, a in row.items() if a}
+
+
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int, p: int) -> None:
+    """Clear column c of ``row`` with the pivot row ``prow``, in place.
+
+    Over F_p (``prow[c] == 1``) this is row − row[c]·prow; over Z (p = 0) it
+    is the fraction-free combination (prow[c]·row − row[c]·prow)/g with g the
+    gcd of the two coefficients.
+    """
+    f = row[c]
+    if p:
+        for k, b in prow.items():
+            a = (row.get(k, 0) - f * b) % p
+            if a:
+                row[k] = a
+            else:
+                del row[k]
+        return
+    lead = prow[c]
+    g = gcd(lead, f)
+    lead, f = lead // g, f // g
+    if lead != 1:
+        for k, a in row.items():
+            row[k] = a * lead
+    for k, b in prow.items():
+        a = row.get(k, 0) - f * b
         if a:
-            g = gcd(g, a)
-            if g == 1:
-                return
-    if g > 1:
-        for i, a in enumerate(row):
-            row[i] = a // g
+            row[k] = a
+        else:
+            del row[k]
 
 
-def _rref_int(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
-    """Integer pseudo-RREF: pivot rows are primitive with positive pivot entry,
-    fully reduced against each other (zeros in all other pivot columns)."""
-    pivots: dict[int, list[int]] = {}
-    for incoming in rows:
-        row = list(incoming)
-        if not any(row):
-            continue
-        for c, prow in pivots.items():
-            f = row[c]
-            if f:
-                lead = prow[c]
-                for i, b in enumerate(prow):
-                    if b:
-                        row[i] = row[i] * lead - f * b
-                    else:
-                        row[i] = row[i] * lead
-                _reduce_content(row)
-        lead_col = next((i for i, a in enumerate(row) if a), None)
-        if lead_col is None:
-            continue
-        if row[lead_col] < 0:
-            row = [-a for a in row]
-        lead = row[lead_col]
-        for prow in pivots.values():
-            f = prow[lead_col]
-            if f:
-                for i, b in enumerate(row):
-                    if b:
-                        prow[i] = prow[i] * lead - f * b
-                    else:
-                        prow[i] = prow[i] * lead
-                _reduce_content(prow)
-        pivots[lead_col] = row
-    return pivots
-
-
-def _rref_mod(rows: Iterable[Sequence[int]], p: int) -> dict[int, list[int]]:
-    """RREF over F_p with rows of ints in [0, p); pivot entries are 1."""
-    pivots: dict[int, list[int]] = {}
-    for incoming in rows:
-        row = [a % p for a in incoming]
-        for c, prow in pivots.items():
-            f = row[c]
-            if f:
-                for i, b in enumerate(prow):
-                    if b:
-                        row[i] = (row[i] - f * b) % p
-        lead_col = next((i for i, a in enumerate(row) if a), None)
-        if lead_col is None:
-            continue
+def _normalize(row: dict[int, int], lead_col: int, p: int) -> None:
+    """Scale ``row`` in place: lead entry 1 over F_p, content 1 over Z."""
+    if p:
         inv = pow(row[lead_col], -1, p)
-        row = [a * inv % p for a in row]
-        for prow in pivots.values():
-            f = prow[lead_col]
-            if f:
-                for i, b in enumerate(row):
-                    if b:
-                        prow[i] = (prow[i] - f * b) % p
+        if inv != 1:
+            for k, a in row.items():
+                row[k] = a * inv % p
+    else:
+        g = gcd(*row.values())
+        if g != 1:
+            for k, a in row.items():
+                row[k] = a // g
+
+
+def _echelon(field: Field, rows: Iterable[dict]) -> list[tuple[int, dict]]:
+    """Canonical RREF of sparse field-valued rows as ``(pivot_col, row)`` pairs.
+
+    Rows come back sorted by pivot column with lead coefficient one; over Q
+    their entries are ``Fraction`` values, over F_p ints.
+    """
+    p = field.char
+    pivots: dict[int, dict[int, int]] = {}
+    for row in _integer_rows(field, rows):
+        for c in [c for c in row if c in pivots]:
+            _cancel(row, pivots[c], c, p)
+        if not row:
+            continue
+        lead_col = min(row)
+        _normalize(row, lead_col, p)
+        for c, prow in pivots.items():
+            if lead_col in prow:
+                _cancel(prow, row, lead_col, p)
+                _normalize(prow, c, p)
         pivots[lead_col] = row
-    return pivots
+    if p:
+        return sorted(pivots.items())
+    return [(c, {k: Fraction(a, pivots[c][c]) for k, a in pivots[c].items()}) for c in sorted(pivots)]
+
+
+def _sparse(row: Sequence) -> dict:
+    return {k: a for k, a in enumerate(row) if a}
+
+
+def _dense_echelon(field: Field, rows: Iterable[dict], ncols: int) -> tuple[list[Vector], list[int]]:
+    echelon = _echelon(field, rows)
+    dense = []
+    for _, row in echelon:
+        out = [field.zero] * ncols
+        for k, a in row.items():
+            out[k] = a
+        dense.append(tuple(out))
+    return dense, [c for c, _ in echelon]
 
 
 def rref(field: Field, rows: Iterable[Sequence], ncols: int) -> tuple[list[Vector], list[int]]:
@@ -138,24 +174,35 @@ def rref(field: Field, rows: Iterable[Sequence], ncols: int) -> tuple[list[Vecto
     coefficient one and sorted by pivot column; zero rows are dropped.  The
     output depends only on the row span, so it is a canonical representative.
     """
-    if field.char == 0:
-        int_rows = []
-        for row in rows:
-            fracs = [Fraction(x) for x in row]
-            if not any(fracs):
-                continue
-            d = lcm(*(f.denominator for f in fracs))
-            int_rows.append([int(f * d) for f in fracs])
-        pivots = _rref_int(int_rows)
-        out = []
-        for c in sorted(pivots):
-            prow = pivots[c]
-            lead = prow[c]
-            out.append((c, tuple(Fraction(a, lead) for a in prow)))
-    else:
-        pivots = _rref_mod(rows, field.char)
-        out = [(c, tuple(pivots[c])) for c in sorted(pivots)]
-    return [r for _, r in out], [c for c, _ in out]
+    return _dense_echelon(field, (_sparse(row) for row in rows), ncols)
+
+
+def sparse_kernel(field: Field, rows: Iterable[dict], ncols: int) -> "Subspace":
+    """Canonical basis of ``{v : row·v = 0 for every row}`` for sparse rows."""
+    echelon = _echelon(field, rows)
+    free = {c: {c: field.one} for c in range(ncols)}
+    for c, _ in echelon:
+        del free[c]
+    for c, prow in echelon:
+        for k, a in prow.items():
+            if k != c:
+                free[k][c] = field.neg(a)
+    return Subspace(field, ncols, *_dense_echelon(field, free.values(), ncols))
+
+
+def sparse_solve(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> Vector | None:
+    """One solution of the sparse system ``row·x = rhs`` (free unknowns zero),
+    or None if the system is inconsistent.  ``rhs`` pairs with ``rows`` by
+    position, so empty rows must be kept."""
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length mismatch")
+    augmented = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+    x = [field.zero] * ncols
+    for c, prow in _echelon(field, augmented):
+        if c == ncols:
+            return None
+        x[c] = prow.get(ncols, field.zero)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +338,14 @@ class Matrix:
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Canonical basis of the right null space ``{v : m v = 0}``."""
-    rows, piv = rref(m.field, m.entries, m.ncols)
-    f = m.field
-    piv_set = set(piv)
-    basis = []
-    for free in range(m.ncols):
-        if free in piv_set:
-            continue
-        v = [f.zero] * m.ncols
-        v[free] = f.one
-        for prow, pcol in zip(rows, piv):
-            v[pcol] = f.neg(prow[free])
-        basis.append(v)
-    return Subspace.from_vectors(f, m.ncols, basis)
+    return sparse_kernel(m.field, (_sparse(row) for row in m.entries), m.ncols)
 
 
 def solve_linear(m: Matrix, b: Sequence) -> Vector | None:
     """One solution of ``m x = b``, or None if the system is inconsistent."""
     if len(b) != m.nrows:
         raise ValueError("right-hand side length mismatch")
-    f = m.field
-    aug = [list(row) + [bv] for row, bv in zip(m.entries, b)]
-    rows, piv = rref(f, aug, m.ncols + 1)
-    x = [f.zero] * m.ncols
-    for prow, pcol in zip(rows, piv):
-        if pcol == m.ncols:
-            return None
-        x[pcol] = prow[-1]
-    return tuple(x)
+    return sparse_solve(m.field, [_sparse(row) for row in m.entries], b, m.ncols)
 
 
 # ---------------------------------------------------------------------------

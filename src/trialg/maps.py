@@ -18,7 +18,9 @@ from typing import Sequence
 from .algebra import FDAlgebra, TriangularAlgebra, center_subspace
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
-from .linalg import Matrix, Subspace, Vector, kernel_basis, solve_linear, vec_add, vec_is_zero
+# kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
+from .linalg import Matrix, Subspace, Vector, kernel_basis, sparse_kernel, sparse_solve  # noqa: F401
+from .linalg import vec_add, vec_is_zero, vec_sub
 
 SOLVE_KINDS = (
     "derivation",
@@ -318,50 +320,81 @@ class MapSpace:
         )
 
 
+def _plain(x: Scalar) -> Scalar:
+    """An integral rational as an int, so assembly avoids Fraction arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _sparse_vector(v: Sequence) -> list[tuple[int, Scalar]]:
+    return [(k, _plain(a)) for k, a in enumerate(v) if a]
+
+
+def _sparse_matrix(m: Matrix) -> list[list[tuple[int, Scalar]]]:
+    return [_sparse_vector(row) for row in m.entries]
+
+
 class _System:
-    """Accumulates rows of a homogeneous system over endo-block unknowns."""
+    """Sparse rows of a homogeneous system over endo-block unknowns.
+
+    Unknown ``b·n² + r·n + k`` is entry (r, k) of the block-b map.  A row is
+    a ``{column: value}`` dict of plain ints (Fractions only where the data
+    has denominators); :func:`trialg.linalg.sparse_kernel` clears
+    denominators and reduces mod p.  Every equation adds exactly n rows, empty
+    or not, so rows stay paired with a right-hand side by position.
+    """
 
     def __init__(self, field: Field, n: int, blocks: int):
         self.field = field
         self.n = n
         self.width = blocks * n * n
-        self.rows: list[list[Scalar]] = []
+        self.rows: list[dict[int, Scalar]] = []
 
     def equation(self, terms) -> None:
         """Add the n coordinate rows of sum of terms = 0.
 
-        Each term is (block, P, v, sign): the expression P·X_block(v) with P a
-        known Matrix (or None for the identity) and v a known vector.
+        Each term is (block, P, v, sign): the expression sign·P·X_block(v)
+        with P a known matrix in :func:`_sparse_matrix` form, v a known vector
+        in :func:`_sparse_vector` form and sign ±1.
         """
-        f = self.field
         n = self.n
-        rows = [[f.zero] * self.width for _ in range(n)]
+        rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
         for block, P, v, sign in terms:
             offset = block * n * n
-            nz = [(k, vk) for k, vk in enumerate(v) if vk]
-            if P is None:
-                for r in range(n):
-                    row = rows[r]
-                    base = offset + r * n
-                    for k, vk in nz:
-                        x = f.mul(sign, vk)
-                        row[base + k] = f.add(row[base + k], x)
-            else:
-                for r in range(n):
-                    row = rows[r]
-                    prow = P.entries[r]
-                    for t in range(n):
-                        pr = prow[t]
-                        if not pr:
-                            continue
-                        c = f.mul(sign, pr)
-                        base = offset + t * n
-                        for k, vk in nz:
-                            row[base + k] = f.add(row[base + k], f.mul(c, vk))
+            for row, prow in zip(rows, P):
+                for t, pt in prow:
+                    c = sign * pt
+                    base = offset + t * n
+                    for k, vk in v:
+                        col = base + k
+                        row[col] = row.get(col, 0) + c * vk
         self.rows.extend(rows)
 
     def kernel(self) -> Subspace:
-        return kernel_basis(Matrix(self.field, self.rows, ncols=self.width))
+        return sparse_kernel(self.field, self.rows, self.width)
+
+
+class _Leibniz:
+    """Sparse operators of the twisted Leibniz rule for one algebra and twist."""
+
+    def __init__(self, alg: FDAlgebra, sigma: LinearEndo):
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        self.n = alg.dim
+        # e_i in sparse form; as a list of rows it is also the identity matrix
+        self.basis = [[(i, 1)] for i in range(alg.dim)]
+        self.table = [[_sparse_vector(v) for v in row] for row in alg.table]
+        self.right = [_sparse_matrix(alg.right_mul_matrix(e)) for e in basis]
+        self.left_sigma = [_sparse_matrix(alg.left_mul_matrix(sigma(e))) for e in basis]
+
+    def add_to(self, system: _System, D_block: int, d_block: int | None) -> None:
+        """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
+        ``d_block=None`` drops the σ term (the left multiplier rule)."""
+        n = self.n
+        for i in range(n):
+            for j in range(n):
+                terms = [(D_block, self.basis, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
+                if d_block is not None:
+                    terms.append((d_block, self.left_sigma[i], self.basis[j], -1))
+                system.equation(terms)
 
 
 def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
@@ -387,45 +420,29 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if not check.ok:
             raise NotAutomorphism(check.witness)
 
-    basis = [alg.basis_vector(i) for i in range(n)]
-    right = [alg.right_mul_matrix(e) for e in basis]
-    left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
-
     pair = kind == "generalized_pair"
     system = _System(f, n, 2 if pair else 1)
-    one = f.one
-    minus = f.neg(one)
 
     if kind in ("derivation", "sigma_derivation", "left_multiplier", "generalized_pair"):
-        for i in range(n):
-            for j in range(n):
-                prod = alg.table[i][j]
-                terms = [(0, None, prod, one), (0, right[j], basis[i], minus)]
-                if kind != "left_multiplier":
-                    terms.append((1 if pair else 0, left_sigma[i], basis[j], minus))
-                system.equation(terms)
+        leibniz = _Leibniz(alg, sigma)
+        leibniz.add_to(system, 0, None if kind == "left_multiplier" else int(pair))
         if pair:
-            for i in range(n):
-                for j in range(n):
-                    system.equation(
-                        [
-                            (1, None, alg.table[i][j], one),
-                            (1, right[j], basis[i], minus),
-                            (1, left_sigma[i], basis[j], minus),
-                        ]
-                    )
+            leibniz.add_to(system, 1, 1)
     else:
         skew = kind.startswith("skew")
         central = kind.endswith("centralizing")
         proj = center_subspace(alg).reduction_matrix() if central else None
         op = []
         for i in range(n):
-            m = left_sigma[i] + right[i] if skew else left_sigma[i] - right[i]
-            op.append(proj @ m if proj is not None else m)
+            e = alg.basis_vector(i)
+            left, right = alg.left_mul_matrix(sigma(e)), alg.right_mul_matrix(e)
+            m = left + right if skew else left - right
+            op.append(_sparse_matrix(proj @ m if proj is not None else m))
+        basis = [[(i, 1)] for i in range(n)]
         for i in range(n):
-            system.equation([(0, op[i], basis[i], one)])
+            system.equation([(0, op[i], basis[i], 1)])
             for j in range(i + 1, n):
-                system.equation([(0, op[i], basis[j], one), (0, op[j], basis[i], one)])
+                system.equation([(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)])
 
     return MapSpace(alg, kind, pair, system.kernel())
 
@@ -440,34 +457,19 @@ def associated_derivations(D: LinearEndo, sigma: LinearEndo):
     alg = D.algebra
     f = alg.field
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
-    right = [alg.right_mul_matrix(e) for e in basis]
-    left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
-
-    homo = _System(f, n, 1)
-    rows: list[list[Scalar]] = []
+    leibniz = _Leibniz(alg, sigma)
+    system = _System(f, n, 1)
     rhs: list[Scalar] = []
     for i in range(n):
+        D_ei = D(alg.basis_vector(i))
         for j in range(n):
             # known part: D(e_i e_j) - D(e_i) e_j must equal sigma(e_i) d(e_j)
-            known = D(alg.table[i][j])
-            known = tuple(f.sub(a, b) for a, b in zip(known, alg.mul(D(basis[i]), basis[j])))
-            sub = _System(f, n, 1)
-            sub.equation([(0, left_sigma[i], basis[j], f.one)])
-            rows.extend(sub.rows)
-            rhs.extend(known)
-            homo.equation(
-                [
-                    (0, None, alg.table[i][j], f.one),
-                    (0, right[j], basis[i], f.neg(f.one)),
-                    (0, left_sigma[i], basis[j], f.neg(f.one)),
-                ]
-            )
+            system.equation([(0, leibniz.left_sigma[i], leibniz.basis[j], 1)])
+            rhs.extend(vec_sub(f, D(alg.table[i][j]), alg.mul(D_ei, alg.basis_vector(j))))
     # twisted Leibniz on d itself is homogeneous; stack it below the probes
-    rows.extend(homo.rows)
-    rhs.extend([f.zero] * len(homo.rows))
-    full = Matrix(f, rows, ncols=n * n)
-    particular = solve_linear(full, rhs)
+    leibniz.add_to(system, 0, 0)
+    rhs.extend([f.zero] * (len(system.rows) - len(rhs)))
+    particular = sparse_solve(f, system.rows, rhs, system.width)
     if particular is None:
         return None
-    return endo_of_vec(alg, particular), kernel_basis(full)
+    return endo_of_vec(alg, particular), system.kernel()

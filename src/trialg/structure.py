@@ -15,7 +15,6 @@ because the untwisted corollaries carry no such hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import TriangularAlgebra, center_subspace, sigma_center_subspace
 from .errors import (
@@ -168,12 +167,10 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
 def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
     if sigma.is_identity():
         return identity_aut_parts(t)
-    return _decompose_automorphism_cached(t, sigma.matrix)
-
-
-@lru_cache(maxsize=None)
-def _decompose_automorphism_cached(t: TriangularAlgebra, matrix: Matrix) -> AutParts:
-    return decompose_automorphism(t, LinearEndo(t.algebra, matrix))
+    key = ("automorphism_parts", sigma.matrix)
+    if key not in t.memo:
+        t.memo[key] = decompose_automorphism(t, LinearEndo(t.algebra, sigma.matrix))
+    return t.memo[key]
 
 
 # ---------------------------------------------------------------------------

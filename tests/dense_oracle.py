@@ -1,0 +1,219 @@
+"""Dense reference path for the differential tests.
+
+This is the elimination and the system assembly trialg used before its sparse
+engine: dense rows of width dim² (or 2·dim² for pairs), one per coordinate
+of every defining identity, eliminated by ``_rref_int`` (fraction-free over Q)
+or ``_rref_mod`` (over F_p).  It is slow and memory-hungry on purpose and is
+kept only so the tests can check that the sparse path gives identical
+canonical bases.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Sequence
+
+from trialg import LinearEndo, center_subspace
+from trialg.maps import as_algebra, as_endo
+
+
+def _reduce_content(row: list[int]) -> None:
+    g = 0
+    for a in row:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                return
+    if g > 1:
+        for i, a in enumerate(row):
+            row[i] = a // g
+
+
+def _rref_int(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """Integer pseudo-RREF: pivot rows are primitive with positive pivot entry,
+    fully reduced against each other (zeros in all other pivot columns)."""
+    pivots: dict[int, list[int]] = {}
+    for incoming in rows:
+        row = list(incoming)
+        if not any(row):
+            continue
+        for c, prow in pivots.items():
+            f = row[c]
+            if f:
+                lead = prow[c]
+                for i, b in enumerate(prow):
+                    if b:
+                        row[i] = row[i] * lead - f * b
+                    else:
+                        row[i] = row[i] * lead
+                _reduce_content(row)
+        lead_col = next((i for i, a in enumerate(row) if a), None)
+        if lead_col is None:
+            continue
+        if row[lead_col] < 0:
+            row = [-a for a in row]
+        lead = row[lead_col]
+        for prow in pivots.values():
+            f = prow[lead_col]
+            if f:
+                for i, b in enumerate(row):
+                    if b:
+                        prow[i] = prow[i] * lead - f * b
+                    else:
+                        prow[i] = prow[i] * lead
+                _reduce_content(prow)
+        pivots[lead_col] = row
+    return pivots
+
+
+def _rref_mod(rows: Iterable[Sequence[int]], p: int) -> dict[int, list[int]]:
+    """RREF over F_p with rows of ints in [0, p); pivot entries are 1."""
+    pivots: dict[int, list[int]] = {}
+    for incoming in rows:
+        row = [a % p for a in incoming]
+        for c, prow in pivots.items():
+            f = row[c]
+            if f:
+                for i, b in enumerate(prow):
+                    if b:
+                        row[i] = (row[i] - f * b) % p
+        lead_col = next((i for i, a in enumerate(row) if a), None)
+        if lead_col is None:
+            continue
+        inv = pow(row[lead_col], -1, p)
+        row = [a * inv % p for a in row]
+        for prow in pivots.values():
+            f = prow[lead_col]
+            if f:
+                for i, b in enumerate(row):
+                    if b:
+                        prow[i] = (prow[i] - f * b) % p
+        pivots[lead_col] = row
+    return pivots
+
+
+def dense_rref(field, rows: Iterable[Sequence], ncols: int) -> tuple[list[tuple], list[int]]:
+    """Canonical RREF as ``(rows, pivot_cols)``, leading coefficients one."""
+    if field.char == 0:
+        int_rows = []
+        for row in rows:
+            fracs = [Fraction(x) for x in row]
+            if not any(fracs):
+                continue
+            d = lcm(*(f.denominator for f in fracs))
+            int_rows.append([int(f * d) for f in fracs])
+        pivots = _rref_int(int_rows)
+        out = []
+        for c in sorted(pivots):
+            prow = pivots[c]
+            lead = prow[c]
+            out.append((c, tuple(Fraction(a, lead) for a in prow)))
+    else:
+        pivots = _rref_mod(rows, field.char)
+        out = [(c, tuple(pivots[c])) for c in sorted(pivots)]
+    return [r for _, r in out], [c for c, _ in out]
+
+
+def dense_kernel(field, rows: Sequence[Sequence], ncols: int) -> tuple[list[tuple], list[int]]:
+    """Canonical echelon basis of the right null space of ``rows``."""
+    echelon, piv = dense_rref(field, rows, ncols)
+    piv_set = set(piv)
+    basis = []
+    for free in range(ncols):
+        if free in piv_set:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for prow, pcol in zip(echelon, piv):
+            v[pcol] = field.neg(prow[free])
+        basis.append(v)
+    return dense_rref(field, basis, ncols)
+
+
+def dense_solve(field, rows: Sequence[Sequence], b: Sequence, ncols: int) -> tuple | None:
+    """One solution of ``rows · x = b`` with free unknowns zero, or None."""
+    aug = [list(row) + [bv] for row, bv in zip(rows, b, strict=True)]
+    echelon, piv = dense_rref(field, aug, ncols + 1)
+    x = [field.zero] * ncols
+    for prow, pcol in zip(echelon, piv):
+        if pcol == ncols:
+            return None
+        x[pcol] = prow[-1]
+    return tuple(x)
+
+
+class DenseSystem:
+    """Dense rows of a homogeneous system over endo-block unknowns."""
+
+    def __init__(self, field, n: int, blocks: int):
+        self.field = field
+        self.n = n
+        self.width = blocks * n * n
+        self.rows: list[list] = []
+
+    def equation(self, terms) -> None:
+        """Add the n coordinate rows of sum of terms = 0; each term is
+        (block, P, v, sign) for sign·P·X_block(v), P a Matrix or None."""
+        f = self.field
+        n = self.n
+        rows = [[f.zero] * self.width for _ in range(n)]
+        for block, P, v, sign in terms:
+            offset = block * n * n
+            nz = [(k, vk) for k, vk in enumerate(v) if vk]
+            for r in range(n):
+                row = rows[r]
+                if P is None:
+                    for k, vk in nz:
+                        row[offset + r * n + k] = f.add(row[offset + r * n + k], f.mul(sign, vk))
+                    continue
+                for t, pr in enumerate(P.entries[r]):
+                    if not pr:
+                        continue
+                    c = f.mul(sign, pr)
+                    for k, vk in nz:
+                        row[offset + t * n + k] = f.add(row[offset + t * n + k], f.mul(c, vk))
+        self.rows.extend(rows)
+
+
+def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list[int]]:
+    """Canonical basis and pivots of the map space ``solve_space`` returns."""
+    alg = as_algebra(algebra_or_t)
+    f = alg.field
+    n = alg.dim
+    sigma = LinearEndo.identity(alg) if kind in ("derivation", "left_multiplier") else as_endo(alg, sigma)
+    basis = [alg.basis_vector(i) for i in range(n)]
+    right = [alg.right_mul_matrix(e) for e in basis]
+    left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
+    pair = kind == "generalized_pair"
+    system = DenseSystem(f, n, 2 if pair else 1)
+    one, minus = f.one, f.neg(f.one)
+    if kind in ("derivation", "sigma_derivation", "left_multiplier", "generalized_pair"):
+        for i in range(n):
+            for j in range(n):
+                terms = [(0, None, alg.table[i][j], one), (0, right[j], basis[i], minus)]
+                if kind != "left_multiplier":
+                    terms.append((1 if pair else 0, left_sigma[i], basis[j], minus))
+                system.equation(terms)
+        if pair:
+            for i in range(n):
+                for j in range(n):
+                    system.equation(
+                        [
+                            (1, None, alg.table[i][j], one),
+                            (1, right[j], basis[i], minus),
+                            (1, left_sigma[i], basis[j], minus),
+                        ]
+                    )
+    else:
+        skew = kind.startswith("skew")
+        proj = center_subspace(alg).reduction_matrix() if kind.endswith("centralizing") else None
+        op = []
+        for i in range(n):
+            m = left_sigma[i] + right[i] if skew else left_sigma[i] - right[i]
+            op.append(proj @ m if proj is not None else m)
+        for i in range(n):
+            system.equation([(0, op[i], basis[i], one)])
+            for j in range(i + 1, n):
+                system.equation([(0, op[i], basis[j], one), (0, op[j], basis[i], one)])
+    return dense_kernel(f, system.rows, system.width)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,13 @@ from trialg import (
     ZeroModule,
     center,
     center_subspace,
+    decompose_sigma_derivation,
     has_only_trivial_idempotents_bruteforce,
     make_algebra,
     make_triangular,
     sigma_center,
     sigma_center_subspace,
+    trian_trunc,
     trunc_poly,
     upper_triangular,
 )
@@ -305,3 +309,20 @@ def test_bruteforce_enumeration_bound():
 def test_bruteforce_requires_finite_field():
     with pytest.raises(ValueError):
         has_only_trivial_idempotents_bruteforce(trunc_poly(2, QQ))
+
+
+def test_discarded_algebras_are_freed():
+    """Centers, twisted centers and automorphism parts are cached on the
+    algebra itself, so a dropped algebra takes its cache with it."""
+    refs = []
+    for _ in range(3):
+        t = trian_trunc(2, GF(7))
+        sigma = diag_sign_automorphism(t)
+        center(t)
+        sigma_center(t, sigma)
+        decompose_sigma_derivation(t, sigma, LinearEndo.zero(t.algebra))
+        assert t.memo and t.algebra.memo and t.A.memo
+        refs += [weakref.ref(t), weakref.ref(t.algebra), weakref.ref(t.A), weakref.ref(t.B)]
+    del t, sigma
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

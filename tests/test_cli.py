@@ -226,6 +226,24 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"samples": 0, "tasks": ["verify:mayne"]},
+        {"samples": "abc", "tasks": ["verify:mayne"]},
+        {"samples": True, "tasks": ["verify:mayne"]},
+        {"seed": 1.7},
+        {"seed": False},
+        {"sigma": {"conjugate_by": ["1/0", "0", "1"]}},
+    ],
+    ids=["samples-zero", "samples-text", "samples-bool", "seed-float", "seed-bool", "scalar-zero-denominator"],
+)
+def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
+    path = write_config(tmp_path, dict(BASE, **edit))
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_main_fixtures(capsys):
     assert main(["fixtures"]) == 0
     out = json.loads(capsys.readouterr().out)
