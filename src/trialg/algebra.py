@@ -5,6 +5,11 @@ An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 into the block algebra of formal upper-triangular 2x2 matrices.  Centers and
 twisted centers are computed as kernels of commutation constraints and, where
 a structural description is known, cross-checked against it.
+
+Structure constants are public as dense tuples and are also held sparsely,
+as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
+module action, and the axiom checks made at construction, run through one
+kernel, :func:`_bilinear`, that touches only nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _sparse,
     kernel_basis,
     solve_linear,
     unit_vector,
@@ -36,12 +42,36 @@ from .linalg import (
 )
 
 
+def _sparse_table(table) -> tuple:
+    """``table[i][j]`` as its ``(t, s)`` nonzeros."""
+    return tuple(tuple(tuple(_sparse(v).items()) for v in row) for row in table)
+
+
+def _bilinear(field: Field, dim: int, sparse, x, y) -> Vector:
+    """Σ x_i·y_j·S_ij for structure vectors S_ij given sparsely as ``sparse[i][j]``.
+
+    ``x`` and ``y`` are iterables of ``(index, value)`` nonzeros; ``y`` is
+    iterated once per nonzero of ``x``.  Returns the dense coordinates.
+    """
+    p = field.char
+    out = [field.zero] * dim
+    for i, a in x:
+        row = sparse[i]
+        for j, b in y:
+            c = a * b
+            for t, s in row[j]:
+                acc = out[t] + c * s
+                out[t] = acc % p if p else acc
+    return tuple(out)
+
+
 class FDAlgebra:
     """Associative algebra with a distinguished basis and structure constants.
 
     ``table[i][j]`` holds the coordinates of the product of basis elements i
-    and j.  Associativity (and the unit law, when a unit is declared) is
-    verified on all basis triples at construction time.
+    and j; the same constants are kept sparsely for :meth:`mul`.
+    Associativity (and the unit law, when a unit is declared) is verified on
+    all basis triples at construction time.
 
     ``only_trivial_idempotents`` is a declared flag: the structure theorems
     that require it gate on the declaration, and
@@ -52,7 +82,9 @@ class FDAlgebra:
     center, computed once and freed with the algebra.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "only_trivial_idempotents", "memo", "__weakref__")
+    __slots__ = (
+        "field", "labels", "table", "unit", "only_trivial_idempotents", "memo", "_sparse", "_basis", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -75,6 +107,8 @@ class FDAlgebra:
         self.unit = tuple(unit) if unit is not None else None
         self.only_trivial_idempotents = only_trivial_idempotents
         self.memo: dict = {}
+        self._sparse = _sparse_table(self.table)
+        self._basis = tuple(unit_vector(field, dim, i) for i in range(dim))
         self._validate()
 
     @property
@@ -89,23 +123,10 @@ class FDAlgebra:
         return vec_zero(self.field, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
-        return unit_vector(self.field, self.dim, i)
+        return self._basis[i]
 
     def mul(self, x: Sequence, y: Sequence) -> Vector:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = f.mul(xi, yj)
-                for t, s in enumerate(row[j]):
-                    if s:
-                        out[t] = f.add(out[t], f.mul(c, s))
-        return tuple(out)
+        return _bilinear(self.field, self.dim, self._sparse, _sparse(x).items(), _sparse(y).items())
 
     def left_mul_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x·v in the canonical basis."""
@@ -118,13 +139,14 @@ class FDAlgebra:
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def _validate(self) -> None:
-        dim = self.dim
+        # (e_i e_j) e_k against e_i (e_j e_k) on every triple, zero products too
+        f, dim, S = self.field, self.dim, self._sparse
+        e = [((i, f.one),) for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                ij = self.table[i][j]
                 for k in range(dim):
-                    left = self.mul(ij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), self.table[j][k])
+                    left = _bilinear(f, dim, S, S[i][j], e[k])
+                    right = _bilinear(f, dim, S, e[i], S[j][k])
                     if left != right:
                         raise AssociativityViolation(i, j, k, left, right)
         if self.unit is not None:
@@ -155,12 +177,13 @@ class Bimodule:
     """A nonzero (A, B)-bimodule with basis and explicit action tables.
 
     ``left[i][k]`` is the coordinate vector of (i-th basis of A)·(k-th basis
-    of M); ``right[k][j]`` that of (k-th basis of M)·(j-th basis of B).  The
-    module axioms, the compatibility law (a·m)·b = a·(m·b) and the identity
-    action of both units are all checked on basis triples.
+    of M); ``right[k][j]`` that of (k-th basis of M)·(j-th basis of B).  Both
+    tables are also kept sparsely for the actions.  The module axioms, the
+    compatibility law (a·m)·b = a·(m·b) and the identity action of both units
+    are all checked on basis triples.
     """
 
-    __slots__ = ("left_algebra", "right_algebra", "labels", "left", "right")
+    __slots__ = ("left_algebra", "right_algebra", "labels", "left", "right", "_left", "_right", "_basis")
 
     def __init__(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra, labels, left, right):
         if not labels:
@@ -176,6 +199,9 @@ class Bimodule:
             raise ValueError("left action table has wrong shape")
         if len(self.right) != self.dim or any(len(r) != right_algebra.dim for r in self.right):
             raise ValueError("right action table has wrong shape")
+        self._left = _sparse_table(self.left)
+        self._right = _sparse_table(self.right)
+        self._basis = tuple(unit_vector(self.field, self.dim, k) for k in range(self.dim))
         self._validate()
 
     @property
@@ -190,37 +216,13 @@ class Bimodule:
         return vec_zero(self.field, self.dim)
 
     def basis_vector(self, k: int) -> Vector:
-        return unit_vector(self.field, self.dim, k)
+        return self._basis[k]
 
     def act_left(self, a: Sequence, m: Sequence) -> Vector:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for k, mk in enumerate(m):
-                if not mk:
-                    continue
-                c = f.mul(ai, mk)
-                for t, s in enumerate(self.left[i][k]):
-                    if s:
-                        out[t] = f.add(out[t], f.mul(c, s))
-        return tuple(out)
+        return _bilinear(self.field, self.dim, self._left, _sparse(a).items(), _sparse(m).items())
 
     def act_right(self, m: Sequence, b: Sequence) -> Vector:
-        f = self.field
-        out = [f.zero] * self.dim
-        for k, mk in enumerate(m):
-            if not mk:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = f.mul(mk, bj)
-                for t, s in enumerate(self.right[k][j]):
-                    if s:
-                        out[t] = f.add(out[t], f.mul(c, s))
-        return tuple(out)
+        return _bilinear(self.field, self.dim, self._right, _sparse(m).items(), _sparse(b).items())
 
     def left_action_matrix(self, a: Sequence) -> Matrix:
         cols = [self.act_left(a, self.basis_vector(k)) for k in range(self.dim)]
@@ -231,28 +233,24 @@ class Bimodule:
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def _validate(self) -> None:
+        # every axiom on every basis triple, zero products too
         A, B = self.left_algebra, self.right_algebra
+        f, dim, L, R = self.field, self.dim, self._left, self._right
+        e = [((i, f.one),) for i in range(max(A.dim, dim, B.dim))]
         for i in range(A.dim):
-            ei = A.basis_vector(i)
             for j in range(A.dim):
-                prod = A.table[i][j]
-                for k in range(self.dim):
-                    mk = self.basis_vector(k)
-                    if self.act_left(prod, mk) != self.act_left(ei, self.left[j][k]):
+                for k in range(dim):
+                    if _bilinear(f, dim, L, A._sparse[i][j], e[k]) != _bilinear(f, dim, L, e[i], L[j][k]):
                         raise BimoduleAxiomViolation(f"(a{i}·a{j})·m{k} != a{i}·(a{j}·m{k})")
-        for k in range(self.dim):
-            mk = self.basis_vector(k)
+        for k in range(dim):
             for i in range(B.dim):
-                ei = B.basis_vector(i)
                 for j in range(B.dim):
-                    if self.act_right(mk, B.table[i][j]) != self.act_right(self.right[k][i], B.basis_vector(j)):
+                    if _bilinear(f, dim, R, e[k], B._sparse[i][j]) != _bilinear(f, dim, R, R[k][i], e[j]):
                         raise BimoduleAxiomViolation(f"m{k}·(b{i}·b{j}) != (m{k}·b{i})·b{j}")
         for i in range(A.dim):
-            ai = A.basis_vector(i)
-            for k in range(self.dim):
+            for k in range(dim):
                 for j in range(B.dim):
-                    bj = B.basis_vector(j)
-                    if self.act_right(self.left[i][k], bj) != self.act_left(ai, self.right[k][j]):
+                    if _bilinear(f, dim, R, L[i][k], e[j]) != _bilinear(f, dim, L, e[i], R[k][j]):
                         raise BimoduleAxiomViolation(f"(a{i}·m{k})·b{j} != a{i}·(m{k}·b{j})")
         for k in range(self.dim):
             mk = self.basis_vector(k)

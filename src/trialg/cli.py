@@ -611,7 +611,11 @@ def _solve_args_to_config(args) -> dict:
     else:
         if not args.dims:
             raise ConfigError("solve", "--dims is required for block")
-        algebra = {"family": "block", "dims": [int(d) for d in args.dims.split(",")], "split": args.split}
+        try:
+            dims = [int(d) for d in args.dims.split(",")]
+        except ValueError as exc:
+            raise ConfigError("solve", f"--dims must be comma-separated integers, got {args.dims!r}") from exc
+        algebra = {"family": "block", "dims": dims, "split": args.split}
     field = {"prime": args.prime} if args.prime else "rational"
     return {"field": field, "algebra": algebra, "sigma": "identity", "tasks": [f"solve:{args.kind}"]}
 

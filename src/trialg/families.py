@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import Bimodule, FDAlgebra, TriangularAlgebra
 from .fields import Field
-from .linalg import Matrix, vec_zero
+from .linalg import Matrix, unit_vector, vec_zero
 from .maps import LinearEndo
 
 
@@ -33,9 +33,7 @@ def _matrix_unit_algebra(field: Field, n: int, positions: list[tuple[int, int]],
                 continue
             if (i, l) not in index:
                 raise ValueError("matrix-unit support is not multiplicatively closed")
-            v = list(zero)
-            v[index[(i, l)]] = field.one
-            table[t][s] = tuple(v)
+            table[t][s] = unit_vector(field, dim, index[(i, l)])
     unit = list(zero)
     for i in range(n):
         unit[index[(i, i)]] = field.one
@@ -47,16 +45,21 @@ def full_matrix_algebra(n: int, field: Field) -> FDAlgebra:
     return _matrix_unit_algebra(field, n, positions, flag=(n == 1))
 
 
+def _block_positions(dims: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Row-major positions (i, j) of the block upper-triangular pattern."""
+    n = sum(dims)
+    block_of = []
+    for b, d in enumerate(dims):
+        block_of.extend([b] * d)
+    return [(i, j) for i in range(n) for j in range(n) if block_of[i] <= block_of[j]]
+
+
 def block_algebra(dims: tuple[int, ...], field: Field) -> FDAlgebra:
     """Block upper-triangular matrix algebra with the given diagonal block sizes."""
     if not dims or any(d < 1 for d in dims):
         raise ValueError("block sizes must be positive")
     n = sum(dims)
-    block_of = []
-    for b, d in enumerate(dims):
-        block_of.extend([b] * d)
-    positions = [(i, j) for i in range(n) for j in range(n) if block_of[i] <= block_of[j]]
-    return _matrix_unit_algebra(field, n, positions, flag=(n == 1))
+    return _matrix_unit_algebra(field, n, _block_positions(dims), flag=(n == 1))
 
 
 def upper_triangular_algebra(n: int, field: Field) -> FDAlgebra:
@@ -75,16 +78,12 @@ def _rectangle_bimodule(A: FDAlgebra, B: FDAlgebra, nrows: int, ncols: int,
     for t, (i, j) in enumerate(a_positions):
         for (r, s), k in idx.items():
             if j == r:
-                v = list(zero)
-                v[idx[(i, s)]] = field.one
-                left[t][k] = tuple(v)
+                left[t][k] = unit_vector(field, dim, idx[(i, s)])
     right = [[zero] * B.dim for _ in range(dim)]
     for (r, s), k in idx.items():
         for t, (i, j) in enumerate(b_positions):
             if s == i:
-                v = list(zero)
-                v[idx[(r, j)]] = field.one
-                right[k][t] = tuple(v)
+                right[k][t] = unit_vector(field, dim, idx[(r, j)])
     return Bimodule(A, B, labels, left, right)
 
 
@@ -107,14 +106,6 @@ def block_upper(dims: tuple[int, ...], split: int, field: Field) -> TriangularAl
     return TriangularAlgebra(A, M, B)
 
 
-def _block_positions(dims: tuple[int, ...]) -> list[tuple[int, int]]:
-    n = sum(dims)
-    block_of = []
-    for b, d in enumerate(dims):
-        block_of.extend([b] * d)
-    return [(i, j) for i in range(n) for j in range(n) if block_of[i] <= block_of[j]]
-
-
 def upper_triangular(n: int, field: Field, split: int = 1) -> TriangularAlgebra:
     """T_n over the field, split as Trian(T_split, M, T_(n-split))."""
     if n < 2:
@@ -132,12 +123,8 @@ def trunc_poly(N: int, field: Field) -> FDAlgebra:
     for i in range(N):
         for j in range(N):
             if i + j < N:
-                v = list(zero)
-                v[i + j] = field.one
-                table[i][j] = tuple(v)
-    unit = list(zero)
-    unit[0] = field.one
-    return FDAlgebra(field, labels, table, unit, only_trivial_idempotents=True)
+                table[i][j] = unit_vector(field, N, i + j)
+    return FDAlgebra(field, labels, table, unit_vector(field, N, 0), only_trivial_idempotents=True)
 
 
 def trian_trunc(N: int, field: Field) -> TriangularAlgebra:
@@ -208,12 +195,8 @@ def fixture_trian_AA0(N: int, field: Field) -> Fixture:
     for i in range(N):
         for j in range(N):
             if i + j < N:
-                uu = list(zero)
-                uu[i + j] = field.one
-                table[i][j] = tuple(uu)
-                uv = list(zero)
-                uv[N + i + j] = field.one
-                table[i][N + j] = tuple(uv)
+                table[i][j] = unit_vector(field, dim, i + j)
+                table[i][N + j] = unit_vector(field, dim, N + i + j)
     algebra = FDAlgebra(field, labels, table, unit=None, only_trivial_idempotents=False)
 
     sign = [field.one if k % 2 == 0 else field.neg(field.one) for k in range(N)]

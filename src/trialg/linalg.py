@@ -210,9 +210,13 @@ def sparse_solve(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) 
 
 
 class Matrix:
-    """Immutable dense matrix over a single field, row-major tuples."""
+    """Immutable dense matrix over a single field, row-major tuples.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    ``_columns`` holds the nonzeros of each column as ``(row, value)`` pairs,
+    computed on the first :meth:`mul_vec` and not part of equality.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "entries", "_columns")
 
     def __init__(self, field: Field, entries: Sequence[Sequence[Scalar]], ncols: int | None = None):
         rows = tuple(tuple(r) for r in entries)
@@ -226,6 +230,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.entries = rows
+        self._columns = None
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -251,14 +256,19 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def mul_vec(self, v: Sequence) -> Vector:
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, v, strict=True):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
+        """The product with a column vector, over the nonzeros of ``v`` only."""
+        if len(v) != self.ncols:
+            raise ValueError("vector length does not match the column count")
+        if self._columns is None:
+            cols = zip(*self.entries) if self.entries else [()] * self.ncols
+            self._columns = tuple(tuple(_sparse(col).items()) for col in cols)
+        p = self.field.char
+        out = [self.field.zero] * self.nrows
+        for j, x in enumerate(v):
+            if x:
+                for i, a in self._columns[j]:
+                    acc = out[i] + a * x
+                    out[i] = acc % p if p else acc
         return tuple(out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

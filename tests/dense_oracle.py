@@ -3,9 +3,11 @@
 This is the elimination and the system assembly trialg used before its sparse
 engine: dense rows of width dim² (or 2·dim² for pairs), one per coordinate
 of every defining identity, eliminated by ``_rref_int`` (fraction-free over Q)
-or ``_rref_mod`` (over F_p).  It is slow and memory-hungry on purpose and is
-kept only so the tests can check that the sparse path gives identical
-canonical bases.
+or ``_rref_mod`` (over F_p).  It also holds the dense product loops that
+algebra multiplication, the module actions and matrix-vector products used
+before they walked sparse structure constants.  It is slow and memory-hungry
+on purpose and is kept only so the tests can check that the sparse paths give
+identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +18,37 @@ from typing import Iterable, Sequence
 
 from trialg import LinearEndo, center_subspace
 from trialg.maps import as_algebra, as_endo
+
+
+def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
+    """Σ x_i·y_j·table[i][j] over dense structure vectors of length ``dim``."""
+    f = field
+    out = [f.zero] * dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = f.mul(xi, yj)
+            for t, s in enumerate(row[j]):
+                if s:
+                    out[t] = f.add(out[t], f.mul(c, s))
+    return tuple(out)
+
+
+def dense_mul_vec(m, v: Sequence) -> tuple:
+    """The matrix-vector product, row by row."""
+    f = m.field
+    out = []
+    for row in m.entries:
+        acc = f.zero
+        for a, x in zip(row, v, strict=True):
+            if a and x:
+                acc = f.add(acc, f.mul(a, x))
+        out.append(acc)
+    return tuple(out)
 
 
 def _reduce_content(row: list[int]) -> None:

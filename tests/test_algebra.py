@@ -69,6 +69,19 @@ def test_associativity_violation_reports_witness():
     assert err.value.right == e1
 
 
+def test_associativity_violation_behind_a_zero_product():
+    # e0·e0 = e0, e1·e0 = e0, e0·e1 = e1·e1 = 0: the first failing triple is
+    # (0, 1, 0), where e0·e1 = 0 but e0·(e1·e0) = e0
+    z = (Fraction(0), Fraction(0))
+    e0 = (Fraction(1), Fraction(0))
+    table = [[e0, z], [e0, z]]
+    with pytest.raises(AssociativityViolation) as err:
+        make_algebra(QQ, ["e0", "e1"], table)
+    assert err.value.indices == (0, 1, 0)
+    assert err.value.left == z
+    assert err.value.right == e0
+
+
 def test_wrong_unit_rejected():
     z = (Fraction(0), Fraction(0))
     e1 = (Fraction(1), Fraction(0))
@@ -118,6 +131,36 @@ def test_broken_unit_action_rejected():
     A = scalar_algebra()
     with pytest.raises(BimoduleAxiomViolation):
         Bimodule(A, A, ["m"], [[ZERO1]], [[ONE1]])
+
+
+def diagonal_pair_algebra():
+    """Q ⊕ Q on the orthogonal idempotents e1, e2, so e1·e2 = 0."""
+    z = (Fraction(0), Fraction(0))
+    table = [[(Fraction(1), Fraction(0)), z], [z, (Fraction(0), Fraction(1))]]
+    return make_algebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
+
+
+M0, M1 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+
+
+# Each module fails first on a triple whose leading product is zero.
+@pytest.mark.parametrize(
+    "make_a, make_b, labels, left, right, message",
+    [
+        # both idempotents of A fix m: (a0·a1)·m = 0 but a0·(a1·m) = m
+        (diagonal_pair_algebra, scalar_algebra, ["m"], [[ONE1], [ONE1]], [[ONE1]], "(a0·a1)·m0 != a0·(a1·m0)"),
+        # both idempotents of B fix m: m·(b0·b1) = 0 but (m·b0)·b1 = m
+        (scalar_algebra, diagonal_pair_algebra, ["m"], [[ONE1]], [[ONE1, ONE1]], "m0·(b0·b1) != (m0·b0)·b1"),
+        # a and b act by the idempotents [[1, 0], [0, 0]] and [[1, 1], [0, 0]],
+        # which do not commute: (a·m1)·b = 0 but a·(m1·b) = m0
+        (scalar_algebra, scalar_algebra, ["m0", "m1"], [[M0, M1]], [[M0], [M0]], "(a0·m1)·b0 != a0·(m1·b0)"),
+    ],
+    ids=["left-module", "right-module", "compatibility"],
+)
+def test_broken_bimodule_axiom_rejected(make_a, make_b, labels, left, right, message):
+    with pytest.raises(BimoduleAxiomViolation) as err:
+        Bimodule(make_a(), make_b(), labels, left, right)
+    assert str(err.value) == message
 
 
 def test_faithfulness_override_allows_degenerate_module():

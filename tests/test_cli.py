@@ -244,6 +244,12 @@ def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("dims", ["a,b", "2,,2"])
+def test_main_solve_bad_dims_exit_two(capsys, dims):
+    assert main(["solve", "--family", "block", "--dims", dims, "--kind", "derivation"]) == 2
+    assert capsys.readouterr().err.startswith("config error: solve: --dims")
+
+
 def test_main_fixtures(capsys):
     assert main(["fixtures"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,8 +1,16 @@
-"""The sparse elimination engine against the dense reference path."""
+"""The sparse elimination engine and the sparse product kernel against the
+dense reference path."""
 
 import pytest
 from conftest import conjugation
-from dense_oracle import dense_kernel, dense_rref, dense_solve, dense_solve_space
+from dense_oracle import (
+    dense_bilinear,
+    dense_kernel,
+    dense_mul_vec,
+    dense_rref,
+    dense_solve,
+    dense_solve_space,
+)
 from hypothesis import given, settings, strategies as st
 
 from trialg import (
@@ -18,7 +26,8 @@ from trialg import (
     trian_trunc,
     upper_triangular,
 )
-from trialg.linalg import rref
+from trialg.algebra import _bilinear, _sparse_table
+from trialg.linalg import _sparse, rref
 from trialg.maps import SOLVE_KINDS
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
@@ -97,3 +106,63 @@ def test_random_systems_match_dense_oracle(system, data):
     else:
         b = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=len(rows), max_size=len(rows)))
     assert solve_linear(m, b) == dense_solve(field, rows, b, ncols)
+
+
+def _scalars(field):
+    """Field scalars, half of them zero; over Q ints and fractions with denominators."""
+    if field.char:
+        nonzero = st.integers(1, field.char - 1)
+    else:
+        nonzero = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+def _vectors(field, n):
+    return st.lists(_scalars(field), min_size=n, max_size=n).map(tuple)
+
+
+def _assert_same(got, want):
+    """Equal coordinates of equal types, so reports built from them stay identical."""
+    assert got == want
+    assert [type(a) for a in got] == [type(a) for a in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_bilinear_kernel_matches_dense_oracle(field, nx, ny, dim, data):
+    table = data.draw(st.lists(st.lists(_vectors(field, dim), min_size=ny, max_size=ny), min_size=nx, max_size=nx))
+    x, y = data.draw(_vectors(field, nx)), data.draw(_vectors(field, ny))
+    got = _bilinear(field, dim, _sparse_table(table), _sparse(x).items(), _sparse(y).items())
+    _assert_same(got, dense_bilinear(field, dim, table, x, y))
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", ["T3", "block", "trian_trunc"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_and_actions_match_dense_oracle(field_name, family, data):
+    field = FIELDS[field_name]
+    t, _ = _instance(family, field_name)
+    alg, A, M, B = t.algebra, t.A, t.M, t.B
+    x, y = data.draw(_vectors(field, alg.dim)), data.draw(_vectors(field, alg.dim))
+    a, m, b = data.draw(_vectors(field, A.dim)), data.draw(_vectors(field, M.dim)), data.draw(_vectors(field, B.dim))
+    _assert_same(alg.mul(x, y), dense_bilinear(field, alg.dim, alg.table, x, y))
+    _assert_same(M.act_left(a, m), dense_bilinear(field, M.dim, M.left, a, m))
+    _assert_same(M.act_right(m, b), dense_bilinear(field, M.dim, M.right, m, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_mul_vec_matches_dense_oracle(field, nrows, ncols, data):
+    rows = data.draw(st.lists(_vectors(field, ncols), min_size=nrows, max_size=nrows))
+    m = Matrix(field, rows, ncols=ncols)
+    v = data.draw(_vectors(field, ncols))
+    _assert_same(m.mul_vec(v), dense_mul_vec(m, v))
+    # the lazily stored sparse columns are not part of equality or hashing
+    fresh = Matrix(field, rows, ncols=ncols)
+    assert m == fresh and hash(m) == hash(fresh)
+    with pytest.raises(ValueError):
+        m.mul_vec(v + (field.one,))
+    if v:
+        with pytest.raises(ValueError):
+            m.mul_vec(v[:-1])
