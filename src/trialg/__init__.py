@@ -12,8 +12,6 @@ from .algebra import (
     center,
     center_subspace,
     has_only_trivial_idempotents_bruteforce,
-    make_algebra,
-    make_triangular,
     sigma_center,
     sigma_center_subspace,
 )
@@ -56,6 +54,7 @@ from .maps import (
     abracket_sigma,
     associated_derivations,
     bracket_sigma,
+    inner_automorphism,
     is_automorphism,
     is_derivation,
     is_generalized_pair,

@@ -47,21 +47,25 @@ def _sparse_table(table) -> tuple:
     return tuple(tuple(tuple(_sparse(v).items()) for v in row) for row in table)
 
 
-def _bilinear(field: Field, dim: int, sparse, x, y) -> Vector:
-    """Σ x_i·y_j·S_ij for structure vectors S_ij given sparsely as ``sparse[i][j]``.
+def _bilinear(field: Field, dim: int, sparse, pairs) -> Vector:
+    """Σ over ``(x, y)`` in ``pairs`` of Σ x_i·y_j·S_ij, for structure vectors
+    S_ij given sparsely as ``sparse[i][j]``.
 
-    ``x`` and ``y`` are iterables of ``(index, value)`` nonzeros; ``y`` is
-    iterated once per nonzero of ``x``.  Returns the dense coordinates.
+    Each ``x`` and ``y`` is an iterable of ``(index, value)`` nonzeros; ``y``
+    is iterated once per nonzero of ``x``.  A difference of products is one
+    call with the subtracted operand's values negated.  Returns the dense
+    coordinates.
     """
     p = field.char
     out = [field.zero] * dim
-    for i, a in x:
-        row = sparse[i]
-        for j, b in y:
-            c = a * b
-            for t, s in row[j]:
-                acc = out[t] + c * s
-                out[t] = acc % p if p else acc
+    for x, y in pairs:
+        for i, a in x:
+            row = sparse[i]
+            for j, b in y:
+                c = a * b
+                for t, s in row[j]:
+                    acc = out[t] + c * s
+                    out[t] = acc % p if p else acc
     return tuple(out)
 
 
@@ -126,7 +130,11 @@ class FDAlgebra:
         return self._basis[i]
 
     def mul(self, x: Sequence, y: Sequence) -> Vector:
-        return _bilinear(self.field, self.dim, self._sparse, _sparse(x).items(), _sparse(y).items())
+        return self._products(((_sparse(x).items(), _sparse(y).items()),))
+
+    def _products(self, pairs) -> Vector:
+        """Σ x·y over operand pairs given as ``(index, value)`` nonzeros (see :func:`_bilinear`)."""
+        return _bilinear(self.field, self.dim, self._sparse, pairs)
 
     def left_mul_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x·v in the canonical basis."""
@@ -139,15 +147,17 @@ class FDAlgebra:
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def _validate(self) -> None:
-        # (e_i e_j) e_k against e_i (e_j e_k) on every triple, zero products too
+        # (e_i e_j) e_k − e_i (e_j e_k) on every triple, zero products too
         f, dim, S = self.field, self.dim, self._sparse
         e = [((i, f.one),) for i in range(dim)]
+        minus_e = [((i, f.neg(f.one)),) for i in range(dim)]
+        zero = self.zero()
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    left = _bilinear(f, dim, S, S[i][j], e[k])
-                    right = _bilinear(f, dim, S, e[i], S[j][k])
-                    if left != right:
+                    if _bilinear(f, dim, S, ((S[i][j], e[k]), (minus_e[i], S[j][k]))) != zero:
+                        left = _bilinear(f, dim, S, ((S[i][j], e[k]),))
+                        right = _bilinear(f, dim, S, ((e[i], S[j][k]),))
                         raise AssociativityViolation(i, j, k, left, right)
         if self.unit is not None:
             if len(self.unit) != dim:
@@ -160,17 +170,6 @@ class FDAlgebra:
     def __repr__(self):
         kind = "unital" if self.is_unital else "non-unital"
         return f"FDAlgebra(dim={self.dim}, {kind}, field={self.field!r})"
-
-
-def make_algebra(
-    field: Field,
-    labels: Sequence[str],
-    table,
-    unit=None,
-    only_trivial_idempotents: bool = False,
-) -> FDAlgebra:
-    """Validated construction; rejects non-associative tables and wrong units."""
-    return FDAlgebra(field, labels, table, unit, only_trivial_idempotents)
 
 
 class Bimodule:
@@ -219,10 +218,10 @@ class Bimodule:
         return self._basis[k]
 
     def act_left(self, a: Sequence, m: Sequence) -> Vector:
-        return _bilinear(self.field, self.dim, self._left, _sparse(a).items(), _sparse(m).items())
+        return _bilinear(self.field, self.dim, self._left, ((_sparse(a).items(), _sparse(m).items()),))
 
     def act_right(self, m: Sequence, b: Sequence) -> Vector:
-        return _bilinear(self.field, self.dim, self._right, _sparse(m).items(), _sparse(b).items())
+        return _bilinear(self.field, self.dim, self._right, ((_sparse(m).items(), _sparse(b).items()),))
 
     def left_action_matrix(self, a: Sequence) -> Matrix:
         cols = [self.act_left(a, self.basis_vector(k)) for k in range(self.dim)]
@@ -240,17 +239,17 @@ class Bimodule:
         for i in range(A.dim):
             for j in range(A.dim):
                 for k in range(dim):
-                    if _bilinear(f, dim, L, A._sparse[i][j], e[k]) != _bilinear(f, dim, L, e[i], L[j][k]):
+                    if _bilinear(f, dim, L, ((A._sparse[i][j], e[k]),)) != _bilinear(f, dim, L, ((e[i], L[j][k]),)):
                         raise BimoduleAxiomViolation(f"(a{i}·a{j})·m{k} != a{i}·(a{j}·m{k})")
         for k in range(dim):
             for i in range(B.dim):
                 for j in range(B.dim):
-                    if _bilinear(f, dim, R, e[k], B._sparse[i][j]) != _bilinear(f, dim, R, R[k][i], e[j]):
+                    if _bilinear(f, dim, R, ((e[k], B._sparse[i][j]),)) != _bilinear(f, dim, R, ((R[k][i], e[j]),)):
                         raise BimoduleAxiomViolation(f"m{k}·(b{i}·b{j}) != (m{k}·b{i})·b{j}")
         for i in range(A.dim):
             for k in range(dim):
                 for j in range(B.dim):
-                    if _bilinear(f, dim, R, L[i][k], e[j]) != _bilinear(f, dim, L, e[i], R[k][j]):
+                    if _bilinear(f, dim, R, ((L[i][k], e[j]),)) != _bilinear(f, dim, L, ((e[i], R[k][j]),)):
                         raise BimoduleAxiomViolation(f"(a{i}·m{k})·b{j} != a{i}·(m{k}·b{j})")
         for k in range(self.dim):
             mk = self.basis_vector(k)
@@ -374,10 +373,6 @@ class TriangularAlgebra:
             f"TriangularAlgebra(dimA={self.A.dim}, dimM={self.M.dim}, "
             f"dimB={self.B.dim}, field={self.field!r})"
         )
-
-
-def make_triangular(A: FDAlgebra, M: Bimodule, B: FDAlgebra, *, require_faithful: bool = True) -> TriangularAlgebra:
-    return TriangularAlgebra(A, M, B, require_faithful=require_faithful)
 
 
 # ---------------------------------------------------------------------------

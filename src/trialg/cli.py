@@ -40,10 +40,9 @@ from .families import (
 )
 from .fields import Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
-from .maps import SOLVE_KINDS, LinearEndo, is_automorphism, solve_space
+from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, solve_space
 from .structure import (
     AutParts,
-    centralizing_conditions,
     commuting_criterion,
     compose_automorphism,
     decompose_automorphism,
@@ -206,10 +205,10 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             if not sa or not sb:
                 raise ConfigError(where, "diagonal signs must be invertible")
             u = vec_add(field, vec_scale(field, sa, t.p), vec_scale(field, sb, t.q))
-            return _conjugation_endo(alg, u, where)
+            return inner_automorphism(alg, u)
         if "conjugate_by" in spec:
             u = parse_vector(field, spec["conjugate_by"])
-            return _conjugation_endo(alg, u, where)
+            return inner_automorphism(alg, u)
         if "matrix" in spec:
             endo = LinearEndo(alg, parse_matrix(field, spec["matrix"]))
             chk = is_automorphism(endo)
@@ -234,16 +233,6 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
     except (TrialgError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from exc
     raise ConfigError(where, f"unknown sigma spec {spec!r}")
-
-
-def _conjugation_endo(alg: FDAlgebra, u, where: str) -> LinearEndo:
-    if not alg.is_unital:
-        raise ConfigError(where, "conjugation needs a unital algebra")
-    inv = alg.left_mul_matrix(u).inverse()
-    if inv is None:
-        raise ConfigError(where, "conjugating element is not invertible")
-    u_inv = inv.mul_vec(alg.unit)
-    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +324,6 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
         space = solve_space(instance.algebra, sigma, kind)
         for endo in space.endos():
             parts = decompose_centralizing(t, sigma, endo)
-            conditions = centralizing_conditions(parts, endo)
             members.append(
                 {
                     "delta1": fmt_matrix(field, parts.delta1),
@@ -344,7 +332,7 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
                     "mu1": fmt_matrix(field, parts.mu1),
                     "mu2": fmt_matrix(field, parts.mu2),
                     "mu3": fmt_matrix(field, parts.mu3),
-                    "conditions": {label: bool(res) for label, res in conditions.items()},
+                    "conditions": {label: bool(res) for label, res in parts.conditions.items()},
                     "commuting_criterion": commuting_criterion(parts),
                     "round_trip": True,
                 }

@@ -213,7 +213,9 @@ class Matrix:
     """Immutable dense matrix over a single field, row-major tuples.
 
     ``_columns`` holds the nonzeros of each column as ``(row, value)`` pairs,
-    computed on the first :meth:`mul_vec` and not part of equality.
+    computed once on first use and not part of equality.  Column j is the
+    sparse image of basis vector j, so the map checks in :mod:`trialg.maps`
+    read a map's basis images from it instead of multiplying unit vectors.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries", "_columns")
@@ -255,21 +257,29 @@ class Matrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
+    def _cols(self) -> tuple:
+        """The ``(row, value)`` nonzeros of every column, computed once."""
+        if self._columns is None:
+            cols = zip(*self.entries) if self.entries else [()] * self.ncols
+            self._columns = tuple(tuple(_sparse(col).items()) for col in cols)
+        return self._columns
+
+    def _apply(self, items) -> Vector:
+        """The product with the vector whose ``(index, value)`` nonzeros are ``items``."""
+        cols = self._cols()
+        p = self.field.char
+        out = [self.field.zero] * self.nrows
+        for j, x in items:
+            for i, a in cols[j]:
+                acc = out[i] + a * x
+                out[i] = acc % p if p else acc
+        return tuple(out)
+
     def mul_vec(self, v: Sequence) -> Vector:
         """The product with a column vector, over the nonzeros of ``v`` only."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match the column count")
-        if self._columns is None:
-            cols = zip(*self.entries) if self.entries else [()] * self.ncols
-            self._columns = tuple(tuple(_sparse(col).items()) for col in cols)
-        p = self.field.char
-        out = [self.field.zero] * self.nrows
-        for j, x in enumerate(v):
-            if x:
-                for i, a in self._columns[j]:
-                    acc = out[i] + a * x
-                    out[i] = acc % p if p else acc
-        return tuple(out)
+        return self._apply((j, x) for j, x in enumerate(v) if x)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:

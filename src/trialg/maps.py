@@ -8,6 +8,11 @@ every x exactly when all diagonal values and all symmetrized basis-pair
 values vanish.  Conditions of the form "value lies in the center" are made
 linear by composing with the fixed complement projection that annihilates the
 center (:meth:`trialg.linalg.Subspace.reduction_matrix`).
+
+The pointwise checks read each map's basis images as the cached sparse
+columns of its matrix and evaluate θ(e_i e_j) on the sparse structure vector
+of the pair, so each side of an identity is one call to the algebra's sparse
+product kernel.
 """
 
 from __future__ import annotations
@@ -149,6 +154,11 @@ def abracket_sigma(sigma: LinearEndo, x: Sequence, y: Sequence) -> Vector:
 # pointwise predicates
 
 
+def _units(alg: FDAlgebra) -> list:
+    """The basis vectors as ``(index, value)`` nonzeros."""
+    return [((i, alg.field.one),) for i in range(alg.dim)]
+
+
 def is_automorphism(theta: LinearEndo) -> CheckResult:
     alg = theta.algebra
     n = alg.dim
@@ -156,30 +166,33 @@ def is_automorphism(theta: LinearEndo) -> CheckResult:
         return CheckResult(False, Witness("not invertible"))
     if alg.is_unital and theta(alg.unit) != tuple(alg.unit):
         return CheckResult(False, Witness("unit not preserved", lhs=theta(alg.unit), rhs=tuple(alg.unit)))
+    S, images = alg._sparse, theta.matrix._cols()
     for i in range(n):
         for j in range(n):
-            lhs = theta(alg.table[i][j])
-            rhs = alg.mul(theta(alg.basis_vector(i)), theta(alg.basis_vector(j)))
+            lhs = theta.matrix._apply(S[i][j])
+            rhs = alg._products(((images[i], images[j]),))
             if lhs != rhs:
                 return CheckResult(False, Witness("multiplicativity", pair=(i, j), lhs=lhs, rhs=rhs))
     return _PASS
 
 
+def _leibniz_check(D: LinearEndo, d: LinearEndo, sigma: LinearEndo, reason: str) -> CheckResult:
+    """D(e_i e_j) = D(e_i)e_j + σ(e_i)d(e_j) on all basis pairs."""
+    alg = D.algebra
+    S, e = alg._sparse, _units(alg)
+    DD, dd, ss = D.matrix._cols(), d.matrix._cols(), sigma.matrix._cols()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = D.matrix._apply(S[i][j])
+            rhs = alg._products(((DD[i], e[j]), (ss[i], dd[j])))
+            if lhs != rhs:
+                return CheckResult(False, Witness(reason, pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
 def is_sigma_derivation(d: LinearEndo, sigma: LinearEndo) -> CheckResult:
     """d(xy) = d(x)y + σ(x)d(y), checked on all basis pairs."""
-    alg = d.algebra
-    f = alg.field
-    n = alg.dim
-    for i in range(n):
-        ei = alg.basis_vector(i)
-        si = sigma(ei)
-        for j in range(n):
-            ej = alg.basis_vector(j)
-            lhs = d(alg.table[i][j])
-            rhs = vec_add(f, alg.mul(d(ei), ej), alg.mul(si, d(ej)))
-            if lhs != rhs:
-                return CheckResult(False, Witness("twisted Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
-    return _PASS
+    return _leibniz_check(d, d, sigma, "twisted Leibniz rule")
 
 
 def is_derivation(d: LinearEndo) -> CheckResult:
@@ -191,30 +204,17 @@ def is_generalized_pair(D: LinearEndo, d: LinearEndo, sigma: LinearEndo) -> Chec
     inner = is_sigma_derivation(d, sigma)
     if not inner.ok:
         return inner
-    alg = D.algebra
-    f = alg.field
-    n = alg.dim
-    for i in range(n):
-        ei = alg.basis_vector(i)
-        si = sigma(ei)
-        for j in range(n):
-            ej = alg.basis_vector(j)
-            lhs = D(alg.table[i][j])
-            rhs = vec_add(f, alg.mul(D(ei), ej), alg.mul(si, d(ej)))
-            if lhs != rhs:
-                return CheckResult(False, Witness("generalized Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
-    return _PASS
+    return _leibniz_check(D, d, sigma, "generalized Leibniz rule")
 
 
 def is_left_multiplier(F: LinearEndo) -> CheckResult:
     """F(xy) = F(x)y on all basis pairs."""
     alg = F.algebra
-    n = alg.dim
-    for i in range(n):
-        fei = F(alg.basis_vector(i))
-        for j in range(n):
-            lhs = F(alg.table[i][j])
-            rhs = alg.mul(fei, alg.basis_vector(j))
+    S, e, images = alg._sparse, _units(alg), F.matrix._cols()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = F.matrix._apply(S[i][j])
+            rhs = alg._products(((images[i], e[j]),))
             if lhs != rhs:
                 return CheckResult(False, Witness("left multiplier rule", pair=(i, j), lhs=lhs, rhs=rhs))
     return _PASS
@@ -234,29 +234,41 @@ def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
     alg = theta.algebra
     f = alg.field
     skew = mode.startswith("skew")
-    central = mode.endswith("centralizing")
-    residual = center_subspace(alg).reduce if central else (lambda v: v)
-    bracket = abracket_sigma if skew else bracket_sigma
-
-    def value(x: Sequence, y: Sequence) -> Vector:
-        return bracket(sigma, x, theta(y))
-
+    residual = center_subspace(alg).reduce if mode.endswith("centralizing") else (lambda v: v)
+    e, ss, th = _units(alg), sigma.matrix._cols(), theta.matrix._cols()
+    # the bracket σ(x)θ(y) ∓ θ(y)x: the second product takes θ(y) negated unless skew
+    th_second = th if skew else [tuple((k, f.neg(a)) for k, a in col) for col in th]
     n = alg.dim
     for i in range(n):
-        ei = alg.basis_vector(i)
         for j in range(i, n):
-            if i == j:
-                element = ei
-                val = value(ei, ei)
-            else:
-                ej = alg.basis_vector(j)
-                element = vec_add(f, ei, ej)
-                val = vec_add(f, value(ei, ej), value(ej, ei))
+            # bracket(e_i, e_j), plus bracket(e_j, e_i) off the diagonal
+            pairs = [(ss[i], th[j]), (th_second[j], e[i])]
+            if i != j:
+                pairs += [(ss[j], th[i]), (th_second[i], e[j])]
+            val = alg._products(pairs)
             if not vec_is_zero(residual(val)):
+                ei = alg.basis_vector(i)
+                element = ei if i == j else vec_add(f, ei, alg.basis_vector(j))
                 return CheckResult(
                     False, Witness(f"{mode} fails", pair=(i, j), element=element, lhs=val)
                 )
     return _PASS
+
+
+def inner_automorphism(alg: FDAlgebra, u: Sequence, u_inv: Sequence | None = None) -> LinearEndo:
+    """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
+
+    A caller that already has u⁻¹ passes it as ``u_inv``.  Raises ValueError
+    when the algebra has no unit or u is not invertible.
+    """
+    if not alg.is_unital:
+        raise ValueError("conjugation needs a unital algebra")
+    if u_inv is None:
+        inv = alg.left_mul_matrix(u).inverse()
+        if inv is None:
+            raise ValueError("conjugating element is not invertible")
+        u_inv = inv.mul_vec(alg.unit)
+    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +283,6 @@ def endo_of_vec(algebra: FDAlgebra, v: Sequence) -> LinearEndo:
     n = algebra.dim
     rows = [v[r * n : (r + 1) * n] for r in range(n)]
     return LinearEndo(algebra, Matrix(algebra.field, rows, ncols=n))
-
-
-def vec_of_endo_pair(D: LinearEndo, d: LinearEndo) -> Vector:
-    return vec_of_endo(D) + vec_of_endo(d)
 
 
 @dataclass(frozen=True)
@@ -310,7 +318,7 @@ class MapSpace:
         return self.space.contains(vec_of_endo(endo))
 
     def contains_pair(self, D: LinearEndo, d: LinearEndo) -> bool:
-        return self.space.contains(vec_of_endo_pair(D, d))
+        return self.space.contains(vec_of_endo(D) + vec_of_endo(d))
 
     def first_component_space(self) -> Subspace:
         """Projection of a pair space onto its D-block."""

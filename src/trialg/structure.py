@@ -14,7 +14,7 @@ because the untwisted corollaries carry no such hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .algebra import TriangularAlgebra, center_subspace, sigma_center_subspace
 from .errors import (
@@ -44,15 +44,13 @@ from .maps import (
 # component extraction helpers
 
 
-def _corner_matrix(t: TriangularAlgebra, endo: LinearEndo, project, embed, dim_in: int, dim_out: int) -> Matrix:
-    cols = [project(endo(embed(_unit(t, dim_in, i)))) for i in range(dim_in)]
-    return Matrix.from_columns(t.field, cols, nrows=dim_out)
-
-
-def _unit(t: TriangularAlgebra, dim: int, i: int) -> Vector:
-    v = [t.field.zero] * dim
-    v[i] = t.field.one
-    return tuple(v)
+def _corner_matrix(t: TriangularAlgebra, endo: LinearEndo, out: str, into: str) -> Matrix:
+    """The block of ``endo`` from corner ``into`` to corner ``out`` (each of
+    ``"a"``, ``"m"``, ``"b"``): its projected rows by its embedded columns."""
+    na, nm = t.A.dim, t.M.dim
+    span = {"a": slice(0, na), "m": slice(na, na + nm), "b": slice(na + nm, t.dim)}
+    rows, cols = span[out], span[into]
+    return Matrix(t.field, [r[cols] for r in endo.matrix.entries[rows]], ncols=cols.stop - cols.start)
 
 
 def _endo_from_corner_images(t: TriangularAlgebra, a_images, m_images, b_images) -> LinearEndo:
@@ -154,10 +152,9 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     chk = is_automorphism(sigma)
     if not chk.ok:
         raise NotAutomorphism(chk.witness)
-    A, M, B = t.A, t.M, t.B
-    f = _corner_matrix(t, sigma, t.pi_a, t.embed_a, A.dim, A.dim)
-    g = _corner_matrix(t, sigma, t.pi_b, t.embed_b, B.dim, B.dim)
-    nu = _corner_matrix(t, sigma, t.pi_m, t.embed_m, M.dim, M.dim)
+    f = _corner_matrix(t, sigma, "a", "a")
+    g = _corner_matrix(t, sigma, "b", "b")
+    nu = _corner_matrix(t, sigma, "m", "m")
     m_sigma = t.pi_m(sigma(t.p))
     parts = AutParts(t, f, g, m_sigma, nu)
     _compare(t, compose_automorphism(t, parts), sigma)
@@ -213,10 +210,9 @@ def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d, aut: AutParts | N
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
     aut = aut or _aut_parts_for(t, sigma)
-    A, M, B = t.A, t.M, t.B
-    d_A = _corner_matrix(t, d, t.pi_a, t.embed_a, A.dim, A.dim)
-    d_B = _corner_matrix(t, d, t.pi_b, t.embed_b, B.dim, B.dim)
-    xi = _corner_matrix(t, d, t.pi_m, t.embed_m, M.dim, M.dim)
+    d_A = _corner_matrix(t, d, "a", "a")
+    d_B = _corner_matrix(t, d, "b", "b")
+    xi = _corner_matrix(t, d, "m", "m")
     m_d = t.pi_m(d(t.p))
     parts = DerParts(t, aut, d_A, d_B, m_d, xi)
     _check_der_parts(parts)
@@ -261,7 +257,12 @@ CENT_CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delt
 
 @dataclass(frozen=True)
 class CentParts:
-    """The six corner maps of a twisted centralizing map."""
+    """The six corner maps of a twisted centralizing map.
+
+    ``conditions`` holds the result of each named side condition (see
+    :func:`centralizing_conditions`) once :func:`decompose_centralizing` has
+    checked them.
+    """
 
     t: TriangularAlgebra
     aut: AutParts
@@ -271,20 +272,20 @@ class CentParts:
     mu1: Matrix
     mu2: Matrix
     mu3: Matrix
+    conditions: dict[str, CheckResult] = field(default_factory=dict, compare=False)
 
 
 def _extract_cent_parts(t: TriangularAlgebra, sigma: LinearEndo, theta: LinearEndo) -> CentParts:
-    A, M, B = t.A, t.M, t.B
     aut = _aut_parts_for(t, sigma)
     return CentParts(
         t,
         aut,
-        delta1=_corner_matrix(t, theta, t.pi_a, t.embed_a, A.dim, A.dim),
-        delta2=_corner_matrix(t, theta, t.pi_a, t.embed_m, M.dim, A.dim),
-        delta3=_corner_matrix(t, theta, t.pi_a, t.embed_b, B.dim, A.dim),
-        mu1=_corner_matrix(t, theta, t.pi_b, t.embed_a, A.dim, B.dim),
-        mu2=_corner_matrix(t, theta, t.pi_b, t.embed_m, M.dim, B.dim),
-        mu3=_corner_matrix(t, theta, t.pi_b, t.embed_b, B.dim, B.dim),
+        delta1=_corner_matrix(t, theta, "a", "a"),
+        delta2=_corner_matrix(t, theta, "a", "m"),
+        delta3=_corner_matrix(t, theta, "a", "b"),
+        mu1=_corner_matrix(t, theta, "b", "a"),
+        mu2=_corner_matrix(t, theta, "b", "m"),
+        mu3=_corner_matrix(t, theta, "b", "b"),
     )
 
 
@@ -463,9 +464,11 @@ def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     if not sigma.is_identity() and not t.trivial_idempotent_components:
         raise HypothesisNotMet("twisted decomposition needs idempotent-free diagonal algebras")
     parts = _extract_cent_parts(t, sigma, theta)
-    for label, result in centralizing_conditions(parts, theta).items():
+    conditions = centralizing_conditions(parts, theta)
+    for label, result in conditions.items():
         if not result.ok:
             raise ConditionFailure(label, result.witness)
+    parts = replace(parts, conditions=conditions)
     _compare(t, compose_centralizing(t, parts), theta)
     return parts
 
@@ -553,8 +556,8 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
         raise HypothesisNotMet("twisted decomposition needs idempotent-free diagonal algebras")
     der = decompose_sigma_derivation(t, sigma, d)
     A, B = t.A, t.B
-    D_A = _corner_matrix(t, D, t.pi_a, t.embed_a, A.dim, A.dim)
-    D_B = _corner_matrix(t, D, t.pi_b, t.embed_b, B.dim, B.dim)
+    D_A = _corner_matrix(t, D, "a", "a")
+    D_B = _corner_matrix(t, D, "b", "b")
     m_D = t.pi_m(D(t.q))
     chk = is_generalized_pair(LinearEndo(A, D_A), LinearEndo(A, der.d_A), LinearEndo(A, der.aut.f_sigma))
     if not chk.ok:
@@ -603,8 +606,8 @@ def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
     A, B = t.A, t.B
-    F_A = _corner_matrix(t, F, t.pi_a, t.embed_a, A.dim, A.dim)
-    F_B = _corner_matrix(t, F, t.pi_b, t.embed_b, B.dim, B.dim)
+    F_A = _corner_matrix(t, F, "a", "a")
+    F_B = _corner_matrix(t, F, "b", "b")
     m_F = t.pi_m(F(t.q))
     chk = is_left_multiplier(LinearEndo(A, F_A))
     if not chk.ok:

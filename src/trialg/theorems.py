@@ -19,6 +19,7 @@ from .maps import (
     as_algebra,
     as_endo,
     endo_of_vec,
+    inner_automorphism,
     is_automorphism,
     is_left_multiplier,
     is_sigma_derivation,
@@ -215,19 +216,14 @@ def _random_vector(field: Field, n: int, rng: random.Random) -> Vector:
     return tuple(_random_scalar(field, rng) for _ in range(n))
 
 
-def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, Matrix]:
-    """A random invertible element together with the inverse of its left
-    multiplication (unital algebras only; retries until invertible)."""
+def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, Vector]:
+    """A random invertible element and its inverse (unital algebras only;
+    retries until invertible)."""
     while True:
         u = _random_vector(algebra.field, algebra.dim, rng)
         inv = algebra.left_mul_matrix(u).inverse()
         if inv is not None:
-            return u, inv
-
-
-def _conjugation(algebra: FDAlgebra, u: Vector, left_inv: Matrix) -> LinearEndo:
-    u_inv = left_inv.mul_vec(algebra.unit)
-    return LinearEndo(algebra, algebra.left_mul_matrix(u) @ algebra.right_mul_matrix(u_inv))
+            return u, inv.mul_vec(algebra.unit)
 
 
 def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
@@ -236,11 +232,10 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
 
     A, M, B = t.A, t.M, t.B
     field = t.field
-    u, ul_inv = _random_invertible(A, rng)
-    w, wl_inv = _random_invertible(B, rng)
-    w_inv = wl_inv.mul_vec(B.unit)
-    fmat = _conjugation(A, u, ul_inv).matrix
-    gmat = _conjugation(B, w, wl_inv).matrix
+    u, u_inv = _random_invertible(A, rng)
+    w, w_inv = _random_invertible(B, rng)
+    fmat = inner_automorphism(A, u, u_inv).matrix
+    gmat = inner_automorphism(B, w, w_inv).matrix
     s = _random_scalar(field, rng, nonzero=True)
     nu_cols = [
         tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))
@@ -252,16 +247,12 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
 
 
 def _sample_conjugation_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
-    """Conjugation by a random invertible element (both diagonal blocks invertible)."""
-    alg = t.algebra
-    while True:
-        a, a_inv = _random_invertible(t.A, rng)
-        b, b_inv = _random_invertible(t.B, rng)
-        m = _random_vector(t.field, t.M.dim, rng)
-        u = t.element(a, m, b)
-        inv = alg.left_mul_matrix(u).inverse()
-        if inv is not None:
-            return _conjugation(alg, u, inv)
+    """Conjugation by a random (a, m, b) with a and b invertible, which makes
+    it invertible with inverse (a⁻¹, −a⁻¹·m·b⁻¹, b⁻¹)."""
+    a, _ = _random_invertible(t.A, rng)
+    b, _ = _random_invertible(t.B, rng)
+    m = _random_vector(t.field, t.M.dim, rng)
+    return inner_automorphism(t.algebra, t.element(a, m, b))
 
 
 def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instance: str = "") -> TheoremReport:

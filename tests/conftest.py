@@ -1,22 +1,14 @@
 import pytest
 
-from trialg import GF, QQ, LinearEndo, block_upper, trian_trunc, upper_triangular
-
-
-def conjugation(t, u):
-    """Conjugation x -> u x u^{-1} of the assembled algebra, u given in T-coords."""
-    alg = t.algebra
-    inv = alg.left_mul_matrix(u).inverse()
-    assert inv is not None, "conjugating element must be invertible"
-    u_inv = inv.mul_vec(alg.unit)
-    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
+from trialg import GF, QQ, block_upper, trian_trunc, upper_triangular
+from trialg.maps import inner_automorphism
 
 
 def diag_sign_automorphism(t):
     """(a, m, b) -> (a, -m, b): conjugation by p - q."""
     f = t.field
     u = tuple(f.sub(a, b) for a, b in zip(t.p, t.q))
-    return conjugation(t, u)
+    return inner_automorphism(t.algebra, u)
 
 
 def unipotent_automorphism(t):
@@ -24,7 +16,7 @@ def unipotent_automorphism(t):
     f = t.field
     m = t.M.basis_vector(0)
     u = tuple(f.add(a, b) for a, b in zip(t.algebra.unit, t.embed_m(m)))
-    return conjugation(t, u)
+    return inner_automorphism(t.algebra, u)
 
 
 @pytest.fixture(scope="session")

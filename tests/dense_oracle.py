@@ -8,6 +8,11 @@ algebra multiplication, the module actions and matrix-vector products used
 before they walked sparse structure constants.  It is slow and memory-hungry
 on purpose and is kept only so the tests can check that the sparse paths give
 identical results.
+
+The map checkers and the corner extraction at the end of the module are the
+ones trialg used before they read a map's basis images from its sparse
+columns: every basis image is recomputed with a matrix-vector product and
+every bracket with dense products and vector sums.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from trialg import LinearEndo, center_subspace
-from trialg.maps import as_algebra, as_endo
+from trialg import LinearEndo, Matrix, center_subspace
+from trialg.linalg import vec_add, vec_is_zero
+from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
 
 def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
@@ -250,3 +256,113 @@ def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list
             for j in range(i + 1, n):
                 system.equation([(0, op[i], basis[j], one), (0, op[j], basis[i], one)])
     return dense_kernel(f, system.rows, system.width)
+
+
+# ---------------------------------------------------------------------------
+# map checkers and corner extraction
+
+_PASS = CheckResult(True)
+
+
+def dense_is_automorphism(theta) -> CheckResult:
+    alg = theta.algebra
+    n = alg.dim
+    if theta.matrix.rank() != n:
+        return CheckResult(False, Witness("not invertible"))
+    if alg.is_unital and theta(alg.unit) != tuple(alg.unit):
+        return CheckResult(False, Witness("unit not preserved", lhs=theta(alg.unit), rhs=tuple(alg.unit)))
+    for i in range(n):
+        for j in range(n):
+            lhs = theta(alg.table[i][j])
+            rhs = alg.mul(theta(alg.basis_vector(i)), theta(alg.basis_vector(j)))
+            if lhs != rhs:
+                return CheckResult(False, Witness("multiplicativity", pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
+def dense_is_sigma_derivation(d, sigma) -> CheckResult:
+    alg = d.algebra
+    f = alg.field
+    n = alg.dim
+    for i in range(n):
+        ei = alg.basis_vector(i)
+        si = sigma(ei)
+        for j in range(n):
+            ej = alg.basis_vector(j)
+            lhs = d(alg.table[i][j])
+            rhs = vec_add(f, alg.mul(d(ei), ej), alg.mul(si, d(ej)))
+            if lhs != rhs:
+                return CheckResult(False, Witness("twisted Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
+def dense_is_generalized_pair(D, d, sigma) -> CheckResult:
+    inner = dense_is_sigma_derivation(d, sigma)
+    if not inner.ok:
+        return inner
+    alg = D.algebra
+    f = alg.field
+    n = alg.dim
+    for i in range(n):
+        ei = alg.basis_vector(i)
+        si = sigma(ei)
+        for j in range(n):
+            ej = alg.basis_vector(j)
+            lhs = D(alg.table[i][j])
+            rhs = vec_add(f, alg.mul(D(ei), ej), alg.mul(si, d(ej)))
+            if lhs != rhs:
+                return CheckResult(False, Witness("generalized Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
+def dense_is_left_multiplier(F) -> CheckResult:
+    alg = F.algebra
+    n = alg.dim
+    for i in range(n):
+        fei = F(alg.basis_vector(i))
+        for j in range(n):
+            lhs = F(alg.table[i][j])
+            rhs = alg.mul(fei, alg.basis_vector(j))
+            if lhs != rhs:
+                return CheckResult(False, Witness("left multiplier rule", pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
+def dense_predicate(theta, sigma, mode: str) -> CheckResult:
+    if mode not in PREDICATE_MODES:
+        raise ValueError(f"unknown predicate mode {mode!r}")
+    alg = theta.algebra
+    f = alg.field
+    skew = mode.startswith("skew")
+    central = mode.endswith("centralizing")
+    residual = center_subspace(alg).reduce if central else (lambda v: v)
+    bracket = abracket_sigma if skew else bracket_sigma
+
+    def value(x, y):
+        return bracket(sigma, x, theta(y))
+
+    n = alg.dim
+    for i in range(n):
+        ei = alg.basis_vector(i)
+        for j in range(i, n):
+            if i == j:
+                element = ei
+                val = value(ei, ei)
+            else:
+                ej = alg.basis_vector(j)
+                element = vec_add(f, ei, ej)
+                val = vec_add(f, value(ei, ej), value(ej, ei))
+            if not vec_is_zero(residual(val)):
+                return CheckResult(False, Witness(f"{mode} fails", pair=(i, j), element=element, lhs=val))
+    return _PASS
+
+
+def dense_corner_matrix(t, endo, project, embed, dim_in: int, dim_out: int):
+    """project ∘ endo ∘ embed as a matrix, one unit vector at a time."""
+    f = t.field
+    cols = []
+    for i in range(dim_in):
+        unit = [f.zero] * dim_in
+        unit[i] = f.one
+        cols.append(project(endo(embed(tuple(unit)))))
+    return Matrix.from_columns(f, cols, nrows=dim_out)

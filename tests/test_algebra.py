@@ -12,16 +12,17 @@ from trialg import (
     Bimodule,
     BimoduleAxiomViolation,
     EnumerationTooLarge,
+    FDAlgebra,
     LinearEndo,
     NotFaithful,
+    TriangularAlgebra,
     UnitViolation,
     ZeroModule,
     center,
     center_subspace,
     decompose_sigma_derivation,
     has_only_trivial_idempotents_bruteforce,
-    make_algebra,
-    make_triangular,
+    inner_automorphism,
     sigma_center,
     sigma_center_subspace,
     trian_trunc,
@@ -30,14 +31,14 @@ from trialg import (
 )
 from trialg.linalg import Matrix
 
-from conftest import conjugation, diag_sign_automorphism
+from conftest import diag_sign_automorphism
 
 ZERO1 = (Fraction(0),)
 ONE1 = (Fraction(1),)
 
 
 def scalar_algebra():
-    return make_algebra(QQ, ["e"], [[ONE1]], unit=ONE1, only_trivial_idempotents=True)
+    return FDAlgebra(QQ, ["e"], [[ONE1]], unit=ONE1, only_trivial_idempotents=True)
 
 
 def test_field_as_dim_one_algebra():
@@ -51,7 +52,7 @@ def test_nilpotent_strictly_upper_algebra_accepted_without_unit():
     e13 = (Fraction(0), Fraction(1), Fraction(0))
     table = [[z] * 3 for _ in range(3)]
     table[0][2] = e13
-    alg = make_algebra(QQ, ["e12", "e13", "e23"], table)
+    alg = FDAlgebra(QQ, ["e12", "e13", "e23"], table)
     assert not alg.is_unital
     assert alg.mul(alg.basis_vector(0), alg.basis_vector(2)) == e13
 
@@ -63,7 +64,7 @@ def test_associativity_violation_reports_witness():
     e2 = (Fraction(0), Fraction(1))
     table = [[e2, e1], [z, z]]
     with pytest.raises(AssociativityViolation) as err:
-        make_algebra(QQ, ["e1", "e2"], table)
+        FDAlgebra(QQ, ["e1", "e2"], table)
     assert err.value.indices == (0, 0, 0)
     assert err.value.left == z
     assert err.value.right == e1
@@ -76,7 +77,7 @@ def test_associativity_violation_behind_a_zero_product():
     e0 = (Fraction(1), Fraction(0))
     table = [[e0, z], [e0, z]]
     with pytest.raises(AssociativityViolation) as err:
-        make_algebra(QQ, ["e0", "e1"], table)
+        FDAlgebra(QQ, ["e0", "e1"], table)
     assert err.value.indices == (0, 1, 0)
     assert err.value.left == z
     assert err.value.right == e0
@@ -87,7 +88,7 @@ def test_wrong_unit_rejected():
     e1 = (Fraction(1), Fraction(0))
     table = [[e1, z], [z, z]]
     with pytest.raises(UnitViolation):
-        make_algebra(QQ, ["e1", "e2"], table, unit=e1)
+        FDAlgebra(QQ, ["e1", "e2"], table, unit=e1)
 
 
 def test_triangular_of_three_scalar_blocks(t2q):
@@ -111,12 +112,12 @@ def test_unfaithful_left_action_rejected():
     e1 = (Fraction(1), Fraction(0))
     e2 = (Fraction(0), Fraction(1))
     table = [[e1, z], [z, e2]]
-    A = make_algebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
+    A = FDAlgebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
     B = scalar_algebra()
     left = [[ONE1], [ZERO1]]
     right = [[ONE1]]
     with pytest.raises(NotFaithful) as err:
-        make_triangular(A, Bimodule(A, B, ["m"], left, right), B)
+        TriangularAlgebra(A, Bimodule(A, B, ["m"], left, right), B)
     assert err.value.side == "left"
     assert err.value.witness == (Fraction(0), Fraction(1))
 
@@ -137,7 +138,7 @@ def diagonal_pair_algebra():
     """Q ⊕ Q on the orthogonal idempotents e1, e2, so e1·e2 = 0."""
     z = (Fraction(0), Fraction(0))
     table = [[(Fraction(1), Fraction(0)), z], [z, (Fraction(0), Fraction(1))]]
-    return make_algebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
+    return FDAlgebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
 
 
 M0, M1 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
@@ -168,10 +169,10 @@ def test_faithfulness_override_allows_degenerate_module():
     e1 = (Fraction(1), Fraction(0))
     e2 = (Fraction(0), Fraction(1))
     table = [[e1, z], [z, e2]]
-    A = make_algebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
+    A = FDAlgebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
     B = scalar_algebra()
     M = Bimodule(A, B, ["m"], [[ONE1], [ZERO1]], [[ONE1]])
-    t = make_triangular(A, M, B, require_faithful=False)
+    t = TriangularAlgebra(A, M, B, require_faithful=False)
     assert t.dim == 4
 
 
@@ -295,7 +296,7 @@ def test_twisted_center_module_component_tracks_corner(t2q):
     # conjugation by (1, 1, 1) has a nonzero corner, so Z_σ leaves the diagonal
     f = t2q.field
     u = t2q.element(ONE1, ONE1, ONE1)
-    sig = conjugation(t2q, u)
+    sig = inner_automorphism(t2q.algebra, u)
     data = sigma_center(t2q, sig)
     assert data.sigma_center.dim == 1
     assert data.sigma_center.contains(u)
@@ -329,7 +330,7 @@ def test_eta_intertwines_module_action(t2q, trunc3q):
 
 def test_bruteforce_idempotents_on_scalar_field():
     f3 = GF(3)
-    alg = make_algebra(f3, ["e"], [[(1,)]], unit=(1,))
+    alg = FDAlgebra(f3, ["e"], [[(1,)]], unit=(1,))
     assert has_only_trivial_idempotents_bruteforce(alg)
 
 

@@ -111,6 +111,14 @@ def test_singular_conjugation_rejected():
         run_config(dict(BASE, sigma={"conjugate_by": ["0", "1", "0"]}))
 
 
+def test_conjugation_errors_keep_their_messages():
+    with pytest.raises(ConfigError, match=r"^sigma: conjugating element is not invertible$"):
+        run_config(dict(BASE, sigma={"conjugate_by": ["0", "1", "0"]}))
+    nilpotent = {"labels": ["e"], "table": [[["0"]]]}
+    with pytest.raises(ConfigError, match=r"^sigma: conjugation needs a unital algebra$"):
+        run_config(dict(BASE, algebra=nilpotent, sigma={"conjugate_by": ["1"]}))
+
+
 def test_non_automorphism_matrix_rejected():
     mat = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]
     with pytest.raises(ConfigError):

@@ -1,12 +1,17 @@
-"""The sparse elimination engine and the sparse product kernel against the
-dense reference path."""
+"""The sparse elimination engine, the sparse product kernel and the map
+checkers against the dense reference path."""
 
 import pytest
-from conftest import conjugation
 from dense_oracle import (
     dense_bilinear,
+    dense_corner_matrix,
+    dense_is_automorphism,
+    dense_is_generalized_pair,
+    dense_is_left_multiplier,
+    dense_is_sigma_derivation,
     dense_kernel,
     dense_mul_vec,
+    dense_predicate,
     dense_rref,
     dense_solve,
     dense_solve_space,
@@ -16,19 +21,27 @@ from hypothesis import given, settings, strategies as st
 from trialg import (
     GF,
     QQ,
+    LinearEndo,
     Matrix,
     block_upper,
     fixture_n3,
     fixture_trian_AA0,
+    inner_automorphism,
+    is_automorphism,
+    is_generalized_pair,
+    is_left_multiplier,
+    is_sigma_derivation,
     kernel_basis,
+    predicate,
     solve_linear,
     solve_space,
     trian_trunc,
     upper_triangular,
 )
 from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import _sparse, rref
-from trialg.maps import SOLVE_KINDS
+from trialg.linalg import _sparse, rref, vec_add, vec_scale
+from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
+from trialg.structure import _corner_matrix
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
 
@@ -38,7 +51,7 @@ def _twisted(t):
     the module corner: the twist has denominators over Q."""
     f = t.field
     u = tuple(f.add(f.add(a, f.add(b, b)), c) for a, b, c in zip(t.p, t.q, t.embed_m(t.M.basis_vector(0))))
-    return t, conjugation(t, u)
+    return t, inner_automorphism(t.algebra, u)
 
 
 def _fixture(fx):
@@ -131,9 +144,12 @@ def _assert_same(got, want):
 @given(st.sampled_from([QQ, GF(7)]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_bilinear_kernel_matches_dense_oracle(field, nx, ny, dim, data):
     table = data.draw(st.lists(st.lists(_vectors(field, dim), min_size=ny, max_size=ny), min_size=nx, max_size=nx))
-    x, y = data.draw(_vectors(field, nx)), data.draw(_vectors(field, ny))
-    got = _bilinear(field, dim, _sparse_table(table), _sparse(x).items(), _sparse(y).items())
-    _assert_same(got, dense_bilinear(field, dim, table, x, y))
+    pairs = data.draw(st.lists(st.tuples(_vectors(field, nx), _vectors(field, ny)), min_size=1, max_size=3))
+    got = _bilinear(field, dim, _sparse_table(table), [(_sparse(x).items(), _sparse(y).items()) for x, y in pairs])
+    want = dense_bilinear(field, dim, table, *pairs[0])
+    for x, y in pairs[1:]:
+        want = vec_add(field, want, dense_bilinear(field, dim, table, x, y))
+    _assert_same(got, want)
 
 
 @pytest.mark.parametrize("field_name", FIELDS)
@@ -166,3 +182,110 @@ def test_mul_vec_matches_dense_oracle(field, nrows, ncols, data):
     if v:
         with pytest.raises(ValueError):
             m.mul_vec(v[:-1])
+
+
+# ---------------------------------------------------------------------------
+# map checkers
+
+CHECK_FAMILIES = ("T3", "block", "trian_trunc")
+MEMBER_KINDS = (
+    "automorphism",
+    "sigma_derivation",
+    "generalized_pair",
+    "left_multiplier",
+    "commuting",
+    "centralizing",
+    "skew_commuting",
+    "skew_centralizing",
+)
+
+_spaces: dict = {}
+
+
+def _twist(family, field_name, twist):
+    t, sigma = _instance(family, field_name)
+    return t, (LinearEndo.identity(t.algebra) if twist == "identity" else sigma)
+
+
+def _space(family, field_name, twist, kind):
+    key = (family, field_name, twist, kind)
+    if key not in _spaces:
+        t, sigma = _twist(family, field_name, twist)
+        _spaces[key] = solve_space(t, sigma, kind).space
+    return _spaces[key]
+
+
+def _nonzero(field):
+    return _scalars(field).filter(bool)
+
+
+@pytest.mark.parametrize("twist", ["identity", "inner"])
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", CHECK_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_checkers_match_dense_oracle(family, field_name, twist, data):
+    """Whole CheckResults, witnesses included, on solved members (which pass
+    their own check) and on the same members with one entry of the member or
+    of the twist perturbed.  A twist perturbed in column c first breaks the
+    identities at the pairs that use σ(e_c), so failures also come late."""
+    field = FIELDS[field_name]
+    t, sigma = _twist(family, field_name, twist)
+    alg = t.algebra
+    kind = data.draw(st.sampled_from(MEMBER_KINDS))
+    if kind == "automorphism":
+        v = vec_of_endo(sigma)
+    else:
+        space = _space(family, field_name, twist, kind)
+        v = (field.zero,) * space.ambient_dim
+        for c, b in zip(data.draw(_vectors(field, space.dim)), space.basis):
+            v = vec_add(field, v, vec_scale(field, c, b))
+
+    def perturb(w):
+        k = data.draw(st.integers(0, len(w) - 1))
+        return w[:k] + (field.add(w[k], data.draw(_nonzero(field))),) + w[k + 1 :]
+
+    perturbed = data.draw(st.sampled_from(["none", "member", "twist"]))
+    if perturbed == "member":
+        v = perturb(v)
+    elif perturbed == "twist":
+        sigma = endo_of_vec(alg, perturb(vec_of_endo(sigma)))
+    perturbed = perturbed != "none"
+    n2 = alg.dim**2
+    if kind == "generalized_pair":
+        D, d = endo_of_vec(alg, v[:n2]), endo_of_vec(alg, v[n2:])
+        got = is_generalized_pair(D, d, sigma)
+        assert got == dense_is_generalized_pair(D, d, sigma)
+        assert got.ok or perturbed
+        return
+    theta = endo_of_vec(alg, v)
+    results = {
+        "automorphism": (is_automorphism(theta), dense_is_automorphism(theta)),
+        "sigma_derivation": (is_sigma_derivation(theta, sigma), dense_is_sigma_derivation(theta, sigma)),
+        "left_multiplier": (is_left_multiplier(theta), dense_is_left_multiplier(theta)),
+    }
+    for mode in PREDICATE_MODES:
+        results[mode] = (predicate(theta, sigma, mode), dense_predicate(theta, sigma, mode))
+    for got, want in results.values():
+        assert got == want
+    assert results[kind][0].ok or perturbed
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", CHECK_FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_corner_matrix_matches_dense_extraction(family, field_name, data):
+    field = FIELDS[field_name]
+    t, _ = _instance(family, field_name)
+    rows = data.draw(st.lists(_vectors(field, t.dim), min_size=t.dim, max_size=t.dim))
+    endo = LinearEndo(t.algebra, Matrix(field, rows, ncols=t.dim))
+    corners = {
+        "a": (t.pi_a, t.embed_a, t.A.dim),
+        "m": (t.pi_m, t.embed_m, t.M.dim),
+        "b": (t.pi_b, t.embed_b, t.B.dim),
+    }
+    for out, (project, _, dim_out) in corners.items():
+        for into, (_, embed, dim_in) in corners.items():
+            want = dense_corner_matrix(t, endo, project, embed, dim_in, dim_out)
+            assert _corner_matrix(t, endo, out, into) == want

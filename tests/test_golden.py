@@ -1,0 +1,62 @@
+"""Golden reports: the exact bytes of two reports, pinned by their sha256.
+
+A refactor that is meant to leave reports unchanged must keep these digests.
+A deliberate change to the report format updates them, with the reason in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from trialg.cli import report_to_json, run_config
+from trialg.maps import SOLVE_KINDS
+
+VERIFY_MIX_TASKS = [
+    "center",
+    "sigma_center",
+    "solve:sigma_derivation",
+    "solve:generalized_pair",
+    "decompose:automorphism",
+    "decompose:sigma_derivation",
+    "decompose:centralizing",
+    "decompose:generalized_pair",
+    "decompose:left_multiplier",
+    "verify:posner",
+    "verify:mayne",
+    "verify:skew_zero",
+    "verify:sharma_dhara",
+    "verify:gd_left_mult",
+]
+
+GOLDEN = {
+    "trian_trunc2_gf7_inner": (
+        {
+            "field": {"prime": 7},
+            "algebra": {"family": "trian_trunc", "N": 2},
+            "sigma": {"conjugate_by": ["1", "2", "3", "4", "5", "6"]},
+            "tasks": VERIFY_MIX_TASKS,
+            "seed": 7,
+            "samples": 10,
+        },
+        "90e4848af65c914fd2f413963ecc43f74b0e812be6195a8850b216e3646ddda2",
+    ),
+    "t3_q_solve_all": (
+        {
+            "field": "rational",
+            "algebra": {"family": "Tn", "n": 3},
+            "sigma": "identity",
+            "tasks": [f"solve:{kind}" for kind in SOLVE_KINDS] + ["decompose:centralizing"],
+        },
+        "2da429c77ae03dd1c06986f02a21a599efb017d1454c457207b7b31343025f2c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_report_bytes_match_golden_digest(name):
+    config, digest = GOLDEN[name]
+    report, code = run_config(config)
+    assert code == 0
+    assert all(record["status"] in ("ok", "pass") for record in report["tasks"])
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import trialg
 from trialg import (
     QQ,
     LinearEndo,
@@ -21,11 +22,12 @@ from trialg import (
     is_sigma_derivation,
     predicate,
     solve_space,
+    trian_trunc,
 )
 from trialg.linalg import Matrix, vec_add, vec_sub
 from trialg.maps import endo_of_vec, vec_of_endo
 
-from conftest import diag_sign_automorphism
+from conftest import diag_sign_automorphism, unipotent_automorphism
 
 
 def rand_vec(alg, rng, lo=-3, hi=3):
@@ -311,3 +313,36 @@ def test_endo_vectorization_round_trip(t2q):
     m = Matrix(QQ, [[Fraction(rng.randint(-5, 5)) for _ in range(alg.dim)] for _ in range(alg.dim)])
     e = LinearEndo(alg, m)
     assert endo_of_vec(alg, vec_of_endo(e)).matrix == m
+
+
+def test_checks_convert_each_map_column_at_most_once(monkeypatch):
+    """A full twisted-Leibniz check and a full centralizing check read the
+    maps' basis images from their sparse columns: at most one dense-to-sparse
+    conversion per column, and no rescans of dense product operands."""
+    t = trian_trunc(2, QQ)
+    alg = t.algebra
+    sigma = unipotent_automorphism(t)
+    d = sum((e.matrix for e in solve_space(t, sigma, "sigma_derivation").endos()), Matrix.zeros(QQ, alg.dim, alg.dim))
+    theta = sum((e.matrix for e in solve_space(t, sigma, "centralizing").endos()), Matrix.zeros(QQ, alg.dim, alg.dim))
+    center_subspace(alg)  # computed once per algebra, before counting
+
+    def fresh(m):
+        return LinearEndo(alg, Matrix(QQ, m.entries))
+
+    real = trialg.linalg._sparse
+    calls = []
+
+    def counting(row):
+        calls.append(len(row))
+        return real(row)
+
+    modules = [m for m in vars(trialg).values() if getattr(m, "_sparse", None) is real]
+    assert trialg.linalg in modules and trialg.algebra in modules
+    for module in modules:
+        monkeypatch.setattr(module, "_sparse", counting)
+
+    assert is_sigma_derivation(fresh(d), fresh(sigma.matrix)).ok
+    assert len(calls) <= 2 * alg.dim
+    calls.clear()
+    assert predicate(fresh(theta), fresh(sigma.matrix), "centralizing").ok
+    assert len(calls) <= 2 * alg.dim

@@ -20,20 +20,21 @@ from trialg import (
     decompose_generalized,
     decompose_left_multiplier,
     decompose_sigma_derivation,
+    inner_automorphism,
     predicate,
     solve_space,
 )
 from trialg.linalg import Matrix
 from trialg.structure import AutParts, CentParts, centralizing_conditions, identity_aut_parts
 
-from conftest import conjugation, diag_sign_automorphism, unipotent_automorphism
+from conftest import diag_sign_automorphism, unipotent_automorphism
 
 ONE = Fraction(1)
 
 
 def shear(t2q):
     """Conjugation by the unipotent element (1, 1, 1)."""
-    return conjugation(t2q, t2q.element((ONE,), (ONE,), (ONE,)))
+    return inner_automorphism(t2q.algebra, t2q.element((ONE,), (ONE,), (ONE,)))
 
 
 def test_identity_automorphism_decomposes_trivially(t2q):
@@ -76,7 +77,7 @@ def test_compose_with_corner_matches_conjugation(t2q):
     parts = AutParts(t2q, Matrix.identity(QQ, 1), Matrix.identity(QQ, 1), (ONE,), Matrix.identity(QQ, 1))
     endo = compose_automorphism(t2q, parts)
     u = t2q.element((ONE,), (Fraction(-1),), (ONE,))
-    assert endo.matrix == conjugation(t2q, u).matrix
+    assert endo.matrix == inner_automorphism(t2q.algebra, u).matrix
 
 
 def test_compose_rejects_singular_module_component(t2q):
