@@ -7,12 +7,10 @@ from .algebra import (
     Bimodule,
     CenterData,
     FDAlgebra,
-    SigmaCenterData,
     TriangularAlgebra,
     center,
     center_subspace,
     has_only_trivial_idempotents_bruteforce,
-    sigma_center,
     sigma_center_subspace,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .families import (
     trian_trunc,
     trunc_poly,
     upper_triangular,
-    upper_triangular_algebra,
 )
 from .fields import GF, QQ, PrimeField, RationalField, field_from_spec
 from .linalg import Matrix, Subspace, kernel_basis, solve_linear
@@ -69,6 +66,7 @@ from .structure import (
     DerParts,
     GenParts,
     MultParts,
+    SigmaCenterData,
     centralizing_conditions,
     commuting_criterion,
     compose_automorphism,
@@ -81,6 +79,7 @@ from .structure import (
     decompose_generalized,
     decompose_left_multiplier,
     decompose_sigma_derivation,
+    sigma_center,
 )
 from .theorems import (
     TheoremReport,

@@ -3,8 +3,10 @@
 An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
 into the block algebra of formal upper-triangular 2x2 matrices.  Centers and
-twisted centers are computed as kernels of commutation constraints and, where
-a structural description is known, cross-checked against it.
+twisted centers are computed as kernels of commutation constraints; the
+center of a triangular algebra is cross-checked against its structural form
+(the twisted-center cross-check needs the automorphism decomposition and
+lives in :mod:`trialg.structure`).
 
 Structure constants are public as dense tuples and are also held sparsely,
 as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
@@ -22,7 +24,6 @@ from .errors import (
     AssociativityViolation,
     BimoduleAxiomViolation,
     EnumerationTooLarge,
-    NotAutomorphism,
     NotFaithful,
     StructuralMismatch,
     UnitViolation,
@@ -37,7 +38,6 @@ from .linalg import (
     kernel_basis,
     solve_linear,
     unit_vector,
-    vec_neg,
     vec_zero,
 )
 
@@ -99,6 +99,8 @@ class FDAlgebra:
         only_trivial_idempotents: bool = False,
     ):
         dim = len(labels)
+        if dim == 0:
+            raise ValueError("algebra must have positive dimension")
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure constant table must be dim x dim")
         self.field = field
@@ -417,32 +419,16 @@ class CenterData:
     tau: Matrix
 
 
-@dataclass(frozen=True)
-class SigmaCenterData:
-    """Twisted center of a triangular algebra.
-
-    ``eta`` (present only when the diagonal idempotent flags allow the
-    automorphism to be decomposed) maps the B-part of a twisted-central
-    element back to its forced A-part, column by column over the canonical
-    basis of ``piB_part``.
-    """
-
-    sigma_center: Subspace
-    piA_part: Subspace
-    piB_part: Subspace
-    eta: Matrix | None
-
-
-def _structural_center_pairs(t: TriangularAlgebra) -> Subspace:
-    """Solutions (a, b) of a·m = m·b for all m, in stacked (A|B)-coordinates."""
+def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
+    """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates."""
     A, M, B = t.A, t.M, t.B
     f = t.field
     rows = []
     for k in range(M.dim):
-        mk = M.basis_vector(k)
+        nu_mk = nu.column(k)
         for tcoord in range(M.dim):
             row = [M.left[i][k][tcoord] for i in range(A.dim)]
-            row += [f.neg(M.right[k][j][tcoord]) for j in range(B.dim)]
+            row += [f.neg(M.act_right(nu_mk, B.basis_vector(j))[tcoord]) for j in range(B.dim)]
             rows.append(row)
     return kernel_basis(Matrix(f, rows, ncols=A.dim + B.dim))
 
@@ -452,7 +438,7 @@ def center(t: TriangularAlgebra) -> CenterData:
     checked equal; raises StructuralMismatch if the cross-check fails."""
     f = t.field
     oracle = center_subspace(t.algebra)
-    pairs = _structural_center_pairs(t)
+    pairs = _structural_center_pairs(t, Matrix.identity(f, t.M.dim))
     structural = Subspace.from_vectors(
         f,
         t.dim,
@@ -487,84 +473,6 @@ def _solve_right_partner(t: TriangularAlgebra, a: Sequence) -> Vector | None:
             rows.append([M.right[k][j][tcoord] for j in range(t.B.dim)])
             rhs.append(target[tcoord])
     return solve_linear(Matrix(f, rows, ncols=t.B.dim), rhs)
-
-
-def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
-    """Twisted center of the triangular algebra for a verified automorphism.
-
-    When both diagonal flags are declared, the kernel computation is
-    cross-checked against the structural description derived from the
-    automorphism decomposition, and the isomorphism eta is extracted.
-    """
-    from .maps import as_endo_matrix  # local: avoids module cycle
-
-    sigma_mat = as_endo_matrix(t.algebra, sigma)
-    check = is_automorphism_of(t.algebra, sigma_mat)
-    if not check.ok:
-        raise NotAutomorphism(check.witness)
-    f = t.field
-    space = sigma_center_subspace(t.algebra, sigma_mat)
-    piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in space.basis])
-    piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in space.basis])
-    eta = None
-    if t.trivial_idempotent_components:
-        from .structure import decompose_automorphism
-
-        parts = decompose_automorphism(t, sigma)
-        _cross_check_sigma_center(t, parts, space)
-        eta_cols = []
-        for b in piB.basis:
-            a = _solve_eta_image(t, parts.nu_sigma, b)
-            if a is None or not piA.contains(a):
-                raise StructuralMismatch("twisted-central B-part admits no A-partner")
-            eta_cols.append(a)
-        eta = Matrix.from_columns(f, eta_cols, nrows=t.A.dim)
-    return SigmaCenterData(space, piA, piB, eta)
-
-
-def _cross_check_sigma_center(t: TriangularAlgebra, parts, space: Subspace) -> None:
-    """Structural form: elements (a, -m_σ·b, b) with a·m = ν(m)·b for all m."""
-    A, M, B = t.A, t.M, t.B
-    f = t.field
-    rows = []
-    nu_cols = [parts.nu_sigma.column(k) for k in range(M.dim)]
-    for k in range(M.dim):
-        nu_mk = nu_cols[k]
-        for tcoord in range(M.dim):
-            row = [M.left[i][k][tcoord] for i in range(A.dim)]
-            row += [
-                f.neg(M.act_right(nu_mk, B.basis_vector(j))[tcoord]) for j in range(B.dim)
-            ]
-            rows.append(row)
-    pairs = kernel_basis(Matrix(f, rows, ncols=A.dim + B.dim))
-    members = []
-    for v in pairs.basis:
-        a, b = v[: A.dim], v[A.dim :]
-        m_part = vec_neg(f, M.act_right(parts.m_sigma, b))
-        members.append(t.element(a, m_part, b))
-    structural = Subspace.from_vectors(f, t.dim, members)
-    if structural != space:
-        raise StructuralMismatch("twisted center kernel differs from structural form")
-
-
-def _solve_eta_image(t: TriangularAlgebra, nu: Matrix, b: Sequence) -> Vector | None:
-    """Solve η(b)·m = ν(m)·b for η(b) in A-coordinates."""
-    M = t.M
-    f = t.field
-    rows, rhs = [], []
-    for k in range(M.dim):
-        target = M.act_right(nu.column(k), b)
-        for tcoord in range(M.dim):
-            rows.append([M.left[i][k][tcoord] for i in range(t.A.dim)])
-            rhs.append(target[tcoord])
-    return solve_linear(Matrix(f, rows, ncols=t.A.dim), rhs)
-
-
-def is_automorphism_of(algebra: FDAlgebra, mat: Matrix):
-    """Shim so this module can verify automorphisms without importing maps at load time."""
-    from .maps import LinearEndo, is_automorphism
-
-    return is_automorphism(LinearEndo(algebra, mat))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,19 @@ task fails or errors, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .algebra import (
-    CenterData,
     FDAlgebra,
     TriangularAlgebra,
     center,
     center_subspace,
     has_only_trivial_idempotents_bruteforce,
-    sigma_center,
     sigma_center_subspace,
 )
-from .errors import ConfigError, TrialgError
+from .errors import ConfigError, EnumerationTooLarge, StructuralMismatch, TrialgError
 from .families import (
     Fixture,
     block_upper,
@@ -38,9 +37,9 @@ from .families import (
     trunc_poly,
     upper_triangular,
 )
-from .fields import Field, field_from_spec, field_to_spec
+from .fields import QQ, Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
-from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, solve_space
+from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, require_automorphism, solve_space
 from .structure import (
     AutParts,
     commuting_criterion,
@@ -50,6 +49,7 @@ from .structure import (
     decompose_generalized,
     decompose_left_multiplier,
     decompose_sigma_derivation,
+    sigma_center,
 )
 from .theorems import (
     verify_gd_left_mult,
@@ -77,10 +77,6 @@ DECOMPOSE_KINDS = (
 # serialization
 
 
-def fmt_scalar(field: Field, x) -> str:
-    return field.format(x)
-
-
 def fmt_vector(field: Field, v) -> list[str]:
     return [field.format(x) for x in v]
 
@@ -91,6 +87,22 @@ def fmt_matrix(field: Field, m: Matrix) -> list[list[str]]:
 
 def fmt_subspace(field: Field, s: Subspace) -> dict:
     return {"dim": s.dim, "basis": [fmt_vector(field, v) for v in s.basis]}
+
+
+def _record(field: Field, data, **extra) -> dict:
+    """Every Subspace, Matrix and vector field of a result dataclass, formatted
+    under its field name, merged with ``extra``; ``None`` fields are left out."""
+    out = {}
+    for item in dataclasses.fields(data):
+        value = getattr(data, item.name)
+        if isinstance(value, Subspace):
+            out[item.name] = fmt_subspace(field, value)
+        elif isinstance(value, Matrix):
+            out[item.name] = fmt_matrix(field, value)
+        elif isinstance(value, tuple):
+            out[item.name] = fmt_vector(field, value)
+    out.update(extra)
+    return out
 
 
 def parse_scalar(field: Field, x):
@@ -246,36 +258,16 @@ def _endo_record(field: Field, endo: LinearEndo) -> list[list[str]]:
 def _run_center(instance: Instance) -> dict:
     field = instance.algebra.field
     if instance.t is None:
-        space = center_subspace(instance.algebra)
-        return {"center": fmt_subspace(field, space)}
-    data: CenterData = center(instance.t)
-    return {
-        "center": fmt_subspace(field, data.center),
-        "piA_center": fmt_subspace(field, data.piA_center),
-        "piB_center": fmt_subspace(field, data.piB_center),
-        "tau": fmt_matrix(field, data.tau),
-    }
+        return {"center": fmt_subspace(field, center_subspace(instance.algebra))}
+    return _record(field, center(instance.t))
 
 
 def _run_sigma_center(instance: Instance, sigma: LinearEndo) -> dict:
     field = instance.algebra.field
     if instance.t is None:
-        chk = is_automorphism(sigma)
-        if not chk.ok:
-            from .errors import NotAutomorphism
-
-            raise NotAutomorphism(chk.witness)
-        space = sigma_center_subspace(instance.algebra, sigma.matrix)
+        space = sigma_center_subspace(instance.algebra, require_automorphism(sigma).matrix)
         return {"sigma_center": fmt_subspace(field, space)}
-    data = sigma_center(instance.t, sigma)
-    out = {
-        "sigma_center": fmt_subspace(field, data.sigma_center),
-        "piA_part": fmt_subspace(field, data.piA_part),
-        "piB_part": fmt_subspace(field, data.piB_part),
-    }
-    if data.eta is not None:
-        out["eta"] = fmt_matrix(field, data.eta)
-    return out
+    return _record(field, sigma_center(instance.t, sigma))
 
 
 def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
@@ -296,74 +288,40 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
     field = instance.algebra.field
     t = instance.require_triangular(f"decompose:{kind}")
     if kind == "automorphism":
-        parts = decompose_automorphism(t, sigma)
-        return {
-            "kind": kind,
-            "f_sigma": fmt_matrix(field, parts.f_sigma),
-            "g_sigma": fmt_matrix(field, parts.g_sigma),
-            "m_sigma": fmt_vector(field, parts.m_sigma),
-            "nu_sigma": fmt_matrix(field, parts.nu_sigma),
-            "round_trip": True,
-        }
+        return _record(field, decompose_automorphism(t, sigma), kind=kind, round_trip=True)
     members = []
     if kind in ("derivation", "sigma_derivation"):
         effective = LinearEndo.identity(instance.algebra) if kind == "derivation" else sigma
-        space = solve_space(instance.algebra, effective, kind)
-        for endo in space.endos():
-            parts = decompose_sigma_derivation(t, effective, endo)
-            members.append(
-                {
-                    "d_A": fmt_matrix(field, parts.d_A),
-                    "d_B": fmt_matrix(field, parts.d_B),
-                    "m_d": fmt_vector(field, parts.m_d),
-                    "xi": fmt_matrix(field, parts.xi),
-                    "round_trip": True,
-                }
-            )
+        for endo in solve_space(instance.algebra, effective, kind).endos():
+            members.append(_record(field, decompose_sigma_derivation(t, effective, endo), round_trip=True))
     elif kind in ("centralizing", "commuting"):
-        space = solve_space(instance.algebra, sigma, kind)
-        for endo in space.endos():
+        for endo in solve_space(instance.algebra, sigma, kind).endos():
             parts = decompose_centralizing(t, sigma, endo)
             members.append(
-                {
-                    "delta1": fmt_matrix(field, parts.delta1),
-                    "delta2": fmt_matrix(field, parts.delta2),
-                    "delta3": fmt_matrix(field, parts.delta3),
-                    "mu1": fmt_matrix(field, parts.mu1),
-                    "mu2": fmt_matrix(field, parts.mu2),
-                    "mu3": fmt_matrix(field, parts.mu3),
-                    "conditions": {label: bool(res) for label, res in parts.conditions.items()},
-                    "commuting_criterion": commuting_criterion(parts),
-                    "round_trip": True,
-                }
+                _record(
+                    field,
+                    parts,
+                    conditions={label: bool(res) for label, res in parts.conditions.items()},
+                    commuting_criterion=commuting_criterion(parts),
+                    round_trip=True,
+                )
             )
     elif kind == "generalized_pair":
-        space = solve_space(instance.algebra, sigma, kind)
-        for D, d in space.endo_pairs():
+        for D, d in solve_space(instance.algebra, sigma, kind).endo_pairs():
             parts = decompose_generalized(t, sigma, D, d)
             members.append(
-                {
-                    "D_A": fmt_matrix(field, parts.D_A),
-                    "D_B": fmt_matrix(field, parts.D_B),
-                    "m_D": fmt_vector(field, parts.m_D),
-                    "m_d": fmt_vector(field, parts.m_d),
-                    "xi": fmt_matrix(field, parts.xi),
-                    "display_form_matches": parts.display_matches,
-                    "round_trip": True,
-                }
+                _record(
+                    field,
+                    parts,
+                    m_d=fmt_vector(field, parts.m_d),
+                    xi=fmt_matrix(field, parts.xi),
+                    display_form_matches=parts.display_matches,
+                    round_trip=True,
+                )
             )
     elif kind == "left_multiplier":
-        space = solve_space(instance.algebra, None, kind)
-        for endo in space.endos():
-            parts = decompose_left_multiplier(t, endo)
-            members.append(
-                {
-                    "F_A": fmt_matrix(field, parts.F_A),
-                    "F_B": fmt_matrix(field, parts.F_B),
-                    "m_F": fmt_vector(field, parts.m_F),
-                    "round_trip": True,
-                }
-            )
+        for endo in solve_space(instance.algebra, None, kind).endos():
+            members.append(_record(field, decompose_left_multiplier(t, endo), round_trip=True))
     else:
         raise ConfigError("tasks", f"unknown decompose kind {kind!r}")
     return {"kind": kind, "dim": len(members), "members": members}
@@ -459,8 +417,6 @@ def run_config(config: dict) -> tuple[dict, int]:
 def _certify_flags(instance: Instance, bound: int) -> bool | None:
     """Over a prime field, brute-force check the declared idempotent flags of
     the diagonal components when the enumeration fits inside the bound."""
-    from .errors import EnumerationTooLarge, StructuralMismatch
-
     if instance.t is None or instance.algebra.field.char == 0:
         return None
     certified = True
@@ -510,8 +466,6 @@ def _validate_tasks(tasks: list[str]) -> None:
 
 
 def fixtures_catalog() -> list[dict]:
-    from .fields import QQ
-
     entries = []
     for fx, params in ((fixture_n3(QQ), {}), (fixture_trian_AA0(4, QQ), {"N": 4})):
         entries.append(

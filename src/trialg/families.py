@@ -62,10 +62,6 @@ def block_algebra(dims: tuple[int, ...], field: Field) -> FDAlgebra:
     return _matrix_unit_algebra(field, n, _block_positions(dims), flag=(n == 1))
 
 
-def upper_triangular_algebra(n: int, field: Field) -> FDAlgebra:
-    return block_algebra((1,) * n, field)
-
-
 def _rectangle_bimodule(A: FDAlgebra, B: FDAlgebra, nrows: int, ncols: int,
                         a_positions: list[tuple[int, int]], b_positions: list[tuple[int, int]],
                         field: Field) -> Bimodule:

@@ -63,15 +63,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return a / self._nonzero(b)
-
-    @staticmethod
-    def _nonzero(b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return b
-
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
@@ -127,9 +118,6 @@ class PrimeField:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def from_int(self, n: int) -> int:
         return n % self.p

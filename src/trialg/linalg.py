@@ -314,9 +314,6 @@ class Matrix:
     def scale(self, c: Scalar) -> "Matrix":
         return Matrix(self.field, [vec_scale(self.field, c, r) for r in self.entries], ncols=self.ncols)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)) if self.entries else [], ncols=self.nrows)
-
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)
 

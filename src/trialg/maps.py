@@ -98,9 +98,6 @@ class LinearEndo:
     def __call__(self, v: Sequence) -> Vector:
         return self.matrix.mul_vec(v)
 
-    def compose(self, other: "LinearEndo") -> "LinearEndo":
-        return LinearEndo(self.algebra, self.matrix @ other.matrix)
-
     def is_identity(self) -> bool:
         return self.matrix == Matrix.identity(self.algebra.field, self.algebra.dim)
 
@@ -126,10 +123,6 @@ def as_endo(algebra_or_t, obj) -> LinearEndo:
             raise ValueError("endomorphism belongs to a different algebra")
         return obj
     return LinearEndo(algebra, obj)
-
-
-def as_endo_matrix(algebra_or_t, obj) -> Matrix:
-    return as_endo(algebra_or_t, obj).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +167,14 @@ def is_automorphism(theta: LinearEndo) -> CheckResult:
             if lhs != rhs:
                 return CheckResult(False, Witness("multiplicativity", pair=(i, j), lhs=lhs, rhs=rhs))
     return _PASS
+
+
+def require_automorphism(theta: LinearEndo) -> LinearEndo:
+    """``theta`` itself, or NotAutomorphism carrying the check's witness."""
+    check = is_automorphism(theta)
+    if not check.ok:
+        raise NotAutomorphism(check.witness)
+    return theta
 
 
 def _leibniz_check(D: LinearEndo, d: LinearEndo, sigma: LinearEndo, reason: str) -> CheckResult:
@@ -259,10 +260,13 @@ def inner_automorphism(alg: FDAlgebra, u: Sequence, u_inv: Sequence | None = Non
     """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
 
     A caller that already has u⁻¹ passes it as ``u_inv``.  Raises ValueError
-    when the algebra has no unit or u is not invertible.
+    when the algebra has no unit, or u has the wrong length or is not
+    invertible.
     """
     if not alg.is_unital:
         raise ValueError("conjugation needs a unital algebra")
+    if len(u) != alg.dim:
+        raise ValueError("conjugating element has wrong length")
     if u_inv is None:
         inv = alg.left_mul_matrix(u).inverse()
         if inv is None:
@@ -423,10 +427,7 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
     else:
         if sigma is None:
             raise ValueError(f"kind {kind!r} needs an automorphism")
-        sigma = as_endo(alg, sigma)
-        check = is_automorphism(sigma)
-        if not check.ok:
-            raise NotAutomorphism(check.witness)
+        sigma = require_automorphism(as_endo(alg, sigma))
 
     pair = kind == "generalized_pair"
     system = _System(f, n, 2 if pair else 1)

@@ -1,4 +1,5 @@
-"""Decomposition of verified maps into their canonical triangular components.
+"""Decomposition of verified maps into their canonical triangular components,
+and the twisted center of a triangular algebra.
 
 Each decomposition extracts components by composing the map with the corner
 embeddings and projections, verifies every side condition of the relevant
@@ -6,6 +7,10 @@ structure statement, and finally recomposes and compares with the original
 map entry by entry.  Extraction formulas (m_σ from σ(p), m_d from d(p), m_D
 from D(q)) come from evaluating the canonical forms at the diagonal
 idempotents; reconstruction equality is the correctness oracle.
+
+The twisted center is computed as a kernel and, when the automorphism can be
+decomposed, cross-checked against the structural form that its parts
+(m_σ, ν) determine.
 
 Decompositions for a non-identity twist require both diagonal algebras to be
 declared free of nontrivial idempotents; the identity twist bypasses the flag
@@ -16,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .algebra import TriangularAlgebra, center_subspace, sigma_center_subspace
+from .algebra import TriangularAlgebra, _structural_center_pairs, center_subspace, sigma_center_subspace
 from .errors import (
     ConditionFailure,
     HypothesisNotMet,
     InvalidParts,
-    NotAutomorphism,
     PredicateNotSatisfied,
     ReconstructionMismatch,
+    StructuralMismatch,
 )
-from .linalg import Matrix, Subspace, Vector, vec_add, vec_neg, vec_sub
+from .linalg import Matrix, Subspace, Vector, solve_linear, vec_add, vec_neg, vec_sub
 from .maps import (
     CheckResult,
     LinearEndo,
@@ -37,6 +42,7 @@ from .maps import (
     is_left_multiplier,
     is_sigma_derivation,
     predicate,
+    require_automorphism,
 )
 
 
@@ -149,9 +155,7 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     sigma = as_endo(t.algebra, sigma)
     if not t.trivial_idempotent_components:
         raise HypothesisNotMet("both diagonal algebras must be declared idempotent-free")
-    chk = is_automorphism(sigma)
-    if not chk.ok:
-        raise NotAutomorphism(chk.witness)
+    require_automorphism(sigma)
     f = _corner_matrix(t, sigma, "a", "a")
     g = _corner_matrix(t, sigma, "b", "b")
     nu = _corner_matrix(t, sigma, "m", "m")
@@ -168,6 +172,79 @@ def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
     if key not in t.memo:
         t.memo[key] = decompose_automorphism(t, LinearEndo(t.algebra, sigma.matrix))
     return t.memo[key]
+
+
+# ---------------------------------------------------------------------------
+# twisted centers
+
+
+@dataclass(frozen=True)
+class SigmaCenterData:
+    """Twisted center of a triangular algebra.
+
+    ``eta`` (present only when the diagonal idempotent flags allow the
+    automorphism to be decomposed) maps the B-part of a twisted-central
+    element back to its forced A-part, column by column over the canonical
+    basis of ``piB_part``.
+    """
+
+    sigma_center: Subspace
+    piA_part: Subspace
+    piB_part: Subspace
+    eta: Matrix | None
+
+
+def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
+    """Twisted center of the triangular algebra for a verified automorphism.
+
+    When both diagonal flags are declared, the kernel computation is
+    cross-checked against the structural description derived from the
+    automorphism decomposition, and the isomorphism eta is extracted.
+    """
+    sigma = require_automorphism(as_endo(t.algebra, sigma))
+    f = t.field
+    space = sigma_center_subspace(t.algebra, sigma.matrix)
+    piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in space.basis])
+    piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in space.basis])
+    eta = None
+    if t.trivial_idempotent_components:
+        parts = decompose_automorphism(t, sigma)
+        _cross_check_sigma_center(t, parts, space)
+        eta_cols = []
+        for b in piB.basis:
+            a = _solve_eta_image(t, parts.nu_sigma, b)
+            if a is None or not piA.contains(a):
+                raise StructuralMismatch("twisted-central B-part admits no A-partner")
+            eta_cols.append(a)
+        eta = Matrix.from_columns(f, eta_cols, nrows=t.A.dim)
+    return SigmaCenterData(space, piA, piB, eta)
+
+
+def _cross_check_sigma_center(t: TriangularAlgebra, parts: AutParts, space: Subspace) -> None:
+    """Structural form: elements (a, -m_σ·b, b) with a·m = ν(m)·b for all m."""
+    A, M = t.A, t.M
+    f = t.field
+    members = []
+    for v in _structural_center_pairs(t, parts.nu_sigma).basis:
+        a, b = v[: A.dim], v[A.dim :]
+        m_part = vec_neg(f, M.act_right(parts.m_sigma, b))
+        members.append(t.element(a, m_part, b))
+    structural = Subspace.from_vectors(f, t.dim, members)
+    if structural != space:
+        raise StructuralMismatch("twisted center kernel differs from structural form")
+
+
+def _solve_eta_image(t: TriangularAlgebra, nu: Matrix, b: Vector) -> Vector | None:
+    """Solve η(b)·m = ν(m)·b for η(b) in A-coordinates."""
+    M = t.M
+    f = t.field
+    rows, rhs = [], []
+    for k in range(M.dim):
+        target = M.act_right(nu.column(k), b)
+        for tcoord in range(M.dim):
+            rows.append([M.left[i][k][tcoord] for i in range(t.A.dim)])
+            rhs.append(target[tcoord])
+    return solve_linear(Matrix(f, rows, ncols=t.A.dim), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .maps import (
     predicate,
     solve_space,
 )
-from .structure import decompose_generalized
+from .structure import AutParts, compose_automorphism, decompose_generalized
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -228,8 +228,6 @@ def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, 
 
 def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
     """Compose parts: inner f and g, intertwiner ν = s·(u·m·w⁻¹), random m_σ."""
-    from .structure import AutParts, compose_automorphism
-
     A, M, B = t.A, t.M, t.B
     field = t.field
     u, u_inv = _random_invertible(A, rng)

@@ -243,8 +243,25 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"seed": 1.7},
         {"seed": False},
         {"sigma": {"conjugate_by": ["1/0", "0", "1"]}},
+        {"algebra": {"family": "matrix", "n": 0}},
+        {"algebra": {"family": "matrix", "n": -1}},
+        {"algebra": {"table": []}},
+        {"sigma": {"conjugate_by": ["1", "0", "1", "5"]}},
+        {"algebra": {"family": "trunc_poly", "N": 2}, "sigma": {"conjugate_by": ["1"]}},
     ],
-    ids=["samples-zero", "samples-text", "samples-bool", "seed-float", "seed-bool", "scalar-zero-denominator"],
+    ids=[
+        "samples-zero",
+        "samples-text",
+        "samples-bool",
+        "seed-float",
+        "seed-bool",
+        "scalar-zero-denominator",
+        "matrix-n-zero",
+        "matrix-n-negative",
+        "empty-table",
+        "conjugate-too-long",
+        "conjugate-too-short",
+    ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
     path = write_config(tmp_path, dict(BASE, **edit))

@@ -1,4 +1,4 @@
-"""Golden reports: the exact bytes of two reports, pinned by their sha256.
+"""Golden reports: the exact bytes of four reports, pinned by their sha256.
 
 A refactor that is meant to leave reports unchanged must keep these digests.
 A deliberate change to the report format updates them, with the reason in
@@ -49,6 +49,38 @@ GOLDEN = {
             "tasks": [f"solve:{kind}" for kind in SOLVE_KINDS] + ["decompose:centralizing"],
         },
         "2da429c77ae03dd1c06986f02a21a599efb017d1454c457207b7b31343025f2c",
+    ),
+    # every decomposition kind but automorphism, and a triangular sigma_center
+    # without eta (T2 has nontrivial idempotents)
+    "t3_q_structure_all": (
+        {
+            "field": "rational",
+            "algebra": {"family": "Tn", "n": 3},
+            "sigma": "identity",
+            "tasks": ["center", "sigma_center"]
+            + [
+                f"decompose:{kind}"
+                for kind in (
+                    "derivation",
+                    "sigma_derivation",
+                    "commuting",
+                    "centralizing",
+                    "generalized_pair",
+                    "left_multiplier",
+                )
+            ],
+        },
+        "a9a0f08a609fe33f231c872adcbf5f82785161fbc6dc7a0cf6482fe66461ce6c",
+    ),
+    # the center and sigma_center records of a non-triangular algebra
+    "n3_gf7_centers": (
+        {
+            "field": {"prime": 7},
+            "algebra": {"family": "fixture", "name": "n3"},
+            "sigma": {"fixture_map": "sigma"},
+            "tasks": ["center", "sigma_center"],
+        },
+        "0bda76afa9d0977300750ab64a07479208bf96c2d458f773aff3095e7bccde14",
     ),
 }
 

@@ -1,0 +1,65 @@
+"""The package's module graph, read from the source without importing it.
+
+Every import sits at module top, the ``from .x import`` edges between the
+modules of ``trialg`` form no cycle, and every imported name is used in the
+module that imports it.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trialg"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+# Names a module imports only to keep them bound for outside code; see the
+# comment at the import.
+RE_EXPORTS = {("maps", "kernel_basis")}
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _local_imports(tree):
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (scope.name, node.lineno)
+        for scope in ast.walk(tree)
+        if isinstance(scope, scopes)
+        for node in _imports(scope)
+    ]
+
+
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_local_imports(module):
+    assert _local_imports(MODULES[module]) == []
+
+
+def test_intra_package_imports_are_acyclic():
+    graph = {
+        module: {node.module for node in _imports(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+        for module, tree in MODULES.items()
+    }
+    assert all(dep in MODULES for deps in graph.values() for dep in deps)
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_imported_name_is_used(module):
+    tree = MODULES[module]
+    used = _used_names(tree)
+    unused = [
+        alias.asname or alias.name.split(".")[0]
+        for node in _imports(tree)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+    assert [name for name in unused if (module, name) not in RE_EXPORTS] == []
