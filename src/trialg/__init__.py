@@ -10,15 +10,14 @@ from .algebra import (
     TriangularAlgebra,
     center,
     center_subspace,
-    has_only_trivial_idempotents_bruteforce,
     sigma_center_subspace,
+    trivial_idempotents,
 )
 from .errors import (
     AssociativityViolation,
     BimoduleAxiomViolation,
     ConditionFailure,
     ConfigError,
-    EnumerationTooLarge,
     HypothesisNotMet,
     InvalidParts,
     NotAutomorphism,

@@ -6,7 +6,10 @@ into the block algebra of formal upper-triangular 2x2 matrices.  Centers and
 twisted centers are computed as kernels of commutation constraints; the
 center of a triangular algebra is cross-checked against its structural form
 (the twisted-center cross-check needs the automorphism decomposition and
-lives in :mod:`trialg.structure`).
+lives in :mod:`trialg.structure`).  Whether a unital algebra has only the
+trivial idempotents, the hypothesis of the paper's twisted structure
+theorems, is decided from its structure constants by
+:func:`trivial_idempotents`.
 
 Structure constants are public as dense tuples and are also held sparsely,
 as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
@@ -16,20 +19,18 @@ kernel, :func:`_bilinear`, that touches only nonzero coordinates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
     AssociativityViolation,
     BimoduleAxiomViolation,
-    EnumerationTooLarge,
     NotFaithful,
     StructuralMismatch,
     UnitViolation,
     ZeroModule,
 )
-from .fields import Field, PrimeField, Scalar
+from .fields import Field, Scalar
 from .linalg import (
     Matrix,
     Subspace,
@@ -77,17 +78,13 @@ class FDAlgebra:
     Associativity (and the unit law, when a unit is declared) is verified on
     all basis triples at construction time.
 
-    ``only_trivial_idempotents`` is a declared flag: the structure theorems
-    that require it gate on the declaration, and
-    :func:`has_only_trivial_idempotents_bruteforce` can certify it over small
-    prime fields.
-
     ``memo`` holds values derived from the (immutable) algebra, such as its
-    center, computed once and freed with the algebra.
+    center or its idempotent decision, computed once and freed with the
+    algebra.
     """
 
     __slots__ = (
-        "field", "labels", "table", "unit", "only_trivial_idempotents", "memo", "_sparse", "_basis", "__weakref__"
+        "field", "labels", "table", "unit", "memo", "_sparse", "_basis", "__weakref__"
     )
 
     def __init__(
@@ -96,7 +93,6 @@ class FDAlgebra:
         labels: Sequence[str],
         table: Sequence[Sequence[Sequence[Scalar]]],
         unit: Sequence[Scalar] | None = None,
-        only_trivial_idempotents: bool = False,
     ):
         dim = len(labels)
         if dim == 0:
@@ -111,7 +107,6 @@ class FDAlgebra:
                 if len(v) != dim:
                     raise ValueError("structure constant vectors must have length dim")
         self.unit = tuple(unit) if unit is not None else None
-        self.only_trivial_idempotents = only_trivial_idempotents
         self.memo: dict = {}
         self._sparse = _sparse_table(self.table)
         self._basis = tuple(unit_vector(field, dim, i) for i in range(dim))
@@ -140,12 +135,14 @@ class FDAlgebra:
 
     def left_mul_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x·v in the canonical basis."""
-        cols = [self.mul(x, self.basis_vector(l)) for l in range(self.dim)]
+        xs, one = tuple(_sparse(x).items()), self.field.one
+        cols = [self._products(((xs, ((l, one),)),)) for l in range(self.dim)]
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def right_mul_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> v·x in the canonical basis."""
-        cols = [self.mul(self.basis_vector(l), x) for l in range(self.dim)]
+        xs, one = tuple(_sparse(x).items()), self.field.one
+        cols = [self._products(((((l, one),), xs),)) for l in range(self.dim)]
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def _validate(self) -> None:
@@ -300,8 +297,8 @@ class TriangularAlgebra:
 
     @property
     def trivial_idempotent_components(self) -> bool:
-        """Both diagonal algebras are declared to have only trivial idempotents."""
-        return self.A.only_trivial_idempotents and self.B.only_trivial_idempotents
+        """Both diagonal algebras are decided to have only trivial idempotents."""
+        return trivial_idempotents(self.A) is True and trivial_idempotents(self.B) is True
 
     def element(self, a: Sequence, m: Sequence, b: Sequence) -> Vector:
         return tuple(a) + tuple(m) + tuple(b)
@@ -348,7 +345,7 @@ class TriangularAlgebra:
             for j in range(nb):
                 table[na + nm + i][na + nm + j] = self.embed_b(B.table[i][j])
         unit = self.element(A.unit, M.zero(), B.unit)
-        return FDAlgebra(self.field, labels, table, unit, only_trivial_idempotents=False)
+        return FDAlgebra(self.field, labels, table, unit)
 
     def _check_faithful(self) -> None:
         A, M, B = self.A, self.M, self.B
@@ -476,26 +473,49 @@ def _solve_right_partner(t: TriangularAlgebra, a: Sequence) -> Vector | None:
 
 
 # ---------------------------------------------------------------------------
-# idempotent enumeration
+# idempotents
 
 
-def has_only_trivial_idempotents_bruteforce(algebra: FDAlgebra, bound: int = 200_000) -> bool:
-    """Enumerate all elements of an algebra over F_p and test e² = e.
+def trivial_idempotents(algebra: FDAlgebra) -> bool | None:
+    """Decide whether a unital algebra has no idempotents besides 0 and 1.
 
-    True iff the only idempotents are 0 and (when present) the unit.  Raises
-    EnumerationTooLarge when p^dim exceeds the bound.
+    ``False`` when a basis vector other than the unit is idempotent.  ``True``
+    when the radical N of the trace form (x, y) ↦ tr(L_xy) has codimension 1
+    and its powers reach 0 (L. E. Dickson 1923; L. Rónyai, J. Symbolic Comput.
+    9, 1990).  N is an ideal of every associative algebra, as tr(L_a·L_x·L_y)
+    = tr(L_x·L_y·L_a), so then A = K·1 ⊕ N is local; both checks are exact,
+    so this holds in every characteristic.  ``None`` (undecided) otherwise, as
+    for K[x]/(x^N) over F_p with p | N.  Computed once per algebra.
     """
-    field = algebra.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("brute-force idempotent search needs a prime field")
-    total = field.p ** algebra.dim
-    if total > bound:
-        raise EnumerationTooLarge(f"{total} elements exceed the bound {bound}")
-    trivial = {vec_zero(field, algebra.dim)}
-    if algebra.unit is not None:
-        trivial.add(tuple(algebra.unit))
-    for coords in itertools.product(range(field.p), repeat=algebra.dim):
-        e = tuple(coords)
-        if algebra.mul(e, e) == e and e not in trivial:
+    memo = algebra.memo
+    if "trivial_idempotents" not in memo:
+        if algebra.unit is None:
+            raise ValueError("the idempotent decision needs a unital algebra")
+        S, one = algebra._sparse, algebra.field.one
+        if any(S[i][i] == ((i, one),) and algebra.basis_vector(i) != algebra.unit for i in range(algebra.dim)):
+            decided = False
+        else:
+            radical = _trace_radical(algebra)
+            decided = True if radical.dim == algebra.dim - 1 and _nilpotent(algebra, radical) else None
+        memo["trivial_idempotents"] = decided
+    return memo["trivial_idempotents"]
+
+
+def _trace_radical(algebra: FDAlgebra) -> Subspace:
+    """{x : tr(L_xy) = 0 for all y}, the radical of the trace form, as a kernel."""
+    f, dim, table = algebra.field, algebra.dim, algebra.table
+    # tr(L_{e_k}) sums the e_l-coefficients of e_k·e_l; tr(L_{e_i·e_j}) = Σ_k (e_i·e_j)_k·tr(L_{e_k})
+    trace = [sum((table[k][l][l] for l in range(dim)), f.zero) for k in range(dim)]
+    return kernel_basis(Matrix.from_columns(f, [Matrix(f, row).mul_vec(trace) for row in table]))
+
+
+def _nilpotent(algebra: FDAlgebra, ideal: Subspace) -> bool:
+    """Whether the powers N ⊇ N² ⊇ ... of an ideal reach 0."""
+    power = ideal
+    while power.dim:
+        products = [algebra.mul(u, v) for u in power.basis for v in ideal.basis]
+        nxt = Subspace.from_vectors(algebra.field, algebra.dim, products)
+        if nxt.dim >= power.dim:
             return False
+        power = nxt
     return True

@@ -23,10 +23,10 @@ from .algebra import (
     TriangularAlgebra,
     center,
     center_subspace,
-    has_only_trivial_idempotents_bruteforce,
     sigma_center_subspace,
+    trivial_idempotents,
 )
-from .errors import ConfigError, EnumerationTooLarge, StructuralMismatch, TrialgError
+from .errors import ConfigError, TrialgError
 from .families import (
     Fixture,
     block_upper,
@@ -71,6 +71,9 @@ DECOMPOSE_KINDS = (
     "generalized_pair",
     "left_multiplier",
 )
+# the keys run_config reads, and those of an inline structure-constant table
+CONFIG_KEYS = frozenset({"schema_version", "field", "algebra", "sigma", "tasks", "seed", "samples"})
+INLINE_KEYS = frozenset({"labels", "table", "unit"})
 
 
 # ---------------------------------------------------------------------------
@@ -150,40 +153,40 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
     family = spec.get("family")
     try:
         if family == "Tn":
-            n = int(spec["n"])
-            split = int(spec.get("split", 1))
+            n = _config_int(spec["n"], "n")
+            split = _config_int(spec.get("split", 1), "split")
             t = upper_triangular(n, field, split)
             return Instance(f"T{n}(split={split})", t.algebra, t)
         if family == "block":
-            dims = tuple(int(d) for d in spec["dims"])
-            split = int(spec.get("split", 1))
+            dims = tuple(_config_int(d, "dims") for d in spec["dims"])
+            split = _config_int(spec.get("split", 1), "split")
             t = block_upper(dims, split, field)
             return Instance(f"block{dims}(split={split})", t.algebra, t)
         if family == "trian_trunc":
-            N = int(spec["N"])
+            N = _config_int(spec["N"], "N")
             t = trian_trunc(N, field)
             return Instance(f"trian_trunc({N})", t.algebra, t)
         if family == "trunc_poly":
-            N = int(spec["N"])
+            N = _config_int(spec["N"], "N")
             return Instance(f"trunc_poly({N})", trunc_poly(N, field))
         if family == "matrix":
-            n = int(spec["n"])
+            n = _config_int(spec["n"], "n")
             return Instance(f"M{n}", full_matrix_algebra(n, field))
         if family == "fixture":
             name = spec.get("name")
             if name == "n3":
                 fx = fixture_n3(field)
             elif name == "trian_AA0":
-                fx = fixture_trian_AA0(int(spec.get("N", 4)), field)
+                fx = fixture_trian_AA0(_config_int(spec.get("N", 4), "N"), field)
             else:
                 raise ConfigError(where, f"unknown fixture {name!r}")
             return Instance(fx.name, fx.algebra, fixture=fx)
         if family is None and "table" in spec:
+            _reject_unknown_keys(spec, INLINE_KEYS, where)
             labels = spec.get("labels") or [f"e{i}" for i in range(len(spec["table"]))]
             table = [[parse_vector(field, v) for v in row] for row in spec["table"]]
             unit = parse_vector(field, spec["unit"]) if spec.get("unit") is not None else None
-            alg = FDAlgebra(field, labels, table, unit, bool(spec.get("only_trivial_idempotents", False)))
-            return Instance("inline", alg)
+            return Instance("inline", FDAlgebra(field, labels, table, unit))
     except ConfigError:
         raise
     except (KeyError, TypeError) as exc:
@@ -251,10 +254,6 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
 # task execution
 
 
-def _endo_record(field: Field, endo: LinearEndo) -> list[list[str]]:
-    return fmt_matrix(field, endo.matrix)
-
-
 def _run_center(instance: Instance) -> dict:
     field = instance.algebra.field
     if instance.t is None:
@@ -276,11 +275,11 @@ def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
     out = {"kind": kind, "dim": space.dim}
     if space.pair:
         out["basis"] = [
-            {"D": _endo_record(field, D), "d": _endo_record(field, d)}
+            {"D": fmt_matrix(field, D.matrix), "d": fmt_matrix(field, d.matrix)}
             for D, d in space.endo_pairs()
         ]
     else:
-        out["basis"] = [_endo_record(field, e) for e in space.endos()]
+        out["basis"] = [fmt_matrix(field, e.matrix) for e in space.endos()]
     return out
 
 
@@ -358,6 +357,7 @@ def run_config(config: dict) -> tuple[dict, int]:
     """Execute a parsed config; returns (report, exit_code)."""
     if not isinstance(config, dict):
         raise ConfigError("config", "top level must be an object")
+    _reject_unknown_keys(config, CONFIG_KEYS, "config")
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported schema version {version!r}")
@@ -367,11 +367,11 @@ def run_config(config: dict) -> tuple[dict, int]:
     tasks = config.get("tasks")
     if not isinstance(tasks, list) or not all(isinstance(x, str) for x in tasks):
         raise ConfigError("tasks", "tasks must be a list of strings")
-    seed = _config_int(config, "seed", 0)
-    samples = _config_int(config, "samples", 50, minimum=1)
-    bound = _config_int(config, "enumeration_bound", 200_000)
+    seed = _config_int(config.get("seed", 0), "seed")
+    samples = _config_int(config.get("samples", 50), "samples", minimum=1)
     _validate_tasks(tasks)
-    flags_certified = _certify_flags(instance, bound)
+    t = instance.t
+    decided = None if t is None else trivial_idempotents(t.A) is not None and trivial_idempotents(t.B) is not None
 
     records = []
     verify_failures = 0
@@ -408,44 +408,35 @@ def run_config(config: dict) -> tuple[dict, int]:
         "field": field_to_spec(field),
         "instance": instance.name,
         "seed": seed,
-        "idempotent_flags_certified": flags_certified,
+        "idempotent_flags_certified": decided,
         "tasks": records,
     }
     return report, (1 if verify_failures else 0)
 
 
-def _certify_flags(instance: Instance, bound: int) -> bool | None:
-    """Over a prime field, brute-force check the declared idempotent flags of
-    the diagonal components when the enumeration fits inside the bound."""
-    if instance.t is None or instance.algebra.field.char == 0:
-        return None
-    certified = True
-    for side in (instance.t.A, instance.t.B):
-        try:
-            actual = has_only_trivial_idempotents_bruteforce(side, bound)
-        except EnumerationTooLarge:
-            certified = False
-            continue
-        if actual != side.only_trivial_idempotents:
-            raise StructuralMismatch("declared idempotent flag contradicts brute-force enumeration")
-    return certified
-
-
 def _field_from_config(config: dict) -> Field:
+    spec = config.get("field", "rational")
+    if isinstance(spec, dict) and "prime" in spec:
+        _config_int(spec["prime"], "field")
     try:
-        return field_from_spec(config.get("field", "rational"))
+        return field_from_spec(spec)
     except ValueError as exc:
         raise ConfigError("field", str(exc)) from exc
 
 
-def _config_int(config: dict, key: str, default: int, minimum: int | None = None) -> int:
-    """An integer config field; booleans, floats and strings are rejected."""
-    value = config.get(key, default)
+def _config_int(value, where: str, minimum: int | None = None) -> int:
+    """An integer config value; booleans, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
+        raise ConfigError(where, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be at least {minimum}, got {value}")
+        raise ConfigError(where, f"must be at least {minimum}, got {value}")
     return value
+
+
+def _reject_unknown_keys(table: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(set(table) - allowed)
+    if unknown:
+        raise ConfigError(where, f"unknown keys {unknown}")
 
 
 def _validate_tasks(tasks: list[str]) -> None:
@@ -512,29 +503,22 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            with open(args.config) as fh:
-                config = json.load(fh)
-            if args.seed is not None:
-                config["seed"] = args.seed
-            report, code = run_config(config)
-            _emit(report_to_json(report), args.out)
-            return code
         if args.command == "fixtures":
             _emit(report_to_json({"schema_version": SCHEMA_VERSION, "fixtures": fixtures_catalog()}), None)
             return 0
-        if args.command == "solve":
+        if args.command == "run":
+            with open(args.config) as fh:
+                config = json.load(fh)
+            if args.seed is not None and isinstance(config, dict):
+                config["seed"] = args.seed
+        else:
             config = _solve_args_to_config(args)
-            report, code = run_config(config)
-            _emit(report_to_json(report), args.out)
-            return code
-    except ConfigError as exc:
+        report, code = run_config(config)
+        _emit(report_to_json(report), args.out)
+        return code
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 def _solve_args_to_config(args) -> dict:

@@ -54,10 +54,6 @@ class PredicateNotSatisfied(TrialgError):
         super().__init__(f"map fails its defining identity: {witness}")
 
 
-class EnumerationTooLarge(TrialgError):
-    pass
-
-
 class HypothesisNotMet(TrialgError):
     pass
 

@@ -16,7 +16,7 @@ from .linalg import Matrix, unit_vector, vec_zero
 from .maps import LinearEndo
 
 
-def _matrix_unit_algebra(field: Field, n: int, positions: list[tuple[int, int]], flag: bool) -> FDAlgebra:
+def _matrix_unit_algebra(field: Field, n: int, positions: list[tuple[int, int]]) -> FDAlgebra:
     """Span of matrix units e_ij at the given (0-based) positions.
 
     The position set must be closed under composition; products follow
@@ -37,12 +37,12 @@ def _matrix_unit_algebra(field: Field, n: int, positions: list[tuple[int, int]],
     unit = list(zero)
     for i in range(n):
         unit[index[(i, i)]] = field.one
-    return FDAlgebra(field, labels, table, unit, only_trivial_idempotents=flag)
+    return FDAlgebra(field, labels, table, unit)
 
 
 def full_matrix_algebra(n: int, field: Field) -> FDAlgebra:
     positions = [(i, j) for i in range(n) for j in range(n)]
-    return _matrix_unit_algebra(field, n, positions, flag=(n == 1))
+    return _matrix_unit_algebra(field, n, positions)
 
 
 def _block_positions(dims: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -59,7 +59,7 @@ def block_algebra(dims: tuple[int, ...], field: Field) -> FDAlgebra:
     if not dims or any(d < 1 for d in dims):
         raise ValueError("block sizes must be positive")
     n = sum(dims)
-    return _matrix_unit_algebra(field, n, _block_positions(dims), flag=(n == 1))
+    return _matrix_unit_algebra(field, n, _block_positions(dims))
 
 
 def _rectangle_bimodule(A: FDAlgebra, B: FDAlgebra, nrows: int, ncols: int,
@@ -110,7 +110,7 @@ def upper_triangular(n: int, field: Field, split: int = 1) -> TriangularAlgebra:
 
 
 def trunc_poly(N: int, field: Field) -> FDAlgebra:
-    """K[x]/(x^N): local, so it has only trivial idempotents."""
+    """K[x]/(x^N), a local algebra."""
     if N < 1:
         raise ValueError("need N >= 1")
     zero = vec_zero(field, N)
@@ -120,7 +120,7 @@ def trunc_poly(N: int, field: Field) -> FDAlgebra:
         for j in range(N):
             if i + j < N:
                 table[i][j] = unit_vector(field, N, i + j)
-    return FDAlgebra(field, labels, table, unit_vector(field, N, 0), only_trivial_idempotents=True)
+    return FDAlgebra(field, labels, table, unit_vector(field, N, 0))
 
 
 def trian_trunc(N: int, field: Field) -> TriangularAlgebra:
@@ -151,7 +151,7 @@ def fixture_n3(field: Field) -> Fixture:
     e13 = (field.zero, field.one, field.zero)
     table = [[zero] * 3 for _ in range(3)]
     table[0][2] = e13  # e12·e23 = e13; every other product vanishes
-    algebra = FDAlgebra(field, ("e12", "e13", "e23"), table, unit=None, only_trivial_idempotents=True)
+    algebra = FDAlgebra(field, ("e12", "e13", "e23"), table, unit=None)
     one, neg = field.one, field.neg(field.one)
     sigma = LinearEndo(algebra, Matrix(field, [
         [neg, field.zero, field.zero],
@@ -193,7 +193,7 @@ def fixture_trian_AA0(N: int, field: Field) -> Fixture:
             if i + j < N:
                 table[i][j] = unit_vector(field, dim, i + j)
                 table[i][N + j] = unit_vector(field, dim, N + i + j)
-    algebra = FDAlgebra(field, labels, table, unit=None, only_trivial_idempotents=False)
+    algebra = FDAlgebra(field, labels, table, unit=None)
 
     sign = [field.one if k % 2 == 0 else field.neg(field.one) for k in range(N)]
     zcol = vec_zero(field, dim)

@@ -13,8 +13,9 @@ decomposed, cross-checked against the structural form that its parts
 (m_σ, ν) determine.
 
 Decompositions for a non-identity twist require both diagonal algebras to be
-declared free of nontrivial idempotents; the identity twist bypasses the flag
-because the untwisted corollaries carry no such hypothesis.
+decided free of nontrivial idempotents (:func:`trialg.algebra.trivial_idempotents`);
+the identity twist bypasses the decision because the untwisted corollaries
+carry no such hypothesis.
 """
 
 from __future__ import annotations
@@ -150,11 +151,18 @@ def compose_automorphism(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
     return endo
 
 
+def require_trivial_idempotents(t: TriangularAlgebra, sigma: LinearEndo, what: str) -> None:
+    """Raise HypothesisNotMet unless σ is the identity or both diagonal algebras
+    are decided idempotent-free, the hypothesis of the twisted statements."""
+    if not sigma.is_identity() and not t.trivial_idempotent_components:
+        raise HypothesisNotMet(f"{what} needs diagonal algebras decided idempotent-free")
+
+
 def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     """Split a verified automorphism into (f, g, m_σ, ν); exact round trip."""
     sigma = as_endo(t.algebra, sigma)
     if not t.trivial_idempotent_components:
-        raise HypothesisNotMet("both diagonal algebras must be declared idempotent-free")
+        raise HypothesisNotMet("both diagonal algebras must be decided idempotent-free")
     require_automorphism(sigma)
     f = _corner_matrix(t, sigma, "a", "a")
     g = _corner_matrix(t, sigma, "b", "b")
@@ -182,10 +190,10 @@ def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
 class SigmaCenterData:
     """Twisted center of a triangular algebra.
 
-    ``eta`` (present only when the diagonal idempotent flags allow the
-    automorphism to be decomposed) maps the B-part of a twisted-central
-    element back to its forced A-part, column by column over the canonical
-    basis of ``piB_part``.
+    ``eta`` (present only when both diagonal algebras are decided
+    idempotent-free, so that the automorphism can be decomposed) maps the
+    B-part of a twisted-central element back to its forced A-part, column by
+    column over the canonical basis of ``piB_part``.
     """
 
     sigma_center: Subspace
@@ -197,9 +205,9 @@ class SigmaCenterData:
 def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
     """Twisted center of the triangular algebra for a verified automorphism.
 
-    When both diagonal flags are declared, the kernel computation is
-    cross-checked against the structural description derived from the
-    automorphism decomposition, and the isomorphism eta is extracted.
+    When both diagonal algebras are decided idempotent-free, the kernel
+    computation is cross-checked against the structural description derived
+    from the automorphism decomposition, and the isomorphism eta is extracted.
     """
     sigma = require_automorphism(as_endo(t.algebra, sigma))
     f = t.field
@@ -538,8 +546,7 @@ def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     chk = predicate(theta, sigma, "centralizing")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    if not sigma.is_identity() and not t.trivial_idempotent_components:
-        raise HypothesisNotMet("twisted decomposition needs idempotent-free diagonal algebras")
+    require_trivial_idempotents(t, sigma, "twisted decomposition")
     parts = _extract_cent_parts(t, sigma, theta)
     conditions = centralizing_conditions(parts, theta)
     for label, result in conditions.items():
@@ -629,8 +636,7 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
     chk = is_generalized_pair(D, d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    if not sigma.is_identity() and not t.trivial_idempotent_components:
-        raise HypothesisNotMet("twisted decomposition needs idempotent-free diagonal algebras")
+    require_trivial_idempotents(t, sigma, "twisted decomposition")
     der = decompose_sigma_derivation(t, sigma, d)
     A, B = t.A, t.B
     D_A = _corner_matrix(t, D, "a", "a")

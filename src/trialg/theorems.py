@@ -26,7 +26,7 @@ from .maps import (
     predicate,
     solve_space,
 )
-from .structure import AutParts, compose_automorphism, decompose_generalized
+from .structure import AutParts, compose_automorphism, decompose_generalized, require_trivial_idempotents
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -54,13 +54,6 @@ def _sigma_for(t: TriangularAlgebra, sigma) -> LinearEndo:
     return as_endo(t.algebra, sigma)
 
 
-def _require_flags(t: TriangularAlgebra, sigma: LinearEndo, theorem: str) -> None:
-    if not sigma.is_identity() and not t.trivial_idempotent_components:
-        raise HypothesisNotMet(
-            f"{theorem} with a non-identity twist needs idempotent-free diagonal algebras"
-        )
-
-
 def verify_posner(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Twisted derivations that are twisted-centralizing must vanish.
 
@@ -68,7 +61,7 @@ def verify_posner(t: TriangularAlgebra, sigma=None, instance: str = "") -> Theor
     commutativity sanity check); passes iff the intersection is zero.
     """
     sigma = _sigma_for(t, sigma)
-    _require_flags(t, sigma, POSNER)
+    require_trivial_idempotents(t, sigma, f"{POSNER} with a non-identity twist")
     der = solve_space(t, sigma, "sigma_derivation")
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
@@ -97,7 +90,7 @@ def verify_skew_zero(t: TriangularAlgebra, sigma=None, instance: str = "") -> Th
     """Zero is the only twisted skew-commuting map (char != 2 is guaranteed
     by the admitted fields, so the algebra is 2-torsion-free)."""
     sigma = _sigma_for(t, sigma)
-    _require_flags(t, sigma, SKEW_ZERO)
+    require_trivial_idempotents(t, sigma, f"{SKEW_ZERO} with a non-identity twist")
     space = solve_space(t, sigma, "skew_commuting")
     witness = None
     rechecked = True
@@ -262,7 +255,7 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
     random conjugations, alternating) must fail the centralizing predicate.
     """
     if not t.trivial_idempotent_components:
-        raise HypothesisNotMet("mayne verification needs idempotent-free diagonal algebras")
+        raise HypothesisNotMet("mayne verification needs diagonal algebras decided idempotent-free")
     rng = random.Random(seed)
     ident = LinearEndo.identity(t.algebra)
     identity_commutes = bool(predicate(ident, ident, "commuting"))

@@ -13,15 +13,20 @@ The map checkers and the corner extraction at the end of the module are the
 ones trialg used before they read a map's basis images from its sparse
 columns: every basis image is recomputed with a matrix-vector product and
 every bracket with dense products and vector sums.
+
+The idempotent oracle enumerates every element of a small algebra over F_p;
+it was the library's certificate of the paper's idempotent hypothesis before
+that hypothesis was decided from the trace form.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from trialg import LinearEndo, Matrix, center_subspace
+from trialg import LinearEndo, Matrix, PrimeField, center_subspace
 from trialg.linalg import vec_add, vec_is_zero
 from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
@@ -366,3 +371,24 @@ def dense_corner_matrix(t, endo, project, embed, dim_in: int, dim_out: int):
         unit[i] = f.one
         cols.append(project(endo(embed(tuple(unit)))))
     return Matrix.from_columns(f, cols, nrows=dim_out)
+
+
+def has_only_trivial_idempotents_bruteforce(algebra, bound: int = 200_000) -> bool:
+    """Enumerate all elements of an algebra over F_p and test e² = e.
+
+    True iff the only idempotents are 0 and (when present) the unit.  Raises
+    ValueError over Q and when p^dim exceeds the bound.
+    """
+    field = algebra.field
+    if not isinstance(field, PrimeField):
+        raise ValueError("brute-force idempotent search needs a prime field")
+    total = field.p**algebra.dim
+    if total > bound:
+        raise ValueError(f"{total} elements exceed the bound {bound}")
+    trivial = {(0,) * algebra.dim}
+    if algebra.unit is not None:
+        trivial.add(tuple(algebra.unit))
+    for e in itertools.product(range(field.p), repeat=algebra.dim):
+        if dense_bilinear(field, algebra.dim, algebra.table, e, e) == e and e not in trivial:
+            return False
+    return True

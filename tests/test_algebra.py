@@ -11,7 +11,6 @@ from trialg import (
     AssociativityViolation,
     Bimodule,
     BimoduleAxiomViolation,
-    EnumerationTooLarge,
     FDAlgebra,
     LinearEndo,
     NotFaithful,
@@ -21,24 +20,25 @@ from trialg import (
     center,
     center_subspace,
     decompose_sigma_derivation,
-    has_only_trivial_idempotents_bruteforce,
     inner_automorphism,
     sigma_center,
     sigma_center_subspace,
     trian_trunc,
+    trivial_idempotents,
     trunc_poly,
     upper_triangular,
 )
 from trialg.linalg import Matrix
 
 from conftest import diag_sign_automorphism
+from dense_oracle import has_only_trivial_idempotents_bruteforce
 
 ZERO1 = (Fraction(0),)
 ONE1 = (Fraction(1),)
 
 
 def scalar_algebra():
-    return FDAlgebra(QQ, ["e"], [[ONE1]], unit=ONE1, only_trivial_idempotents=True)
+    return FDAlgebra(QQ, ["e"], [[ONE1]], unit=ONE1)
 
 
 def test_field_as_dim_one_algebra():
@@ -102,8 +102,8 @@ def test_triangular_of_three_scalar_blocks(t2q):
 def test_triangular_split_of_three_by_three(t3q):
     assert t3q.dim == 6
     assert t3q.A.dim == 1 and t3q.M.dim == 2 and t3q.B.dim == 3
-    assert t3q.A.only_trivial_idempotents
-    assert not t3q.B.only_trivial_idempotents
+    assert trivial_idempotents(t3q.A) is True
+    assert trivial_idempotents(t3q.B) is False
 
 
 def test_unfaithful_left_action_rejected():
@@ -346,7 +346,7 @@ def test_bruteforce_idempotents_on_truncated_polynomials():
 
 def test_bruteforce_enumeration_bound():
     alg = trunc_poly(5, GF(11))
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(ValueError, match="exceed the bound"):
         has_only_trivial_idempotents_bruteforce(alg, bound=1000)
 
 

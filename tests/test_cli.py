@@ -50,7 +50,7 @@ def test_verification_suite_exit_zero():
 
 
 def test_failed_verification_sets_exit_one():
-    # a twisted check on an instance without the idempotent flags errors out
+    # a twisted check on an instance whose corner T_2 has idempotents errors out
     cfg = dict(
         BASE,
         algebra={"family": "Tn", "n": 3},
@@ -61,6 +61,37 @@ def test_failed_verification_sets_exit_one():
     assert code == 1
     assert report["tasks"][0]["status"] == "error"
     assert "HypothesisNotMet" in report["tasks"][0]["error"]
+
+
+def test_undecided_corners_fail_the_twisted_hypothesis():
+    # K[x]/(x^3) over GF(3): the trace form vanishes, so neither corner is decided
+    cfg = dict(
+        BASE,
+        field={"prime": 3},
+        algebra={"family": "trian_trunc", "N": 3},
+        sigma={"diag_signs": [1, -1]},
+        tasks=["verify:posner"],
+    )
+    report, code = run_config(cfg)
+    assert code == 1
+    assert report["idempotent_flags_certified"] is False
+    assert report["tasks"][0]["status"] == "error"
+    assert report["tasks"][0]["error"].startswith("HypothesisNotMet: ")
+
+
+@pytest.mark.parametrize(
+    "field,algebra,certified",
+    [
+        ("rational", {"family": "Tn", "n": 3}, True),
+        ({"prime": 10007}, {"family": "Tn", "n": 7}, True),
+        ({"prime": 7}, {"family": "trian_trunc", "N": 2}, True),
+        ({"prime": 3}, {"family": "trian_trunc", "N": 3}, False),
+        ("rational", {"family": "trunc_poly", "N": 2}, None),
+    ],
+)
+def test_idempotent_flags_certified(field, algebra, certified):
+    report, _ = run_config(dict(BASE, field=field, algebra=algebra, tasks=[]))
+    assert report["idempotent_flags_certified"] is certified
 
 
 def test_task_errors_do_not_abort_the_run():
@@ -248,6 +279,16 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"algebra": {"table": []}},
         {"sigma": {"conjugate_by": ["1", "0", "1", "5"]}},
         {"algebra": {"family": "trunc_poly", "N": 2}, "sigma": {"conjugate_by": ["1"]}},
+        {"field": {"prime": "7"}},
+        {"field": {"prime": 7.0}},
+        {"algebra": {"family": "Tn", "n": 2.5}},
+        {"algebra": {"family": "Tn", "n": "2"}},
+        {"algebra": {"family": "Tn", "n": True}},
+        {"algebra": {"family": "Tn", "n": 3, "split": 1.0}},
+        {"algebra": {"family": "block", "dims": [1, "1"]}},
+        {"algebra": {"family": "trian_trunc", "N": 2.0}},
+        {"enumeration_bound": 10},
+        {"algebra": {"labels": ["e"], "table": [[["1"]]], "unit": ["1"], "only_trivial_idempotents": True}},
     ],
     ids=[
         "samples-zero",
@@ -261,6 +302,16 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "empty-table",
         "conjugate-too-long",
         "conjugate-too-short",
+        "prime-text",
+        "prime-float",
+        "n-float",
+        "n-text",
+        "n-bool",
+        "split-float",
+        "dims-text-entry",
+        "N-float",
+        "unknown-top-level-key",
+        "unknown-inline-key",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):

@@ -12,6 +12,7 @@ from trialg import (
     is_generalized_pair,
     is_sigma_derivation,
     trian_trunc,
+    trivial_idempotents,
     trunc_poly,
     upper_triangular,
 )
@@ -20,20 +21,22 @@ from trialg import (
 def test_two_by_two_split():
     t = upper_triangular(2, QQ)
     assert (t.A.dim, t.M.dim, t.B.dim) == (1, 1, 1)
-    assert t.A.only_trivial_idempotents and t.B.only_trivial_idempotents
+    assert trivial_idempotents(t.A) is True and trivial_idempotents(t.B) is True
+    assert t.trivial_idempotent_components
 
 
 def test_three_by_three_alternate_split():
     t = upper_triangular(3, QQ, split=2)
     assert (t.A.dim, t.M.dim, t.B.dim) == (3, 2, 1)
-    assert not t.A.only_trivial_idempotents and t.B.only_trivial_idempotents
+    assert trivial_idempotents(t.A) is False and trivial_idempotents(t.B) is True
+    assert not t.trivial_idempotent_components
 
 
 def test_block_two_one():
     t = block_upper((2, 1), 1, QQ)
     assert t.dim == 7
     assert (t.A.dim, t.M.dim, t.B.dim) == (4, 2, 1)
-    assert not t.A.only_trivial_idempotents
+    assert trivial_idempotents(t.A) is False
 
 
 def test_block_split_bounds():
@@ -56,7 +59,7 @@ def test_truncated_polynomials_multiply_and_truncate():
     x = alg.basis_vector(1)
     assert alg.mul(x, x) == alg.basis_vector(2)
     assert not any(alg.mul(alg.basis_vector(2), x))
-    assert alg.only_trivial_idempotents
+    assert trivial_idempotents(alg) is True
     with pytest.raises(ValueError):
         trunc_poly(0, QQ)
 

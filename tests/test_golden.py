@@ -48,7 +48,7 @@ GOLDEN = {
             "sigma": "identity",
             "tasks": [f"solve:{kind}" for kind in SOLVE_KINDS] + ["decompose:centralizing"],
         },
-        "2da429c77ae03dd1c06986f02a21a599efb017d1454c457207b7b31343025f2c",
+        "93e46a3fa31d495ed36f26c5e62f5da33b978eb987f044bbbe43bf95ead02521",
     ),
     # every decomposition kind but automorphism, and a triangular sigma_center
     # without eta (T2 has nontrivial idempotents)
@@ -70,7 +70,7 @@ GOLDEN = {
                 )
             ],
         },
-        "a9a0f08a609fe33f231c872adcbf5f82785161fbc6dc7a0cf6482fe66461ce6c",
+        "c136d24d1b514e63720a6f723e9a895fb929b5e1de190a9d98c81b27ae96dea0",
     ),
     # the center and sigma_center records of a non-triangular algebra
     "n3_gf7_centers": (
