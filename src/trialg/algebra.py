@@ -2,14 +2,17 @@
 
 An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
-into the block algebra of formal upper-triangular 2x2 matrices.  Centers and
-twisted centers are computed as kernels of commutation constraints; the
-center of a triangular algebra is cross-checked against its structural form
-(the twisted-center cross-check needs the automorphism decomposition and
-lives in :mod:`trialg.structure`).  Whether a unital algebra has only the
-trivial idempotents, the hypothesis of the paper's twisted structure
-theorems, is decided from its structure constants by
-:func:`trivial_idempotents`.
+into the block algebra of formal upper-triangular 2x2 matrices.  The center
+is the twisted center of the identity, and twisted centers are kernels of the
+bracket operators λ ↦ σ(x)λ − λx, which one sparse builder reads from the
+structure constants; :mod:`trialg.maps` takes its operators from the same
+builder.  The (twisted) center of a triangular algebra is cross-checked
+against its structural form, built from the pairs (a, b) with a·m = ν(m)·b,
+and the corner maps τ and η are read off those pairs (the twisted-center
+caller needs the automorphism decomposition and lives in
+:mod:`trialg.structure`).  Whether a unital algebra has only the trivial
+idempotents, the hypothesis of the paper's twisted structure theorems, is
+decided from its structure constants by :func:`trivial_idempotents`.
 
 Structure constants are public as dense tuples and are also held sparsely,
 as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
@@ -35,10 +38,13 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _plain_rows,
     _sparse,
     kernel_basis,
     solve_linear,
+    sparse_kernel,
     unit_vector,
+    vec_neg,
     vec_zero,
 )
 
@@ -222,14 +228,6 @@ class Bimodule:
     def act_right(self, m: Sequence, b: Sequence) -> Vector:
         return _bilinear(self.field, self.dim, self._right, ((_sparse(m).items(), _sparse(b).items()),))
 
-    def left_action_matrix(self, a: Sequence) -> Matrix:
-        cols = [self.act_left(a, self.basis_vector(k)) for k in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, nrows=self.dim)
-
-    def right_action_matrix(self, b: Sequence) -> Matrix:
-        cols = [self.act_right(self.basis_vector(k), b) for k in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, nrows=self.dim)
-
     def _validate(self) -> None:
         # every axiom on every basis triple, zero products too
         A, B = self.left_algebra, self.right_algebra
@@ -266,21 +264,21 @@ class TriangularAlgebra:
 
     Basis order: A's basis, then M's, then B's, so coordinate projections and
     embeddings are index slices.  ``p`` and ``q`` are the complementary
-    diagonal idempotents (1_A, 0, 0) and (0, 0, 1_B).  ``memo`` holds values
-    derived from the algebra, computed once and freed with it.
+    diagonal idempotents (1_A, 0, 0) and (0, 0, 1_B).  M must be faithful
+    on both sides (NotFaithful otherwise).  ``memo`` holds values derived from
+    the algebra, computed once and freed with it.
     """
 
     __slots__ = ("A", "M", "B", "algebra", "p", "q", "memo", "__weakref__")
 
-    def __init__(self, A: FDAlgebra, M: Bimodule, B: FDAlgebra, *, require_faithful: bool = True):
+    def __init__(self, A: FDAlgebra, M: Bimodule, B: FDAlgebra):
         if not (A.is_unital and B.is_unital):
             raise ValueError("triangular assembly requires unital diagonal algebras")
         if M.left_algebra is not A or M.right_algebra is not B:
             raise ValueError("bimodule does not act for the given algebras")
         self.A, self.M, self.B = A, M, B
         self.memo: dict = {}
-        if require_faithful:
-            self._check_faithful()
+        self._check_faithful()
         self.algebra = self._assemble()
         self.p = self.element(A.unit, M.zero(), B.zero())
         self.q = self.element(A.zero(), M.zero(), B.unit)
@@ -348,18 +346,14 @@ class TriangularAlgebra:
         return FDAlgebra(self.field, labels, table, unit)
 
     def _check_faithful(self) -> None:
+        # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; the column of a
+        # basis element stacks its action on every basis vector of M
         A, M, B = self.A, self.M, self.B
-        left_cols = []
-        for i in range(A.dim):
-            mat = M.left_action_matrix(A.basis_vector(i))
-            left_cols.append([x for row in mat.entries for x in row])
+        left_cols = [[x for v in M.left[i] for x in v] for i in range(A.dim)]
         ker = kernel_basis(Matrix.from_columns(self.field, left_cols, nrows=M.dim * M.dim))
         if ker.dim:
             raise NotFaithful("left", ker.basis[0])
-        right_cols = []
-        for j in range(B.dim):
-            mat = M.right_action_matrix(B.basis_vector(j))
-            right_cols.append([x for row in mat.entries for x in row])
+        right_cols = [[x for row in M.right for x in row[j]] for j in range(B.dim)]
         ker = kernel_basis(Matrix.from_columns(self.field, right_cols, nrows=M.dim * M.dim))
         if ker.dim:
             raise NotFaithful("right", ker.basis[0])
@@ -378,26 +372,41 @@ class TriangularAlgebra:
 # centers
 
 
+def _bracket_operator(algebra: FDAlgebra, x, y, sign: int) -> list[dict]:
+    """Sparse rows of the operator λ ↦ x·λ + sign·λ·y, one ``{column: value}``
+    dict per coordinate, read from the sparse structure constants.
+
+    ``x`` and ``y`` are ``(index, value)`` nonzeros; an empty one drops its
+    side, so ``y = ()`` gives L_x and ``x = ()`` gives sign·R_y.  Values come
+    out in :func:`trialg.linalg._plain_rows` form.
+    """
+    S = algebra._sparse
+    rows: list[dict] = [{} for _ in range(algebra.dim)]
+    for l in range(algebra.dim):
+        for i, a in x:
+            for t, s in S[i][l]:
+                rows[t][l] = rows[t].get(l, 0) + a * s
+        for j, b in y:
+            for t, s in S[l][j]:
+                rows[t][l] = rows[t].get(l, 0) + sign * b * s
+    return _plain_rows(algebra.field, rows)
+
+
 def center_subspace(algebra: FDAlgebra) -> Subspace:
-    """The set of x with [x, e_i] = 0 for every basis element, as a kernel."""
+    """The center, as the twisted center of the identity."""
     if "center" not in algebra.memo:
-        rows = []
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            rows.extend((algebra.right_mul_matrix(e) - algebra.left_mul_matrix(e)).entries)
-        algebra.memo["center"] = kernel_basis(Matrix(algebra.field, rows, ncols=algebra.dim))
+        algebra.memo["center"] = sigma_center_subspace(algebra, Matrix.identity(algebra.field, algebra.dim))
     return algebra.memo["center"]
 
 
 def sigma_center_subspace(algebra: FDAlgebra, sigma: Matrix) -> Subspace:
-    """Twisted center {λ : σ(x)λ = λx for all x}, computed as a kernel."""
+    """Twisted center {λ : σ(x)λ = λx for all x}: the kernel of the operators
+    λ ↦ σ(e_i)λ − λe_i stacked over the basis."""
     key = ("sigma_center", sigma)
     if key not in algebra.memo:
-        rows = []
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            rows.extend((algebra.left_mul_matrix(sigma.mul_vec(e)) - algebra.right_mul_matrix(e)).entries)
-        algebra.memo[key] = kernel_basis(Matrix(algebra.field, rows, ncols=algebra.dim))
+        images, one = sigma._cols(), algebra.field.one
+        rows = [row for i in range(algebra.dim) for row in _bracket_operator(algebra, images[i], ((i, one),), -1)]
+        algebra.memo[key] = sparse_kernel(algebra.field, rows, algebra.dim)
     return algebra.memo[key]
 
 
@@ -423,53 +432,56 @@ def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
     rows = []
     for k in range(M.dim):
         nu_mk = nu.column(k)
+        right = [M.act_right(nu_mk, B.basis_vector(j)) for j in range(B.dim)]
         for tcoord in range(M.dim):
             row = [M.left[i][k][tcoord] for i in range(A.dim)]
-            row += [f.neg(M.act_right(nu_mk, B.basis_vector(j))[tcoord]) for j in range(B.dim)]
+            row += [f.neg(r[tcoord]) for r in right]
             rows.append(row)
     return kernel_basis(Matrix(f, rows, ncols=A.dim + B.dim))
 
 
+def _structural_pairs(t: TriangularAlgebra, space: Subspace, nu: Matrix, m_sigma: Vector, what: str) -> Subspace:
+    """The pairs (a, b) with a·m = ν(m)·b for all m, once the elements
+    (a, −m_σ·b, b) are checked to span ``space``, the kernel-computed
+    (twisted) center; raises StructuralMismatch naming ``what`` otherwise."""
+    na = t.A.dim
+    pairs = _structural_center_pairs(t, nu)
+    members = [t.element(v[:na], vec_neg(t.field, t.M.act_right(m_sigma, v[na:])), v[na:]) for v in pairs.basis]
+    if Subspace.from_vectors(t.field, t.dim, members) != space:
+        raise StructuralMismatch(f"{what} kernel differs from its structural form")
+    return pairs
+
+
+def _pair_partners(t: TriangularAlgebra, pairs: Subspace, parts: Sequence[Vector], from_a: bool) -> Matrix:
+    """The matrix sending each of ``parts`` (A-parts of pairs when ``from_a``,
+    else B-parts) to the other part of its pair, column by column.
+
+    M is faithful, so each part of a pair (a, b) with a·m = ν(m)·b determines
+    the other: a part's coordinates over the pair basis, found by
+    :func:`solve_linear`, give its partner.
+    """
+    f, na = t.field, t.A.dim
+    own, other = (slice(0, na), slice(na, None)) if from_a else (slice(na, None), slice(0, na))
+    nrows = (na, t.B.dim) if from_a else (t.B.dim, na)
+    known = Matrix.from_columns(f, [w[own] for w in pairs.basis], nrows=nrows[0])
+    rest = Matrix.from_columns(f, [w[other] for w in pairs.basis], nrows=nrows[1])
+    return Matrix.from_columns(f, [rest.mul_vec(solve_linear(known, v)) for v in parts], nrows=nrows[1])
+
+
 def center(t: TriangularAlgebra) -> CenterData:
-    """Center computed two ways (commutator kernel vs structural form) and
-    checked equal; raises StructuralMismatch if the cross-check fails."""
+    """Center as a commutator kernel, cross-checked against its structural
+    form {(a, 0, b) : a·m = m·b for all m}; raises StructuralMismatch if the
+    cross-check fails.  τ is read off the structural pairs."""
     f = t.field
     oracle = center_subspace(t.algebra)
-    pairs = _structural_center_pairs(t, Matrix.identity(f, t.M.dim))
-    structural = Subspace.from_vectors(
-        f,
-        t.dim,
-        [t.element(v[: t.A.dim], t.M.zero(), v[t.A.dim :]) for v in pairs.basis],
-    )
-    if structural != oracle:
-        raise StructuralMismatch("commutator-kernel center differs from structural center")
+    pairs = _structural_pairs(t, oracle, Matrix.identity(f, t.M.dim), t.M.zero(), "center")
     piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in oracle.basis])
     piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in oracle.basis])
     if not piA.leq(center_subspace(t.A)):
         raise StructuralMismatch("projection of Z(T) is not central in A")
     if not piB.leq(center_subspace(t.B)):
         raise StructuralMismatch("projection of Z(T) is not central in B")
-    tau_cols = []
-    for a in piA.basis:
-        b = _solve_right_partner(t, a)
-        if b is None or not piB.contains(b):
-            raise StructuralMismatch("central A-part admits no central B-partner")
-        tau_cols.append(b)
-    tau = Matrix.from_columns(f, tau_cols, nrows=t.B.dim)
-    return CenterData(oracle, piA, piB, tau)
-
-
-def _solve_right_partner(t: TriangularAlgebra, a: Sequence) -> Vector | None:
-    """Solve a·m = m·b for b, given a (faithfulness makes it unique)."""
-    M = t.M
-    f = t.field
-    rows, rhs = [], []
-    for k in range(M.dim):
-        target = M.act_left(a, M.basis_vector(k))
-        for tcoord in range(M.dim):
-            rows.append([M.right[k][j][tcoord] for j in range(t.B.dim)])
-            rhs.append(target[tcoord])
-    return solve_linear(Matrix(f, rows, ncols=t.B.dim), rhs)
+    return CenterData(oracle, piA, piB, _pair_partners(t, pairs, piA.basis, from_a=True))
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,22 @@ DECOMPOSE_KINDS = (
     "generalized_pair",
     "left_multiplier",
 )
-# the keys run_config reads, and those of an inline structure-constant table
+# the keys run_config reads, and those build_instance reads for each family
+# (a fixture's by its name, an inline structure-constant table's under None)
 CONFIG_KEYS = frozenset({"schema_version", "field", "algebra", "sigma", "tasks", "seed", "samples"})
-INLINE_KEYS = frozenset({"labels", "table", "unit"})
+FAMILY_KEYS = {
+    None: frozenset({"labels", "table", "unit"}),
+    "Tn": frozenset({"family", "n", "split"}),
+    "block": frozenset({"family", "dims", "split"}),
+    "trian_trunc": frozenset({"family", "N"}),
+    "trunc_poly": frozenset({"family", "N"}),
+    "matrix": frozenset({"family", "n"}),
+    ("fixture", "n3"): frozenset({"family", "name"}),
+    ("fixture", "trian_AA0"): frozenset({"family", "name", "N"}),
+}
+# a sigma object names exactly one of these forms; parts take exactly these keys
+SIGMA_FORMS = frozenset({"fixture_map", "diag_signs", "conjugate_by", "matrix", "parts"})
+PARTS_KEYS = frozenset({"f", "g", "m_sigma", "nu"})
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +165,9 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
         raise ConfigError(where, "algebra spec must be an object")
     family = spec.get("family")
     try:
+        allowed = FAMILY_KEYS.get((family, spec.get("name")) if family == "fixture" else family)
+        if allowed is not None:
+            _reject_unknown_keys(spec, allowed, where)
         if family == "Tn":
             n = _config_int(spec["n"], "n")
             split = _config_int(spec.get("split", 1), "split")
@@ -182,7 +198,6 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
                 raise ConfigError(where, f"unknown fixture {name!r}")
             return Instance(fx.name, fx.algebra, fixture=fx)
         if family is None and "table" in spec:
-            _reject_unknown_keys(spec, INLINE_KEYS, where)
             labels = spec.get("labels") or [f"e{i}" for i in range(len(spec["table"]))]
             table = [[parse_vector(field, v) for v in row] for row in spec["table"]]
             unit = parse_vector(field, spec["unit"]) if spec.get("unit") is not None else None
@@ -203,6 +218,9 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
         return LinearEndo.identity(alg)
     if not isinstance(spec, dict):
         raise ConfigError(where, f"bad sigma spec {spec!r}")
+    _reject_unknown_keys(spec, SIGMA_FORMS, where)
+    if len(spec) != 1:
+        raise ConfigError(where, f"must name exactly one of {sorted(SIGMA_FORMS)}")
     try:
         if "fixture_map" in spec:
             if instance.fixture is None:
@@ -230,24 +248,24 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             if not chk.ok:
                 raise ConfigError(where, f"matrix is not an automorphism: {chk.witness}")
             return endo
-        if "parts" in spec:
-            t = instance.require_triangular(where)
-            p = spec["parts"]
-            parts = AutParts(
-                t,
-                parse_matrix(field, p["f"]),
-                parse_matrix(field, p["g"]),
-                parse_vector(field, p["m_sigma"]),
-                parse_matrix(field, p["nu"]),
-            )
-            return compose_automorphism(t, parts)
+        # the one form left: parts
+        t = instance.require_triangular(where)
+        p = spec["parts"]
+        _reject_unknown_keys(p, PARTS_KEYS, f"{where}.parts")
+        parts = AutParts(
+            t,
+            parse_matrix(field, p["f"]),
+            parse_matrix(field, p["g"]),
+            parse_vector(field, p["m_sigma"]),
+            parse_matrix(field, p["nu"]),
+        )
+        return compose_automorphism(t, parts)
     except ConfigError:
         raise
     except (KeyError, TypeError) as exc:
         raise ConfigError(where, f"bad sigma spec: {exc}") from exc
     except (TrialgError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from exc
-    raise ConfigError(where, f"unknown sigma spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------

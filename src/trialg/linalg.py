@@ -156,6 +156,16 @@ def _sparse(row: Sequence) -> dict:
     return {k: a for k, a in enumerate(row) if a}
 
 
+def _plain_rows(field: Field, rows: Iterable[dict]) -> list[dict]:
+    """Sparse rows with zeros dropped and values in their cheapest exact form:
+    ints reduced mod p over F_p, integral rationals as ints over Q, so that
+    assembling a system from them avoids ``Fraction`` arithmetic."""
+    p = field.char
+    if p:
+        return [{c: a % p for c, a in row.items() if a % p} for row in rows]
+    return [{c: a.numerator if a.denominator == 1 else a for c, a in row.items() if a} for row in rows]
+
+
 def _dense_echelon(field: Field, rows: Iterable[dict], ncols: int) -> tuple[list[Vector], list[int]]:
     echelon = _echelon(field, rows)
     dense = []
@@ -402,7 +412,7 @@ class Subspace:
 
         This is a linear map of v whose kernel is exactly the subspace, so it
         doubles as the fixed complement projection used to linearize
-        "lies in this subspace" constraints.
+        "lies in this subspace" constraints (see :meth:`reduce_rows`).
         """
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -416,15 +426,18 @@ class Subspace:
                         out[i] = f.sub(out[i], f.mul(c, b))
         return tuple(out)
 
-    def reduction_matrix(self) -> Matrix:
-        """Matrix of :meth:`reduce`; annihilates the subspace, fixes a complement."""
-        f = self.field
-        rows = [list(unit_vector(f, self.ambient_dim, i)) for i in range(self.ambient_dim)]
+    def reduce_rows(self, rows: Sequence[dict]) -> list[dict]:
+        """The rows of R·P, for P given by its sparse rows and R the matrix of
+        :meth:`reduce`: row i less w[i]·(row p) for each echelon basis vector
+        w with pivot p.  Values come out in :func:`_plain_rows` form."""
+        out = [dict(row) for row in rows]
         for w, p in zip(self.basis, self.pivots):
             for i, b in enumerate(w):
                 if b:
-                    rows[i][p] = f.sub(rows[i][p], b)
-        return Matrix(f, rows, ncols=self.ambient_dim)
+                    target = out[i]
+                    for c, a in rows[p].items():
+                        target[c] = target.get(c, 0) - b * a
+        return _plain_rows(self.field, out)
 
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self.reduce(v))

@@ -5,9 +5,13 @@ Quantified conditions ("for all x") are handled by polarization: the value of
 q(x) = [x, Θ(x)]_σ (or its anti-symmetric variant) expands bilinearly as
 q(Σ x_i e_i) = Σ_i x_i² q(e_i) + Σ_{i<j} x_i x_j sym(i, j), so q vanishes for
 every x exactly when all diagonal values and all symmetrized basis-pair
-values vanish.  Conditions of the form "value lies in the center" are made
-linear by composing with the fixed complement projection that annihilates the
-center (:meth:`trialg.linalg.Subspace.reduction_matrix`).
+values vanish.  The bracket operators λ ↦ σ(e_i)λ ∓ λe_i, and the Leibniz
+rule's L_{σ(e_i)} and R_{e_j}, come as sparse rows from the one builder that
+also gives the twisted centers (:func:`trialg.algebra._bracket_operator`).
+Conditions of the form "value lies in the center" are made linear by reducing
+each operator's rows against the center's echelon basis
+(:meth:`trialg.linalg.Subspace.reduce_rows`), the row form of the fixed
+complement projection that annihilates the center.
 
 The pointwise checks read each map's basis images as the cached sparse
 columns of its matrix and evaluate θ(e_i e_j) on the sparse structure vector
@@ -20,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import FDAlgebra, TriangularAlgebra, center_subspace
+from .algebra import FDAlgebra, TriangularAlgebra, _bracket_operator, center_subspace
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
-from .linalg import Matrix, Subspace, Vector, kernel_basis, sparse_kernel, sparse_solve  # noqa: F401
+from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, sparse_kernel, sparse_solve  # noqa: F401
 from .linalg import vec_add, vec_is_zero, vec_sub
 
 SOLVE_KINDS = (
@@ -177,15 +181,16 @@ def require_automorphism(theta: LinearEndo) -> LinearEndo:
     return theta
 
 
-def _leibniz_check(D: LinearEndo, d: LinearEndo, sigma: LinearEndo, reason: str) -> CheckResult:
-    """D(e_i e_j) = D(e_i)e_j + σ(e_i)d(e_j) on all basis pairs."""
+def _leibniz_check(D: LinearEndo, d: LinearEndo | None, sigma: LinearEndo | None, reason: str) -> CheckResult:
+    """D(e_i e_j) = D(e_i)e_j + σ(e_i)d(e_j) on all basis pairs; ``d=None``
+    drops the σ term (the left multiplier rule)."""
     alg = D.algebra
-    S, e = alg._sparse, _units(alg)
-    DD, dd, ss = D.matrix._cols(), d.matrix._cols(), sigma.matrix._cols()
+    S, e, DD = alg._sparse, _units(alg), D.matrix._cols()
+    dd, ss = (None, None) if d is None else (d.matrix._cols(), sigma.matrix._cols())
     for i in range(alg.dim):
         for j in range(alg.dim):
             lhs = D.matrix._apply(S[i][j])
-            rhs = alg._products(((DD[i], e[j]), (ss[i], dd[j])))
+            rhs = alg._products(((DD[i], e[j]),) if d is None else ((DD[i], e[j]), (ss[i], dd[j])))
             if lhs != rhs:
                 return CheckResult(False, Witness(reason, pair=(i, j), lhs=lhs, rhs=rhs))
     return _PASS
@@ -210,15 +215,7 @@ def is_generalized_pair(D: LinearEndo, d: LinearEndo, sigma: LinearEndo) -> Chec
 
 def is_left_multiplier(F: LinearEndo) -> CheckResult:
     """F(xy) = F(x)y on all basis pairs."""
-    alg = F.algebra
-    S, e, images = alg._sparse, _units(alg), F.matrix._cols()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = F.matrix._apply(S[i][j])
-            rhs = alg._products(((images[i], e[j]),))
-            if lhs != rhs:
-                return CheckResult(False, Witness("left multiplier rule", pair=(i, j), lhs=lhs, rhs=rhs))
-    return _PASS
+    return _leibniz_check(F, None, None, "left multiplier rule")
 
 
 def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
@@ -256,23 +253,21 @@ def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
     return _PASS
 
 
-def inner_automorphism(alg: FDAlgebra, u: Sequence, u_inv: Sequence | None = None) -> LinearEndo:
+def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
     """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
 
-    A caller that already has u⁻¹ passes it as ``u_inv``.  Raises ValueError
-    when the algebra has no unit, or u has the wrong length or is not
-    invertible.
+    Raises ValueError when the algebra has no unit, or u has the wrong length
+    or is not invertible.
     """
     if not alg.is_unital:
         raise ValueError("conjugation needs a unital algebra")
     if len(u) != alg.dim:
         raise ValueError("conjugating element has wrong length")
-    if u_inv is None:
-        inv = alg.left_mul_matrix(u).inverse()
-        if inv is None:
-            raise ValueError("conjugating element is not invertible")
-        u_inv = inv.mul_vec(alg.unit)
-    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
+    left = alg.left_mul_matrix(u)
+    inv = left.inverse()
+    if inv is None:
+        raise ValueError("conjugating element is not invertible")
+    return LinearEndo(alg, left @ alg.right_mul_matrix(inv.mul_vec(alg.unit)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +327,6 @@ class MapSpace:
         )
 
 
-def _plain(x: Scalar) -> Scalar:
-    """An integral rational as an int, so assembly avoids Fraction arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _sparse_vector(v: Sequence) -> list[tuple[int, Scalar]]:
-    return [(k, _plain(a)) for k, a in enumerate(v) if a]
-
-
-def _sparse_matrix(m: Matrix) -> list[list[tuple[int, Scalar]]]:
-    return [_sparse_vector(row) for row in m.entries]
-
-
 class _System:
     """Sparse rows of a homogeneous system over endo-block unknowns.
 
@@ -365,18 +347,19 @@ class _System:
         """Add the n coordinate rows of sum of terms = 0.
 
         Each term is (block, P, v, sign): the expression sign·P·X_block(v)
-        with P a known matrix in :func:`_sparse_matrix` form, v a known vector
-        in :func:`_sparse_vector` form and sign ±1.
+        with P a known matrix given by its n sparse rows and v a known vector
+        given sparsely, both as ``{index: value}`` dicts in
+        :func:`trialg.linalg._plain_rows` form, and sign ±1.
         """
         n = self.n
         rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
         for block, P, v, sign in terms:
             offset = block * n * n
             for row, prow in zip(rows, P):
-                for t, pt in prow:
+                for t, pt in prow.items():
                     c = sign * pt
                     base = offset + t * n
-                    for k, vk in v:
+                    for k, vk in v.items():
                         col = base + k
                         row[col] = row.get(col, 0) + c * vk
         self.rows.extend(rows)
@@ -389,13 +372,13 @@ class _Leibniz:
     """Sparse operators of the twisted Leibniz rule for one algebra and twist."""
 
     def __init__(self, alg: FDAlgebra, sigma: LinearEndo):
-        basis = [alg.basis_vector(i) for i in range(alg.dim)]
-        self.n = alg.dim
+        n, one, images = alg.dim, alg.field.one, sigma.matrix._cols()
+        self.n = n
         # e_i in sparse form; as a list of rows it is also the identity matrix
-        self.basis = [[(i, 1)] for i in range(alg.dim)]
-        self.table = [[_sparse_vector(v) for v in row] for row in alg.table]
-        self.right = [_sparse_matrix(alg.right_mul_matrix(e)) for e in basis]
-        self.left_sigma = [_sparse_matrix(alg.left_mul_matrix(sigma(e))) for e in basis]
+        self.basis = [{i: 1} for i in range(n)]
+        self.table = [_plain_rows(alg.field, map(dict, row)) for row in alg._sparse]
+        self.right = [_bracket_operator(alg, (), ((j, one),), 1) for j in range(n)]
+        self.left_sigma = [_bracket_operator(alg, images[i], (), 1) for i in range(n)]
 
     def add_to(self, system: _System, D_block: int, d_block: int | None) -> None:
         """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
@@ -438,16 +421,14 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if pair:
             leibniz.add_to(system, 1, 1)
     else:
-        skew = kind.startswith("skew")
-        central = kind.endswith("centralizing")
-        proj = center_subspace(alg).reduction_matrix() if central else None
-        op = []
-        for i in range(n):
-            e = alg.basis_vector(i)
-            left, right = alg.left_mul_matrix(sigma(e)), alg.right_mul_matrix(e)
-            m = left + right if skew else left - right
-            op.append(_sparse_matrix(proj @ m if proj is not None else m))
-        basis = [[(i, 1)] for i in range(n)]
+        # σ(e_i)λ − λe_i, or σ(e_i)λ + λe_i for the skew kinds
+        sign = 1 if kind.startswith("skew") else -1
+        images, one = sigma.matrix._cols(), f.one
+        op = [_bracket_operator(alg, images[i], ((i, one),), sign) for i in range(n)]
+        if kind.endswith("centralizing"):
+            center = center_subspace(alg)
+            op = [center.reduce_rows(rows) for rows in op]
+        basis = [{i: 1} for i in range(n)]
         for i in range(n):
             system.equation([(0, op[i], basis[i], 1)])
             for j in range(i + 1, n):

@@ -223,10 +223,10 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
     """Compose parts: inner f and g, intertwiner ν = s·(u·m·w⁻¹), random m_σ."""
     A, M, B = t.A, t.M, t.B
     field = t.field
-    u, u_inv = _random_invertible(A, rng)
+    u, _ = _random_invertible(A, rng)
     w, w_inv = _random_invertible(B, rng)
-    fmat = inner_automorphism(A, u, u_inv).matrix
-    gmat = inner_automorphism(B, w, w_inv).matrix
+    fmat = inner_automorphism(A, u).matrix
+    gmat = inner_automorphism(B, w).matrix
     s = _random_scalar(field, rng, nonzero=True)
     nu_cols = [
         tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))

@@ -17,6 +17,13 @@ every bracket with dense products and vector sums.
 The idempotent oracle enumerates every element of a small algebra over F_p;
 it was the library's certificate of the paper's idempotent hypothesis before
 that hypothesis was decided from the trace form.
+
+The partner solvers are the ones trialg used before it read the corner maps
+τ and η off the structural pairs (a, b) with a·m = ν(m)·b: each image is
+solved from the module identity directly, one system per basis vector.  The
+reduction matrix is the dense form of :meth:`trialg.Subspace.reduce` that the
+centralizing kinds were composed with before their operators' rows were
+reduced sparsely.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from trialg import LinearEndo, Matrix, PrimeField, center_subspace
-from trialg.linalg import vec_add, vec_is_zero
+from trialg import LinearEndo, Matrix, PrimeField, center_subspace, solve_linear
+from trialg.linalg import unit_vector, vec_add, vec_is_zero
 from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
 
@@ -187,6 +194,17 @@ def dense_solve(field, rows: Sequence[Sequence], b: Sequence, ncols: int) -> tup
     return tuple(x)
 
 
+def reduction_matrix(subspace) -> Matrix:
+    """Matrix of ``subspace.reduce``; annihilates the subspace, fixes a complement."""
+    f = subspace.field
+    rows = [list(unit_vector(f, subspace.ambient_dim, i)) for i in range(subspace.ambient_dim)]
+    for w, p in zip(subspace.basis, subspace.pivots):
+        for i, b in enumerate(w):
+            if b:
+                rows[i][p] = f.sub(rows[i][p], b)
+    return Matrix(f, rows, ncols=subspace.ambient_dim)
+
+
 class DenseSystem:
     """Dense rows of a homogeneous system over endo-block unknowns."""
 
@@ -251,7 +269,7 @@ def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list
                     )
     else:
         skew = kind.startswith("skew")
-        proj = center_subspace(alg).reduction_matrix() if kind.endswith("centralizing") else None
+        proj = reduction_matrix(center_subspace(alg)) if kind.endswith("centralizing") else None
         op = []
         for i in range(n):
             m = left_sigma[i] + right[i] if skew else left_sigma[i] - right[i]
@@ -392,3 +410,31 @@ def has_only_trivial_idempotents_bruteforce(algebra, bound: int = 200_000) -> bo
         if dense_bilinear(field, algebra.dim, algebra.table, e, e) == e and e not in trivial:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# corner maps of (twisted) centers
+
+
+def solve_right_partner(t, a: Sequence) -> tuple | None:
+    """Solve a·m = m·b for b, given a (faithfulness makes it unique)."""
+    M = t.M
+    rows, rhs = [], []
+    for k in range(M.dim):
+        target = M.act_left(a, M.basis_vector(k))
+        for tcoord in range(M.dim):
+            rows.append([M.right[k][j][tcoord] for j in range(t.B.dim)])
+            rhs.append(target[tcoord])
+    return solve_linear(Matrix(t.field, rows, ncols=t.B.dim), rhs)
+
+
+def solve_eta_image(t, nu, b: Sequence) -> tuple | None:
+    """Solve η(b)·m = ν(m)·b for η(b) in A-coordinates."""
+    M = t.M
+    rows, rhs = [], []
+    for k in range(M.dim):
+        target = M.act_right(nu.column(k), b)
+        for tcoord in range(M.dim):
+            rows.append([M.left[i][k][tcoord] for i in range(t.A.dim)])
+            rhs.append(target[tcoord])
+    return solve_linear(Matrix(t.field, rows, ncols=t.A.dim), rhs)

@@ -164,18 +164,6 @@ def test_broken_bimodule_axiom_rejected(make_a, make_b, labels, left, right, mes
     assert str(err.value) == message
 
 
-def test_faithfulness_override_allows_degenerate_module():
-    z = (Fraction(0), Fraction(0))
-    e1 = (Fraction(1), Fraction(0))
-    e2 = (Fraction(0), Fraction(1))
-    table = [[e1, z], [z, e2]]
-    A = FDAlgebra(QQ, ["e1", "e2"], table, unit=(Fraction(1), Fraction(1)))
-    B = scalar_algebra()
-    M = Bimodule(A, B, ["m"], [[ONE1], [ZERO1]], [[ONE1]])
-    t = TriangularAlgebra(A, M, B, require_faithful=False)
-    assert t.dim == 4
-
-
 def test_peirce_corners(t3q):
     rng = random.Random(7)
     alg = t3q.algebra

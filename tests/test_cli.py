@@ -289,6 +289,12 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"algebra": {"family": "trian_trunc", "N": 2.0}},
         {"enumeration_bound": 10},
         {"algebra": {"labels": ["e"], "table": [[["1"]]], "unit": ["1"], "only_trivial_idempotents": True}},
+        {"algebra": {"family": "Tn", "n": 3, "spilt": 2}},
+        {"algebra": {"family": "trunc_poly", "N": 3, "n": 5}},
+        {"algebra": {"family": "fixture", "name": "n3", "N": 9}},
+        {"sigma": {"diag_signs": [1, -1], "extra": 1}},
+        {"sigma": {"diag_signs": [1, -1], "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+        {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"]], "extra": 1}}},
     ],
     ids=[
         "samples-zero",
@@ -312,6 +318,12 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "N-float",
         "unknown-top-level-key",
         "unknown-inline-key",
+        "misspelt-family-key",
+        "key-of-another-family",
+        "key-of-another-fixture",
+        "unknown-sigma-key",
+        "two-sigma-forms",
+        "unknown-parts-key",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):

@@ -15,7 +15,10 @@ from dense_oracle import (
     dense_rref,
     dense_solve,
     dense_solve_space,
+    solve_eta_image,
+    solve_right_partner,
 )
+from conftest import diag_sign_automorphism
 from hypothesis import given, settings, strategies as st
 
 from trialg import (
@@ -24,6 +27,7 @@ from trialg import (
     LinearEndo,
     Matrix,
     block_upper,
+    center,
     fixture_n3,
     fixture_trian_AA0,
     inner_automorphism,
@@ -33,6 +37,7 @@ from trialg import (
     is_sigma_derivation,
     kernel_basis,
     predicate,
+    sigma_center,
     solve_linear,
     solve_space,
     trian_trunc,
@@ -41,7 +46,7 @@ from trialg import (
 from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import _sparse, rref, vec_add, vec_scale
 from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
-from trialg.structure import _corner_matrix
+from trialg.structure import _corner_matrix, decompose_automorphism
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
 
@@ -289,3 +294,47 @@ def test_corner_matrix_matches_dense_extraction(family, field_name, data):
         for into, (_, embed, dim_in) in corners.items():
             want = dense_corner_matrix(t, endo, project, embed, dim_in, dim_out)
             assert _corner_matrix(t, endo, out, into) == want
+
+
+# ---------------------------------------------------------------------------
+# the corner maps τ and η against their direct solves
+
+TAU_FAMILIES = {
+    "T3": lambda f: upper_triangular(3, f),
+    "T3-split2": lambda f: upper_triangular(3, f, split=2),
+    "block": lambda f: block_upper((1, 2, 1), 1, f),
+    "trian_trunc2": lambda f: trian_trunc(2, f),
+}
+ETA_FAMILIES = {
+    "T2": lambda f: upper_triangular(2, f),
+    "trian_trunc2": lambda f: trian_trunc(2, f),
+    "trian_trunc3": lambda f: trian_trunc(3, f),
+}
+TWISTS = {
+    "identity": lambda t: LinearEndo.identity(t.algebra),
+    "diag_signs": diag_sign_automorphism,
+    "inner": lambda t: _twisted(t)[1],
+}
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", TAU_FAMILIES)
+def test_tau_matches_direct_solve(family, field_name):
+    t = TAU_FAMILIES[family](FIELDS[field_name])
+    data = center(t)
+    assert data.piA_center.dim > 0
+    cols = [solve_right_partner(t, a) for a in data.piA_center.basis]
+    assert data.tau == Matrix.from_columns(t.field, cols, nrows=t.B.dim)
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", ETA_FAMILIES)
+def test_eta_matches_direct_solve(family, field_name, twist):
+    t = ETA_FAMILIES[family](FIELDS[field_name])
+    sigma = TWISTS[twist](t)
+    data = sigma_center(t, sigma)
+    nu = decompose_automorphism(t, sigma).nu_sigma
+    assert data.piB_part.dim > 0
+    cols = [solve_eta_image(t, nu, b) for b in data.piB_part.basis]
+    assert data.eta == Matrix.from_columns(t.field, cols, nrows=t.A.dim)

@@ -1,8 +1,10 @@
 import pytest
+from dense_oracle import dense_kernel
 
 from trialg import (
     GF,
     QQ,
+    Matrix,
     block_upper,
     center_subspace,
     fixture_n3,
@@ -11,6 +13,7 @@ from trialg import (
     is_automorphism,
     is_generalized_pair,
     is_sigma_derivation,
+    sigma_center_subspace,
     trian_trunc,
     trivial_idempotents,
     trunc_poly,
@@ -157,3 +160,30 @@ def test_trian_aa0_maps_satisfy_their_identities():
 def test_trian_aa0_needs_degree_two():
     with pytest.raises(ValueError):
         fixture_trian_AA0(1, QQ)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: upper_triangular(3, f).algebra,
+        lambda f: upper_triangular(3, f, split=2).algebra,
+        lambda f: block_upper((1, 2), 1, f).algebra,
+        lambda f: trian_trunc(3, f).algebra,
+        lambda f: trunc_poly(3, f),
+        lambda f: full_matrix_algebra(2, f),
+        lambda f: fixture_n3(f).algebra,
+        lambda f: fixture_trian_AA0(3, f).algebra,
+    ],
+    ids=["Tn", "Tn-split2", "block", "trian_trunc", "trunc_poly", "matrix", "n3", "trian_AA0"],
+)
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_center_is_the_twisted_center_of_the_identity(build, field):
+    alg = build(field)
+    center = center_subspace(alg)
+    assert center == sigma_center_subspace(alg, Matrix.identity(field, alg.dim))
+    # against the commutator kernel, stacked densely row by row
+    rows = []
+    for i in range(alg.dim):
+        e = alg.basis_vector(i)
+        rows.extend((alg.left_mul_matrix(e) - alg.right_mul_matrix(e)).entries)
+    assert (list(center.basis), list(center.pivots)) == dense_kernel(field, rows, alg.dim)

@@ -1,4 +1,4 @@
-"""Golden reports: the exact bytes of four reports, pinned by their sha256.
+"""Golden reports: the exact bytes of six reports, pinned by their sha256.
 
 A refactor that is meant to leave reports unchanged must keep these digests.
 A deliberate change to the report format updates them, with the reason in
@@ -81,6 +81,26 @@ GOLDEN = {
             "tasks": ["center", "sigma_center"],
         },
         "0bda76afa9d0977300750ab64a07479208bf96c2d458f773aff3095e7bccde14",
+    ),
+    # centers, twisted centers and every solve kind under inner twists, where
+    # the centralizing kinds reduce against Z(A) ≠ A and σ-centers need τ and η
+    "trian_trunc3_gf7_inner_centers_solve_all": (
+        {
+            "field": {"prime": 7},
+            "algebra": {"family": "trian_trunc", "N": 3},
+            "sigma": {"conjugate_by": ["1", "2", "3", "4", "5", "6", "1", "2", "3"]},
+            "tasks": ["center", "sigma_center"] + [f"solve:{kind}" for kind in SOLVE_KINDS],
+        },
+        "ca0dbabe7781201042c6c2657f22636ab6a38fd63ceb073874d1e47a73869864",
+    ),
+    "trian_trunc2_q_inner_centers_solve_all": (
+        {
+            "field": "rational",
+            "algebra": {"family": "trian_trunc", "N": 2},
+            "sigma": {"conjugate_by": ["1", "1/2", "3", "-1", "2", "1/3"]},
+            "tasks": ["center", "sigma_center"] + [f"solve:{kind}" for kind in SOLVE_KINDS],
+        },
+        "16e490619d56b879f6855eb65c184286a8f1d0219bd9d78c26124ddbac913cf6",
     ),
 }
 

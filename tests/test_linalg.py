@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from dense_oracle import reduction_matrix
 from hypothesis import given, settings, strategies as st
 
 from trialg import GF, QQ, Matrix, Subspace, kernel_basis, solve_linear
@@ -8,6 +9,10 @@ from trialg import GF, QQ, Matrix, Subspace, kernel_basis, solve_linear
 
 def qmat(rows):
     return Matrix(QQ, [[Fraction(x) for x in r] for r in rows])
+
+
+def qvec(field, xs):
+    return tuple(field.from_int(x) for x in xs)
 
 
 def naive_rank(rows):
@@ -95,11 +100,20 @@ def test_subspace_dimension_mismatch_rejected():
 
 def test_reduce_is_linear_and_annihilates_members():
     s = Subspace.from_vectors(QQ, 3, [(Fraction(1), Fraction(2), Fraction(0))])
-    r = s.reduction_matrix()
+    r = reduction_matrix(s)
     for v in s.basis:
         assert not any(r.mul_vec(v))
     v = (Fraction(3), Fraction(1), Fraction(4))
     assert r.mul_vec(v) == s.reduce(v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_reduce_rows_is_the_reduction_matrix_times_the_rows(field):
+    s = Subspace.from_vectors(field, 4, [qvec(field, [1, 2, 0, 3]), qvec(field, [0, 1, 1, 1])])
+    p = Matrix(field, [qvec(field, row) for row in [[1, 0, 2], [0, 3, 1], [5, 0, 0], [1, 1, 1]]])
+    reduced = s.reduce_rows([{c: a for c, a in enumerate(row) if a} for row in p.entries])
+    dense = [tuple(row.get(c, field.zero) for c in range(p.ncols)) for row in reduced]
+    assert dense == list((reduction_matrix(s) @ p).entries)
 
 
 @st.composite

@@ -186,6 +186,21 @@ def test_corrupted_components_fail_their_conditions(t2q):
     assert not all(bool(r) for r in conds.values())
 
 
+def test_module_component_witness_is_first_differing_column(t2q):
+    # θ = id with the M-row entry of the e_22 column changed: the round trip of
+    # the identity's parts differs from it in that column only
+    ident = LinearEndo.identity(t2q.algebra)
+    parts = decompose_centralizing(t2q, ident, ident)
+    rows = [list(r) for r in ident.matrix.entries]
+    rows[1][2] = Fraction(5)
+    theta = LinearEndo(t2q.algebra, Matrix(QQ, rows))
+    check = centralizing_conditions(parts, theta)["m_component"]
+    assert not check.ok
+    assert check.witness.pair == (2, 2)
+    assert check.witness.lhs == theta.matrix.column(2)
+    assert check.witness.rhs == ident.matrix.column(2)
+
+
 def test_centralizing_round_trip_all_twists(t2q, t2f5, trunc3q):
     for t in (t2q, t2f5, trunc3q):
         for sig in (LinearEndo.identity(t.algebra), diag_sign_automorphism(t), unipotent_automorphism(t)):
