@@ -71,7 +71,6 @@ from .structure import (
     compose_automorphism,
     compose_centralizing,
     compose_generalized,
-    compose_left_multiplier,
     compose_sigma_derivation,
     decompose_automorphism,
     decompose_centralizing,

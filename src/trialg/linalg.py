@@ -308,22 +308,6 @@ class Matrix:
             rows.append(row)
         return Matrix(f, rows, ncols=other.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._compatible(other)
-        f = self.field
-        return Matrix(f, [vec_add(f, r, s) for r, s in zip(self.entries, other.entries)], ncols=self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._compatible(other)
-        f = self.field
-        return Matrix(f, [vec_sub(f, r, s) for r, s in zip(self.entries, other.entries)], ncols=self.ncols)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [vec_neg(self.field, r) for r in self.entries], ncols=self.ncols)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, [vec_scale(self.field, c, r) for r in self.entries], ncols=self.ncols)
-
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)
 
@@ -357,10 +341,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format(a) for a in r) for r in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
-
-    def _compatible(self, other: "Matrix") -> None:
-        if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("incompatible matrix shapes")
 
 
 def kernel_basis(m: Matrix) -> "Subspace":

@@ -13,10 +13,10 @@ each operator's rows against the center's echelon basis
 (:meth:`trialg.linalg.Subspace.reduce_rows`), the row form of the fixed
 complement projection that annihilates the center.
 
-The pointwise checks read each map's basis images as the cached sparse
-columns of its matrix and evaluate θ(e_i e_j) on the sparse structure vector
-of the pair, so each side of an identity is one call to the algebra's sparse
-product kernel.
+One checker, :func:`_pair_check`, decides every identity X(e_i·e_j) =
+Σ P(e_i)·Q(e_j) on basis pairs: multiplicativity and the Leibniz rules here,
+and the intertwining and ξ laws of :mod:`trialg.structure` over the module
+tables.  Each side is one sparse evaluation on the maps' cached columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import FDAlgebra, TriangularAlgebra, _bracket_operator, center_subspace
+from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, center_subspace
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
@@ -151,9 +151,23 @@ def abracket_sigma(sigma: LinearEndo, x: Sequence, y: Sequence) -> Vector:
 # pointwise predicates
 
 
-def _units(alg: FDAlgebra) -> list:
-    """The basis vectors as ``(index, value)`` nonzeros."""
+def _units(alg) -> list:
+    """The basis vectors of an algebra or bimodule as ``(index, value)`` nonzeros."""
     return [((i, alg.field.one),) for i in range(alg.dim)]
+
+
+def _pair_check(table, X: Matrix, terms, reason: str) -> CheckResult:
+    """X(e_i·e_j) = Σ P(e_i)·Q(e_j) on every basis pair of a sparse structure
+    table (an algebra's ``_sparse``, a bimodule's ``_left`` or ``_right``),
+    each term ``(P, Q)`` given by the sparse columns of its maps, which skip
+    the length check of :meth:`Matrix.mul_vec`: the shapes must fit the table."""
+    for i, row in enumerate(table):
+        for j, product in enumerate(row):
+            lhs = X._apply(product)
+            rhs = _bilinear(X.field, X.nrows, table, [(P[i], Q[j]) for P, Q in terms])
+            if lhs != rhs:
+                return CheckResult(False, Witness(reason, pair=(i, j), lhs=lhs, rhs=rhs))
+    return _PASS
 
 
 def is_automorphism(theta: LinearEndo) -> CheckResult:
@@ -163,14 +177,8 @@ def is_automorphism(theta: LinearEndo) -> CheckResult:
         return CheckResult(False, Witness("not invertible"))
     if alg.is_unital and theta(alg.unit) != tuple(alg.unit):
         return CheckResult(False, Witness("unit not preserved", lhs=theta(alg.unit), rhs=tuple(alg.unit)))
-    S, images = alg._sparse, theta.matrix._cols()
-    for i in range(n):
-        for j in range(n):
-            lhs = theta.matrix._apply(S[i][j])
-            rhs = alg._products(((images[i], images[j]),))
-            if lhs != rhs:
-                return CheckResult(False, Witness("multiplicativity", pair=(i, j), lhs=lhs, rhs=rhs))
-    return _PASS
+    images = theta.matrix._cols()
+    return _pair_check(alg._sparse, theta.matrix, ((images, images),), "multiplicativity")
 
 
 def require_automorphism(theta: LinearEndo) -> LinearEndo:
@@ -184,16 +192,10 @@ def require_automorphism(theta: LinearEndo) -> LinearEndo:
 def _leibniz_check(D: LinearEndo, d: LinearEndo | None, sigma: LinearEndo | None, reason: str) -> CheckResult:
     """D(e_i e_j) = D(e_i)e_j + σ(e_i)d(e_j) on all basis pairs; ``d=None``
     drops the σ term (the left multiplier rule)."""
-    alg = D.algebra
-    S, e, DD = alg._sparse, _units(alg), D.matrix._cols()
-    dd, ss = (None, None) if d is None else (d.matrix._cols(), sigma.matrix._cols())
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = D.matrix._apply(S[i][j])
-            rhs = alg._products(((DD[i], e[j]),) if d is None else ((DD[i], e[j]), (ss[i], dd[j])))
-            if lhs != rhs:
-                return CheckResult(False, Witness(reason, pair=(i, j), lhs=lhs, rhs=rhs))
-    return _PASS
+    terms = [(D.matrix._cols(), _units(D.algebra))]
+    if d is not None:
+        terms.append((sigma.matrix._cols(), d.matrix._cols()))
+    return _pair_check(D.algebra._sparse, D.matrix, terms, reason)
 
 
 def is_sigma_derivation(d: LinearEndo, sigma: LinearEndo) -> CheckResult:

@@ -3,14 +3,17 @@ and the twisted center of a triangular algebra.
 
 Each decomposition extracts components by composing the map with the corner
 embeddings and projections, verifies every side condition of the relevant
-structure statement, and finally recomposes and compares with the original
-map entry by entry.  Extraction formulas (m_σ from σ(p), m_d from d(p), m_D
-from D(q)) come from evaluating the canonical forms at the diagonal
-idempotents; reconstruction equality is the correctness oracle.
+structure statement once, and finally recomposes and compares with the
+original map entry by entry.  Extraction formulas (m_σ from σ(p), m_d from
+d(p), m_D from D(q)) come from evaluating the canonical forms at the diagonal
+idempotents; reconstruction equality is the correctness oracle.  The
+intertwining and ξ laws go through the basis-pair checker of
+:mod:`trialg.maps`, and a left multiplier F is decomposed as the generalized
+derivation (F, 0) of the identity.
 
 The twisted center is computed as a kernel and, when the automorphism can be
-decomposed, cross-checked against the structural form that its parts
-(m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
+decomposed, cross-checked against the structural form that its memoized
+parts (m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
 uses; η is read off the same structural pairs.  The centralizing round trip
 is the check of the canonical module component, not a second comparison.
 
@@ -37,11 +40,12 @@ from .maps import (
     CheckResult,
     LinearEndo,
     Witness,
+    _leibniz_check,
+    _pair_check,
+    _units,
     as_endo,
     bracket_sigma,
     is_automorphism,
-    is_generalized_pair,
-    is_left_multiplier,
     is_sigma_derivation,
     predicate,
     require_automorphism,
@@ -103,31 +107,20 @@ def identity_aut_parts(t: TriangularAlgebra) -> AutParts:
 def _check_aut_parts(parts: AutParts) -> CheckResult:
     t = parts.t
     A, M, B = t.A, t.M, t.B
-    chk = is_automorphism(LinearEndo(A, parts.f_sigma))
-    if not chk.ok:
-        return CheckResult(False, Witness("first diagonal component is not an automorphism"))
-    chk = is_automorphism(LinearEndo(B, parts.g_sigma))
-    if not chk.ok:
-        return CheckResult(False, Witness("second diagonal component is not an automorphism"))
-    if parts.nu_sigma.rank() != M.dim:
+    nu = parts.nu_sigma
+    # a part of the wrong shape fails here, before a sparse column of it is read
+    for which, m, alg in (("first", parts.f_sigma, A), ("second", parts.g_sigma, B)):
+        if not (m.nrows == m.ncols == alg.dim and is_automorphism(LinearEndo(alg, m)).ok):
+            return CheckResult(False, Witness(f"{which} diagonal component is not an automorphism"))
+    if not (nu.nrows == nu.ncols == M.dim and nu.rank() == M.dim):
         return CheckResult(False, Witness("module component is not bijective"))
     if len(parts.m_sigma) != M.dim:
         return CheckResult(False, Witness("corner element has wrong dimension"))
-    for i in range(A.dim):
-        fa = parts.f_sigma.column(i)
-        for k in range(M.dim):
-            lhs = parts.nu_sigma.mul_vec(M.left[i][k])
-            rhs = M.act_left(fa, parts.nu_sigma.column(k))
-            if lhs != rhs:
-                return CheckResult(False, Witness("left intertwining fails", pair=(i, k), lhs=lhs, rhs=rhs))
-    for k in range(M.dim):
-        nk = parts.nu_sigma.column(k)
-        for j in range(B.dim):
-            lhs = parts.nu_sigma.mul_vec(M.right[k][j])
-            rhs = M.act_right(nk, parts.g_sigma.column(j))
-            if lhs != rhs:
-                return CheckResult(False, Witness("right intertwining fails", pair=(k, j), lhs=lhs, rhs=rhs))
-    return CheckResult(True)
+    # ν(a·m) = f(a)·ν(m) and ν(m·b) = ν(m)·g(b)
+    chk = _pair_check(M._left, nu, ((parts.f_sigma._cols(), nu._cols()),), "left intertwining fails")
+    if not chk.ok:
+        return chk
+    return _pair_check(M._right, nu, ((nu._cols(), parts.g_sigma._cols()),), "right intertwining fails")
 
 
 def compose_automorphism(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
@@ -211,14 +204,17 @@ def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
     {(a, −m_σ·b, b) : a·m = ν(m)·b for all m} that the automorphism's parts
     determine, and eta is read off those pairs.
     """
-    sigma = require_automorphism(as_endo(t.algebra, sigma))
+    sigma = as_endo(t.algebra, sigma)
+    # the memoized decomposition verifies σ, and later decompositions reuse it
+    parts = _aut_parts_for(t, sigma) if t.trivial_idempotent_components else None
+    if parts is None:
+        require_automorphism(sigma)
     f = t.field
     space = sigma_center_subspace(t.algebra, sigma.matrix)
     piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in space.basis])
     piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in space.basis])
     eta = None
-    if t.trivial_idempotent_components:
-        parts = decompose_automorphism(t, sigma)
+    if parts is not None:
         pairs = _structural_pairs(t, space, parts.nu_sigma, parts.m_sigma, "twisted center")
         eta = _pair_partners(t, pairs, piB.basis, from_a=False)
     return SigmaCenterData(space, piA, piB, eta)
@@ -257,13 +253,18 @@ def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEnd
     return _endo_from_corner_images(t, a_images, m_images, b_images)
 
 
-def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d, aut: AutParts | None = None) -> DerParts:
+def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
     sigma = as_endo(t.algebra, sigma)
     d = as_endo(t.algebra, d)
     chk = is_sigma_derivation(d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    aut = aut or _aut_parts_for(t, sigma)
+    return _der_parts(t, sigma, d)
+
+
+def _der_parts(t: TriangularAlgebra, sigma: LinearEndo, d: LinearEndo) -> DerParts:
+    """The parts of a σ-derivation whose own rule is already checked."""
+    aut = _aut_parts_for(t, sigma)
     d_A = _corner_matrix(t, d, "a", "a")
     d_B = _corner_matrix(t, d, "b", "b")
     xi = _corner_matrix(t, d, "m", "m")
@@ -277,29 +278,21 @@ def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d, aut: AutParts | N
 def _check_der_parts(parts: DerParts) -> None:
     t = parts.t
     A, M, B = t.A, t.M, t.B
-    f = t.field
-    chk = is_sigma_derivation(LinearEndo(A, parts.d_A), LinearEndo(A, parts.aut.f_sigma))
+    aut, xi = parts.aut, parts.xi._cols()
+    chk = is_sigma_derivation(LinearEndo(A, parts.d_A), LinearEndo(A, aut.f_sigma))
     if not chk.ok:
         raise ConditionFailure("d_A twisted Leibniz", chk.witness)
-    chk = is_sigma_derivation(LinearEndo(B, parts.d_B), LinearEndo(B, parts.aut.g_sigma))
+    chk = is_sigma_derivation(LinearEndo(B, parts.d_B), LinearEndo(B, aut.g_sigma))
     if not chk.ok:
         raise ConditionFailure("d_B twisted Leibniz", chk.witness)
-    for i in range(A.dim):
-        da = parts.d_A.column(i)
-        fa = parts.aut.f_sigma.column(i)
-        for k in range(M.dim):
-            lhs = parts.xi.mul_vec(M.left[i][k])
-            rhs = vec_add(f, M.act_left(da, M.basis_vector(k)), M.act_left(fa, parts.xi.column(k)))
-            if lhs != rhs:
-                raise ConditionFailure("xi left compatibility", Witness("ξ(am) ≠ d_A(a)m + f(a)ξ(m)", pair=(i, k), lhs=lhs, rhs=rhs))
-    for k in range(M.dim):
-        nk = parts.aut.nu_sigma.column(k)
-        for j in range(B.dim):
-            db = parts.d_B.column(j)
-            lhs = parts.xi.mul_vec(M.right[k][j])
-            rhs = vec_add(f, M.act_right(parts.xi.column(k), B.basis_vector(j)), M.act_right(nk, db))
-            if lhs != rhs:
-                raise ConditionFailure("xi right compatibility", Witness("ξ(mb) ≠ ξ(m)b + ν(m)d_B(b)", pair=(k, j), lhs=lhs, rhs=rhs))
+    compatibility = (
+        ("xi left", M._left, ((parts.d_A._cols(), _units(M)), (aut.f_sigma._cols(), xi)), "ξ(am) ≠ d_A(a)m + f(a)ξ(m)"),
+        ("xi right", M._right, ((xi, _units(B)), (aut.nu_sigma._cols(), parts.d_B._cols())), "ξ(mb) ≠ ξ(m)b + ν(m)d_B(b)"),
+    )
+    for side, table, terms, reason in compatibility:
+        chk = _pair_check(table, parts.xi, terms, reason)
+        if not chk.ok:
+            raise ConditionFailure(f"{side} compatibility", chk.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -585,25 +578,28 @@ def compose_generalized(t: TriangularAlgebra, parts: GenParts, use_display_form:
 
 
 def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
-    """Decompose a generalized twisted derivation with known partner d."""
+    """Decompose a generalized twisted derivation with known partner d.
+
+    The rules of d and then of D are checked once on the whole algebra; the
+    corner rules of D_A and D_B are checked against the partner's parts."""
     sigma = as_endo(t.algebra, sigma)
     D = as_endo(t.algebra, D)
     d = as_endo(t.algebra, d)
-    chk = is_generalized_pair(D, d, sigma)
+    chk = is_sigma_derivation(d, sigma)
+    if chk.ok:
+        chk = _leibniz_check(D, d, sigma, "generalized Leibniz rule")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
     require_trivial_idempotents(t, sigma, "twisted decomposition")
-    der = decompose_sigma_derivation(t, sigma, d)
-    A, B = t.A, t.B
+    der = _der_parts(t, sigma, d)
     D_A = _corner_matrix(t, D, "a", "a")
     D_B = _corner_matrix(t, D, "b", "b")
     m_D = t.pi_m(D(t.q))
-    chk = is_generalized_pair(LinearEndo(A, D_A), LinearEndo(A, der.d_A), LinearEndo(A, der.aut.f_sigma))
-    if not chk.ok:
-        raise ConditionFailure("D_A generalized Leibniz", chk.witness)
-    chk = is_generalized_pair(LinearEndo(B, D_B), LinearEndo(B, der.d_B), LinearEndo(B, der.aut.g_sigma))
-    if not chk.ok:
-        raise ConditionFailure("D_B generalized Leibniz", chk.witness)
+    corners = (("D_A", t.A, D_A, der.d_A, der.aut.f_sigma), ("D_B", t.B, D_B, der.d_B, der.aut.g_sigma))
+    for name, alg, D_c, d_c, sigma_c in corners:
+        chk = _leibniz_check(LinearEndo(alg, D_c), LinearEndo(alg, d_c), LinearEndo(alg, sigma_c), "generalized Leibniz rule")
+        if not chk.ok:
+            raise ConditionFailure(f"{name} generalized Leibniz", chk.witness)
     parts = GenParts(t, der, D_A, D_B, m_D, display_matches=True)
     _compare(t, compose_generalized(t, parts), D)
     display = compose_generalized(t, parts, use_display_form=True)
@@ -618,7 +614,8 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
 
 @dataclass(frozen=True)
 class MultParts:
-    """Components (F_A, F_B, m_F) of a left multiplier."""
+    """Components (F_A, F_B, m_F) of a left multiplier F: the (D_A, D_B, m_D)
+    of F as the generalized derivation (F, 0) of the identity."""
 
     t: TriangularAlgebra
     F_A: Matrix
@@ -626,34 +623,8 @@ class MultParts:
     m_F: Vector
 
 
-def compose_left_multiplier(t: TriangularAlgebra, parts: MultParts) -> LinearEndo:
-    """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b))."""
-    A, M, B = t.A, t.M, t.B
-    FA_one = parts.F_A.mul_vec(tuple(A.unit))
-    a_images = [(parts.F_A.column(i), M.zero(), B.zero()) for i in range(A.dim)]
-    m_images = [(A.zero(), M.act_left(FA_one, M.basis_vector(k)), B.zero()) for k in range(M.dim)]
-    b_images = [
-        (A.zero(), M.act_right(parts.m_F, B.basis_vector(j)), parts.F_B.column(j))
-        for j in range(B.dim)
-    ]
-    return _endo_from_corner_images(t, a_images, m_images, b_images)
-
-
 def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
-    F = as_endo(t.algebra, F)
-    chk = is_left_multiplier(F)
-    if not chk.ok:
-        raise PredicateNotSatisfied(chk.witness)
-    A, B = t.A, t.B
-    F_A = _corner_matrix(t, F, "a", "a")
-    F_B = _corner_matrix(t, F, "b", "b")
-    m_F = t.pi_m(F(t.q))
-    chk = is_left_multiplier(LinearEndo(A, F_A))
-    if not chk.ok:
-        raise ConditionFailure("F_A left multiplier", chk.witness)
-    chk = is_left_multiplier(LinearEndo(B, F_B))
-    if not chk.ok:
-        raise ConditionFailure("F_B left multiplier", chk.witness)
-    parts = MultParts(t, F_A, F_B, m_F)
-    _compare(t, compose_left_multiplier(t, parts), F)
-    return parts
+    """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b)), decomposed and
+    round-tripped as the generalized derivation (F, 0)."""
+    gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
+    return MultParts(t, gen.D_A, gen.D_B, gen.m_D)

@@ -57,16 +57,14 @@ def _sigma_for(t: TriangularAlgebra, sigma) -> LinearEndo:
 def verify_posner(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Twisted derivations that are twisted-centralizing must vanish.
 
-    Computes the two solved spaces and intersects them (both orders, as a
-    commutativity sanity check); passes iff the intersection is zero.
+    Computes the two solved spaces and intersects them; passes iff the
+    intersection is zero.
     """
     sigma = _sigma_for(t, sigma)
     require_trivial_idempotents(t, sigma, f"{POSNER} with a non-identity twist")
     der = solve_space(t, sigma, "sigma_derivation")
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
-    if inter != cent.space.intersect(der.space):
-        raise StructuralMismatch("subspace intersection is not symmetric")
     witness = None
     rechecked = True
     if inter.dim:
@@ -223,9 +221,14 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
     """Compose parts: inner f and g, intertwiner ν = s·(u·m·w⁻¹), random m_σ."""
     A, M, B = t.A, t.M, t.B
     field = t.field
-    u, _ = _random_invertible(A, rng)
+    while True:  # the draws of _random_invertible, each u inverted once
+        u = _random_vector(field, A.dim, rng)
+        try:
+            fmat = inner_automorphism(A, u).matrix
+            break
+        except ValueError:
+            pass
     w, w_inv = _random_invertible(B, rng)
-    fmat = inner_automorphism(A, u).matrix
     gmat = inner_automorphism(B, w).matrix
     s = _random_scalar(field, rng, nonzero=True)
     nu_cols = [

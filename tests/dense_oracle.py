@@ -24,6 +24,10 @@ solved from the module identity directly, one system per basis vector.  The
 reduction matrix is the dense form of :meth:`trialg.Subspace.reduce` that the
 centralizing kinds were composed with before their operators' rows were
 reduced sparsely.
+
+The part checks are the intertwining and ξ-compatibility loops that
+:mod:`trialg.structure` ran before it checked them through the one sparse
+basis-pair checker of :mod:`trialg.maps`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from trialg import LinearEndo, Matrix, PrimeField, center_subspace, solve_linear
+from trialg import ConditionFailure, LinearEndo, Matrix, PrimeField, center_subspace, solve_linear
 from trialg.linalg import unit_vector, vec_add, vec_is_zero
 from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
@@ -194,6 +198,19 @@ def dense_solve(field, rows: Sequence[Sequence], b: Sequence, ncols: int) -> tup
     return tuple(x)
 
 
+def dense_bracket_matrix(alg, x: Sequence, y: Sequence, sign: int) -> Matrix:
+    """Matrix of λ ↦ x·λ + sign·λ·y, entry by entry from the left and right
+    multiplication matrices; ``dense_bracket_matrix(alg, x, x, -1)`` is the
+    inner derivation L_x − R_x."""
+    f = alg.field
+    combine = f.add if sign > 0 else f.sub
+    rows = [
+        [combine(a, b) for a, b in zip(left, right)]
+        for left, right in zip(alg.left_mul_matrix(x).entries, alg.right_mul_matrix(y).entries)
+    ]
+    return Matrix(f, rows, ncols=alg.dim)
+
+
 def reduction_matrix(subspace) -> Matrix:
     """Matrix of ``subspace.reduce``; annihilates the subspace, fixes a complement."""
     f = subspace.field
@@ -272,7 +289,7 @@ def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list
         proj = reduction_matrix(center_subspace(alg)) if kind.endswith("centralizing") else None
         op = []
         for i in range(n):
-            m = left_sigma[i] + right[i] if skew else left_sigma[i] - right[i]
+            m = dense_bracket_matrix(alg, sigma(basis[i]), basis[i], 1 if skew else -1)
             op.append(proj @ m if proj is not None else m)
         for i in range(n):
             system.equation([(0, op[i], basis[i], one)])
@@ -438,3 +455,79 @@ def solve_eta_image(t, nu, b: Sequence) -> tuple | None:
             rows.append([M.left[i][k][tcoord] for i in range(t.A.dim)])
             rhs.append(target[tcoord])
     return solve_linear(Matrix(t.field, rows, ncols=t.A.dim), rhs)
+
+
+# ---------------------------------------------------------------------------
+# side conditions of automorphism and twisted-derivation parts
+
+
+def dense_check_aut_parts(parts) -> CheckResult:
+    """Diagonal automorphisms, bijective ν, and the two intertwining laws
+    ν(a·m) = f(a)·ν(m) and ν(m·b) = ν(m)·g(b) on basis pairs."""
+    t = parts.t
+    A, M, B = t.A, t.M, t.B
+    f = t.field
+    if not dense_is_automorphism(LinearEndo(A, parts.f_sigma)).ok:
+        return CheckResult(False, Witness("first diagonal component is not an automorphism"))
+    if not dense_is_automorphism(LinearEndo(B, parts.g_sigma)).ok:
+        return CheckResult(False, Witness("second diagonal component is not an automorphism"))
+    if parts.nu_sigma.rank() != M.dim:
+        return CheckResult(False, Witness("module component is not bijective"))
+    if len(parts.m_sigma) != M.dim:
+        return CheckResult(False, Witness("corner element has wrong dimension"))
+    for i in range(A.dim):
+        fa = parts.f_sigma.column(i)
+        for k in range(M.dim):
+            lhs = dense_mul_vec(parts.nu_sigma, M.left[i][k])
+            rhs = dense_bilinear(f, M.dim, M.left, fa, parts.nu_sigma.column(k))
+            if lhs != rhs:
+                return CheckResult(False, Witness("left intertwining fails", pair=(i, k), lhs=lhs, rhs=rhs))
+    for k in range(M.dim):
+        nk = parts.nu_sigma.column(k)
+        for j in range(B.dim):
+            lhs = dense_mul_vec(parts.nu_sigma, M.right[k][j])
+            rhs = dense_bilinear(f, M.dim, M.right, nk, parts.g_sigma.column(j))
+            if lhs != rhs:
+                return CheckResult(False, Witness("right intertwining fails", pair=(k, j), lhs=lhs, rhs=rhs))
+    return _PASS
+
+
+def dense_check_der_parts(parts) -> None:
+    """Twisted Leibniz on d_A and d_B, then ξ(am) = d_A(a)m + f(a)ξ(m) and
+    ξ(mb) = ξ(m)b + ν(m)d_B(b) on basis pairs; raises ConditionFailure."""
+    t = parts.t
+    A, M, B = t.A, t.M, t.B
+    f = t.field
+    chk = dense_is_sigma_derivation(LinearEndo(A, parts.d_A), LinearEndo(A, parts.aut.f_sigma))
+    if not chk.ok:
+        raise ConditionFailure("d_A twisted Leibniz", chk.witness)
+    chk = dense_is_sigma_derivation(LinearEndo(B, parts.d_B), LinearEndo(B, parts.aut.g_sigma))
+    if not chk.ok:
+        raise ConditionFailure("d_B twisted Leibniz", chk.witness)
+    for i in range(A.dim):
+        da = parts.d_A.column(i)
+        fa = parts.aut.f_sigma.column(i)
+        for k in range(M.dim):
+            lhs = dense_mul_vec(parts.xi, M.left[i][k])
+            rhs = vec_add(
+                f,
+                dense_bilinear(f, M.dim, M.left, da, M.basis_vector(k)),
+                dense_bilinear(f, M.dim, M.left, fa, parts.xi.column(k)),
+            )
+            if lhs != rhs:
+                raise ConditionFailure(
+                    "xi left compatibility", Witness("ξ(am) ≠ d_A(a)m + f(a)ξ(m)", pair=(i, k), lhs=lhs, rhs=rhs)
+                )
+    for k in range(M.dim):
+        nk = parts.aut.nu_sigma.column(k)
+        for j in range(B.dim):
+            lhs = dense_mul_vec(parts.xi, M.right[k][j])
+            rhs = vec_add(
+                f,
+                dense_bilinear(f, M.dim, M.right, parts.xi.column(k), B.basis_vector(j)),
+                dense_bilinear(f, M.dim, M.right, nk, parts.d_B.column(j)),
+            )
+            if lhs != rhs:
+                raise ConditionFailure(
+                    "xi right compatibility", Witness("ξ(mb) ≠ ξ(m)b + ν(m)d_B(b)", pair=(k, j), lhs=lhs, rhs=rhs)
+                )

@@ -5,6 +5,8 @@ import functools
 import json
 from fractions import Fraction
 
+from dense_oracle import dense_bracket_matrix
+
 from trialg import (
     QQ,
     LinearEndo,
@@ -15,7 +17,6 @@ from trialg import (
     compose_automorphism,
     compose_centralizing,
     compose_generalized,
-    compose_left_multiplier,
     compose_sigma_derivation,
     decompose_automorphism,
     decompose_centralizing,
@@ -115,7 +116,7 @@ def test_derivation_space_regression(t2q):
         QQ,
         alg.dim ** 2,
         [
-            vec_of_endo(LinearEndo(alg, alg.left_mul_matrix(alg.basis_vector(i)) - alg.right_mul_matrix(alg.basis_vector(i))))
+            vec_of_endo(LinearEndo(alg, dense_bracket_matrix(alg, alg.basis_vector(i), alg.basis_vector(i), -1)))
             for i in range(alg.dim)
         ],
     )
@@ -209,7 +210,9 @@ def test_structure_round_trips(t2q, t2f5, trunc3q):
 
         for F in solve_space(t, None, "left_multiplier").endos():
             mult = decompose_left_multiplier(t, F)
-            assert compose_left_multiplier(t, mult).matrix == F.matrix
+            gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
+            assert (mult.F_A, mult.F_B, mult.m_F) == (gen.D_A, gen.D_B, gen.m_D)
+            assert compose_generalized(t, gen).matrix == F.matrix
 
         for d in solve_space(t, None, "derivation").endos():
             der = decompose_sigma_derivation(t, LinearEndo.identity(t.algebra), d)

@@ -295,6 +295,9 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"sigma": {"diag_signs": [1, -1], "extra": 1}},
         {"sigma": {"diag_signs": [1, -1], "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
         {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"]], "extra": 1}}},
+        {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"], ["1"]]}}},
+        {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1", "0"]]}}},
+        {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"], ["0"]]}}},
     ],
     ids=[
         "samples-zero",
@@ -324,6 +327,9 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "unknown-sigma-key",
         "two-sigma-forms",
         "unknown-parts-key",
+        "nu-too-tall",
+        "nu-too-wide",
+        "nu-too-tall-singular",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):

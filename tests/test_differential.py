@@ -1,9 +1,14 @@
 """The sparse elimination engine, the sparse product kernel and the map
 checkers against the dense reference path."""
 
+from dataclasses import replace
+
 import pytest
 from dense_oracle import (
     dense_bilinear,
+    dense_bracket_matrix,
+    dense_check_aut_parts,
+    dense_check_der_parts,
     dense_corner_matrix,
     dense_is_automorphism,
     dense_is_generalized_pair,
@@ -24,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from trialg import (
     GF,
     QQ,
+    ConditionFailure,
     LinearEndo,
     Matrix,
     block_upper,
@@ -35,6 +41,9 @@ from trialg import (
     is_generalized_pair,
     is_left_multiplier,
     is_sigma_derivation,
+    PredicateNotSatisfied,
+    decompose_generalized,
+    decompose_sigma_derivation,
     kernel_basis,
     predicate,
     sigma_center,
@@ -46,7 +55,7 @@ from trialg import (
 from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import _sparse, rref, vec_add, vec_scale
 from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
-from trialg.structure import _corner_matrix, decompose_automorphism
+from trialg.structure import _check_aut_parts, _check_der_parts, _corner_matrix, decompose_automorphism
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
 
@@ -338,3 +347,78 @@ def test_eta_matches_direct_solve(family, field_name, twist):
     assert data.piB_part.dim > 0
     cols = [solve_eta_image(t, nu, b) for b in data.piB_part.basis]
     assert data.eta == Matrix.from_columns(t.field, cols, nrows=t.A.dim)
+
+
+# ---------------------------------------------------------------------------
+# the part checks of the decompositions against their dense loops
+
+
+def _bumped(m: Matrix, r: int, c: int) -> Matrix:
+    """``m`` with one added to entry (r, c)."""
+    f = m.field
+    rows = [list(row) for row in m.entries]
+    rows[r][c] = f.add(rows[r][c], f.one)
+    return Matrix(f, rows, ncols=m.ncols)
+
+
+def _bumps(parts, names):
+    """``parts`` itself, then one copy per entry of each named matrix with
+    that entry bumped."""
+    yield parts
+    for name in names:
+        m = getattr(parts, name)
+        for r in range(m.nrows):
+            for c in range(m.ncols):
+                yield replace(parts, **{name: _bumped(m, r, c)})
+
+
+def _der_outcome(check, parts):
+    try:
+        check(parts)
+    except ConditionFailure as exc:
+        return exc.label, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("twist", ["identity", "inner"])
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", ETA_FAMILIES)
+def test_part_checks_match_dense_loops(family, field_name, twist):
+    """Whole CheckResults of the automorphism-parts check and the label and
+    witness of the derivation-parts check, on solved members and on members
+    with one entry of f, g, ν, ξ, d_A or d_B bumped."""
+    t = ETA_FAMILIES[family](FIELDS[field_name])
+    sigma = TWISTS[twist](t)
+    reasons = set()
+    for parts in _bumps(decompose_automorphism(t, sigma), ("f_sigma", "g_sigma", "nu_sigma")):
+        got = _check_aut_parts(parts)
+        assert got == dense_check_aut_parts(parts)
+        reasons.add(got.witness.reason if got.witness else None)
+    labels = set()
+    for d in solve_space(t, sigma, "sigma_derivation").endos():
+        der = decompose_sigma_derivation(t, sigma, d)
+        assert _der_outcome(_check_der_parts, der) is None
+        for parts in _bumps(der, ("xi", "d_A", "d_B")):
+            got = _der_outcome(_check_der_parts, parts)
+            assert got == _der_outcome(dense_check_der_parts, parts)
+            labels.add(got and got[0])
+    if t.M.dim > 1:
+        assert {"left intertwining fails", "right intertwining fails"} <= reasons
+        assert {"xi left compatibility", "xi right compatibility"} <= labels
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", ETA_FAMILIES)
+def test_generalized_rejections_match_dense_checker(family, field_name):
+    """A partner that fails its own rule, and a map that alone fails the
+    generalized rule, are rejected with the whole-pair checker's witness."""
+    t = ETA_FAMILIES[family](FIELDS[field_name])
+    alg = t.algebra
+    ident, zero = LinearEndo.identity(alg), LinearEndo.zero(alg)
+    ad = LinearEndo(alg, dense_bracket_matrix(alg, t.embed_m(t.M.basis_vector(0)), t.embed_m(t.M.basis_vector(0)), -1))
+    for D, d in ((zero, ident), (ad, zero)):
+        want = dense_is_generalized_pair(D, d, ident)
+        assert not want.ok
+        with pytest.raises(PredicateNotSatisfied) as exc:
+            decompose_generalized(t, ident, D, d)
+        assert exc.value.witness == want.witness

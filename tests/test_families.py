@@ -1,5 +1,5 @@
 import pytest
-from dense_oracle import dense_kernel
+from dense_oracle import dense_bracket_matrix, dense_kernel
 
 from trialg import (
     GF,
@@ -185,5 +185,5 @@ def test_center_is_the_twisted_center_of_the_identity(build, field):
     rows = []
     for i in range(alg.dim):
         e = alg.basis_vector(i)
-        rows.extend((alg.left_mul_matrix(e) - alg.right_mul_matrix(e)).entries)
+        rows.extend(dense_bracket_matrix(alg, e, e, -1).entries)
     assert (list(center.basis), list(center.pivots)) == dense_kernel(field, rows, alg.dim)

@@ -196,3 +196,4 @@ def test_intersection_is_contained_in_both(m):
     t = Subspace.from_vectors(GF(5), m.ncols, m.entries[half:]) if m.entries[half:] else Subspace.zero(GF(5), m.ncols)
     inter = s.intersect(t)
     assert inter.leq(s) and inter.leq(t)
+    assert inter == t.intersect(s)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_oracle import dense_bracket_matrix
 
 import trialg
 from trialg import (
@@ -35,7 +36,7 @@ def rand_vec(alg, rng, lo=-3, hi=3):
 
 
 def inner_derivation(alg, t):
-    return LinearEndo(alg, alg.left_mul_matrix(t) - alg.right_mul_matrix(t))
+    return LinearEndo(alg, dense_bracket_matrix(alg, t, t, -1))
 
 
 def test_identity_bracket_is_commutator(t2q):
@@ -84,7 +85,7 @@ def test_projection_is_not_automorphism(t2q):
 
 
 def test_scaling_is_not_automorphism(t2q):
-    two = LinearEndo(t2q.algebra, Matrix.identity(QQ, t2q.dim).scale(Fraction(2)))
+    two = LinearEndo(t2q.algebra, Matrix(QQ, [[Fraction(2), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(2)]]))
     res = is_automorphism(two)
     assert not res.ok and res.witness.reason == "unit not preserved"
 
@@ -322,8 +323,8 @@ def test_checks_convert_each_map_column_at_most_once(monkeypatch):
     t = trian_trunc(2, QQ)
     alg = t.algebra
     sigma = unipotent_automorphism(t)
-    d = sum((e.matrix for e in solve_space(t, sigma, "sigma_derivation").endos()), Matrix.zeros(QQ, alg.dim, alg.dim))
-    theta = sum((e.matrix for e in solve_space(t, sigma, "centralizing").endos()), Matrix.zeros(QQ, alg.dim, alg.dim))
+    d = endo_of_vec(alg, [sum(c) for c in zip(*solve_space(t, sigma, "sigma_derivation").space.basis)]).matrix
+    theta = endo_of_vec(alg, [sum(c) for c in zip(*solve_space(t, sigma, "centralizing").space.basis)]).matrix
     center_subspace(alg)  # computed once per algebra, before counting
 
     def fresh(m):

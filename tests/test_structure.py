@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from dense_oracle import dense_bracket_matrix
 
 from trialg import (
     QQ,
@@ -13,7 +14,6 @@ from trialg import (
     compose_automorphism,
     compose_centralizing,
     compose_generalized,
-    compose_left_multiplier,
     compose_sigma_derivation,
     decompose_automorphism,
     decompose_centralizing,
@@ -55,7 +55,7 @@ def test_unipotent_conjugation_has_corner(t2q):
 def test_sign_conjugation_flips_module(t2q):
     parts = decompose_automorphism(t2q, diag_sign_automorphism(t2q))
     assert parts.m_sigma == (Fraction(0),)
-    assert parts.nu_sigma == Matrix.identity(QQ, 1).scale(Fraction(-1))
+    assert parts.nu_sigma == Matrix(QQ, [[Fraction(-1)]])
 
 
 def test_decomposition_gates_on_idempotent_flags(t3q):
@@ -103,7 +103,7 @@ def test_zero_derivation_decomposes_to_zero(t2q):
 def test_inner_derivation_components(t2q):
     alg = t2q.algebra
     e12 = t2q.element((Fraction(0),), (ONE,), (Fraction(0),))
-    ad = LinearEndo(alg, alg.left_mul_matrix(e12) - alg.right_mul_matrix(e12))
+    ad = LinearEndo(alg, dense_bracket_matrix(alg, e12, e12, -1))
     parts = decompose_sigma_derivation(t2q, LinearEndo.identity(alg), ad)
     assert parts.d_A.is_zero() and parts.d_B.is_zero() and parts.xi.is_zero()
     assert parts.m_d == (Fraction(-1),)
@@ -296,12 +296,14 @@ def test_left_multiplier_round_trip_over_space(t2q, t3q):
     for t in (t2q, t3q):
         for F in solve_space(t, None, "left_multiplier").endos():
             parts = decompose_left_multiplier(t, F)
-            assert compose_left_multiplier(t, parts).matrix == F.matrix
+            gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
+            assert (parts.F_A, parts.F_B, parts.m_F) == (gen.D_A, gen.D_B, gen.m_D)
+            assert compose_generalized(t, gen).matrix == F.matrix
 
 
 def test_left_multiplier_rejects_other_maps(t2q):
     alg = t2q.algebra
     e12 = t2q.element((Fraction(0),), (ONE,), (Fraction(0),))
-    ad = LinearEndo(alg, alg.left_mul_matrix(e12) - alg.right_mul_matrix(e12))
+    ad = LinearEndo(alg, dense_bracket_matrix(alg, e12, e12, -1))
     with pytest.raises(PredicateNotSatisfied):
         decompose_left_multiplier(t2q, ad)
