@@ -17,7 +17,10 @@ decided from its structure constants by :func:`trivial_idempotents`.
 Structure constants are public as dense tuples and are also held sparsely,
 as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
 module action, and the axiom checks made at construction, run through one
-kernel, :func:`_bilinear`, that touches only nonzero coordinates.
+kernel, :func:`_bilinear`, that touches only nonzero coordinates; the
+associativity and bimodule laws are checked by :func:`_associator` on the
+basis triples where a nonzero product enters either side.  Both sides are 0
+on the others, so the verdict and first failure are those of all triples.
 """
 
 from __future__ import annotations
@@ -76,13 +79,40 @@ def _bilinear(field: Field, dim: int, sparse, pairs) -> Vector:
     return tuple(out)
 
 
+def _associator(field: Field, dim: int, P, Q, X, Y):
+    """The first basis triple (i, j, k), in lexicographic order, on which
+    Σ_t P[i][j]_t·Q[t][k] ≠ Σ_t X[j][k]_t·Y[i][t] over sparse tables, as
+    ``(i, j, k, left, right)`` with dense sides; ``None`` if there is none.
+    Only the live triples, where a term of either side is nonzero, are
+    evaluated: on the others both sides are the empty sum."""
+    one = field.one
+    q_cols = [[k for k, v in enumerate(row) if v] for row in Q]
+    x_index: list[dict] = [{} for _ in X]  # x_index[j][t]: the k with t in the support of X[j][k]
+    for index, row in zip(x_index, X):
+        for k, v in enumerate(row):
+            for t, _ in v:
+                index.setdefault(t, []).append(k)
+    for i, p_row in enumerate(P):
+        y_support = [t for t, v in enumerate(Y[i]) if v]
+        for j, p_ij in enumerate(p_row):
+            live = {k for t, _ in p_ij for k in q_cols[t]}
+            live.update(k for t in y_support for k in x_index[j].get(t, ()))
+            for k in sorted(live):
+                left = _bilinear(field, dim, Q, ((p_ij, ((k, one),)),))
+                right = _bilinear(field, dim, Y, ((((i, one),), X[j][k]),))
+                if left != right:
+                    return i, j, k, left, right
+    return None
+
+
 class FDAlgebra:
     """Associative algebra with a distinguished basis and structure constants.
 
     ``table[i][j]`` holds the coordinates of the product of basis elements i
     and j; the same constants are kept sparsely for :meth:`mul`.
-    Associativity (and the unit law, when a unit is declared) is verified on
-    all basis triples at construction time.
+    Associativity is verified at construction on the basis triples where a
+    nonzero product enters either side (both vanish on the others), and the
+    unit law, when a unit is declared, on every basis element.
 
     ``memo`` holds values derived from the (immutable) algebra, such as its
     center or its idempotent decision, computed once and freed with the
@@ -152,18 +182,10 @@ class FDAlgebra:
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
     def _validate(self) -> None:
-        # (e_i e_j) e_k − e_i (e_j e_k) on every triple, zero products too
-        f, dim, S = self.field, self.dim, self._sparse
-        e = [((i, f.one),) for i in range(dim)]
-        minus_e = [((i, f.neg(f.one)),) for i in range(dim)]
-        zero = self.zero()
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if _bilinear(f, dim, S, ((S[i][j], e[k]), (minus_e[i], S[j][k]))) != zero:
-                        left = _bilinear(f, dim, S, ((S[i][j], e[k]),))
-                        right = _bilinear(f, dim, S, ((e[i], S[j][k]),))
-                        raise AssociativityViolation(i, j, k, left, right)
+        dim, S = self.dim, self._sparse
+        bad = _associator(self.field, dim, S, S, S, S)
+        if bad:
+            raise AssociativityViolation(*bad)
         if self.unit is not None:
             if len(self.unit) != dim:
                 raise ValueError("unit vector has wrong length")
@@ -182,9 +204,11 @@ class Bimodule:
 
     ``left[i][k]`` is the coordinate vector of (i-th basis of A)·(k-th basis
     of M); ``right[k][j]`` that of (k-th basis of M)·(j-th basis of B).  Both
-    tables are also kept sparsely for the actions.  The module axioms, the
-    compatibility law (a·m)·b = a·(m·b) and the identity action of both units
-    are all checked on basis triples.
+    tables are also kept sparsely for the actions.  Every action vector must
+    have length dim M.  The two module laws and the compatibility law
+    (a·m)·b = a·(m·b) are checked on the basis triples where a nonzero
+    product enters either side (both vanish on the others), and the identity
+    action of both units on every basis vector of M.
     """
 
     __slots__ = ("left_algebra", "right_algebra", "labels", "left", "right", "_left", "_right", "_basis")
@@ -203,6 +227,9 @@ class Bimodule:
             raise ValueError("left action table has wrong shape")
         if len(self.right) != self.dim or any(len(r) != right_algebra.dim for r in self.right):
             raise ValueError("right action table has wrong shape")
+        for side, table in (("left", self.left), ("right", self.right)):
+            if any(len(v) != self.dim for row in table for v in row):
+                raise ValueError(f"{side} action vectors must have length dim M")
         self._left = _sparse_table(self.left)
         self._right = _sparse_table(self.right)
         self._basis = tuple(unit_vector(self.field, self.dim, k) for k in range(self.dim))
@@ -229,25 +256,17 @@ class Bimodule:
         return _bilinear(self.field, self.dim, self._right, ((_sparse(m).items(), _sparse(b).items()),))
 
     def _validate(self) -> None:
-        # every axiom on every basis triple, zero products too
-        A, B = self.left_algebra, self.right_algebra
-        f, dim, L, R = self.field, self.dim, self._left, self._right
-        e = [((i, f.one),) for i in range(max(A.dim, dim, B.dim))]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                for k in range(dim):
-                    if _bilinear(f, dim, L, ((A._sparse[i][j], e[k]),)) != _bilinear(f, dim, L, ((e[i], L[j][k]),)):
-                        raise BimoduleAxiomViolation(f"(a{i}·a{j})·m{k} != a{i}·(a{j}·m{k})")
-        for k in range(dim):
-            for i in range(B.dim):
-                for j in range(B.dim):
-                    if _bilinear(f, dim, R, ((e[k], B._sparse[i][j]),)) != _bilinear(f, dim, R, ((R[k][i], e[j]),)):
-                        raise BimoduleAxiomViolation(f"m{k}·(b{i}·b{j}) != (m{k}·b{i})·b{j}")
-        for i in range(A.dim):
-            for k in range(dim):
-                for j in range(B.dim):
-                    if _bilinear(f, dim, R, ((L[i][k], e[j]),)) != _bilinear(f, dim, L, ((e[i], R[k][j]),)):
-                        raise BimoduleAxiomViolation(f"(a{i}·m{k})·b{j} != a{i}·(m{k}·b{j})")
+        A, B, L, R = self.left_algebra, self.right_algebra, self._left, self._right
+        # (P, Q, X, Y) of each law, its triple in the order its message names it
+        laws = (
+            ((A._sparse, L, L, L), "(a{0}·a{1})·m{2} != a{0}·(a{1}·m{2})"),
+            ((R, R, B._sparse, R), "m{0}·(b{1}·b{2}) != (m{0}·b{1})·b{2}"),
+            ((L, R, R, L), "(a{0}·m{1})·b{2} != a{0}·(m{1}·b{2})"),
+        )
+        for tables, law in laws:
+            bad = _associator(self.field, self.dim, *tables)
+            if bad:
+                raise BimoduleAxiomViolation(law.format(*bad))
         for k in range(self.dim):
             mk = self.basis_vector(k)
             if self.act_left(A.unit, mk) != mk:

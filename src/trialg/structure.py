@@ -124,25 +124,26 @@ def _check_aut_parts(parts: AutParts) -> CheckResult:
 
 
 def compose_automorphism(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
-    """(a, m, b) -> (f(a), f(a)m_σ - m_σ g(b) + ν(m), g(b))."""
+    """(a, m, b) -> (f(a), f(a)m_σ - m_σ g(b) + ν(m), g(b)), parts and map checked."""
     chk = _check_aut_parts(parts)
     if not chk.ok:
         raise InvalidParts(chk.witness)
-    A, M, B = t.A, t.M, t.B
-    a_images = []
-    for i in range(A.dim):
-        fa = parts.f_sigma.column(i)
-        a_images.append((fa, M.act_left(fa, parts.m_sigma), B.zero()))
-    m_images = [(A.zero(), parts.nu_sigma.column(k), B.zero()) for k in range(M.dim)]
-    b_images = []
-    for j in range(B.dim):
-        gb = parts.g_sigma.column(j)
-        b_images.append((A.zero(), vec_neg(t.field, M.act_right(parts.m_sigma, gb)), gb))
-    endo = _endo_from_corner_images(t, a_images, m_images, b_images)
+    endo = _composed(t, parts)
     post = is_automorphism(endo)
     if not post.ok:
         raise InvalidParts(post.witness)
     return endo
+
+
+def _composed(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
+    """The map the parts define, unchecked."""
+    A, M, B, m_sigma = t.A, t.M, t.B, parts.m_sigma
+    fs = [parts.f_sigma.column(i) for i in range(A.dim)]
+    gs = [parts.g_sigma.column(j) for j in range(B.dim)]
+    a_images = [(fa, M.act_left(fa, m_sigma), B.zero()) for fa in fs]
+    m_images = [(A.zero(), parts.nu_sigma.column(k), B.zero()) for k in range(M.dim)]
+    b_images = [(A.zero(), vec_neg(t.field, M.act_right(m_sigma, gb)), gb) for gb in gs]
+    return _endo_from_corner_images(t, a_images, m_images, b_images)
 
 
 def require_trivial_idempotents(t: TriangularAlgebra, sigma: LinearEndo, what: str) -> None:
@@ -163,7 +164,7 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     nu = _corner_matrix(t, sigma, "m", "m")
     m_sigma = t.pi_m(sigma(t.p))
     parts = AutParts(t, f, g, m_sigma, nu)
-    _compare(t, compose_automorphism(t, parts), sigma)
+    _compare(t, _composed(t, parts), sigma)  # σ is checked, so these parts are too
     return parts
 
 

@@ -26,7 +26,7 @@ from .maps import (
     predicate,
     solve_space,
 )
-from .structure import AutParts, compose_automorphism, decompose_generalized, require_trivial_idempotents
+from .structure import AutParts, _composed, decompose_generalized, require_trivial_idempotents
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -218,7 +218,7 @@ def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, 
 
 
 def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
-    """Compose parts: inner f and g, intertwiner ν = s·(u·m·w⁻¹), random m_σ."""
+    """Compose parts, unchecked: inner f and g, ν = s·(u·m·w⁻¹), random m_σ."""
     A, M, B = t.A, t.M, t.B
     field = t.field
     while True:  # the draws of _random_invertible, each u inverted once
@@ -237,7 +237,7 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
     ]
     nu = Matrix.from_columns(field, nu_cols, nrows=M.dim)
     m_sigma = _random_vector(field, M.dim, rng)
-    return compose_automorphism(t, AutParts(t, fmat, gmat, m_sigma, nu))
+    return _composed(t, AutParts(t, fmat, gmat, m_sigma, nu))
 
 
 def _sample_conjugation_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:

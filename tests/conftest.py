@@ -1,6 +1,6 @@
 import pytest
 
-from trialg import GF, QQ, block_upper, trian_trunc, upper_triangular
+from trialg import GF, QQ, block_upper, maps, structure, theorems, trian_trunc, upper_triangular
 from trialg.maps import inner_automorphism
 
 
@@ -17,6 +17,22 @@ def unipotent_automorphism(t):
     m = t.M.basis_vector(0)
     u = tuple(f.add(a, b) for a, b in zip(t.algebra.unit, t.embed_m(m)))
     return inner_automorphism(t.algebra, u)
+
+
+@pytest.fixture
+def automorphism_checks(monkeypatch):
+    """The dimension of the algebra of every ``is_automorphism`` call, from
+    whichever module it is made."""
+    dims = []
+    check = maps.is_automorphism
+
+    def counted(theta):
+        dims.append(theta.algebra.dim)
+        return check(theta)
+
+    for module in (maps, structure, theorems):
+        monkeypatch.setattr(module, "is_automorphism", counted)
+    return dims
 
 
 @pytest.fixture(scope="session")

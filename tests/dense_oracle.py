@@ -28,6 +28,11 @@ reduced sparsely.
 The part checks are the intertwining and ξ-compatibility loops that
 :mod:`trialg.structure` ran before it checked them through the one sparse
 basis-pair checker of :mod:`trialg.maps`.
+
+The construction checks are the loops :class:`trialg.FDAlgebra` and
+:class:`trialg.Bimodule` ran before they skipped the basis triples on which
+both sides of an axiom vanish by the structure constants: associativity and
+the three bimodule laws on every basis triple, then the unit laws.
 """
 
 from __future__ import annotations
@@ -37,7 +42,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from trialg import ConditionFailure, LinearEndo, Matrix, PrimeField, center_subspace, solve_linear
+from trialg import (
+    AssociativityViolation,
+    BimoduleAxiomViolation,
+    ConditionFailure,
+    LinearEndo,
+    Matrix,
+    PrimeField,
+    UnitViolation,
+    center_subspace,
+    solve_linear,
+)
+from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import unit_vector, vec_add, vec_is_zero
 from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
@@ -531,3 +547,58 @@ def dense_check_der_parts(parts) -> None:
                 raise ConditionFailure(
                     "xi right compatibility", Witness("ξ(mb) ≠ ξ(m)b + ν(m)d_B(b)", pair=(k, j), lhs=lhs, rhs=rhs)
                 )
+
+
+# ---------------------------------------------------------------------------
+# construction axioms on every basis triple
+
+
+def dense_validate_algebra(field, table, unit=None) -> None:
+    """Associativity on every basis triple, zero products too, then the unit
+    law; raises AssociativityViolation or UnitViolation."""
+    f, dim, S = field, len(table), _sparse_table(table)
+    e = [((i, f.one),) for i in range(dim)]
+    minus_e = [((i, f.neg(f.one)),) for i in range(dim)]
+    zero = (f.zero,) * dim
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if _bilinear(f, dim, S, ((S[i][j], e[k]), (minus_e[i], S[j][k]))) != zero:
+                    left = _bilinear(f, dim, S, ((S[i][j], e[k]),))
+                    right = _bilinear(f, dim, S, ((e[i], S[j][k]),))
+                    raise AssociativityViolation(i, j, k, left, right)
+    if unit is not None:
+        for i in range(dim):
+            ei = unit_vector(f, dim, i)
+            if dense_bilinear(f, dim, table, unit, ei) != ei or dense_bilinear(f, dim, table, ei, unit) != ei:
+                raise UnitViolation(i)
+
+
+def dense_validate_bimodule(A, B, left, right) -> None:
+    """The left and right module laws and the compatibility law on every basis
+    triple, zero products too, then the unit actions; raises
+    BimoduleAxiomViolation."""
+    f, dim = A.field, len(right)
+    L, R = _sparse_table(left), _sparse_table(right)
+    e = [((i, f.one),) for i in range(max(A.dim, dim, B.dim))]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(dim):
+                if _bilinear(f, dim, L, ((A._sparse[i][j], e[k]),)) != _bilinear(f, dim, L, ((e[i], L[j][k]),)):
+                    raise BimoduleAxiomViolation(f"(a{i}·a{j})·m{k} != a{i}·(a{j}·m{k})")
+    for k in range(dim):
+        for i in range(B.dim):
+            for j in range(B.dim):
+                if _bilinear(f, dim, R, ((e[k], B._sparse[i][j]),)) != _bilinear(f, dim, R, ((R[k][i], e[j]),)):
+                    raise BimoduleAxiomViolation(f"m{k}·(b{i}·b{j}) != (m{k}·b{i})·b{j}")
+    for i in range(A.dim):
+        for k in range(dim):
+            for j in range(B.dim):
+                if _bilinear(f, dim, R, ((L[i][k], e[j]),)) != _bilinear(f, dim, L, ((e[i], R[k][j]),)):
+                    raise BimoduleAxiomViolation(f"(a{i}·m{k})·b{j} != a{i}·(m{k}·b{j})")
+    for k in range(dim):
+        mk = unit_vector(f, dim, k)
+        if dense_bilinear(f, dim, left, A.unit, mk) != mk:
+            raise BimoduleAxiomViolation(f"1_A does not fix m{k}")
+        if dense_bilinear(f, dim, right, mk, B.unit) != mk:
+            raise BimoduleAxiomViolation(f"1_B does not fix m{k}")

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import product
 import weakref
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from trialg import (
     trunc_poly,
     upper_triangular,
 )
+from trialg import algebra as algebra_module
 from trialg.linalg import Matrix
 
 from conftest import diag_sign_automorphism
@@ -162,6 +164,44 @@ def test_broken_bimodule_axiom_rejected(make_a, make_b, labels, left, right, mes
     with pytest.raises(BimoduleAxiomViolation) as err:
         Bimodule(make_a(), make_b(), labels, left, right)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("vector", [(1,), (0, 0, 1)], ids=["short", "long"])
+def test_action_vector_of_wrong_length_rejected(side, vector):
+    # K[x]/(x^2) acting on itself, with one action vector replaced
+    A = trunc_poly(2, GF(7))
+    tables = {"left": [list(r) for r in A.table], "right": [list(r) for r in A.table]}
+    tables[side][1][0] = vector
+    with pytest.raises(ValueError, match=f"{side} action vectors must have length dim M"):
+        Bimodule(A, A, A.labels, tables["left"], tables["right"])
+
+
+def _live_triples(P, Q, X, Y):
+    """Basis triples on which Σ_t P[i][j]_t·Q[t][k] or Σ_t X[j][k]_t·Y[i][t]
+    has a nonzero term, counted over every triple."""
+    ranges = (range(len(P)), range(len(P[0])), range(len(Q[0])))
+    return sum(
+        1
+        for i, j, k in product(*ranges)
+        if any(Q[t][k] for t, _ in P[i][j]) or any(Y[i][t] for t, _ in X[j][k])
+    )
+
+
+def test_construction_evaluates_only_live_triples(monkeypatch):
+    """Building T7 calls the product kernel at most twice per live triple of
+    associativity (on A, B and T) and of the three bimodule laws, plus once
+    per unit-law product, far fewer than the dim³ triples of T alone."""
+    calls = []
+    kernel = algebra_module._bilinear
+    monkeypatch.setattr(algebra_module, "_bilinear", lambda *args: calls.append(1) or kernel(*args))
+    t = upper_triangular(7, GF(10007))
+    monkeypatch.undo()
+    L, R = t.M._left, t.M._right
+    live = sum(_live_triples(S, S, S, S) for S in (t.A._sparse, t.B._sparse, t.algebra._sparse))
+    live += _live_triples(t.A._sparse, L, L, L) + _live_triples(R, R, t.B._sparse, R) + _live_triples(L, R, R, L)
+    unit_products = 2 * (t.A.dim + t.B.dim + t.algebra.dim + t.M.dim)
+    assert len(calls) <= 2 * live + unit_products < t.dim**3
 
 
 def test_peirce_corners(t3q):

@@ -6,6 +6,8 @@ from dataclasses import replace
 import pytest
 from dense_oracle import (
     dense_bilinear,
+    dense_validate_algebra,
+    dense_validate_bimodule,
     dense_bracket_matrix,
     dense_check_aut_parts,
     dense_check_der_parts,
@@ -29,13 +31,20 @@ from hypothesis import given, settings, strategies as st
 from trialg import (
     GF,
     QQ,
+    AssociativityViolation,
+    Bimodule,
+    BimoduleAxiomViolation,
     ConditionFailure,
+    FDAlgebra,
     LinearEndo,
     Matrix,
+    UnitViolation,
+    block_algebra,
     block_upper,
     center,
     fixture_n3,
     fixture_trian_AA0,
+    full_matrix_algebra,
     inner_automorphism,
     is_automorphism,
     is_generalized_pair,
@@ -50,10 +59,11 @@ from trialg import (
     solve_linear,
     solve_space,
     trian_trunc,
+    trunc_poly,
     upper_triangular,
 )
 from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import _sparse, rref, vec_add, vec_scale
+from trialg.linalg import _sparse, rref, unit_vector, vec_add, vec_scale
 from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
 from trialg.structure import _check_aut_parts, _check_der_parts, _corner_matrix, decompose_automorphism
 
@@ -422,3 +432,148 @@ def test_generalized_rejections_match_dense_checker(family, field_name):
         with pytest.raises(PredicateNotSatisfied) as exc:
             decompose_generalized(t, ident, D, d)
         assert exc.value.witness == want.witness
+
+
+# ---------------------------------------------------------------------------
+# the construction axioms against their all-triples loops
+
+
+def _axiom_outcome(build):
+    """What building raises, with its witness, or ``None`` when it passes."""
+    try:
+        build()
+    except AssociativityViolation as exc:
+        return AssociativityViolation, exc.indices, exc.left, exc.right
+    except (BimoduleAxiomViolation, UnitViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _same_algebra_outcome(field, table, unit=None):
+    labels = [f"e{i}" for i in range(len(table))]
+    got = _axiom_outcome(lambda: FDAlgebra(field, labels, table, unit))
+    assert got == _axiom_outcome(lambda: dense_validate_algebra(field, table, unit))
+    return got
+
+
+def _same_bimodule_outcome(A, B, left, right):
+    labels = [f"m{k}" for k in range(len(right))]
+    got = _axiom_outcome(lambda: Bimodule(A, B, labels, left, right))
+    assert got == _axiom_outcome(lambda: dense_validate_bimodule(A, B, left, right))
+    return got
+
+
+def _sparse_vectors(field, n):
+    """Length-n vectors, mostly zero: none, one or two nonzero coordinates."""
+    zero = (field.zero,) * n
+
+    def dense(entries):
+        v = list(zero)
+        for k, a in entries:
+            v[k] = a
+        return tuple(v)
+
+    nonzero = st.lists(st.tuples(st.integers(0, n - 1), _nonzero(field)), min_size=1, max_size=2).map(dense)
+    return st.one_of(st.just(zero), st.just(zero), nonzero)
+
+
+def _sparse_tables(field, nrows, ncols, n):
+    row = st.lists(_sparse_vectors(field, n), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+def _poke(table, i, j, v):
+    """``table`` with entry (i, j) replaced by v."""
+    rows = [list(r) for r in table]
+    rows[i][j] = v
+    return rows
+
+
+def _diagonal_pair(field):
+    """K ⊕ K on the orthogonal idempotents e1, e2."""
+    one, zero = field.one, field.zero
+    table = [[(one, zero), (zero, zero)], [(zero, zero), (zero, one)]]
+    return FDAlgebra(field, ["e1", "e2"], table, unit=(one, one))
+
+
+ACTING = {
+    "scalar": lambda f: trunc_poly(1, f),
+    "trunc_poly2": lambda f: trunc_poly(2, f),
+    "diagonal": _diagonal_pair,
+    "T2": lambda f: block_algebra((1, 1), f),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(1, 4), st.booleans(), st.data())
+def test_algebra_axioms_match_all_triples(field, dim, unital, data):
+    """Random sparse tables, some with e_0 declared the unit."""
+    table = data.draw(_sparse_tables(field, dim, dim, dim))
+    _same_algebra_outcome(field, table, unit_vector(field, dim, 0) if unital else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.sampled_from(sorted(ACTING)), st.sampled_from(sorted(ACTING)), st.data())
+def test_bimodule_axioms_match_all_triples(field, a_name, b_name, data):
+    """Random sparse action tables, or the regular bimodule of A with a few
+    entries replaced, so that failures reach the later laws too."""
+    A, B = ACTING[a_name](field), ACTING[b_name](field)
+    if data.draw(st.booleans()):
+        B = A
+        left = [list(r) for r in A.table]
+        right = [list(r) for r in A.table]
+        for _ in range(data.draw(st.integers(0, 2))):
+            table = data.draw(st.sampled_from([left, right]))
+            i, j = data.draw(st.integers(0, A.dim - 1)), data.draw(st.integers(0, A.dim - 1))
+            table[i][j] = data.draw(_sparse_vectors(field, A.dim))
+    else:
+        dim = data.draw(st.integers(1, 3))
+        left = data.draw(_sparse_tables(field, A.dim, dim, dim))
+        right = data.draw(_sparse_tables(field, dim, B.dim, dim))
+    _same_bimodule_outcome(A, B, left, right)
+
+
+def _perturbed(field, table, n):
+    """One copy of ``table`` per entry (i, j): a nonzero product set to zero,
+    a zero product set to the basis vector (i + j) mod n."""
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            yield _poke(table, i, j, (field.zero,) * n if any(v) else unit_vector(field, n, (i + j) % n))
+
+
+BUILT = {
+    "matrix2": lambda f: full_matrix_algebra(2, f),
+    "block12": lambda f: block_algebra((1, 2), f),
+    "trunc_poly3": lambda f: trunc_poly(3, f),
+    "T3": lambda f: upper_triangular(3, f),
+    "block_upper": lambda f: block_upper((1, 2), 1, f),
+    "trian_trunc2": lambda f: trian_trunc(2, f),
+    "n3": lambda f: fixture_n3(f).algebra,
+    "trian_AA0": lambda f: fixture_trian_AA0(2, f).algebra,
+}
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", BUILT)
+def test_perturbed_family_tables_match_all_triples(family, field_name):
+    """Every family builder's and fixture's tables pass, and each copy with
+    one entry changed gets the all-triples loops' verdict and first failure."""
+    field = FIELDS[field_name]
+    built = BUILT[family](field)
+    if isinstance(built, FDAlgebra):
+        algebras, modules = [built], []
+    else:
+        algebras, modules = [built.A, built.B, built.algebra], [built.M]
+    outcomes = set()
+    for alg in algebras:
+        assert _same_algebra_outcome(field, alg.table, alg.unit) is None
+        for table in _perturbed(field, alg.table, alg.dim):
+            outcomes.add(_same_algebra_outcome(field, table, alg.unit))
+    for M in modules:
+        A, B = M.left_algebra, M.right_algebra
+        assert _same_bimodule_outcome(A, B, M.left, M.right) is None
+        for left in _perturbed(field, M.left, M.dim):
+            outcomes.add(_same_bimodule_outcome(A, B, left, M.right))
+        for right in _perturbed(field, M.right, M.dim):
+            outcomes.add(_same_bimodule_outcome(A, B, M.left, right))
+    assert len(outcomes) > 1

@@ -94,6 +94,13 @@ def test_automorphism_round_trip(t2q, t2f5, trunc3q):
             assert compose_automorphism(t, parts).matrix == sig.matrix
 
 
+def test_decomposition_checks_the_automorphism_once(trunc3q, automorphism_checks):
+    """σ is checked once; the parts that recompose to it need no check of their own."""
+    sig = unipotent_automorphism(trunc3q)
+    decompose_automorphism(trunc3q, sig)
+    assert automorphism_checks == [trunc3q.dim]
+
+
 def test_zero_derivation_decomposes_to_zero(t2q):
     parts = decompose_sigma_derivation(t2q, LinearEndo.identity(t2q.algebra), LinearEndo.zero(t2q.algebra))
     assert parts.d_A.is_zero() and parts.d_B.is_zero() and parts.xi.is_zero()

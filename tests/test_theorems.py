@@ -95,6 +95,12 @@ def test_mayne_deterministic_given_seed(t2q):
     assert a == b
 
 
+def test_mayne_checks_each_sample_once(t2f5, automorphism_checks):
+    report = verify_mayne(t2f5, samples=12, seed=3)
+    assert report.passed
+    assert automorphism_checks == [t2f5.dim] * report.dimensions["samples"]
+
+
 def test_mayne_gate(t3q):
     with pytest.raises(HypothesisNotMet):
         verify_mayne(t3q, samples=5, seed=1)
