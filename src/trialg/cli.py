@@ -133,11 +133,11 @@ def parse_scalar(field: Field, x):
 
 
 def parse_vector(field: Field, xs) -> tuple:
-    return tuple(parse_scalar(field, x) for x in xs)
+    return tuple(parse_scalar(field, x) for x in _config_list(xs, "vector"))
 
 
 def parse_matrix(field: Field, rows) -> Matrix:
-    return Matrix(field, [parse_vector(field, r) for r in rows])
+    return Matrix(field, [parse_vector(field, r) for r in _config_list(rows, "matrix")])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
                 raise ConfigError(where, f"unknown fixture {name!r}")
             return Instance(fx.name, fx.algebra, fixture=fx)
         if family is None and "table" in spec:
-            labels = spec.get("labels") or [f"e{i}" for i in range(len(spec["table"]))]
+            labels = _config_list(spec.get("labels", []), "labels") or [f"e{i}" for i in range(len(spec["table"]))]
             table = [[parse_vector(field, v) for v in row] for row in spec["table"]]
             unit = parse_vector(field, spec["unit"]) if spec.get("unit") is not None else None
             return Instance("inline", FDAlgebra(field, labels, table, unit))
@@ -231,7 +231,7 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             return instance.fixture.maps[name]
         if "diag_signs" in spec:
             t = instance.require_triangular(where)
-            signs = spec["diag_signs"]
+            signs = _config_list(spec["diag_signs"], "diag_signs")
             if len(signs) != 2:
                 raise ConfigError(where, "diag_signs must give one sign per diagonal corner")
             sa, sb = (parse_scalar(field, s) for s in signs)
@@ -448,6 +448,13 @@ def _config_int(value, where: str, minimum: int | None = None) -> int:
         raise ConfigError(where, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _config_list(value, where: str) -> list:
+    """A list config value; a string, read one character at a time, is rejected."""
+    if not isinstance(value, list):
+        raise ConfigError(where, f"expected a list, got {value!r}")
     return value
 
 

@@ -258,9 +258,6 @@ class Matrix:
             return cls(field, list(zip(*cols)))
         return cls(field, [], ncols=0) if nrows is None else cls(field, [()] * nrows, ncols=0)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 

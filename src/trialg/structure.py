@@ -14,8 +14,14 @@ derivation (F, 0) of the identity.
 The twisted center is computed as a kernel and, when the automorphism can be
 decomposed, cross-checked against the structural form that its memoized
 parts (m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
-uses; η is read off the same structural pairs.  The centralizing round trip
-is the check of the canonical module component, not a second comparison.
+uses; η is read off the same structural pairs.
+
+A centralizing map θ splits into the corner maps δ₁, δ₂, δ₃, μ₁, μ₂, μ₃.
+Its side conditions (iii), (iv) and (vi), and its canonical M-column, are
+read off one quantity, the module bracket c_x(m) = δ(x)·m − ν(m)·μ(x) of the
+A- and B-parts of θ(x), evaluated once for each basis element and for each
+unit of A and of B on the sparse module tables.  The round trip is the check
+of the canonical module component, not a second comparison.
 
 Decompositions for a non-identity twist require both diagonal algebras to be
 decided free of nontrivial idempotents (:func:`trialg.algebra.trivial_idempotents`);
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .algebra import TriangularAlgebra, _pair_partners, _structural_pairs, center_subspace, sigma_center_subspace
+from .algebra import TriangularAlgebra, _bilinear, _pair_partners, _structural_pairs, center_subspace, sigma_center_subspace
 from .errors import (
     ConditionFailure,
     HypothesisNotMet,
@@ -35,7 +41,7 @@ from .errors import (
     PredicateNotSatisfied,
     ReconstructionMismatch,
 )
-from .linalg import Matrix, Subspace, Vector, vec_add, vec_neg, vec_sub
+from .linalg import Matrix, Subspace, Vector, _sparse, vec_add, vec_neg, vec_sub
 from .maps import (
     CheckResult,
     LinearEndo,
@@ -44,7 +50,6 @@ from .maps import (
     _pair_check,
     _units,
     as_endo,
-    bracket_sigma,
     is_automorphism,
     is_sigma_derivation,
     predicate,
@@ -65,8 +70,9 @@ def _corner_matrix(t: TriangularAlgebra, endo: LinearEndo, out: str, into: str) 
     return Matrix(t.field, [r[cols] for r in endo.matrix.entries[rows]], ncols=cols.stop - cols.start)
 
 
-def _endo_from_corner_images(t: TriangularAlgebra, a_images, m_images, b_images) -> LinearEndo:
-    cols = [t.element(*img) for img in a_images + m_images + b_images]
+def _endo_from_corner_images(t: TriangularAlgebra, images) -> LinearEndo:
+    """The map sending the basis of A, then M, then B to the ``(a, m, b)`` of ``images``."""
+    cols = [t.element(*img) for img in images]
     return LinearEndo(t.algebra, Matrix.from_columns(t.field, cols, nrows=t.dim))
 
 
@@ -143,7 +149,7 @@ def _composed(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
     a_images = [(fa, M.act_left(fa, m_sigma), B.zero()) for fa in fs]
     m_images = [(A.zero(), parts.nu_sigma.column(k), B.zero()) for k in range(M.dim)]
     b_images = [(A.zero(), vec_neg(t.field, M.act_right(m_sigma, gb)), gb) for gb in gs]
-    return _endo_from_corner_images(t, a_images, m_images, b_images)
+    return _endo_from_corner_images(t, a_images + m_images + b_images)
 
 
 def require_trivial_idempotents(t: TriangularAlgebra, sigma: LinearEndo, what: str) -> None:
@@ -251,7 +257,7 @@ def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEnd
         db = parts.d_B.column(j)
         m_part = vec_neg(f, vec_add(f, M.act_right(parts.m_d, B.basis_vector(j)), M.act_right(parts.aut.m_sigma, db)))
         b_images.append((A.zero(), m_part, db))
-    return _endo_from_corner_images(t, a_images, m_images, b_images)
+    return _endo_from_corner_images(t, a_images + m_images + b_images)
 
 
 def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
@@ -337,133 +343,119 @@ def _extract_cent_parts(t: TriangularAlgebra, sigma: LinearEndo, theta: LinearEn
     )
 
 
-def _cent_display_m_column(parts: CentParts, mu_of_x: Vector, m: Vector | None) -> Vector:
-    """Module component of the canonical centralizing form on one basis element."""
-    t = parts.t
-    M = t.M
-    f = t.field
-    out = vec_neg(f, M.act_right(parts.aut.m_sigma, mu_of_x))
-    if m is not None:
-        one_a = tuple(t.A.unit)
-        delta1_one = parts.delta1.mul_vec(one_a)
-        mu1_one = parts.mu1.mul_vec(one_a)
-        out = vec_add(f, out, M.act_left(delta1_one, m))
-        out = vec_sub(f, out, M.act_right(parts.aut.nu_sigma.mul_vec(m), mu1_one))
-    return out
+def _module_bracket(parts: CentParts, delta, mu) -> list[Vector]:
+    """c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x) on every basis vector m_k of M, for
+    the A-part δ(x) and B-part μ(x) of θ(x) given as ``(index, value)`` nonzeros."""
+    M = parts.t.M
+    f, n = M.field, M.dim
+    nu = parts.aut.nu_sigma._cols()
+    return [
+        vec_sub(f, _bilinear(f, n, M._left, ((delta, e),)), _bilinear(f, n, M._right, ((nu[k], mu),)))
+        for k, e in enumerate(_units(M))
+    ]
+
+
+def _unit_bracket(parts: CentParts, delta: Matrix, mu: Matrix, unit: Vector) -> list[Vector]:
+    """c_1 for the unit of the corner on which ``delta`` and ``mu`` act."""
+    return _module_bracket(parts, _sparse(delta.mul_vec(unit)).items(), _sparse(mu.mul_vec(unit)).items())
+
+
+def _first_failure(reason: str, cases) -> CheckResult:
+    """The first ``(pair, lhs, rhs)`` of ``cases`` with lhs ≠ rhs, as a failure."""
+    for pair, lhs, rhs in cases:
+        if lhs != rhs:
+            return CheckResult(False, Witness(reason, pair=pair, lhs=lhs, rhs=rhs))
+    return CheckResult(True)
+
+
+def _condition_v(parts: CentParts) -> CheckResult:
+    """δ₂(m)·m = ν(m)·μ₂(m): diagonal values, then symmetrized basis pairs."""
+    M = parts.t.M
+    f, n = M.field, M.dim
+    d2, m2, nu, e = parts.delta2._cols(), parts.mu2._cols(), parts.aut.nu_sigma._cols(), _units(M)
+    for k in range(n):
+        lhs = _bilinear(f, n, M._left, ((d2[k], e[k]),))
+        rhs = _bilinear(f, n, M._right, ((nu[k], m2[k]),))
+        if lhs != rhs:
+            return CheckResult(False, Witness("condition (v) diagonal", pair=(k, k), lhs=lhs, rhs=rhs))
+        for l in range(k + 1, n):
+            lhs = _bilinear(f, n, M._left, ((d2[k], e[l]), (d2[l], e[k])))
+            rhs = _bilinear(f, n, M._right, ((nu[k], m2[l]), (nu[l], m2[k])))
+            if lhs != rhs:
+                return CheckResult(False, Witness("condition (v) polarized", pair=(k, l)))
+    return CheckResult(True)
 
 
 def centralizing_conditions(parts: CentParts, theta: LinearEndo) -> dict[str, CheckResult]:
     """Each named side condition of the centralizing structure statement.
 
-    Bilinear conditions are checked on basis pairs; the one quadratic
-    condition (v) through its diagonal plus symmetrized off-diagonal values.
+    For x in A or in B write θ(x) = (δ(x), ·, μ(x)), with (δ, μ) = (δ₁, μ₁)
+    on A and (δ₃, μ₃) on B, and c_x(m) = δ(x)·m − ν(m)·μ(x).  Conditions
+    (iii) c_a = f(a)·c_{1_A}, (iv) c_b = c_{1_B}·b and (vi) c_{1_A} = −c_{1_B}
+    compare these module brackets, each evaluated once on the basis of M;
+    (iv) and (vi) show −c_b and −c_{1_B} in their witnesses.  Bilinear
+    conditions are checked on basis pairs; the one quadratic condition (v)
+    through its diagonal plus symmetrized off-diagonal values.
     """
     t = parts.t
     A, M, B = t.A, t.M, t.B
     f = t.field
-    fa_endo = LinearEndo(A, parts.aut.f_sigma)
-    gb_endo = LinearEndo(B, parts.aut.g_sigma)
-    one_a, one_b = tuple(A.unit), tuple(B.unit)
-    nu = parts.aut.nu_sigma
+    aut = parts.aut
+    fa, gb = aut.f_sigma._cols(), aut.g_sigma._cols()
+    d1, d3, m1, m3 = (m._cols() for m in (parts.delta1, parts.delta3, parts.mu1, parts.mu3))
     results: dict[str, CheckResult] = {}
 
-    results["i"] = predicate(LinearEndo(A, parts.delta1), fa_endo, "commuting")
-    results["ii"] = predicate(LinearEndo(B, parts.mu3), gb_endo, "commuting")
+    results["i"] = predicate(LinearEndo(A, parts.delta1), LinearEndo(A, aut.f_sigma), "commuting")
+    results["ii"] = predicate(LinearEndo(B, parts.mu3), LinearEndo(B, aut.g_sigma), "commuting")
 
-    delta1_one = parts.delta1.mul_vec(one_a)
-    mu1_one = parts.mu1.mul_vec(one_a)
-    mu3_one = parts.mu3.mul_vec(one_b)
-    delta3_one = parts.delta3.mul_vec(one_b)
-
-    def cond_iii() -> CheckResult:
-        for i in range(A.dim):
-            ai = A.basis_vector(i)
-            fa = parts.aut.f_sigma.column(i)
-            for k in range(M.dim):
-                mk = M.basis_vector(k)
-                lhs = vec_sub(f, M.act_left(parts.delta1.mul_vec(ai), mk), M.act_right(nu.column(k), parts.mu1.mul_vec(ai)))
-                base = vec_sub(f, M.act_left(delta1_one, mk), M.act_right(nu.column(k), mu1_one))
-                rhs = M.act_left(fa, base)
-                if lhs != rhs:
-                    return CheckResult(False, Witness("condition (iii)", pair=(i, k), lhs=lhs, rhs=rhs))
-        return CheckResult(True)
-
-    def cond_iv() -> CheckResult:
-        for k in range(M.dim):
-            mk = M.basis_vector(k)
-            nk = nu.column(k)
-            base = vec_sub(f, M.act_right(nk, mu3_one), M.act_left(delta3_one, mk))
-            for j in range(B.dim):
-                bj = B.basis_vector(j)
-                lhs = vec_sub(f, M.act_right(nk, parts.mu3.mul_vec(bj)), M.act_left(parts.delta3.mul_vec(bj), mk))
-                rhs = M.act_right(base, bj)
-                if lhs != rhs:
-                    return CheckResult(False, Witness("condition (iv)", pair=(k, j), lhs=lhs, rhs=rhs))
-        return CheckResult(True)
-
-    def cond_v() -> CheckResult:
-        def two_sided(k: int, l: int) -> tuple[Vector, Vector]:
-            lhs = M.act_left(parts.delta2.column(k), M.basis_vector(l))
-            rhs = M.act_right(nu.column(k), parts.mu2.column(l))
-            return lhs, rhs
-
-        for k in range(M.dim):
-            lhs, rhs = two_sided(k, k)
-            if lhs != rhs:
-                return CheckResult(False, Witness("condition (v) diagonal", pair=(k, k), lhs=lhs, rhs=rhs))
-            for l in range(k + 1, M.dim):
-                l1, r1 = two_sided(k, l)
-                l2, r2 = two_sided(l, k)
-                if vec_add(f, l1, l2) != vec_add(f, r1, r2):
-                    return CheckResult(False, Witness("condition (v) polarized", pair=(k, l)))
-        return CheckResult(True)
-
-    def cond_vi() -> CheckResult:
-        for k in range(M.dim):
-            mk = M.basis_vector(k)
-            nk = nu.column(k)
-            lhs = vec_sub(f, M.act_left(delta1_one, mk), M.act_right(nk, mu1_one))
-            rhs = vec_sub(f, M.act_right(nk, mu3_one), M.act_left(delta3_one, mk))
-            if lhs != rhs:
-                return CheckResult(False, Witness("condition (vi)", pair=(k, k), lhs=lhs, rhs=rhs))
-        return CheckResult(True)
-
-    def cond_central(side: str) -> CheckResult:
-        if side == "vii":
-            amb, center_space, fendo = A, center_subspace(A), fa_endo
-        else:
-            amb, center_space, fendo = B, center_subspace(B), gb_endo
-        for i in range(A.dim):
-            for j in range(B.dim):
-                if side == "vii":
-                    val = bracket_sigma(fendo, A.basis_vector(i), parts.delta3.column(j))
-                else:
-                    val = bracket_sigma(fendo, B.basis_vector(j), parts.mu1.column(i))
-                if not center_space.contains(val):
-                    return CheckResult(False, Witness(f"condition ({side})", pair=(i, j), lhs=val))
-        return CheckResult(True)
-
-    results["iii"] = cond_iii()
-    results["iv"] = cond_iv()
-    results["v"] = cond_v()
-    results["vi"] = cond_vi()
-    results["vii"] = cond_central("vii")
-    results["viii"] = cond_central("viii")
-
-    zf = sigma_center_subspace(A, parts.aut.f_sigma)
-    zg = sigma_center_subspace(B, parts.aut.g_sigma)
-    bad = next((k for k in range(M.dim) if not zf.contains(parts.delta2.column(k))), None)
-    results["delta2_range"] = (
-        CheckResult(True) if bad is None else CheckResult(False, Witness("δ₂ image not twisted-central", pair=(bad, bad)))
+    c_a = [_module_bracket(parts, d1[i], m1[i]) for i in range(A.dim)]
+    c_b = [_module_bracket(parts, d3[j], m3[j]) for j in range(B.dim)]
+    c_one_a = _unit_bracket(parts, parts.delta1, parts.mu1, A.unit)
+    minus_one_b = [vec_neg(f, c) for c in _unit_bracket(parts, parts.delta3, parts.mu3, B.unit)]
+    one_a_items = [_sparse(c).items() for c in c_one_a]
+    minus_one_b_items = [_sparse(c).items() for c in minus_one_b]
+    e_a, e_b = _units(A), _units(B)
+    iii = (
+        ((i, k), c_a[i][k], _bilinear(f, M.dim, M._left, ((fa[i], one_a_items[k]),)))
+        for i in range(A.dim)
+        for k in range(M.dim)
     )
-    bad = next((k for k in range(M.dim) if not zg.contains(parts.mu2.column(k))), None)
-    results["mu2_range"] = (
-        CheckResult(True) if bad is None else CheckResult(False, Witness("μ₂ image not twisted-central", pair=(bad, bad)))
+    iv = (
+        ((k, j), vec_neg(f, c_b[j][k]), _bilinear(f, M.dim, M._right, ((minus_one_b_items[k], e_b[j]),)))
+        for k in range(M.dim)
+        for j in range(B.dim)
     )
+    vi = (((k, k), c_one_a[k], minus_one_b[k]) for k in range(M.dim))
+    results["iii"] = _first_failure("condition (iii)", iii)
+    results["iv"] = _first_failure("condition (iv)", iv)
+    results["v"] = _condition_v(parts)
+    results["vi"] = _first_failure("condition (vi)", vi)
+
+    # σ(x)·y − y·x lies in the corner's center, for (σ, x, y) = (f, a_i, δ₃(b_j)) and (g, b_j, μ₁(a_i))
+    minus_d3, minus_m1 = ([tuple((r, f.neg(v)) for r, v in col) for col in cols] for cols in (d3, m1))
+    brackets = (
+        ("vii", A, lambda i, j: ((fa[i], d3[j]), (minus_d3[j], e_a[i]))),
+        ("viii", B, lambda i, j: ((gb[j], m1[i]), (minus_m1[i], e_b[j]))),
+    )
+    for label, alg, terms in brackets:
+        center_space = center_subspace(alg)
+        values = (((i, j), alg._products(terms(i, j))) for i in range(A.dim) for j in range(B.dim))
+        bad = next(((pair, val) for pair, val in values if not center_space.contains(val)), None)
+        results[label] = (
+            CheckResult(True) if bad is None else CheckResult(False, Witness(f"condition ({label})", pair=bad[0], lhs=bad[1]))
+        )
+
+    ranges = (("delta2_range", "δ₂", A, aut.f_sigma, parts.delta2), ("mu2_range", "μ₂", B, aut.g_sigma, parts.mu2))
+    for label, name, alg, sigma, image in ranges:
+        twisted_center = sigma_center_subspace(alg, sigma)
+        bad = next((k for k in range(M.dim) if not twisted_center.contains(image.column(k))), None)
+        results[label] = (
+            CheckResult(True) if bad is None else CheckResult(False, Witness(f"{name} image not twisted-central", pair=(bad, bad)))
+        )
 
     # the A and B rows of the recomposed map are slices of θ, so the round
     # trip compares exactly the M rows that the canonical form derives
-    recomposed = compose_centralizing(t, parts).matrix
+    recomposed = _cent_composed(t, parts, c_one_a).matrix
     bad = next((i for i in range(t.dim) if recomposed.column(i) != theta.matrix.column(i)), None)
     witness = None if bad is None else Witness(
         "module component", pair=(bad, bad), lhs=theta.matrix.column(bad), rhs=recomposed.column(bad)
@@ -474,20 +466,20 @@ def centralizing_conditions(parts: CentParts, theta: LinearEndo) -> dict[str, Ch
 
 def compose_centralizing(t: TriangularAlgebra, parts: CentParts) -> LinearEndo:
     """Rebuild the map from its corner components and the canonical M-column."""
-    A, M, B = t.A, t.M, t.B
-    a_images = [
-        (parts.delta1.column(i), _cent_display_m_column(parts, parts.mu1.column(i), None), parts.mu1.column(i))
-        for i in range(A.dim)
-    ]
-    m_images = [
-        (parts.delta2.column(k), _cent_display_m_column(parts, parts.mu2.column(k), M.basis_vector(k)), parts.mu2.column(k))
-        for k in range(M.dim)
-    ]
-    b_images = [
-        (parts.delta3.column(j), _cent_display_m_column(parts, parts.mu3.column(j), None), parts.mu3.column(j))
-        for j in range(B.dim)
-    ]
-    return _endo_from_corner_images(t, a_images, m_images, b_images)
+    return _cent_composed(t, parts, _unit_bracket(parts, parts.delta1, parts.mu1, t.A.unit))
+
+
+def _cent_composed(t: TriangularAlgebra, parts: CentParts, c_one_a: list[Vector]) -> LinearEndo:
+    """The map with M-column −m_σ·μ(x) on x in A or B, and c_{1_A}(m) − m_σ·μ₂(m) on m in M."""
+    M, f = t.M, t.field
+    minus_m_sigma = tuple((i, f.neg(v)) for i, v in _sparse(parts.aut.m_sigma).items())
+    corners = ((parts.delta1, parts.mu1, None), (parts.delta2, parts.mu2, c_one_a), (parts.delta3, parts.mu3, None))
+    images = []
+    for delta, mu, c_one in corners:
+        for i, col in enumerate(mu._cols()):
+            m = _bilinear(f, M.dim, M._right, ((minus_m_sigma, col),))
+            images.append((delta.column(i), m if c_one is None else vec_add(f, c_one[i], m), mu.column(i)))
+    return _endo_from_corner_images(t, images)
 
 
 def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
@@ -575,7 +567,7 @@ def compose_generalized(t: TriangularAlgebra, parts: GenParts, use_display_form:
             M.act_right(aut.m_sigma, corner),
         )
         b_images.append((A.zero(), m_part, parts.D_B.column(j)))
-    return _endo_from_corner_images(t, a_images, m_images, b_images)
+    return _endo_from_corner_images(t, a_images + m_images + b_images)
 
 
 def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:

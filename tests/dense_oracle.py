@@ -33,6 +33,12 @@ The construction checks are the loops :class:`trialg.FDAlgebra` and
 :class:`trialg.Bimodule` ran before they skipped the basis triples on which
 both sides of an axiom vanish by the structure constants: associativity and
 the three bimodule laws on every basis triple, then the unit laws.
+
+The centralizing conditions (iii)–(viii) and the canonical M-column are the
+ones :mod:`trialg.structure` evaluated before it read them off the module
+bracket c_x(m) = δ(x)·m − ν(m)·μ(x): every side is rebuilt per basis pair
+from dense module actions of basis vectors, and (vii)/(viii) use the dense
+twisted bracket.
 """
 
 from __future__ import annotations
@@ -51,10 +57,11 @@ from trialg import (
     PrimeField,
     UnitViolation,
     center_subspace,
+    sigma_center_subspace,
     solve_linear,
 )
 from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import unit_vector, vec_add, vec_is_zero
+from trialg.linalg import unit_vector, vec_add, vec_is_zero, vec_neg, vec_sub
 from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
 
 
@@ -602,3 +609,156 @@ def dense_validate_bimodule(A, B, left, right) -> None:
             raise BimoduleAxiomViolation(f"1_A does not fix m{k}")
         if dense_bilinear(f, dim, right, mk, B.unit) != mk:
             raise BimoduleAxiomViolation(f"1_B does not fix m{k}")
+
+
+# ---------------------------------------------------------------------------
+# side conditions of twisted centralizing maps
+
+
+def dense_cent_m_column(parts, mu_of_x, m) -> tuple:
+    """Module component of the canonical centralizing form on one basis element."""
+    t = parts.t
+    M = t.M
+    f = t.field
+    out = vec_neg(f, M.act_right(parts.aut.m_sigma, mu_of_x))
+    if m is not None:
+        one_a = tuple(t.A.unit)
+        delta1_one = parts.delta1.mul_vec(one_a)
+        mu1_one = parts.mu1.mul_vec(one_a)
+        out = vec_add(f, out, M.act_left(delta1_one, m))
+        out = vec_sub(f, out, M.act_right(parts.aut.nu_sigma.mul_vec(m), mu1_one))
+    return out
+
+
+def dense_compose_centralizing(t, parts) -> LinearEndo:
+    """The map rebuilt from its corner components and the canonical M-column."""
+    A, M, B = t.A, t.M, t.B
+    a_images = [
+        (parts.delta1.column(i), dense_cent_m_column(parts, parts.mu1.column(i), None), parts.mu1.column(i))
+        for i in range(A.dim)
+    ]
+    m_images = [
+        (parts.delta2.column(k), dense_cent_m_column(parts, parts.mu2.column(k), M.basis_vector(k)), parts.mu2.column(k))
+        for k in range(M.dim)
+    ]
+    b_images = [
+        (parts.delta3.column(j), dense_cent_m_column(parts, parts.mu3.column(j), None), parts.mu3.column(j))
+        for j in range(B.dim)
+    ]
+    cols = [t.element(*img) for img in a_images + m_images + b_images]
+    return LinearEndo(t.algebra, Matrix.from_columns(t.field, cols, nrows=t.dim))
+
+
+def dense_centralizing_conditions(parts, theta) -> dict:
+    """Each named side condition of the centralizing structure statement, in
+    the order :data:`trialg.structure.CENT_CONDITION_LABELS` lists them."""
+    t = parts.t
+    A, M, B = t.A, t.M, t.B
+    f = t.field
+    fa_endo = LinearEndo(A, parts.aut.f_sigma)
+    gb_endo = LinearEndo(B, parts.aut.g_sigma)
+    one_a, one_b = tuple(A.unit), tuple(B.unit)
+    nu = parts.aut.nu_sigma
+    results: dict = {}
+
+    results["i"] = dense_predicate(LinearEndo(A, parts.delta1), fa_endo, "commuting")
+    results["ii"] = dense_predicate(LinearEndo(B, parts.mu3), gb_endo, "commuting")
+
+    delta1_one = parts.delta1.mul_vec(one_a)
+    mu1_one = parts.mu1.mul_vec(one_a)
+    mu3_one = parts.mu3.mul_vec(one_b)
+    delta3_one = parts.delta3.mul_vec(one_b)
+
+    def cond_iii() -> CheckResult:
+        for i in range(A.dim):
+            ai = A.basis_vector(i)
+            fa = parts.aut.f_sigma.column(i)
+            for k in range(M.dim):
+                mk = M.basis_vector(k)
+                lhs = vec_sub(f, M.act_left(parts.delta1.mul_vec(ai), mk), M.act_right(nu.column(k), parts.mu1.mul_vec(ai)))
+                base = vec_sub(f, M.act_left(delta1_one, mk), M.act_right(nu.column(k), mu1_one))
+                rhs = M.act_left(fa, base)
+                if lhs != rhs:
+                    return CheckResult(False, Witness("condition (iii)", pair=(i, k), lhs=lhs, rhs=rhs))
+        return CheckResult(True)
+
+    def cond_iv() -> CheckResult:
+        for k in range(M.dim):
+            mk = M.basis_vector(k)
+            nk = nu.column(k)
+            base = vec_sub(f, M.act_right(nk, mu3_one), M.act_left(delta3_one, mk))
+            for j in range(B.dim):
+                bj = B.basis_vector(j)
+                lhs = vec_sub(f, M.act_right(nk, parts.mu3.mul_vec(bj)), M.act_left(parts.delta3.mul_vec(bj), mk))
+                rhs = M.act_right(base, bj)
+                if lhs != rhs:
+                    return CheckResult(False, Witness("condition (iv)", pair=(k, j), lhs=lhs, rhs=rhs))
+        return CheckResult(True)
+
+    def cond_v() -> CheckResult:
+        def two_sided(k: int, l: int) -> tuple:
+            lhs = M.act_left(parts.delta2.column(k), M.basis_vector(l))
+            rhs = M.act_right(nu.column(k), parts.mu2.column(l))
+            return lhs, rhs
+
+        for k in range(M.dim):
+            lhs, rhs = two_sided(k, k)
+            if lhs != rhs:
+                return CheckResult(False, Witness("condition (v) diagonal", pair=(k, k), lhs=lhs, rhs=rhs))
+            for l in range(k + 1, M.dim):
+                l1, r1 = two_sided(k, l)
+                l2, r2 = two_sided(l, k)
+                if vec_add(f, l1, l2) != vec_add(f, r1, r2):
+                    return CheckResult(False, Witness("condition (v) polarized", pair=(k, l)))
+        return CheckResult(True)
+
+    def cond_vi() -> CheckResult:
+        for k in range(M.dim):
+            mk = M.basis_vector(k)
+            nk = nu.column(k)
+            lhs = vec_sub(f, M.act_left(delta1_one, mk), M.act_right(nk, mu1_one))
+            rhs = vec_sub(f, M.act_right(nk, mu3_one), M.act_left(delta3_one, mk))
+            if lhs != rhs:
+                return CheckResult(False, Witness("condition (vi)", pair=(k, k), lhs=lhs, rhs=rhs))
+        return CheckResult(True)
+
+    def cond_central(side: str) -> CheckResult:
+        if side == "vii":
+            center_space, fendo = center_subspace(A), fa_endo
+        else:
+            center_space, fendo = center_subspace(B), gb_endo
+        for i in range(A.dim):
+            for j in range(B.dim):
+                if side == "vii":
+                    val = bracket_sigma(fendo, A.basis_vector(i), parts.delta3.column(j))
+                else:
+                    val = bracket_sigma(fendo, B.basis_vector(j), parts.mu1.column(i))
+                if not center_space.contains(val):
+                    return CheckResult(False, Witness(f"condition ({side})", pair=(i, j), lhs=val))
+        return CheckResult(True)
+
+    results["iii"] = cond_iii()
+    results["iv"] = cond_iv()
+    results["v"] = cond_v()
+    results["vi"] = cond_vi()
+    results["vii"] = cond_central("vii")
+    results["viii"] = cond_central("viii")
+
+    zf = sigma_center_subspace(A, parts.aut.f_sigma)
+    zg = sigma_center_subspace(B, parts.aut.g_sigma)
+    bad = next((k for k in range(M.dim) if not zf.contains(parts.delta2.column(k))), None)
+    results["delta2_range"] = (
+        CheckResult(True) if bad is None else CheckResult(False, Witness("δ₂ image not twisted-central", pair=(bad, bad)))
+    )
+    bad = next((k for k in range(M.dim) if not zg.contains(parts.mu2.column(k))), None)
+    results["mu2_range"] = (
+        CheckResult(True) if bad is None else CheckResult(False, Witness("μ₂ image not twisted-central", pair=(bad, bad)))
+    )
+
+    recomposed = dense_compose_centralizing(t, parts).matrix
+    bad = next((i for i in range(t.dim) if recomposed.column(i) != theta.matrix.column(i)), None)
+    witness = None if bad is None else Witness(
+        "module component", pair=(bad, bad), lhs=theta.matrix.column(bad), rhs=recomposed.column(bad)
+    )
+    results["m_component"] = CheckResult(bad is None, witness)
+    return results

@@ -298,6 +298,13 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"], ["1"]]}}},
         {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1", "0"]]}}},
         {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"], "nu": [["1"], ["0"]]}}},
+        {"sigma": {"conjugate_by": "123"}},
+        {"sigma": {"diag_signs": "12"}},
+        {"sigma": {"matrix": ["100", "010", "001"]}},
+        {"algebra": {"labels": ["e"], "table": [[["1"]]], "unit": "1"}},
+        {"algebra": {"labels": ["e"], "table": [["1"]], "unit": ["1"]}},
+        {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": "0", "nu": [["1"]]}}},
+        {"algebra": {"labels": "e", "table": [[["1"]]], "unit": ["1"]}},
     ],
     ids=[
         "samples-zero",
@@ -330,6 +337,13 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "nu-too-tall",
         "nu-too-wide",
         "nu-too-tall-singular",
+        "conjugate-by-string",
+        "diag-signs-string",
+        "matrix-rows-strings",
+        "unit-string",
+        "structure-vector-string",
+        "m-sigma-string",
+        "labels-string",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):

@@ -11,6 +11,8 @@ from dense_oracle import (
     dense_bracket_matrix,
     dense_check_aut_parts,
     dense_check_der_parts,
+    dense_centralizing_conditions,
+    dense_compose_centralizing,
     dense_corner_matrix,
     dense_is_automorphism,
     dense_is_generalized_pair,
@@ -42,6 +44,8 @@ from trialg import (
     block_algebra,
     block_upper,
     center,
+    compose_centralizing,
+    decompose_centralizing,
     fixture_n3,
     fixture_trian_AA0,
     full_matrix_algebra,
@@ -65,7 +69,14 @@ from trialg import (
 from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import _sparse, rref, unit_vector, vec_add, vec_scale
 from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
-from trialg.structure import _check_aut_parts, _check_der_parts, _corner_matrix, decompose_automorphism
+from trialg.structure import (
+    CENT_CONDITION_LABELS,
+    _check_aut_parts,
+    _check_der_parts,
+    _corner_matrix,
+    centralizing_conditions,
+    decompose_automorphism,
+)
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
 
@@ -432,6 +443,55 @@ def test_generalized_rejections_match_dense_checker(family, field_name):
         with pytest.raises(PredicateNotSatisfied) as exc:
             decompose_generalized(t, ident, D, d)
         assert exc.value.witness == want.witness
+
+
+# ---------------------------------------------------------------------------
+# the centralizing conditions against their dense per-pair loops
+
+CENT_CASES = (
+    ("T2", lambda f: upper_triangular(2, f), ("identity", "inner")),
+    ("T3", lambda f: upper_triangular(3, f), ("identity",)),
+    ("T4-split2", lambda f: upper_triangular(4, f, split=2), ("identity",)),
+    ("trian_trunc2", lambda f: trian_trunc(2, f), ("identity", "inner")),
+    ("trian_trunc3", lambda f: trian_trunc(3, f), ("identity", "inner")),
+    ("block", lambda f: block_upper((1, 2, 1), 1, f), ("identity",)),
+)
+CENT_CORNERS = ("delta1", "delta2", "delta3", "mu1", "mu2", "mu3")
+
+
+def _cent_members(t, sigma):
+    """Every basis member of the solved centralizing space, then one generic
+    combination of them."""
+    f = t.field
+    space = solve_space(t, sigma, "centralizing")
+    members = space.endos()
+    v = (f.zero,) * space.space.ambient_dim
+    for c, b in enumerate(space.space.basis, start=1):
+        v = vec_add(f, v, vec_scale(f, f.from_int(c), b))
+    return members + [endo_of_vec(t.algebra, v)]
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+def test_centralizing_conditions_match_dense_loops(field_name):
+    """Whole result dicts of the centralizing conditions, in label order and
+    with every witness, and the recomposed map, on solved members and on the
+    parts of the generic member with one entry of a corner map
+    bumped.  Between them the cases make every condition fail."""
+    failed = set()
+    for _, build, twists in CENT_CASES:
+        t, inner = _twisted(build(FIELDS[field_name]))
+        for twist in twists:
+            sigma = LinearEndo.identity(t.algebra) if twist == "identity" else inner
+            members = _cent_members(t, sigma)
+            for n, theta in enumerate(members):
+                parts = decompose_centralizing(t, sigma, theta)
+                bumped = _bumps(parts, CENT_CORNERS) if n == len(members) - 1 else (parts,)
+                for p in bumped:
+                    got = centralizing_conditions(p, theta)
+                    assert list(got.items()) == list(dense_centralizing_conditions(p, theta).items())
+                    assert compose_centralizing(t, p).matrix == dense_compose_centralizing(t, p).matrix
+                    failed.update(label for label, result in got.items() if not result.ok)
+    assert failed == set(CENT_CONDITION_LABELS)
 
 
 # ---------------------------------------------------------------------------

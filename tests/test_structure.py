@@ -4,7 +4,10 @@ import pytest
 from dense_oracle import dense_bracket_matrix
 
 from trialg import (
+    GF,
     QQ,
+    Bimodule,
+    FDAlgebra,
     HypothesisNotMet,
     InvalidParts,
     LinearEndo,
@@ -23,8 +26,10 @@ from trialg import (
     inner_automorphism,
     predicate,
     solve_space,
+    trian_trunc,
 )
-from trialg.linalg import Matrix
+from trialg.linalg import Matrix, vec_add
+from trialg.maps import endo_of_vec
 from trialg.structure import AutParts, CentParts, centralizing_conditions, identity_aut_parts
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
@@ -184,13 +189,40 @@ def test_corrupted_components_fail_their_conditions(t2q):
         parts.aut,
         parts.delta1,
         parts.delta2,
-        Matrix.identity(QQ, 1),  # delta3 = id breaks (iv)/(vi)
+        Matrix.identity(QQ, 1),  # delta3 = id breaks (vi) and the round trip; (iv) holds, as B = K·1_B
         parts.mu1,
         parts.mu2,
         parts.mu3,
     )
     conds = centralizing_conditions(broken, ident)
-    assert not all(bool(r) for r in conds.values())
+    assert {label for label, r in conds.items() if not r.ok} == {"vi", "m_component"}
+
+
+def test_centralizing_conditions_make_no_dense_product(monkeypatch):
+    """Every side of the conditions and of the round trip is read from the
+    sparse tables and the parts' sparse columns, not from dense products."""
+    t = trian_trunc(4, GF(10007))
+    ident = LinearEndo.identity(t.algebra)
+    space = solve_space(t, ident, "centralizing").space
+    v = space.basis[0]
+    for b in space.basis[1:]:
+        v = vec_add(t.field, v, b)
+    theta = endo_of_vec(t.algebra, v)
+    parts = decompose_centralizing(t, ident, theta)
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for cls, name in ((Bimodule, "act_left"), (Bimodule, "act_right"), (FDAlgebra, "mul")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    conds = centralizing_conditions(parts, theta)
+    assert all(r.ok for r in conds.values())
+    assert calls == []
 
 
 def test_module_component_witness_is_first_differing_column(t2q):
