@@ -48,7 +48,6 @@ from .maps import (
     MapSpace,
     Witness,
     abracket_sigma,
-    associated_derivations,
     bracket_sigma,
     inner_automorphism,
     is_automorphism,

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     FDAlgebra,
@@ -127,7 +128,7 @@ def parse_scalar(field: Field, x):
             return field.parse(x)
         except ZeroDivisionError as exc:
             raise ConfigError("scalar", f"{x!r} has a zero denominator") from exc
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return field.from_int(x)
     raise ConfigError("scalar", f"expected string or integer, got {x!r}")
 
@@ -501,8 +502,27 @@ def fixtures_catalog() -> list[dict]:
 # entry point
 
 
+def _to_json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it; a non-``str`` key raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [f"{encode_basestring_ascii(key)}: {_to_json(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        ends, items = "[]", [encode_basestring_ascii(x) if type(x) is str else _to_json(x, inner) for x in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    # the brackets go onto the end items, so the container is built in one join
+    items[0] = ends[0] + "\n" + inner + items[0]
+    items[-1] += "\n" + indent + ends[1]
+    return (",\n" + inner).join(items)
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _to_json(report, "") + "\n"
 
 
 def main(argv=None) -> int:

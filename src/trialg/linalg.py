@@ -6,10 +6,10 @@ elimination engine.  Its rows are ``{col: value}`` dicts of nonzero entries.
 Over Q each row's denominators are cleared once on entry, elimination is
 fraction-free on primitive integer rows, and ``Fraction`` appears only when the
 pivot rows are normalized to leading one at the end; over F_p rows are ints
-reduced mod p.  :func:`rref`, :func:`kernel_basis` and :func:`solve_linear`
-take dense rows and convert them; :func:`sparse_kernel` and
-:func:`sparse_solve` take sparse rows, so a large sparse system never has to
-be stored densely.
+reduced mod p.  A column index sends each new pivot only into the pivot rows
+that hold its column.  :func:`rref`, :func:`kernel_basis` and
+:func:`solve_linear` take dense rows; :func:`sparse_kernel` takes sparse rows,
+so a large sparse system never has to be stored densely.
 
 A :class:`Subspace` is always stored by its reduced row-echelon basis, so two
 subspaces are equal iff their representations are identical entry-wise.
@@ -64,7 +64,11 @@ def vec_is_zero(u: Sequence) -> bool:
 # Pivot rows are kept fully reduced (zero in every other pivot column) and a
 # new pivot always takes the row's leftmost nonzero column.  So reducing an
 # incoming row touches each pivot column it holds exactly once, and the
-# result is the canonical reduced row echelon form of the span.
+# result is the canonical reduced row echelon form of the span.  The column
+# index maps each non-pivot column to the pivots whose rows hold it, or held
+# it before an entry cancelled: a new pivot back-substitutes only into the
+# rows it names that still hold its column, and every column of the new
+# pivot row is indexed to them (fill-in) and to the new pivot itself.
 
 
 def _integer_rows(field: Field, rows: Iterable[dict]) -> Iterator[dict[int, int]]:
@@ -135,6 +139,7 @@ def _echelon(field: Field, rows: Iterable[dict]) -> list[tuple[int, dict]]:
     """
     p = field.char
     pivots: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
     for row in _integer_rows(field, rows):
         for c in [c for c in row if c in pivots]:
             _cancel(row, pivots[c], c, p)
@@ -142,10 +147,14 @@ def _echelon(field: Field, rows: Iterable[dict]) -> list[tuple[int, dict]]:
             continue
         lead_col = min(row)
         _normalize(row, lead_col, p)
-        for c, prow in pivots.items():
-            if lead_col in prow:
-                _cancel(prow, row, lead_col, p)
-                _normalize(prow, c, p)
+        touched = [c for c in holders.pop(lead_col, ()) if lead_col in pivots[c]]
+        for c in touched:
+            _cancel(pivots[c], row, lead_col, p)
+            _normalize(pivots[c], c, p)
+        touched.append(lead_col)
+        for k in row:
+            if k != lead_col:
+                holders.setdefault(k, set()).update(touched)
         pivots[lead_col] = row
     if p:
         return sorted(pivots.items())
@@ -198,21 +207,6 @@ def sparse_kernel(field: Field, rows: Iterable[dict], ncols: int) -> "Subspace":
             if k != c:
                 free[k][c] = field.neg(a)
     return Subspace(field, ncols, *_dense_echelon(field, free.values(), ncols))
-
-
-def sparse_solve(field: Field, rows: Sequence[dict], rhs: Sequence, ncols: int) -> Vector | None:
-    """One solution of the sparse system ``row·x = rhs`` (free unknowns zero),
-    or None if the system is inconsistent.  ``rhs`` pairs with ``rows`` by
-    position, so empty rows must be kept."""
-    if len(rhs) != len(rows):
-        raise ValueError("right-hand side length mismatch")
-    augmented = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
-    x = [field.zero] * ncols
-    for c, prow in _echelon(field, augmented):
-        if c == ncols:
-            return None
-        x[c] = prow.get(ncols, field.zero)
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +340,16 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 
 def solve_linear(m: Matrix, b: Sequence) -> Vector | None:
-    """One solution of ``m x = b``, or None if the system is inconsistent."""
+    """One solution of ``m x = b`` (free unknowns zero), or None if inconsistent."""
     if len(b) != m.nrows:
         raise ValueError("right-hand side length mismatch")
-    return sparse_solve(m.field, [_sparse(row) for row in m.entries], b, m.ncols)
+    n = m.ncols
+    x = [m.field.zero] * n
+    for c, prow in _echelon(m.field, (_sparse((*row, a)) for row, a in zip(m.entries, b))):
+        if c == n:
+            return None
+        x[c] = prow.get(n, m.field.zero)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator,
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
-from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, sparse_kernel, sparse_solve  # noqa: F401
-from .linalg import vec_add, vec_is_zero, vec_sub
+from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, sparse_kernel  # noqa: F401
+from .linalg import vec_add, vec_is_zero
 
 SOLVE_KINDS = (
     "derivation",
@@ -329,14 +329,19 @@ class MapSpace:
         )
 
 
+def _live(rows) -> list[tuple[int, dict]]:
+    """A matrix given by its sparse rows, as its nonempty ``(coordinate, row)`` pairs."""
+    return [(r, row) for r, row in enumerate(rows) if row]
+
+
 class _System:
     """Sparse rows of a homogeneous system over endo-block unknowns.
 
     Unknown ``b·n² + r·n + k`` is entry (r, k) of the block-b map.  A row is
     a ``{column: value}`` dict of plain ints (Fractions only where the data
     has denominators); :func:`trialg.linalg.sparse_kernel` clears
-    denominators and reduces mod p.  Every equation adds exactly n rows, empty
-    or not, so rows stay paired with a right-hand side by position.
+    denominators and reduces mod p.  An equation stores only the coordinate
+    rows some term writes to (their entries may still cancel to zero).
     """
 
     def __init__(self, field: Field, n: int, blocks: int):
@@ -346,25 +351,28 @@ class _System:
         self.rows: list[dict[int, Scalar]] = []
 
     def equation(self, terms) -> None:
-        """Add the n coordinate rows of sum of terms = 0.
+        """Add the coordinate rows of sum of terms = 0 that some term writes to.
 
         Each term is (block, P, v, sign): the expression sign·P·X_block(v)
-        with P a known matrix given by its n sparse rows and v a known vector
-        given sparsely, both as ``{index: value}`` dicts in
+        with P a known matrix given by its :func:`_live` rows and v a known
+        vector given sparsely, as ``{index: value}`` dicts in
         :func:`trialg.linalg._plain_rows` form, and sign ±1.
         """
         n = self.n
-        rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+        rows: dict[int, dict[int, Scalar]] = {}
         for block, P, v, sign in terms:
+            if not v:
+                continue
             offset = block * n * n
-            for row, prow in zip(rows, P):
+            for r, prow in P:
+                row = rows.setdefault(r, {})
                 for t, pt in prow.items():
                     c = sign * pt
                     base = offset + t * n
                     for k, vk in v.items():
                         col = base + k
                         row[col] = row.get(col, 0) + c * vk
-        self.rows.extend(rows)
+        self.rows.extend(rows.values())
 
     def kernel(self) -> Subspace:
         return sparse_kernel(self.field, self.rows, self.width)
@@ -376,11 +384,11 @@ class _Leibniz:
     def __init__(self, alg: FDAlgebra, sigma: LinearEndo):
         n, one, images = alg.dim, alg.field.one, sigma.matrix._cols()
         self.n = n
-        # e_i in sparse form; as a list of rows it is also the identity matrix
         self.basis = [{i: 1} for i in range(n)]
+        self.identity = _live(self.basis)
         self.table = [_plain_rows(alg.field, map(dict, row)) for row in alg._sparse]
-        self.right = [_bracket_operator(alg, (), ((j, one),), 1) for j in range(n)]
-        self.left_sigma = [_bracket_operator(alg, images[i], (), 1) for i in range(n)]
+        self.right = [_live(_bracket_operator(alg, (), ((j, one),), 1)) for j in range(n)]
+        self.left_sigma = [_live(_bracket_operator(alg, images[i], (), 1)) for i in range(n)]
 
     def add_to(self, system: _System, D_block: int, d_block: int | None) -> None:
         """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
@@ -388,7 +396,7 @@ class _Leibniz:
         n = self.n
         for i in range(n):
             for j in range(n):
-                terms = [(D_block, self.basis, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
+                terms = [(D_block, self.identity, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
                 if d_block is not None:
                     terms.append((d_block, self.left_sigma[i], self.basis[j], -1))
                 system.equation(terms)
@@ -430,6 +438,7 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if kind.endswith("centralizing"):
             center = center_subspace(alg)
             op = [center.reduce_rows(rows) for rows in op]
+        op = [_live(rows) for rows in op]
         basis = [{i: 1} for i in range(n)]
         for i in range(n):
             system.equation([(0, op[i], basis[i], 1)])
@@ -437,31 +446,3 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
                 system.equation([(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)])
 
     return MapSpace(alg, kind, pair, system.kernel())
-
-
-def associated_derivations(D: LinearEndo, sigma: LinearEndo):
-    """All σ-derivations d making (D, d) a generalized pair.
-
-    Returns ``(particular, homogeneous)`` where the full solution set is
-    particular + homogeneous, or None when no partner exists.  On a unital
-    algebra the homogeneous part is zero, so the partner is unique.
-    """
-    alg = D.algebra
-    f = alg.field
-    n = alg.dim
-    leibniz = _Leibniz(alg, sigma)
-    system = _System(f, n, 1)
-    rhs: list[Scalar] = []
-    for i in range(n):
-        D_ei = D(alg.basis_vector(i))
-        for j in range(n):
-            # known part: D(e_i e_j) - D(e_i) e_j must equal sigma(e_i) d(e_j)
-            system.equation([(0, leibniz.left_sigma[i], leibniz.basis[j], 1)])
-            rhs.extend(vec_sub(f, D(alg.table[i][j]), alg.mul(D_ei, alg.basis_vector(j))))
-    # twisted Leibniz on d itself is homogeneous; stack it below the probes
-    leibniz.add_to(system, 0, 0)
-    rhs.extend([f.zero] * (len(system.rows) - len(rhs)))
-    particular = sparse_solve(f, system.rows, rhs, system.width)
-    if particular is None:
-        return None
-    return endo_of_vec(alg, particular), system.kernel()

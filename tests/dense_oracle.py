@@ -34,6 +34,10 @@ The construction checks are the loops :class:`trialg.FDAlgebra` and
 both sides of an axiom vanish by the structure constants: associativity and
 the three bimodule laws on every basis triple, then the unit laws.
 
+The partner solver for generalized pairs is the one trialg exported before
+its sparse systems stopped storing empty rows: a right-hand side paired with
+the rows by position needs every coordinate row, so it is assembled densely.
+
 The centralizing conditions (iii)–(viii) and the canonical M-column are the
 ones :mod:`trialg.structure` evaluated before it read them off the module
 bracket c_x(m) = δ(x)·m − ν(m)·μ(x): every side is rebuilt per basis pair
@@ -55,6 +59,7 @@ from trialg import (
     LinearEndo,
     Matrix,
     PrimeField,
+    Subspace,
     UnitViolation,
     center_subspace,
     sigma_center_subspace,
@@ -62,7 +67,16 @@ from trialg import (
 )
 from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import unit_vector, vec_add, vec_is_zero, vec_neg, vec_sub
-from trialg.maps import PREDICATE_MODES, CheckResult, Witness, abracket_sigma, as_algebra, as_endo, bracket_sigma
+from trialg.maps import (
+    PREDICATE_MODES,
+    CheckResult,
+    Witness,
+    abracket_sigma,
+    as_algebra,
+    as_endo,
+    bracket_sigma,
+    endo_of_vec,
+)
 
 
 def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
@@ -278,6 +292,22 @@ class DenseSystem:
         self.rows.extend(rows)
 
 
+def _dense_leibniz(system: DenseSystem, alg, sigma, D_block: int, d_block: int | None) -> None:
+    """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
+    ``d_block=None`` drops the σ term (the left multiplier rule)."""
+    f = alg.field
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    right = [alg.right_mul_matrix(e) for e in basis]
+    left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
+    one, minus = f.one, f.neg(f.one)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            terms = [(D_block, None, alg.table[i][j], one), (D_block, right[j], basis[i], minus)]
+            if d_block is not None:
+                terms.append((d_block, left_sigma[i], basis[j], minus))
+            system.equation(terms)
+
+
 def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list[int]]:
     """Canonical basis and pivots of the map space ``solve_space`` returns."""
     alg = as_algebra(algebra_or_t)
@@ -285,28 +315,12 @@ def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list
     n = alg.dim
     sigma = LinearEndo.identity(alg) if kind in ("derivation", "left_multiplier") else as_endo(alg, sigma)
     basis = [alg.basis_vector(i) for i in range(n)]
-    right = [alg.right_mul_matrix(e) for e in basis]
-    left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
     pair = kind == "generalized_pair"
     system = DenseSystem(f, n, 2 if pair else 1)
-    one, minus = f.one, f.neg(f.one)
     if kind in ("derivation", "sigma_derivation", "left_multiplier", "generalized_pair"):
-        for i in range(n):
-            for j in range(n):
-                terms = [(0, None, alg.table[i][j], one), (0, right[j], basis[i], minus)]
-                if kind != "left_multiplier":
-                    terms.append((1 if pair else 0, left_sigma[i], basis[j], minus))
-                system.equation(terms)
+        _dense_leibniz(system, alg, sigma, 0, None if kind == "left_multiplier" else int(pair))
         if pair:
-            for i in range(n):
-                for j in range(n):
-                    system.equation(
-                        [
-                            (1, None, alg.table[i][j], one),
-                            (1, right[j], basis[i], minus),
-                            (1, left_sigma[i], basis[j], minus),
-                        ]
-                    )
+            _dense_leibniz(system, alg, sigma, 1, 1)
     else:
         skew = kind.startswith("skew")
         proj = reduction_matrix(center_subspace(alg)) if kind.endswith("centralizing") else None
@@ -315,10 +329,41 @@ def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list
             m = dense_bracket_matrix(alg, sigma(basis[i]), basis[i], 1 if skew else -1)
             op.append(proj @ m if proj is not None else m)
         for i in range(n):
-            system.equation([(0, op[i], basis[i], one)])
+            system.equation([(0, op[i], basis[i], f.one)])
             for j in range(i + 1, n):
-                system.equation([(0, op[i], basis[j], one), (0, op[j], basis[i], one)])
+                system.equation([(0, op[i], basis[j], f.one), (0, op[j], basis[i], f.one)])
     return dense_kernel(f, system.rows, system.width)
+
+
+def associated_derivations(D, sigma):
+    """All σ-derivations d making (D, d) a generalized pair.
+
+    Returns ``(particular, homogeneous)`` where the full solution set is
+    particular + homogeneous, or None when no partner exists.  On a unital
+    algebra the homogeneous part is zero, so the partner is unique.  The
+    right-hand side pairs with the dense rows by position.
+    """
+    alg = D.algebra
+    f = alg.field
+    n = alg.dim
+    basis = [alg.basis_vector(i) for i in range(n)]
+    system = DenseSystem(f, n, 1)
+    rhs = []
+    for i in range(n):
+        left_sigma = alg.left_mul_matrix(sigma(basis[i]))
+        D_ei = D(basis[i])
+        for j in range(n):
+            # known part: D(e_i e_j) - D(e_i) e_j must equal sigma(e_i) d(e_j)
+            system.equation([(0, left_sigma, basis[j], f.one)])
+            rhs.extend(vec_sub(f, D(alg.table[i][j]), alg.mul(D_ei, basis[j])))
+    # twisted Leibniz on d itself is homogeneous; stack it below the probes
+    _dense_leibniz(system, alg, sigma, 0, 0)
+    rhs.extend([f.zero] * (len(system.rows) - len(rhs)))
+    particular = dense_solve(f, system.rows, rhs, system.width)
+    if particular is None:
+        return None
+    homogeneous = Subspace(f, system.width, *dense_kernel(f, system.rows, system.width))
+    return endo_of_vec(alg, particular), homogeneous
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trialg.cli import fixtures_catalog, main, report_to_json, run_config
 from trialg.errors import ConfigError
@@ -209,6 +210,31 @@ def test_report_serialization_round_trip():
     assert report_to_json(json.loads(text)) == text
 
 
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é€😀"])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert report_to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_rejects_non_string_keys():
+    with pytest.raises(TypeError):
+        report_to_json({"tasks": [{1: "a"}]})
+
+
 def test_runs_are_byte_identical():
     cfg = dict(
         BASE,
@@ -305,6 +331,8 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"algebra": {"labels": ["e"], "table": [["1"]], "unit": ["1"]}},
         {"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": "0", "nu": [["1"]]}}},
         {"algebra": {"labels": "e", "table": [[["1"]]], "unit": ["1"]}},
+        {"sigma": {"diag_signs": [True, -1]}},
+        {"sigma": {"conjugate_by": ["1", False, "1"]}},
     ],
     ids=[
         "samples-zero",
@@ -344,6 +372,8 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "structure-vector-string",
         "m-sigma-string",
         "labels-string",
+        "diag-signs-bool",
+        "conjugate-by-bool",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):

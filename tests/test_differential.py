@@ -67,7 +67,7 @@ from trialg import (
     upper_triangular,
 )
 from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import _sparse, rref, unit_vector, vec_add, vec_scale
+from trialg.linalg import _echelon, _sparse, rref, sparse_kernel, unit_vector, vec_add, vec_scale
 from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
 from trialg.structure import (
     CENT_CONDITION_LABELS,
@@ -154,6 +154,43 @@ def test_random_systems_match_dense_oracle(system, data):
     else:
         b = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=len(rows), max_size=len(rows)))
     assert solve_linear(m, b) == dense_solve(field, rows, b, ncols)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, rows, ncols): up to 60 sparse rows of 1–4 nonzeros in at most
+    40 columns, fed as drawn, by increasing lead column (a new pivot then
+    lies right of the earlier leads, in columns earlier pivot rows hold, so
+    back-substitution and its fill-in run most) or by decreasing lead column
+    (a new row is first reduced by the earlier pivots)."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(10007)]))
+    ncols = draw(st.integers(1, 40))
+    if field.char:
+        nonzero = st.integers(1, field.char - 1)
+    else:
+        nonzero = st.one_of(st.integers(-5, 5).filter(bool), st.fractions(-5, 5, max_denominator=6).filter(bool))
+    row = st.dictionaries(st.integers(0, ncols - 1), nonzero, min_size=1, max_size=4)
+    rows = draw(st.lists(row, max_size=60))
+    order = draw(st.sampled_from(["drawn", "increasing", "decreasing"]))
+    if order != "drawn":
+        rows.sort(key=min, reverse=order == "decreasing")
+    return field, rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_engine_matches_dense_oracle(system):
+    field, rows, ncols = system
+    dense = [tuple(row.get(k, field.zero) for k in range(ncols)) for row in rows]
+    assert rref(field, dense, ncols) == dense_rref(field, dense, ncols)
+    kernel = sparse_kernel(field, rows, ncols)
+    basis, pivots = dense_kernel(field, dense, ncols)
+    assert (kernel.basis, kernel.pivots) == (tuple(basis), tuple(pivots))
+    echelon = _echelon(field, rows)
+    pivots = [c for c, _ in echelon]
+    for c, row in echelon:
+        assert row[c] == field.one and all(row.values())
+        assert [k for k in pivots if k in row] == [c]
 
 
 def _scalars(field):

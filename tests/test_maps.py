@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_oracle import dense_bracket_matrix
+from dense_oracle import associated_derivations, dense_bracket_matrix
 
 import trialg
 from trialg import (
+    GF,
     QQ,
     LinearEndo,
     NotAutomorphism,
     Subspace,
     abracket_sigma,
-    associated_derivations,
     bracket_sigma,
     center_subspace,
     fixture_n3,
@@ -24,9 +24,10 @@ from trialg import (
     predicate,
     solve_space,
     trian_trunc,
+    upper_triangular,
 )
 from trialg.linalg import Matrix, vec_add, vec_sub
-from trialg.maps import endo_of_vec, vec_of_endo
+from trialg.maps import SOLVE_KINDS, endo_of_vec, vec_of_endo
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
 
@@ -347,3 +348,36 @@ def test_checks_convert_each_map_column_at_most_once(monkeypatch):
     calls.clear()
     assert predicate(fresh(theta), fresh(sigma.matrix), "centralizing").ok
     assert len(calls) <= 2 * alg.dim
+
+
+def _system_rows(monkeypatch) -> list:
+    """The rows of every ``_System`` that ``solve_space`` eliminates."""
+    systems = []
+    kernel = trialg.maps._System.kernel
+
+    def capture(system):
+        systems.append(system.rows)
+        return kernel(system)
+
+    monkeypatch.setattr(trialg.maps._System, "kernel", capture)
+    return systems
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize(
+    "build", [lambda f: upper_triangular(3, f), lambda f: trian_trunc(2, f)], ids=["T3", "trian_trunc2"]
+)
+def test_solve_systems_store_no_empty_row(monkeypatch, build, field):
+    t = build(field)
+    systems = _system_rows(monkeypatch)
+    for kind in SOLVE_KINDS:
+        solve_space(t, unipotent_automorphism(t), kind)
+    assert len(systems) == len(SOLVE_KINDS)
+    assert all(row for rows in systems for row in rows)
+
+
+def test_t7_derivation_system_stores_only_written_rows(monkeypatch):
+    systems = _system_rows(monkeypatch)
+    solve_space(upper_triangular(7, GF(10007)), None, "derivation")
+    # 28³ = 21,952 rows if each of the 28² equations added all 28 coordinates
+    assert len(systems[0]) <= 6132
