@@ -47,11 +47,9 @@ from .maps import (
     LinearEndo,
     MapSpace,
     Witness,
-    abracket_sigma,
     bracket_sigma,
     inner_automorphism,
     is_automorphism,
-    is_derivation,
     is_generalized_pair,
     is_left_multiplier,
     is_sigma_derivation,

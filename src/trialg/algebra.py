@@ -14,13 +14,18 @@ caller needs the automorphism decomposition and lives in
 idempotents, the hypothesis of the paper's twisted structure theorems, is
 decided from its structure constants by :func:`trivial_idempotents`.
 
-Structure constants are public as dense tuples and are also held sparsely,
-as the ``(t, s)`` nonzeros of each basis-pair product.  Every product and
-module action, and the axiom checks made at construction, run through one
-kernel, :func:`_bilinear`, that touches only nonzero coordinates; the
-associativity and bimodule laws are checked by :func:`_associator` on the
-basis triples where a nonzero product enters either side.  Both sides are 0
-on the others, so the verdict and first failure are those of all triples.
+Structure constants are held in one form, as the ``(t, s)`` nonzeros of
+each basis-pair product; the public dense ``table`` is a view built from
+them on first read.  Every product and module action, and the axiom checks
+made at construction, run through one kernel, :func:`_bilinear`, that
+touches only nonzero coordinates; the associativity and bimodule laws are
+checked by :func:`_associator` on the basis triples where a nonzero product
+enters either side.  Both sides are 0 on the others, so the verdict and
+first failure are those of all triples.  A triangular algebra is assembled
+from its corners' sparse tables, since every nonzero product of its basis
+elements is one corner product with shifted indices; it is associative with
+unit (1_A, 0, 1_B) because A and B are and M is a unital bimodule, so its
+laws follow from the corners' checks and are not checked again.
 """
 
 from __future__ import annotations
@@ -55,6 +60,14 @@ from .linalg import (
 def _sparse_table(table) -> tuple:
     """``table[i][j]`` as its ``(t, s)`` nonzeros."""
     return tuple(tuple(tuple(_sparse(v).items()) for v in row) for row in table)
+
+
+def _dense(zero: Vector, items) -> Vector:
+    """The vector with ``(index, value)`` nonzeros ``items`` over ``zero``."""
+    out = list(zero)
+    for t, s in items:
+        out[t] = s
+    return tuple(out)
 
 
 def _bilinear(field: Field, dim: int, sparse, pairs) -> Vector:
@@ -109,10 +122,12 @@ class FDAlgebra:
     """Associative algebra with a distinguished basis and structure constants.
 
     ``table[i][j]`` holds the coordinates of the product of basis elements i
-    and j; the same constants are kept sparsely for :meth:`mul`.
-    Associativity is verified at construction on the basis triples where a
-    nonzero product enters either side (both vanish on the others), and the
-    unit law, when a unit is declared, on every basis element.
+    and j.  The constants are held sparsely, ``_sparse[i][j]`` being the
+    ``(t, s)`` nonzeros of that product; ``table`` is a dense view of them,
+    built on first read.  Associativity is verified at construction on the
+    basis triples where a nonzero product enters either side (both vanish on
+    the others), and the unit law, when a unit is declared, on every basis
+    element.
 
     ``memo`` holds values derived from the (immutable) algebra, such as its
     center or its idempotent decision, computed once and freed with the
@@ -120,7 +135,7 @@ class FDAlgebra:
     """
 
     __slots__ = (
-        "field", "labels", "table", "unit", "memo", "_sparse", "_basis", "__weakref__"
+        "field", "labels", "unit", "memo", "_sparse", "_table", "_basis", "__weakref__"
     )
 
     def __init__(
@@ -135,18 +150,30 @@ class FDAlgebra:
             raise ValueError("algebra must have positive dimension")
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure constant table must be dim x dim")
+        if any(len(v) != dim for row in table for v in row):
+            raise ValueError("structure constant vectors must have length dim")
+        self._init(field, labels, _sparse_table(table), unit)
+        self._validate()
+
+    def _init(self, field: Field, labels: Sequence[str], sparse: tuple, unit: Sequence[Scalar] | None) -> "FDAlgebra":
+        """Set every attribute from structure constants in ``_sparse`` form,
+        unchecked; returns the algebra."""
         self.field = field
         self.labels = tuple(labels)
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        for row in self.table:
-            for v in row:
-                if len(v) != dim:
-                    raise ValueError("structure constant vectors must have length dim")
         self.unit = tuple(unit) if unit is not None else None
         self.memo: dict = {}
-        self._sparse = _sparse_table(self.table)
-        self._basis = tuple(unit_vector(field, dim, i) for i in range(dim))
-        self._validate()
+        self._sparse = sparse
+        self._table = None
+        self._basis = tuple(unit_vector(field, self.dim, i) for i in range(self.dim))
+        return self
+
+    @property
+    def table(self) -> tuple:
+        """The dense structure constants, built from ``_sparse`` once."""
+        if self._table is None:
+            zero = self.zero()
+            self._table = tuple(tuple(_dense(zero, v) for v in row) for row in self._sparse)
+        return self._table
 
     @property
     def dim(self) -> int:
@@ -320,15 +347,6 @@ class TriangularAlgebra:
     def element(self, a: Sequence, m: Sequence, b: Sequence) -> Vector:
         return tuple(a) + tuple(m) + tuple(b)
 
-    def embed_a(self, a: Sequence) -> Vector:
-        return self.element(a, self.M.zero(), self.B.zero())
-
-    def embed_m(self, m: Sequence) -> Vector:
-        return self.element(self.A.zero(), m, self.B.zero())
-
-    def embed_b(self, b: Sequence) -> Vector:
-        return self.element(self.A.zero(), self.M.zero(), b)
-
     def pi_a(self, x: Sequence) -> Vector:
         return tuple(x[: self.A.dim])
 
@@ -341,28 +359,24 @@ class TriangularAlgebra:
     # -- construction ------------------------------------------------------
 
     def _assemble(self) -> FDAlgebra:
+        """T from its corners' sparse tables: a_i·a_j, a_i·m_k, m_k·b_j and
+        b_i·b_j are corner products with shifted indices, and every other
+        basis product is 0.  A, B and M were checked at construction, so T
+        is associative with unit (1_A, 0, 1_B) and is not checked again."""
         A, M, B = self.A, self.M, self.B
         na, nm, nb = A.dim, M.dim, B.dim
-        labels = (
-            tuple(f"a:{s}" for s in A.labels)
-            + tuple(f"m:{s}" for s in M.labels)
-            + tuple(f"b:{s}" for s in B.labels)
+
+        def shifted(table, offset):
+            return [tuple(tuple((t + offset, s) for t, s in v) for v in row) for row in table]
+
+        sparse = tuple(
+            [a + m + ((),) * nb for a, m in zip(A._sparse, shifted(M._left, na))]
+            + [((),) * (na + nm) + m for m in shifted(M._right, na)]
+            + [((),) * (na + nm) + b for b in shifted(B._sparse, na + nm)]
         )
-        zero = vec_zero(self.field, na + nm + nb)
-        table = [[zero] * (na + nm + nb) for _ in range(na + nm + nb)]
-        for i in range(na):
-            for j in range(na):
-                table[i][j] = self.embed_a(A.table[i][j])
-            for k in range(nm):
-                table[i][na + k] = self.embed_m(M.left[i][k])
-        for k in range(nm):
-            for j in range(nb):
-                table[na + k][na + nm + j] = self.embed_m(M.right[k][j])
-        for i in range(nb):
-            for j in range(nb):
-                table[na + nm + i][na + nm + j] = self.embed_b(B.table[i][j])
+        labels = [f"a:{s}" for s in A.labels] + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels]
         unit = self.element(A.unit, M.zero(), B.unit)
-        return FDAlgebra(self.field, labels, table, unit)
+        return FDAlgebra.__new__(FDAlgebra)._init(self.field, labels, sparse, unit)
 
     def _check_faithful(self) -> None:
         # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; the column of a
@@ -376,9 +390,6 @@ class TriangularAlgebra:
         ker = kernel_basis(Matrix.from_columns(self.field, right_cols, nrows=M.dim * M.dim))
         if ker.dim:
             raise NotFaithful("right", ker.basis[0])
-
-    def mul(self, x: Sequence, y: Sequence) -> Vector:
-        return self.algebra.mul(x, y)
 
     def __repr__(self):
         return (
@@ -534,10 +545,10 @@ def trivial_idempotents(algebra: FDAlgebra) -> bool | None:
 
 def _trace_radical(algebra: FDAlgebra) -> Subspace:
     """{x : tr(L_xy) = 0 for all y}, the radical of the trace form, as a kernel."""
-    f, dim, table = algebra.field, algebra.dim, algebra.table
+    f, dim, S = algebra.field, algebra.dim, algebra._sparse
     # tr(L_{e_k}) sums the e_l-coefficients of e_k·e_l; tr(L_{e_i·e_j}) = Σ_k (e_i·e_j)_k·tr(L_{e_k})
-    trace = [sum((table[k][l][l] for l in range(dim)), f.zero) for k in range(dim)]
-    return kernel_basis(Matrix.from_columns(f, [Matrix(f, row).mul_vec(trace) for row in table]))
+    trace = Matrix(f, [[sum((s for l, v in enumerate(S[k]) for t, s in v if t == l), f.zero) for k in range(dim)]])
+    return kernel_basis(Matrix(f, [[trace._apply(S[i][j])[0] for i in range(dim)] for j in range(dim)]))
 
 
 def _nilpotent(algebra: FDAlgebra, ideal: Subspace) -> bool:

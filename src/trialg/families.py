@@ -127,9 +127,7 @@ def trian_trunc(N: int, field: Field) -> TriangularAlgebra:
     """Trian(A, A, A) for A = K[x]/(x^N) acting on itself by multiplication."""
     A = trunc_poly(N, field)
     B = trunc_poly(N, field)
-    left = [[A.table[i][k] for k in range(N)] for i in range(N)]
-    right = [[A.table[k][j] for j in range(N)] for k in range(N)]
-    M = Bimodule(A, B, A.labels, left, right)
+    M = Bimodule(A, B, A.labels, A.table, A.table)
     return TriangularAlgebra(A, M, B)
 
 

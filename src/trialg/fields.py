@@ -70,7 +70,6 @@ class RationalField:
         return Fraction(s)
 
     def format(self, x: Scalar) -> str:
-        x = Fraction(x)
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def __eq__(self, other):

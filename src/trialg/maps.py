@@ -123,7 +123,7 @@ def as_endo(algebra_or_t, obj) -> LinearEndo:
     """Coerce a LinearEndo or raw Matrix to an endomorphism of the algebra."""
     algebra = as_algebra(algebra_or_t)
     if isinstance(obj, LinearEndo):
-        if obj.algebra is not algebra and obj.algebra.table != algebra.table:
+        if obj.algebra is not algebra and obj.algebra._sparse != algebra._sparse:
             raise ValueError("endomorphism belongs to a different algebra")
         return obj
     return LinearEndo(algebra, obj)
@@ -139,12 +139,6 @@ def bracket_sigma(sigma: LinearEndo, x: Sequence, y: Sequence) -> Vector:
     f = alg.field
     prod = alg.mul(sigma(x), y)
     return tuple(f.sub(a, b) for a, b in zip(prod, alg.mul(y, x)))
-
-
-def abracket_sigma(sigma: LinearEndo, x: Sequence, y: Sequence) -> Vector:
-    """σ(x)·y + y·x."""
-    alg = sigma.algebra
-    return vec_add(alg.field, alg.mul(sigma(x), y), alg.mul(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +195,6 @@ def _leibniz_check(D: LinearEndo, d: LinearEndo | None, sigma: LinearEndo | None
 def is_sigma_derivation(d: LinearEndo, sigma: LinearEndo) -> CheckResult:
     """d(xy) = d(x)y + σ(x)d(y), checked on all basis pairs."""
     return _leibniz_check(d, d, sigma, "twisted Leibniz rule")
-
-
-def is_derivation(d: LinearEndo) -> CheckResult:
-    return is_sigma_derivation(d, LinearEndo.identity(d.algebra))
 
 
 def is_generalized_pair(D: LinearEndo, d: LinearEndo, sigma: LinearEndo) -> CheckResult:
@@ -276,10 +266,6 @@ def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
 # map spaces
 
 
-def vec_of_endo(endo: LinearEndo) -> Vector:
-    return tuple(x for row in endo.matrix.entries for x in row)
-
-
 def endo_of_vec(algebra: FDAlgebra, v: Sequence) -> LinearEndo:
     n = algebra.dim
     rows = [v[r * n : (r + 1) * n] for r in range(n)]
@@ -312,21 +298,6 @@ class MapSpace:
             (endo_of_vec(self.algebra, v[:half]), endo_of_vec(self.algebra, v[half:]))
             for v in self.space.basis
         ]
-
-    def contains_endo(self, endo: LinearEndo) -> bool:
-        if self.pair:
-            raise ValueError("pair space: use contains_pair()")
-        return self.space.contains(vec_of_endo(endo))
-
-    def contains_pair(self, D: LinearEndo, d: LinearEndo) -> bool:
-        return self.space.contains(vec_of_endo(D) + vec_of_endo(d))
-
-    def first_component_space(self) -> Subspace:
-        """Projection of a pair space onto its D-block."""
-        half = self.algebra.dim ** 2
-        return Subspace.from_vectors(
-            self.algebra.field, half, [v[:half] for v in self.space.basis]
-        )
 
 
 def _live(rows) -> list[tuple[int, dict]]:

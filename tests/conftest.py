@@ -3,6 +3,8 @@ import pytest
 from trialg import GF, QQ, block_upper, maps, structure, theorems, trian_trunc, upper_triangular
 from trialg.maps import inner_automorphism
 
+from dense_oracle import embed_m
+
 
 def diag_sign_automorphism(t):
     """(a, m, b) -> (a, -m, b): conjugation by p - q."""
@@ -15,7 +17,7 @@ def unipotent_automorphism(t):
     """Conjugation by 1 + (first module basis vector): a non-diagonal inner map."""
     f = t.field
     m = t.M.basis_vector(0)
-    u = tuple(f.add(a, b) for a, b in zip(t.algebra.unit, t.embed_m(m)))
+    u = tuple(f.add(a, b) for a, b in zip(t.algebra.unit, embed_m(t, m)))
     return inner_automorphism(t.algebra, u)
 
 

@@ -43,6 +43,16 @@ ones :mod:`trialg.structure` evaluated before it read them off the module
 bracket c_x(m) = δ(x)·m − ν(m)·μ(x): every side is rebuilt per basis pair
 from dense module actions of basis vectors, and (vii)/(viii) use the dense
 twisted bracket.
+
+The triangular assembly is the one trialg used before it read T's sparse
+table off its corners' tables: the dense dim × dim table through the corner
+embeddings, handed to the validating constructor, which checks T's
+associativity and unit again.
+
+The map helpers at the end are public names trialg dropped because only the
+tests used them: the twisted anti-bracket, the plain derivation check, a
+map's coordinates in a solved space, and the membership and projection
+queries on solved spaces.
 """
 
 from __future__ import annotations
@@ -56,22 +66,23 @@ from trialg import (
     AssociativityViolation,
     BimoduleAxiomViolation,
     ConditionFailure,
+    FDAlgebra,
     LinearEndo,
     Matrix,
     PrimeField,
     Subspace,
     UnitViolation,
     center_subspace,
+    is_sigma_derivation,
     sigma_center_subspace,
     solve_linear,
 )
 from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import unit_vector, vec_add, vec_is_zero, vec_neg, vec_sub
+from trialg.linalg import unit_vector, vec_add, vec_is_zero, vec_neg, vec_sub, vec_zero
 from trialg.maps import (
     PREDICATE_MODES,
     CheckResult,
     Witness,
-    abracket_sigma,
     as_algebra,
     as_endo,
     bracket_sigma,
@@ -466,13 +477,14 @@ def dense_predicate(theta, sigma, mode: str) -> CheckResult:
 
 
 def dense_corner_matrix(t, endo, project, embed, dim_in: int, dim_out: int):
-    """project ∘ endo ∘ embed as a matrix, one unit vector at a time."""
+    """project ∘ endo ∘ embed as a matrix, one unit vector at a time; ``embed``
+    is one of :func:`embed_a`, :func:`embed_m`, :func:`embed_b`."""
     f = t.field
     cols = []
     for i in range(dim_in):
         unit = [f.zero] * dim_in
         unit[i] = f.one
-        cols.append(project(endo(embed(tuple(unit)))))
+        cols.append(project(endo(embed(t, tuple(unit)))))
     return Matrix.from_columns(f, cols, nrows=dim_out)
 
 
@@ -807,3 +819,81 @@ def dense_centralizing_conditions(parts, theta) -> dict:
     )
     results["m_component"] = CheckResult(bad is None, witness)
     return results
+
+
+# ---------------------------------------------------------------------------
+# the triangular assembly through the corner embeddings
+
+
+def embed_a(t, a: Sequence) -> tuple:
+    return t.element(a, t.M.zero(), t.B.zero())
+
+
+def embed_m(t, m: Sequence) -> tuple:
+    return t.element(t.A.zero(), m, t.B.zero())
+
+
+def embed_b(t, b: Sequence) -> tuple:
+    return t.element(t.A.zero(), t.M.zero(), b)
+
+
+def dense_assemble(t) -> FDAlgebra:
+    """T's algebra from the dense corner tables, built and checked by the
+    public constructor."""
+    A, M, B = t.A, t.M, t.B
+    na, nm, nb = A.dim, M.dim, B.dim
+    labels = (
+        tuple(f"a:{s}" for s in A.labels)
+        + tuple(f"m:{s}" for s in M.labels)
+        + tuple(f"b:{s}" for s in B.labels)
+    )
+    zero = vec_zero(t.field, na + nm + nb)
+    table = [[zero] * (na + nm + nb) for _ in range(na + nm + nb)]
+    for i in range(na):
+        for j in range(na):
+            table[i][j] = embed_a(t, A.table[i][j])
+        for k in range(nm):
+            table[i][na + k] = embed_m(t, M.left[i][k])
+    for k in range(nm):
+        for j in range(nb):
+            table[na + k][na + nm + j] = embed_m(t, M.right[k][j])
+    for i in range(nb):
+        for j in range(nb):
+            table[na + nm + i][na + nm + j] = embed_b(t, B.table[i][j])
+    unit = t.element(A.unit, M.zero(), B.unit)
+    return FDAlgebra(t.field, labels, table, unit)
+
+
+# ---------------------------------------------------------------------------
+# map helpers only the tests use
+
+
+def abracket_sigma(sigma, x: Sequence, y: Sequence) -> tuple:
+    """σ(x)·y + y·x."""
+    alg = sigma.algebra
+    return vec_add(alg.field, alg.mul(sigma(x), y), alg.mul(y, x))
+
+
+def is_derivation(d) -> CheckResult:
+    return is_sigma_derivation(d, LinearEndo.identity(d.algebra))
+
+
+def vec_of_endo(endo) -> tuple:
+    """A map's matrix entries, row by row: its coordinates in a solved space."""
+    return tuple(x for row in endo.matrix.entries for x in row)
+
+
+def contains_endo(space, endo) -> bool:
+    if space.pair:
+        raise ValueError("pair space: use contains_pair()")
+    return space.space.contains(vec_of_endo(endo))
+
+
+def contains_pair(space, D, d) -> bool:
+    return space.space.contains(vec_of_endo(D) + vec_of_endo(d))
+
+
+def first_component_space(space) -> Subspace:
+    """Projection of a pair space onto its D-block."""
+    half = space.algebra.dim ** 2
+    return Subspace.from_vectors(space.algebra.field, half, [v[:half] for v in space.space.basis])

@@ -33,7 +33,7 @@ from trialg import algebra as algebra_module
 from trialg.linalg import Matrix
 
 from conftest import diag_sign_automorphism
-from dense_oracle import has_only_trivial_idempotents_bruteforce
+from dense_oracle import embed_a, embed_b, embed_m, has_only_trivial_idempotents_bruteforce
 
 ZERO1 = (Fraction(0),)
 ONE1 = (Fraction(1),)
@@ -190,18 +190,30 @@ def _live_triples(P, Q, X, Y):
 
 def test_construction_evaluates_only_live_triples(monkeypatch):
     """Building T7 calls the product kernel at most twice per live triple of
-    associativity (on A, B and T) and of the three bimodule laws, plus once
-    per unit-law product, far fewer than the dim³ triples of T alone."""
+    associativity (on A and B) and of the three bimodule laws, plus once per
+    unit-law product, far fewer than the dim³ triples of T alone."""
     calls = []
     kernel = algebra_module._bilinear
     monkeypatch.setattr(algebra_module, "_bilinear", lambda *args: calls.append(1) or kernel(*args))
     t = upper_triangular(7, GF(10007))
     monkeypatch.undo()
     L, R = t.M._left, t.M._right
-    live = sum(_live_triples(S, S, S, S) for S in (t.A._sparse, t.B._sparse, t.algebra._sparse))
+    live = sum(_live_triples(S, S, S, S) for S in (t.A._sparse, t.B._sparse))
     live += _live_triples(t.A._sparse, L, L, L) + _live_triples(R, R, t.B._sparse, R) + _live_triples(L, R, R, L)
-    unit_products = 2 * (t.A.dim + t.B.dim + t.algebra.dim + t.M.dim)
+    unit_products = 2 * (t.A.dim + t.B.dim + t.M.dim)
     assert len(calls) <= 2 * live + unit_products < t.dim**3
+
+
+def test_triangular_laws_are_checked_only_on_the_corners(monkeypatch):
+    """Building T7 runs the associator on A, on B and on M's three laws, not
+    on T, and leaves T's dense table unbuilt."""
+    tables = []
+    associator = algebra_module._associator
+    monkeypatch.setattr(algebra_module, "_associator", lambda *args: tables.append(args[2]) or associator(*args))
+    t = upper_triangular(7, GF(10007))
+    monkeypatch.undo()
+    assert len(tables) == 5 and t.algebra._sparse not in tables
+    assert t.algebra._table is None
 
 
 def test_peirce_corners(t3q):
@@ -213,9 +225,9 @@ def test_peirce_corners(t3q):
         pxq = alg.mul(t3q.p, alg.mul(x, t3q.q))
         qxq = alg.mul(t3q.q, alg.mul(x, t3q.q))
         qxp = alg.mul(t3q.q, alg.mul(x, t3q.p))
-        assert pxp == t3q.embed_a(t3q.pi_a(x))
-        assert pxq == t3q.embed_m(t3q.pi_m(x))
-        assert qxq == t3q.embed_b(t3q.pi_b(x))
+        assert pxp == embed_a(t3q, t3q.pi_a(x))
+        assert pxq == embed_m(t3q, t3q.pi_m(x))
+        assert qxq == embed_b(t3q, t3q.pi_b(x))
         assert not any(qxp)
 
 
@@ -255,7 +267,7 @@ def test_multiplication_agrees_with_block_formula(t2q, t3q, block21q, trunc3q):
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.M.dim)),
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.B.dim)),
             )
-            got = t.mul(t.element(a, m, b), t.element(a2, m2, b2))
+            got = t.algebra.mul(t.element(a, m, b), t.element(a2, m2, b2))
             want = t.element(
                 t.A.mul(a, a2),
                 tuple(f.add(x, y) for x, y in zip(t.M.act_left(a, m2), t.M.act_right(m, b2))),

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 from dense_oracle import (
+    dense_assemble,
     dense_bilinear,
     dense_validate_algebra,
     dense_validate_bimodule,
@@ -24,8 +25,12 @@ from dense_oracle import (
     dense_rref,
     dense_solve,
     dense_solve_space,
+    embed_a,
+    embed_b,
+    embed_m,
     solve_eta_image,
     solve_right_partner,
+    vec_of_endo,
 )
 from conftest import diag_sign_automorphism
 from hypothesis import given, settings, strategies as st
@@ -68,7 +73,7 @@ from trialg import (
 )
 from trialg.algebra import _bilinear, _sparse_table
 from trialg.linalg import _echelon, _sparse, rref, sparse_kernel, unit_vector, vec_add, vec_scale
-from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec, vec_of_endo
+from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec
 from trialg.structure import (
     CENT_CONDITION_LABELS,
     _check_aut_parts,
@@ -85,7 +90,7 @@ def _twisted(t):
     """The triangular algebra with conjugation by p + 2q + m_0, which halves
     the module corner: the twist has denominators over Q."""
     f = t.field
-    u = tuple(f.add(f.add(a, f.add(b, b)), c) for a, b, c in zip(t.p, t.q, t.embed_m(t.M.basis_vector(0))))
+    u = tuple(f.add(f.add(a, f.add(b, b)), c) for a, b, c in zip(t.p, t.q, embed_m(t, t.M.basis_vector(0))))
     return t, inner_automorphism(t.algebra, u)
 
 
@@ -353,9 +358,9 @@ def test_corner_matrix_matches_dense_extraction(family, field_name, data):
     rows = data.draw(st.lists(_vectors(field, t.dim), min_size=t.dim, max_size=t.dim))
     endo = LinearEndo(t.algebra, Matrix(field, rows, ncols=t.dim))
     corners = {
-        "a": (t.pi_a, t.embed_a, t.A.dim),
-        "m": (t.pi_m, t.embed_m, t.M.dim),
-        "b": (t.pi_b, t.embed_b, t.B.dim),
+        "a": (t.pi_a, embed_a, t.A.dim),
+        "m": (t.pi_m, embed_m, t.M.dim),
+        "b": (t.pi_b, embed_b, t.B.dim),
     }
     for out, (project, _, dim_out) in corners.items():
         for into, (_, embed, dim_in) in corners.items():
@@ -473,7 +478,7 @@ def test_generalized_rejections_match_dense_checker(family, field_name):
     t = ETA_FAMILIES[family](FIELDS[field_name])
     alg = t.algebra
     ident, zero = LinearEndo.identity(alg), LinearEndo.zero(alg)
-    ad = LinearEndo(alg, dense_bracket_matrix(alg, t.embed_m(t.M.basis_vector(0)), t.embed_m(t.M.basis_vector(0)), -1))
+    ad = LinearEndo(alg, dense_bracket_matrix(alg, embed_m(t, t.M.basis_vector(0)), embed_m(t, t.M.basis_vector(0)), -1))
     for D, d in ((zero, ident), (ad, zero)):
         want = dense_is_generalized_pair(D, d, ident)
         assert not want.ok
@@ -674,3 +679,30 @@ def test_perturbed_family_tables_match_all_triples(family, field_name):
         for right in _perturbed(field, M.right, M.dim):
             outcomes.add(_same_bimodule_outcome(A, B, M.left, right))
     assert len(outcomes) > 1
+
+
+# ---------------------------------------------------------------------------
+# the triangular assembly against the dense table through the embeddings
+
+ASSEMBLED = {
+    **{f"T{n}-split{s}": lambda f, n=n, s=s: upper_triangular(n, f, split=s) for n in range(2, 6) for s in range(1, n)},
+    "block121-split1": lambda f: block_upper((1, 2, 1), 1, f),
+    "block121-split2": lambda f: block_upper((1, 2, 1), 2, f),
+    "block12": lambda f: block_upper((1, 2), 1, f),
+    "trian_trunc2": lambda f: trian_trunc(2, f),
+    "trian_trunc3": lambda f: trian_trunc(3, f),
+}
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", ASSEMBLED)
+def test_assembly_matches_dense_assembly(family, field_name):
+    """T's table read off its corners equals the dense assembly, which the
+    validating constructor accepts: T's own associativity and unit checks,
+    no longer run, would pass."""
+    t = ASSEMBLED[family](FIELDS[field_name])
+    want = dense_assemble(t)
+    assert t.algebra.labels == want.labels
+    assert t.algebra.unit == want.unit
+    assert t.algebra._sparse == want._sparse
+    assert t.algebra.table == want.table

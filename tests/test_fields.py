@@ -21,6 +21,12 @@ def test_rational_stored_reduced_with_positive_denominator():
     assert QQ.format(x) == "-1/2"
 
 
+def test_rational_format_takes_ints_and_negative_fractions():
+    assert QQ.format(3) == "3"
+    assert QQ.format(-2) == "-2"
+    assert QQ.format(Fraction(-7, 3)) == "-7/3"
+
+
 def test_prime_field_ops():
     f5 = GF(5)
     assert f5.add(3, 4) == 2

@@ -1,8 +1,9 @@
 """The package's module graph, read from the source without importing it.
 
 Every import sits at module top, the ``from .x import`` edges between the
-modules of ``trialg`` form no cycle, and every imported name is used in the
-module that imports it.
+modules of ``trialg`` form no cycle, every imported name is used in the
+module that imports it, and every function or method is named somewhere in
+the package.
 """
 
 import ast
@@ -63,3 +64,42 @@ def test_every_imported_name_is_used(module):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert [name for name in unused if (module, name) not in RE_EXPORTS] == []
+
+
+# Public names that nothing in the package calls, each kept on purpose.
+KEPT_API = {
+    "GF": "the documented constructor of prime fields",
+    "Subspace.full": "the whole space, the natural partner of the canonical subspaces",
+    "bracket_sigma": "the paper's twisted bracket [x, y]_σ, evaluated pointwise",
+    "is_generalized_pair": "the checker of the paper's generalized σ-derivation pairs",
+    "compose_centralizing": "the inverse of decompose_centralizing, as for the other kinds",
+}
+
+
+def _definitions(tree):
+    """``(qualified name, name)`` of every function and method, nested ones too."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    methods = {fn: f"{cls.name}.{fn.name}" for cls in classes for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    return [(methods.get(fn, fn.name), fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+
+def test_every_definition_is_used():
+    """Every non-dunder function or method of the package is referenced by
+    name, as a Name or an Attribute, somewhere in its modules other than
+    ``__init__``; re-exporting it does not count, and tests are not read.
+    The match is by name only, so a method named like another call (``mul``,
+    ``add``, ``zero``) passes."""
+    modules = [tree for module, tree in MODULES.items() if module != "__init__"]
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = {
+        qualified
+        for tree in modules
+        for qualified, name in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in referenced
+    }
+    assert unused == set(KEPT_API)

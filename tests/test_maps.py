@@ -2,7 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_oracle import associated_derivations, dense_bracket_matrix
+from dense_oracle import (
+    abracket_sigma,
+    associated_derivations,
+    contains_endo,
+    contains_pair,
+    dense_bracket_matrix,
+    first_component_space,
+    is_derivation,
+    vec_of_endo,
+)
 
 import trialg
 from trialg import (
@@ -11,13 +20,11 @@ from trialg import (
     LinearEndo,
     NotAutomorphism,
     Subspace,
-    abracket_sigma,
     bracket_sigma,
     center_subspace,
     fixture_n3,
     fixture_trian_AA0,
     is_automorphism,
-    is_derivation,
     is_generalized_pair,
     is_left_multiplier,
     is_sigma_derivation,
@@ -27,7 +34,7 @@ from trialg import (
     upper_triangular,
 )
 from trialg.linalg import Matrix, vec_add, vec_sub
-from trialg.maps import SOLVE_KINDS, endo_of_vec, vec_of_endo
+from trialg.maps import SOLVE_KINDS, as_endo, endo_of_vec
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
 
@@ -45,7 +52,7 @@ def test_identity_bracket_is_commutator(t2q):
     assert not any(bracket_sigma(ident, t2q.p, t2q.q))
     x = t2q.element((Fraction(1),), (Fraction(2),), (Fraction(3),))
     y = t2q.element((Fraction(0),), (Fraction(1),), (Fraction(-1),))
-    comm = vec_sub(QQ, t2q.mul(x, y), t2q.mul(y, x))
+    comm = vec_sub(QQ, t2q.algebra.mul(x, y), t2q.algebra.mul(y, x))
     assert bracket_sigma(ident, x, y) == comm
 
 
@@ -271,13 +278,13 @@ def test_constructed_members_lie_in_their_spaces(t3q):
     rng = random.Random(3)
     der = solve_space(t3q, None, "derivation")
     for _ in range(5):
-        assert der.contains_endo(inner_derivation(alg, rand_vec(alg, rng)))
+        assert contains_endo(der, inner_derivation(alg, rand_vec(alg, rng)))
     mult = solve_space(t3q, None, "left_multiplier")
     for _ in range(5):
-        assert mult.contains_endo(LinearEndo(alg, alg.left_mul_matrix(rand_vec(alg, rng))))
+        assert contains_endo(mult, LinearEndo(alg, alg.left_mul_matrix(rand_vec(alg, rng))))
     comm = solve_space(t3q, LinearEndo.identity(alg), "commuting")
     z = tuple(QQ.mul(Fraction(-3), c) for c in alg.unit)
-    assert comm.contains_endo(LinearEndo(alg, alg.left_mul_matrix(z)))
+    assert contains_endo(comm, LinearEndo(alg, alg.left_mul_matrix(z)))
 
 
 def test_plain_derivations_equal_identity_twisted(t2q, t3q):
@@ -302,11 +309,24 @@ def test_pair_space_interface(t2q):
     with pytest.raises(ValueError):
         pairs.endos()
     D, d = pairs.endo_pairs()[0]
-    assert pairs.contains_pair(D, d)
+    assert contains_pair(pairs, D, d)
     single = solve_space(t2q, None, "derivation")
     with pytest.raises(ValueError):
         single.endo_pairs()
-    assert pairs.first_component_space().ambient_dim == t2q.dim ** 2
+    assert first_component_space(pairs).ambient_dim == t2q.dim ** 2
+
+
+def test_as_endo_compares_structure_constants():
+    """An endomorphism of an equal but distinct build is accepted; one of an
+    algebra of the same dimension with other products is not."""
+    first, second = upper_triangular(3, QQ), upper_triangular(3, QQ)
+    endo = LinearEndo.identity(first.algebra)
+    assert second.algebra is not first.algebra
+    assert as_endo(second, endo) is endo
+    split1, split2 = upper_triangular(3, QQ, split=1), upper_triangular(3, QQ, split=2)
+    assert split1.dim == split2.dim == 6
+    with pytest.raises(ValueError, match="different algebra"):
+        as_endo(split2, LinearEndo.identity(split1.algebra))
 
 
 def test_endo_vectorization_round_trip(t2q):
