@@ -30,7 +30,6 @@ laws follow from the corners' checks and are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -55,6 +54,7 @@ from .linalg import (
     vec_neg,
     vec_zero,
 )
+from .records import Record
 
 
 def _sparse_table(table) -> tuple:
@@ -68,6 +68,11 @@ def _dense(zero: Vector, items) -> Vector:
     for t, s in items:
         out[t] = s
     return tuple(out)
+
+
+def _dense_table(zero: Vector, sparse) -> tuple:
+    """The dense form of a sparse table, its vectors over ``zero``."""
+    return tuple(tuple(_dense(zero, v) for v in row) for row in sparse)
 
 
 def _bilinear(field: Field, dim: int, sparse, pairs) -> Vector:
@@ -146,14 +151,11 @@ class FDAlgebra:
         unit: Sequence[Scalar] | None = None,
     ):
         dim = len(labels)
-        if dim == 0:
-            raise ValueError("algebra must have positive dimension")
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("structure constant table must be dim x dim")
         if any(len(v) != dim for row in table for v in row):
             raise ValueError("structure constant vectors must have length dim")
-        self._init(field, labels, _sparse_table(table), unit)
-        self._validate()
+        self._init(field, labels, _sparse_table(table), unit)._validate()
 
     def _init(self, field: Field, labels: Sequence[str], sparse: tuple, unit: Sequence[Scalar] | None) -> "FDAlgebra":
         """Set every attribute from structure constants in ``_sparse`` form,
@@ -171,8 +173,7 @@ class FDAlgebra:
     def table(self) -> tuple:
         """The dense structure constants, built from ``_sparse`` once."""
         if self._table is None:
-            zero = self.zero()
-            self._table = tuple(tuple(_dense(zero, v) for v in row) for row in self._sparse)
+            self._table = _dense_table(self.zero(), self._sparse)
         return self._table
 
     @property
@@ -208,8 +209,11 @@ class FDAlgebra:
         cols = [self._products(((((l, one),), xs),)) for l in range(self.dim)]
         return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
-    def _validate(self) -> None:
+    def _validate(self) -> "FDAlgebra":
+        """Check the dimension, associativity and the unit law; returns the algebra."""
         dim, S = self.dim, self._sparse
+        if dim == 0:
+            raise ValueError("algebra must have positive dimension")
         bad = _associator(self.field, dim, S, S, S, S)
         if bad:
             raise AssociativityViolation(*bad)
@@ -220,6 +224,7 @@ class FDAlgebra:
                 e = self.basis_vector(i)
                 if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
                     raise UnitViolation(i)
+        return self
 
     def __repr__(self):
         kind = "unital" if self.is_unital else "non-unital"
@@ -231,36 +236,58 @@ class Bimodule:
 
     ``left[i][k]`` is the coordinate vector of (i-th basis of A)·(k-th basis
     of M); ``right[k][j]`` that of (k-th basis of M)·(j-th basis of B).  Both
-    tables are also kept sparsely for the actions.  Every action vector must
-    have length dim M.  The two module laws and the compatibility law
-    (a·m)·b = a·(m·b) are checked on the basis triples where a nonzero
-    product enters either side (both vanish on the others), and the identity
-    action of both units on every basis vector of M.
+    tables are held sparsely, as ``_left`` and ``_right`` in the ``_sparse``
+    form of :class:`FDAlgebra`; ``left`` and ``right`` are dense views of
+    them, built on first read.  Every action vector must have length dim M.
+    The two module laws and the compatibility law (a·m)·b = a·(m·b) are
+    checked on the basis triples where a nonzero product enters either side
+    (both vanish on the others), and the identity action of both units on
+    every basis vector of M.
     """
 
-    __slots__ = ("left_algebra", "right_algebra", "labels", "left", "right", "_left", "_right", "_basis")
+    __slots__ = (
+        "left_algebra", "right_algebra", "labels", "_left", "_right", "_left_table", "_right_table", "_basis"
+    )
 
     def __init__(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra, labels, left, right):
         if not labels:
             raise ZeroModule("bimodule must be nonzero")
         if not (left_algebra.is_unital and right_algebra.is_unital):
             raise ValueError("bimodule requires unital acting algebras")
+        dim = len(labels)
+        if len(left) != left_algebra.dim or any(len(r) != dim for r in left):
+            raise ValueError("left action table has wrong shape")
+        if len(right) != dim or any(len(r) != right_algebra.dim for r in right):
+            raise ValueError("right action table has wrong shape")
+        for side, table in (("left", left), ("right", right)):
+            if any(len(v) != dim for row in table for v in row):
+                raise ValueError(f"{side} action vectors must have length dim M")
+        self._init(left_algebra, right_algebra, labels, _sparse_table(left), _sparse_table(right))._validate()
+
+    def _init(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra, labels, left: tuple, right: tuple) -> "Bimodule":
+        """Set every attribute from action tables in ``_sparse`` form,
+        unchecked; returns the bimodule."""
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.labels = tuple(labels)
-        self.left = tuple(tuple(tuple(v) for v in row) for row in left)
-        self.right = tuple(tuple(tuple(v) for v in row) for row in right)
-        if len(self.left) != left_algebra.dim or any(len(r) != self.dim for r in self.left):
-            raise ValueError("left action table has wrong shape")
-        if len(self.right) != self.dim or any(len(r) != right_algebra.dim for r in self.right):
-            raise ValueError("right action table has wrong shape")
-        for side, table in (("left", self.left), ("right", self.right)):
-            if any(len(v) != self.dim for row in table for v in row):
-                raise ValueError(f"{side} action vectors must have length dim M")
-        self._left = _sparse_table(self.left)
-        self._right = _sparse_table(self.right)
+        self._left, self._right = left, right
+        self._left_table = self._right_table = None
         self._basis = tuple(unit_vector(self.field, self.dim, k) for k in range(self.dim))
-        self._validate()
+        return self
+
+    @property
+    def left(self) -> tuple:
+        """The dense left action table, built from ``_left`` once."""
+        if self._left_table is None:
+            self._left_table = _dense_table(self.zero(), self._left)
+        return self._left_table
+
+    @property
+    def right(self) -> tuple:
+        """The dense right action table, built from ``_right`` once."""
+        if self._right_table is None:
+            self._right_table = _dense_table(self.zero(), self._right)
+        return self._right_table
 
     @property
     def dim(self) -> int:
@@ -282,7 +309,8 @@ class Bimodule:
     def act_right(self, m: Sequence, b: Sequence) -> Vector:
         return _bilinear(self.field, self.dim, self._right, ((_sparse(m).items(), _sparse(b).items()),))
 
-    def _validate(self) -> None:
+    def _validate(self) -> "Bimodule":
+        """Check the module laws and the unit actions; returns the bimodule."""
         A, B, L, R = self.left_algebra, self.right_algebra, self._left, self._right
         # (P, Q, X, Y) of each law, its triple in the order its message names it
         laws = (
@@ -300,6 +328,7 @@ class Bimodule:
                 raise BimoduleAxiomViolation(f"1_A does not fix m{k}")
             if self.act_right(mk, B.unit) != mk:
                 raise BimoduleAxiomViolation(f"1_B does not fix m{k}")
+        return self
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim})"
@@ -380,16 +409,18 @@ class TriangularAlgebra:
 
     def _check_faithful(self) -> None:
         # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; the column of a
-        # basis element stacks its action on every basis vector of M
-        A, M, B = self.A, self.M, self.B
-        left_cols = [[x for v in M.left[i] for x in v] for i in range(A.dim)]
-        ker = kernel_basis(Matrix.from_columns(self.field, left_cols, nrows=M.dim * M.dim))
-        if ker.dim:
-            raise NotFaithful("left", ker.basis[0])
-        right_cols = [[x for row in M.right for x in row[j]] for j in range(B.dim)]
-        ker = kernel_basis(Matrix.from_columns(self.field, right_cols, nrows=M.dim * M.dim))
-        if ker.dim:
-            raise NotFaithful("right", ker.basis[0])
+        # basis element stacks its action on every basis vector of M, row
+        # k·dim M + t holding coordinate t of its action on m_k
+        A, M, B, f, n = self.A, self.M, self.B, self.field, self.M.dim
+        left = ((k * n + t, i, s) for i, row in enumerate(M._left) for k, v in enumerate(row) for t, s in v)
+        right = ((k * n + t, j, s) for k, row in enumerate(M._right) for j, v in enumerate(row) for t, s in v)
+        for side, entries, ncols in (("left", left, A.dim), ("right", right, B.dim)):
+            rows = [[f.zero] * ncols for _ in range(n * n)]
+            for r, c, s in entries:
+                rows[r][c] = s
+            ker = kernel_basis(Matrix(f, rows, ncols=ncols))
+            if ker.dim:
+                raise NotFaithful(side, ker.basis[0])
 
     def __repr__(self):
         return (
@@ -440,8 +471,7 @@ def sigma_center_subspace(algebra: FDAlgebra, sigma: Matrix) -> Subspace:
     return algebra.memo[key]
 
 
-@dataclass(frozen=True)
-class CenterData:
+class CenterData(Record):
     """Center of a triangular algebra plus its diagonal shadow.
 
     ``tau`` maps the A-part of a central element to its forced B-part: its
@@ -458,16 +488,18 @@ class CenterData:
 def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
     """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates."""
     A, M, B = t.A, t.M, t.B
-    f = t.field
-    rows = []
-    for k in range(M.dim):
+    f, na, n = t.field, A.dim, M.dim
+    rows = [[f.zero] * (na + B.dim) for _ in range(n * n)]  # row k·dim M + t: coordinate t at m_k
+    for k in range(n):
+        block = rows[k * n : (k + 1) * n]
+        for i in range(na):
+            for tcoord, s in M._left[i][k]:
+                block[tcoord][i] = s
         nu_mk = nu.column(k)
-        right = [M.act_right(nu_mk, B.basis_vector(j)) for j in range(B.dim)]
-        for tcoord in range(M.dim):
-            row = [M.left[i][k][tcoord] for i in range(A.dim)]
-            row += [f.neg(r[tcoord]) for r in right]
-            rows.append(row)
-    return kernel_basis(Matrix(f, rows, ncols=A.dim + B.dim))
+        for j in range(B.dim):
+            for tcoord, s in _sparse(M.act_right(nu_mk, B.basis_vector(j))).items():
+                block[tcoord][na + j] = f.neg(s)
+    return kernel_basis(Matrix(f, rows, ncols=na + B.dim))
 
 
 def _structural_pairs(t: TriangularAlgebra, space: Subspace, nu: Matrix, m_sigma: Vector, what: str) -> Subspace:

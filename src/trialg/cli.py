@@ -14,7 +14,6 @@ task fails or errors, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -107,17 +106,17 @@ def fmt_subspace(field: Field, s: Subspace) -> dict:
 
 
 def _record(field: Field, data, **extra) -> dict:
-    """Every Subspace, Matrix and vector field of a result dataclass, formatted
-    under its field name, merged with ``extra``; ``None`` fields are left out."""
+    """Every Subspace, Matrix and vector field of a record, formatted under
+    its field name, merged with ``extra``; ``None`` fields are left out."""
     out = {}
-    for item in dataclasses.fields(data):
-        value = getattr(data, item.name)
+    for name in type(data)._fields:
+        value = getattr(data, name)
         if isinstance(value, Subspace):
-            out[item.name] = fmt_subspace(field, value)
+            out[name] = fmt_subspace(field, value)
         elif isinstance(value, Matrix):
-            out[item.name] = fmt_matrix(field, value)
+            out[name] = fmt_matrix(field, value)
         elif isinstance(value, tuple):
-            out[item.name] = fmt_vector(field, value)
+            out[name] = fmt_vector(field, value)
     out.update(extra)
     return out
 

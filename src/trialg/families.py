@@ -8,36 +8,38 @@ wherever an infinite-dimensional coefficient algebra is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .algebra import Bimodule, FDAlgebra, TriangularAlgebra
 from .fields import Field
 from .linalg import Matrix, unit_vector, vec_zero
 from .maps import LinearEndo
+from .records import Record, field
 
 
 def _matrix_unit_algebra(field: Field, n: int, positions: list[tuple[int, int]]) -> FDAlgebra:
     """Span of matrix units e_ij at the given (0-based) positions.
 
     The position set must be closed under composition; products follow
-    e_ij · e_kl = δ_jk e_il.
+    e_ij · e_kl = δ_jk e_il, so each structure vector is one unit or zero
+    and the sparse table is written directly.
     """
     index = {pos: t for t, pos in enumerate(positions)}
-    dim = len(positions)
-    zero = vec_zero(field, dim)
+    one = field.one
     labels = [f"e{i + 1}{j + 1}" for i, j in positions]
-    table = [[zero] * dim for _ in range(dim)]
-    for t, (i, j) in enumerate(positions):
-        for s, (k, l) in enumerate(positions):
+    sparse = []
+    for i, j in positions:
+        row = []
+        for k, l in positions:
             if j != k:
-                continue
-            if (i, l) not in index:
+                row.append(())
+            elif (i, l) not in index:
                 raise ValueError("matrix-unit support is not multiplicatively closed")
-            table[t][s] = unit_vector(field, dim, index[(i, l)])
-    unit = list(zero)
+            else:
+                row.append(((index[(i, l)], one),))
+        sparse.append(tuple(row))
+    unit = list(vec_zero(field, len(positions)))
     for i in range(n):
-        unit[index[(i, i)]] = field.one
-    return FDAlgebra(field, labels, table, unit)
+        unit[index[(i, i)]] = one
+    return FDAlgebra.__new__(FDAlgebra)._init(field, labels, tuple(sparse), unit)._validate()
 
 
 def full_matrix_algebra(n: int, field: Field) -> FDAlgebra:
@@ -65,22 +67,15 @@ def block_algebra(dims: tuple[int, ...], field: Field) -> FDAlgebra:
 def _rectangle_bimodule(A: FDAlgebra, B: FDAlgebra, nrows: int, ncols: int,
                         a_positions: list[tuple[int, int]], b_positions: list[tuple[int, int]],
                         field: Field) -> Bimodule:
-    """Full nrows x ncols matrices, acted on by matrix-unit algebras."""
+    """Full nrows x ncols matrices, acted on by matrix-unit algebras; the
+    matrix unit m_rs is basis vector r·ncols + s, and each action of one
+    matrix unit on another is one unit or zero."""
     labels = [f"m{r + 1}{s + 1}" for r in range(nrows) for s in range(ncols)]
-    idx = {(r, s): r * ncols + s for r in range(nrows) for s in range(ncols)}
-    dim = nrows * ncols
-    zero = vec_zero(field, dim)
-    left = [[zero] * dim for _ in range(A.dim)]
-    for t, (i, j) in enumerate(a_positions):
-        for (r, s), k in idx.items():
-            if j == r:
-                left[t][k] = unit_vector(field, dim, idx[(i, s)])
-    right = [[zero] * B.dim for _ in range(dim)]
-    for (r, s), k in idx.items():
-        for t, (i, j) in enumerate(b_positions):
-            if s == i:
-                right[k][t] = unit_vector(field, dim, idx[(r, j)])
-    return Bimodule(A, B, labels, left, right)
+    cells = [(r, s) for r in range(nrows) for s in range(ncols)]
+    one = field.one
+    left = tuple(tuple(((i * ncols + s, one),) if j == r else () for r, s in cells) for i, j in a_positions)
+    right = tuple(tuple(((r * ncols + j, one),) if s == i else () for i, j in b_positions) for r, s in cells)
+    return Bimodule.__new__(Bimodule)._init(A, B, labels, left, right)._validate()
 
 
 def block_upper(dims: tuple[int, ...], split: int, field: Field) -> TriangularAlgebra:
@@ -113,32 +108,27 @@ def trunc_poly(N: int, field: Field) -> FDAlgebra:
     """K[x]/(x^N), a local algebra."""
     if N < 1:
         raise ValueError("need N >= 1")
-    zero = vec_zero(field, N)
     labels = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, N)]
-    table = [[zero] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            if i + j < N:
-                table[i][j] = unit_vector(field, N, i + j)
-    return FDAlgebra(field, labels, table, unit_vector(field, N, 0))
+    one = field.one
+    sparse = tuple(tuple(((i + j, one),) if i + j < N else () for j in range(N)) for i in range(N))
+    return FDAlgebra.__new__(FDAlgebra)._init(field, labels, sparse, unit_vector(field, N, 0))._validate()
 
 
 def trian_trunc(N: int, field: Field) -> TriangularAlgebra:
     """Trian(A, A, A) for A = K[x]/(x^N) acting on itself by multiplication."""
     A = trunc_poly(N, field)
     B = trunc_poly(N, field)
-    M = Bimodule(A, B, A.labels, A.table, A.table)
+    M = Bimodule.__new__(Bimodule)._init(A, B, A.labels, A._sparse, A._sparse)._validate()
     return TriangularAlgebra(A, M, B)
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """A built-in worked example: an algebra plus its distinguished maps."""
 
     name: str
     description: str
     algebra: FDAlgebra
-    maps: dict[str, LinearEndo] = dataclass_field(compare=False)
+    maps: dict[str, LinearEndo] = field(compare=False)
     checks: tuple[str, ...] = ()
 
 

@@ -21,7 +21,6 @@ tables.  Each side is one sparse evaluation on the maps' cached columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, center_subspace
@@ -30,6 +29,7 @@ from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
 from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, sparse_kernel  # noqa: F401
 from .linalg import vec_add, vec_is_zero
+from .records import Record
 
 SOLVE_KINDS = (
     "derivation",
@@ -45,8 +45,7 @@ SOLVE_KINDS = (
 PREDICATE_MODES = ("commuting", "centralizing", "skew_commuting", "skew_centralizing")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Concrete counterexample surfaced by a failed check."""
 
     reason: str
@@ -62,8 +61,7 @@ class Witness:
         return f"Witness({', '.join(bits)})"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     ok: bool
     witness: Witness | None = None
 
@@ -272,8 +270,7 @@ def endo_of_vec(algebra: FDAlgebra, v: Sequence) -> LinearEndo:
     return LinearEndo(algebra, Matrix(algebra.field, rows, ncols=n))
 
 
-@dataclass(frozen=True)
-class MapSpace:
+class MapSpace(Record):
     """A solved space of endomorphisms (or (D, d) pairs) of one algebra."""
 
     algebra: FDAlgebra

@@ -31,8 +31,6 @@ carry no such hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .algebra import TriangularAlgebra, _bilinear, _pair_partners, _structural_pairs, center_subspace, sigma_center_subspace
 from .errors import (
     ConditionFailure,
@@ -55,6 +53,7 @@ from .maps import (
     predicate,
     require_automorphism,
 )
+from .records import Record, field
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +87,7 @@ def _compare(t: TriangularAlgebra, recomposed: LinearEndo, original: LinearEndo)
 # automorphisms
 
 
-@dataclass(frozen=True)
-class AutParts:
+class AutParts(Record):
     """Canonical data (f, g, m_σ, ν) of a triangular-algebra automorphism."""
 
     t: TriangularAlgebra
@@ -187,8 +185,7 @@ def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
 # twisted centers
 
 
-@dataclass(frozen=True)
-class SigmaCenterData:
+class SigmaCenterData(Record):
     """Twisted center of a triangular algebra.
 
     ``eta`` (present only when both diagonal algebras are decided
@@ -231,8 +228,7 @@ def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
 # twisted derivations
 
 
-@dataclass(frozen=True)
-class DerParts:
+class DerParts(Record):
     """Canonical data (d_A, d_B, m_d, ξ) of a twisted derivation."""
 
     t: TriangularAlgebra
@@ -309,8 +305,7 @@ def _check_der_parts(parts: DerParts) -> None:
 CENT_CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delta2_range", "mu2_range", "m_component")
 
 
-@dataclass(frozen=True)
-class CentParts:
+class CentParts(Record):
     """The six corner maps of a twisted centralizing map.
 
     ``conditions`` holds the result of each named side condition (see
@@ -326,7 +321,7 @@ class CentParts:
     mu1: Matrix
     mu2: Matrix
     mu3: Matrix
-    conditions: dict[str, CheckResult] = field(default_factory=dict, compare=False)
+    conditions: dict[str, CheckResult] = field(factory=dict, compare=False)
 
 
 def _extract_cent_parts(t: TriangularAlgebra, sigma: LinearEndo, theta: LinearEndo) -> CentParts:
@@ -496,7 +491,7 @@ def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     for label, result in conditions.items():
         if not result.ok:
             raise ConditionFailure(label, result.witness)
-    return replace(parts, conditions=conditions)
+    return parts.replace(conditions=conditions)
 
 
 def commuting_criterion(parts: CentParts) -> bool:
@@ -513,8 +508,7 @@ def commuting_criterion(parts: CentParts) -> bool:
 # generalized twisted derivations
 
 
-@dataclass(frozen=True)
-class GenParts:
+class GenParts(Record):
     """Components of a generalized twisted derivation, with its partner's data.
 
     ``display_matches`` records whether the variant module formula using
@@ -605,8 +599,7 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
 # left multipliers
 
 
-@dataclass(frozen=True)
-class MultParts:
+class MultParts(Record):
     """Components (F_A, F_B, m_F) of a left multiplier F: the (D_A, D_B, m_D)
     of F as the generalized derivation (F, 0) of the identity."""
 

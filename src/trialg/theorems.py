@@ -8,7 +8,6 @@ re-checked against the defining predicates before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import FDAlgebra, TriangularAlgebra
 from .errors import HypothesisNotMet, StructuralMismatch
@@ -26,6 +25,7 @@ from .maps import (
     predicate,
     solve_space,
 )
+from .records import Record, field
 from .structure import AutParts, _composed, decompose_generalized, require_trivial_idempotents
 
 POSNER = "posner"
@@ -35,13 +35,12 @@ SHARMA_DHARA = "sharma_dhara"
 GD_LEFT_MULT = "gd_left_mult"
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     theorem: str
     instance: str
     passed: bool
-    dimensions: dict[str, int] = dataclass_field(default_factory=dict)
-    details: dict = dataclass_field(default_factory=dict)
+    dimensions: dict[str, int] = field(factory=dict)
+    details: dict = field(factory=dict)
     witness: Matrix | None = None
 
     def __bool__(self) -> bool:

@@ -216,6 +216,19 @@ def test_triangular_laws_are_checked_only_on_the_corners(monkeypatch):
     assert t.algebra._table is None
 
 
+def test_construction_leaves_dense_views_unbuilt():
+    """Building T7 reads only the sparse tables: no dense table of T, A or B
+    and no dense action table of M is built, and the views, once read, are
+    the sparse tables written out."""
+    t = upper_triangular(7, GF(10007))
+    M = t.M
+    assert M._left_table is None and M._right_table is None
+    assert t.algebra._table is None and t.A._table is None and t.B._table is None
+    for dense, sparse in ((M.left, M._left), (M.right, M._right)):
+        assert [[tuple(algebra_module._sparse(v).items()) for v in row] for row in dense] == [list(r) for r in sparse]
+    assert M.left is M.left and M.right is M.right
+
+
 def test_peirce_corners(t3q):
     rng = random.Random(7)
     alg = t3q.algebra

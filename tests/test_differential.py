@@ -1,7 +1,7 @@
 """The sparse elimination engine, the sparse product kernel and the map
 checkers against the dense reference path."""
 
-from dataclasses import replace
+import dataclasses
 
 import pytest
 from dense_oracle import (
@@ -71,17 +71,26 @@ from trialg import (
     trunc_poly,
     upper_triangular,
 )
-from trialg.algebra import _bilinear, _sparse_table
-from trialg.linalg import _echelon, _sparse, rref, sparse_kernel, unit_vector, vec_add, vec_scale
-from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, endo_of_vec
+from trialg.algebra import CenterData, _bilinear, _sparse_table
+from trialg.cli import _record, fmt_matrix, fmt_subspace, fmt_vector
+from trialg.families import Fixture
+from trialg.linalg import Subspace, _echelon, _sparse, rref, sparse_kernel, unit_vector, vec_add, vec_scale
+from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, CheckResult, MapSpace, Witness, endo_of_vec
 from trialg.structure import (
     CENT_CONDITION_LABELS,
+    AutParts,
+    CentParts,
+    DerParts,
+    GenParts,
+    MultParts,
+    SigmaCenterData,
     _check_aut_parts,
     _check_der_parts,
     _corner_matrix,
     centralizing_conditions,
     decompose_automorphism,
 )
+from trialg.theorems import TheoremReport
 
 FIELDS = {"Q": QQ, "F7": GF(7)}
 
@@ -432,7 +441,7 @@ def _bumps(parts, names):
         m = getattr(parts, name)
         for r in range(m.nrows):
             for c in range(m.ncols):
-                yield replace(parts, **{name: _bumped(m, r, c)})
+                yield parts.replace(**{name: _bumped(m, r, c)})
 
 
 def _der_outcome(check, parts):
@@ -706,3 +715,130 @@ def test_assembly_matches_dense_assembly(family, field_name):
     assert t.algebra.unit == want.unit
     assert t.algebra._sparse == want._sparse
     assert t.algebra.table == want.table
+
+
+# ---------------------------------------------------------------------------
+# the result records against frozen dataclasses declared with the same fields
+
+# Each record's fields in order: a name, or (name, default or dataclasses.field).
+RECORD_FIELDS = {
+    CenterData: ("center", "piA_center", "piB_center", "tau"),
+    Witness: ("reason", ("pair", None), ("element", None), ("lhs", None), ("rhs", None)),
+    CheckResult: ("ok", ("witness", None)),
+    MapSpace: ("algebra", "kind", "pair", "space"),
+    Fixture: ("name", "description", "algebra", ("maps", dataclasses.field(compare=False)), ("checks", ())),
+    AutParts: ("t", "f_sigma", "g_sigma", "m_sigma", "nu_sigma"),
+    SigmaCenterData: ("sigma_center", "piA_part", "piB_part", "eta"),
+    DerParts: ("t", "aut", "d_A", "d_B", "m_d", "xi"),
+    CentParts: (
+        "t", "aut", "delta1", "delta2", "delta3", "mu1", "mu2", "mu3",
+        ("conditions", dataclasses.field(default_factory=dict, compare=False)),
+    ),
+    GenParts: ("t", "der", "D_A", "D_B", "m_D", "display_matches"),
+    MultParts: ("t", "F_A", "F_B", "m_F"),
+    TheoremReport: (
+        "theorem", "instance", "passed",
+        ("dimensions", dataclasses.field(default_factory=dict)),
+        ("details", dataclasses.field(default_factory=dict)),
+        ("witness", None),
+    ),
+}
+
+_F7 = GF(7)
+# hashable field values of every kind _record formats or skips
+_SAMPLES = ("x", Matrix.identity(_F7, 2), Subspace.full(_F7, 2), (_F7.one, _F7.zero), None, 5)
+
+
+def _twin(cls):
+    """A frozen dataclass with the record's name, fields and own ``__repr__``."""
+    specs = [(item, object) if isinstance(item, str) else (item[0], object, item[1]) for item in RECORD_FIELDS[cls]]
+    namespace = {"__repr__": cls.__dict__["__repr__"]} if "__repr__" in cls.__dict__ else {}
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+
+
+def _values(cls, shift=0):
+    return [_SAMPLES[(n + shift) % len(_SAMPLES)] for n in range(len(RECORD_FIELDS[cls]))]
+
+
+def _state(obj, names):
+    return [getattr(obj, name) for name in names]
+
+
+def _raised(make):
+    try:
+        make()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+        return type(exc)
+    return None
+
+
+def _dataclass_record(field, data, **extra):
+    """What ``cli._record`` wrote when the results were dataclasses."""
+    out = {}
+    for item in dataclasses.fields(data):
+        value = getattr(data, item.name)
+        if isinstance(value, Subspace):
+            out[item.name] = fmt_subspace(field, value)
+        elif isinstance(value, Matrix):
+            out[item.name] = fmt_matrix(field, value)
+        elif isinstance(value, tuple):
+            out[item.name] = fmt_vector(field, value)
+    out.update(extra)
+    return out
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_matches_frozen_dataclass(cls):
+    """Construction (positional, keyword, defaults, fresh default dicts, bad
+    arguments), ==, hash, repr, frozenness, replace and the report record of
+    each result type agree with a frozen dataclass of the same fields."""
+    twin = _twin(cls)
+    names = [item.name for item in dataclasses.fields(twin)]
+    assert list(cls._fields) == names
+    vals = _values(cls)
+    required = sum(1 for item in dataclasses.fields(twin)
+                   if item.default is dataclasses.MISSING and item.default_factory is dataclasses.MISSING)
+    rec, dc = cls(*vals), twin(*vals)
+    assert _state(rec, names) == _state(dc, names) == vals
+    assert repr(rec) == repr(dc)
+    assert hash(rec) == hash(dc)
+    keyword = dict(zip(names, vals))
+    assert cls(**keyword) == rec and _state(cls(**keyword), names) == _state(twin(**keyword), names)
+    # defaults, and a fresh dict per record for each default factory
+    first, second = cls(*vals[:required]), cls(*vals[:required])
+    dc_first, dc_second = twin(*vals[:required]), twin(*vals[:required])
+    assert _state(first, names) == _state(dc_first, names)
+    assert repr(first) == repr(dc_first)
+    assert [getattr(first, n) is getattr(second, n) for n in names] == [
+        getattr(dc_first, n) is getattr(dc_second, n) for n in names
+    ]
+    # missing, surplus, unknown and repeated arguments
+    for args, kwargs in (
+        (vals[: required - 1], {}),
+        (vals + [0], {}),
+        (vals, {"bogus": 0}),
+        (vals, {names[0]: vals[0]}),
+    ):
+        assert _raised(lambda: cls(*args, **kwargs)) is _raised(lambda: twin(*args, **kwargs)) is TypeError
+    # ==, hash: one field changed at a time; compare=False fields do not count
+    for n, name in enumerate(names):
+        changed = vals[:n] + ["changed"] + vals[n + 1 :]
+        assert (cls(*changed) == rec) == (twin(*changed) == dc)
+        assert (hash(cls(*changed)) == hash(rec)) == (hash(twin(*changed)) == hash(dc))
+    assert rec != dc and dc != rec and rec != tuple(vals)
+    # frozen, on fields and on new names
+    for name in names + ["bogus"]:
+        assert _raised(lambda: setattr(rec, name, 0)) is AttributeError
+        assert issubclass(_raised(lambda: setattr(dc, name, 0)), AttributeError)
+        assert _raised(lambda: delattr(rec, name)) is AttributeError
+        assert issubclass(_raised(lambda: delattr(dc, name)), AttributeError)
+    assert _state(rec, names) == vals
+    # replace
+    for name in names:
+        assert _state(rec.replace(**{name: "new"}), names) == _state(dataclasses.replace(dc, **{name: "new"}), names)
+    assert _state(rec.replace(), names) == vals and rec.replace() is not rec
+    assert _raised(lambda: rec.replace(bogus=0)) is _raised(lambda: dataclasses.replace(dc, bogus=0)) is TypeError
+    # the report record
+    for shift in range(len(_SAMPLES)):
+        shifted = _values(cls, shift)
+        assert _record(_F7, cls(*shifted), extra=1) == _dataclass_record(_F7, twin(*shifted), extra=1)

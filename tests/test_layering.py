@@ -3,11 +3,16 @@
 Every import sits at module top, the ``from .x import`` edges between the
 modules of ``trialg`` form no cycle, every imported name is used in the
 module that imports it, and every function or method is named somewhere in
-the package.
+the package.  No module imports ``dataclasses`` or runs generated code, and
+importing the command line front end in a fresh interpreter loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,33 @@ def test_intra_package_imports_are_acyclic():
     }
     assert all(dep in MODULES for deps in graph.values() for dep in deps)
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dataclasses_and_no_generated_code(module):
+    tree = MODULES[module]
+    imported = {
+        name
+        for node in _imports(tree)
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names])
+    }
+    assert "dataclasses" not in imported
+    calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert calls.isdisjoint({"exec", "eval", "compile"})
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    """A fresh ``from trialg import cli`` adds neither ``dataclasses`` nor
+    ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``) to ``sys.modules``."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from trialg import cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
