@@ -94,7 +94,9 @@ PARTS_KEYS = frozenset({"f", "g", "m_sigma", "nu"})
 
 
 def fmt_vector(field: Field, v) -> list[str]:
-    return [field.format(x) for x in v]
+    """The entries as strings; every zero entry shares one string."""
+    zero = field.format(field.zero)
+    return [field.format(x) if x else zero for x in v]
 
 
 def fmt_matrix(field: Field, m: Matrix) -> list[list[str]]:

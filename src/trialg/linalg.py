@@ -423,14 +423,16 @@ class Subspace:
         self._same_ambient(other)
         return all(other.contains(v) for v in self.basis)
 
-    def orthogonal_complement(self) -> "Subspace":
-        """Vectors annihilated by every basis functional (standard dot pairing)."""
-        return kernel_basis(Matrix(self.field, self.basis, ncols=self.ambient_dim))
-
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The combinations Σ c_i·b_i of this basis that ``other`` contains:
+        c runs over the kernel of the residues of the b_i modulo ``other``,
+        so the elimination is only dim(self) columns wide."""
         self._same_ambient(other)
-        stacked = list(self.orthogonal_complement().basis) + list(other.orthogonal_complement().basis)
-        return kernel_basis(Matrix(self.field, stacked, ncols=self.ambient_dim))
+        f = self.field
+        residues = [other.reduce(b) for b in self.basis]
+        coefficients = sparse_kernel(f, (_sparse(col) for col in zip(*residues)), self.dim)
+        combos = Matrix(f, coefficients.basis, ncols=self.dim) @ Matrix(f, self.basis, ncols=self.ambient_dim)
+        return Subspace.from_vectors(f, self.ambient_dim, combos.entries)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)

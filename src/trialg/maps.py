@@ -17,11 +17,18 @@ One checker, :func:`_pair_check`, decides every identity X(e_i·e_j) =
 Σ P(e_i)·Q(e_j) on basis pairs: multiplicativity and the Leibniz rules here,
 and the intertwining and ξ laws of :mod:`trialg.structure` over the module
 tables.  Each side is one sparse evaluation on the maps' cached columns.
+
+The solver never stores its system: the equations are generated one at a
+time, and each equation's coordinate rows stream straight into the sparse
+elimination engine (:func:`trialg.linalg.sparse_kernel`), which reduces them
+into its pivots before the next equation is built.  So a solve holds the
+pivots and one equation, not the whole system.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, center_subspace
 from .errors import NotAutomorphism
@@ -101,7 +108,9 @@ class LinearEndo:
         return self.matrix.mul_vec(v)
 
     def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.algebra.field, self.algebra.dim)
+        """Whether every basis vector is its own image, read off the cached sparse columns."""
+        one = self.algebra.field.one
+        return all(col == ((j, one),) for j, col in enumerate(self.matrix._cols()))
 
     def __eq__(self, other):
         return isinstance(other, LinearEndo) and other.algebra is self.algebra and other.matrix == self.matrix
@@ -253,11 +262,15 @@ def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
         raise ValueError("conjugation needs a unital algebra")
     if len(u) != alg.dim:
         raise ValueError("conjugating element has wrong length")
-    left = alg.left_mul_matrix(u)
-    inv = left.inverse()
+    inv = alg.left_mul_matrix(u).inverse()
     if inv is None:
         raise ValueError("conjugating element is not invertible")
-    return LinearEndo(alg, left @ alg.right_mul_matrix(inv.mul_vec(alg.unit)))
+    return _conjugation(alg, u, inv.mul_vec(alg.unit))
+
+
+def _conjugation(alg: FDAlgebra, u: Sequence, u_inv: Sequence) -> LinearEndo:
+    """x -> u·x·u⁻¹, for an element whose inverse is already known."""
+    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +316,24 @@ def _live(rows) -> list[tuple[int, dict]]:
 
 
 class _System:
-    """Sparse rows of a homogeneous system over endo-block unknowns.
+    """A homogeneous system over endo-block unknowns, streamed into elimination.
 
     Unknown ``b·n² + r·n + k`` is entry (r, k) of the block-b map.  A row is
     a ``{column: value}`` dict of plain ints (Fractions only where the data
     has denominators); :func:`trialg.linalg.sparse_kernel` clears
-    denominators and reduces mod p.  An equation stores only the coordinate
-    rows some term writes to (their entries may still cancel to zero).
+    denominators and reduces mod p.  The system is never stored: each
+    equation's coordinate rows are built when the engine asks for them and
+    dropped once they are reduced into its pivots, and only the rows some
+    term writes to are built (their entries may still cancel to zero).
     """
 
     def __init__(self, field: Field, n: int, blocks: int):
         self.field = field
         self.n = n
         self.width = blocks * n * n
-        self.rows: list[dict[int, Scalar]] = []
 
-    def equation(self, terms) -> None:
-        """Add the coordinate rows of sum of terms = 0 that some term writes to.
+    def equation(self, terms) -> Iterable[dict[int, Scalar]]:
+        """The coordinate rows of sum of terms = 0 that some term writes to.
 
         Each term is (block, P, v, sign): the expression sign·P·X_block(v)
         with P a known matrix given by its :func:`_live` rows and v a known
@@ -340,10 +354,12 @@ class _System:
                     for k, vk in v.items():
                         col = base + k
                         row[col] = row.get(col, 0) + c * vk
-        self.rows.extend(rows.values())
+        return rows.values()
 
-    def kernel(self) -> Subspace:
-        return sparse_kernel(self.field, self.rows, self.width)
+    def kernel(self, equations: Iterable) -> Subspace:
+        """The solution space of the equations, each given by its terms."""
+        rows = (row for terms in equations for row in self.equation(terms))
+        return sparse_kernel(self.field, rows, self.width)
 
 
 class _Leibniz:
@@ -358,7 +374,7 @@ class _Leibniz:
         self.right = [_live(_bracket_operator(alg, (), ((j, one),), 1)) for j in range(n)]
         self.left_sigma = [_live(_bracket_operator(alg, images[i], (), 1)) for i in range(n)]
 
-    def add_to(self, system: _System, D_block: int, d_block: int | None) -> None:
+    def equations(self, D_block: int, d_block: int | None) -> Iterator[list]:
         """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
         ``d_block=None`` drops the σ term (the left multiplier rule)."""
         n = self.n
@@ -367,7 +383,17 @@ class _Leibniz:
                 terms = [(D_block, self.identity, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
                 if d_block is not None:
                     terms.append((d_block, self.left_sigma[i], self.basis[j], -1))
-                system.equation(terms)
+                yield terms
+
+
+def _bracket_equations(op: list, n: int) -> Iterator[list]:
+    """The polarized bracket condition: op_i(e_i) = 0, and
+    op_i(e_j) + op_j(e_i) = 0 for i < j, with op_i given by its live rows."""
+    basis = [{i: 1} for i in range(n)]
+    for i in range(n):
+        yield [(0, op[i], basis[i], 1)]
+        for j in range(i + 1, n):
+            yield [(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)]
 
 
 def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
@@ -395,9 +421,9 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
 
     if kind in ("derivation", "sigma_derivation", "left_multiplier", "generalized_pair"):
         leibniz = _Leibniz(alg, sigma)
-        leibniz.add_to(system, 0, None if kind == "left_multiplier" else int(pair))
+        equations = leibniz.equations(0, None if kind == "left_multiplier" else int(pair))
         if pair:
-            leibniz.add_to(system, 1, 1)
+            equations = chain(equations, leibniz.equations(1, 1))
     else:
         # σ(e_i)λ − λe_i, or σ(e_i)λ + λe_i for the skew kinds
         sign = 1 if kind.startswith("skew") else -1
@@ -406,11 +432,6 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if kind.endswith("centralizing"):
             center = center_subspace(alg)
             op = [center.reduce_rows(rows) for rows in op]
-        op = [_live(rows) for rows in op]
-        basis = [{i: 1} for i in range(n)]
-        for i in range(n):
-            system.equation([(0, op[i], basis[i], 1)])
-            for j in range(i + 1, n):
-                system.equation([(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)])
+        equations = _bracket_equations([_live(rows) for rows in op], n)
 
-    return MapSpace(alg, kind, pair, system.kernel())
+    return MapSpace(alg, kind, pair, system.kernel(equations))

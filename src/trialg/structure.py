@@ -173,11 +173,13 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
 
 
 def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
-    if sigma.is_identity():
-        return identity_aut_parts(t)
-    key = ("automorphism_parts", sigma.matrix)
+    identity = sigma.is_identity()
+    key = ("automorphism_parts", None if identity else sigma.matrix)
     if key not in t.memo:
-        t.memo[key] = decompose_automorphism(t, LinearEndo(t.algebra, sigma.matrix))
+        if identity:
+            t.memo[key] = identity_aut_parts(t)
+        else:
+            t.memo[key] = decompose_automorphism(t, LinearEndo(t.algebra, sigma.matrix))
     return t.memo[key]
 
 

@@ -12,13 +12,13 @@ import random
 from .algebra import FDAlgebra, TriangularAlgebra
 from .errors import HypothesisNotMet, StructuralMismatch
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, unit_vector
+from .linalg import Matrix, Subspace, Vector, unit_vector, vec_neg
 from .maps import (
     LinearEndo,
+    _conjugation,
     as_algebra,
     as_endo,
     endo_of_vec,
-    inner_automorphism,
     is_automorphism,
     is_left_multiplier,
     is_sigma_derivation,
@@ -220,15 +220,10 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
     """Compose parts, unchecked: inner f and g, ν = s·(u·m·w⁻¹), random m_σ."""
     A, M, B = t.A, t.M, t.B
     field = t.field
-    while True:  # the draws of _random_invertible, each u inverted once
-        u = _random_vector(field, A.dim, rng)
-        try:
-            fmat = inner_automorphism(A, u).matrix
-            break
-        except ValueError:
-            pass
+    u, u_inv = _random_invertible(A, rng)
+    fmat = _conjugation(A, u, u_inv).matrix
     w, w_inv = _random_invertible(B, rng)
-    gmat = inner_automorphism(B, w).matrix
+    gmat = _conjugation(B, w, w_inv).matrix
     s = _random_scalar(field, rng, nonzero=True)
     nu_cols = [
         tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))
@@ -242,10 +237,12 @@ def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> Line
 def _sample_conjugation_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
     """Conjugation by a random (a, m, b) with a and b invertible, which makes
     it invertible with inverse (a⁻¹, −a⁻¹·m·b⁻¹, b⁻¹)."""
-    a, _ = _random_invertible(t.A, rng)
-    b, _ = _random_invertible(t.B, rng)
-    m = _random_vector(t.field, t.M.dim, rng)
-    return inner_automorphism(t.algebra, t.element(a, m, b))
+    M = t.M
+    a, a_inv = _random_invertible(t.A, rng)
+    b, b_inv = _random_invertible(t.B, rng)
+    m = _random_vector(t.field, M.dim, rng)
+    m_inv = vec_neg(t.field, M.act_right(M.act_left(a_inv, m), b_inv))
+    return _conjugation(t.algebra, t.element(a, m, b), t.element(a_inv, m_inv, b_inv))
 
 
 def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instance: str = "") -> TheoremReport:

@@ -49,6 +49,14 @@ table off its corners' tables: the dense dim × dim table through the corner
 embeddings, handed to the validating constructor, which checks T's
 associativity and unit again.
 
+The subspace intersection is the one :class:`trialg.Subspace` computed
+before it eliminated in the coefficients of its own basis: the kernel of
+both orthogonal complements stacked, each complement itself a kernel.
+
+The Mayne samplers are the ones :mod:`trialg.theorems` used before they
+kept the inverses their invertibility draws compute: each sampled
+conjugation inverts its whole conjugating element again.
+
 The map helpers at the end are public names trialg dropped because only the
 tests used them: the twisted anti-bracket, the plain derivation check, a
 map's coordinates in a solved space, and the membership and projection
@@ -74,6 +82,7 @@ from trialg import (
     UnitViolation,
     center_subspace,
     is_sigma_derivation,
+    kernel_basis,
     sigma_center_subspace,
     solve_linear,
 )
@@ -87,7 +96,10 @@ from trialg.maps import (
     as_endo,
     bracket_sigma,
     endo_of_vec,
+    inner_automorphism,
 )
+from trialg.structure import AutParts, _composed
+from trialg.theorems import _random_invertible, _random_scalar, _random_vector
 
 
 def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
@@ -897,3 +909,50 @@ def first_component_space(space) -> Subspace:
     """Projection of a pair space onto its D-block."""
     half = space.algebra.dim ** 2
     return Subspace.from_vectors(space.algebra.field, half, [v[:half] for v in space.space.basis])
+
+
+# ---------------------------------------------------------------------------
+# subspace intersection through orthogonal complements
+
+
+def orthogonal_complement(s: Subspace) -> Subspace:
+    """Vectors annihilated by every basis functional (standard dot pairing)."""
+    return kernel_basis(Matrix(s.field, s.basis, ncols=s.ambient_dim))
+
+
+def intersect_by_complements(s: Subspace, t: Subspace) -> Subspace:
+    stacked = list(orthogonal_complement(s).basis) + list(orthogonal_complement(t).basis)
+    return kernel_basis(Matrix(s.field, stacked, ncols=s.ambient_dim))
+
+
+# ---------------------------------------------------------------------------
+# Mayne samplers that invert every conjugating element again
+
+
+def sample_parts_automorphism(t, rng) -> LinearEndo:
+    A, M, B = t.A, t.M, t.B
+    field = t.field
+    while True:
+        u = _random_vector(field, A.dim, rng)
+        try:
+            fmat = inner_automorphism(A, u).matrix
+            break
+        except ValueError:
+            pass
+    w, w_inv = _random_invertible(B, rng)
+    gmat = inner_automorphism(B, w).matrix
+    s = _random_scalar(field, rng, nonzero=True)
+    nu_cols = [
+        tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))
+        for k in range(M.dim)
+    ]
+    nu = Matrix.from_columns(field, nu_cols, nrows=M.dim)
+    m_sigma = _random_vector(field, M.dim, rng)
+    return _composed(t, AutParts(t, fmat, gmat, m_sigma, nu))
+
+
+def sample_conjugation_automorphism(t, rng) -> LinearEndo:
+    a, _ = _random_invertible(t.A, rng)
+    b, _ = _random_invertible(t.B, rng)
+    m = _random_vector(t.field, t.M.dim, rng)
+    return inner_automorphism(t.algebra, t.element(a, m, b))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from dense_oracle import reduction_matrix
+from dense_oracle import intersect_by_complements, reduction_matrix
 from hypothesis import given, settings, strategies as st
 
 from trialg import GF, QQ, Matrix, Subspace, kernel_basis, solve_linear
@@ -197,3 +197,19 @@ def test_intersection_is_contained_in_both(m):
     inter = s.intersect(t)
     assert inter.leq(s) and inter.leq(t)
     assert inter == t.intersect(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(5), GF(10007)]), st.integers(1, 7), st.data())
+def test_intersection_matches_complement_oracle(field, n, data):
+    """Eliminating in the coefficients of one basis gives the subspace that
+    the kernel of both orthogonal complements gives; a shared spanning part
+    makes most intersections nonzero."""
+    def rows(most):
+        vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        return [qvec(field, r) for r in data.draw(st.lists(vectors, max_size=most))]
+
+    common = rows(2)
+    s = Subspace.from_vectors(field, n, common + rows(n))
+    t = Subspace.from_vectors(field, n, common + rows(n))
+    assert s.intersect(t) == intersect_by_complements(s, t)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -371,15 +372,23 @@ def test_checks_convert_each_map_column_at_most_once(monkeypatch):
 
 
 def _system_rows(monkeypatch) -> list:
-    """The rows of every ``_System`` that ``solve_space`` eliminates."""
+    """The rows of every system that ``solve_space`` eliminates, one list per
+    system, recorded as the engine takes them from the stream."""
     systems = []
-    kernel = trialg.maps._System.kernel
+    kernel = trialg.maps.sparse_kernel
 
-    def capture(system):
-        systems.append(system.rows)
-        return kernel(system)
+    def capture(field, rows, ncols):
+        taken = []
+        systems.append(taken)
 
-    monkeypatch.setattr(trialg.maps._System, "kernel", capture)
+        def stream():
+            for row in rows:
+                taken.append(row)
+                yield row
+
+        return kernel(field, stream(), ncols)
+
+    monkeypatch.setattr(trialg.maps, "sparse_kernel", capture)
     return systems
 
 
@@ -401,3 +410,61 @@ def test_t7_derivation_system_stores_only_written_rows(monkeypatch):
     solve_space(upper_triangular(7, GF(10007)), None, "derivation")
     # 28³ = 21,952 rows if each of the 28² equations added all 28 coordinates
     assert len(systems[0]) <= 6132
+
+
+@pytest.mark.parametrize("kind", ["generalized_pair", "centralizing"])
+def test_solve_streams_each_equation_into_elimination(monkeypatch, kind):
+    """``sparse_kernel`` gets an iterator, and an equation's rows are built
+    only once every row of the equations before it has been reduced."""
+    t = trian_trunc(2, GF(7))
+    sigma = unipotent_automorphism(t)
+    center_subspace(t.algebra)
+    assembled, reduced, streams = [], [0], []
+
+    equation = trialg.maps._System.equation
+
+    def counting_equation(system, terms):
+        assert reduced[0] == sum(assembled)
+        rows = list(equation(system, terms))
+        assembled.append(len(rows))
+        return rows
+
+    integer_rows = trialg.linalg._integer_rows
+
+    def counting_rows(field, rows):
+        for row in integer_rows(field, rows):
+            yield row
+            if streams and rows is streams[-1]:
+                reduced[0] += 1  # the engine asks for the next row only after reducing this one
+
+    kernel = trialg.maps.sparse_kernel
+
+    def receiving(field, rows, ncols):
+        assert iter(rows) is rows
+        streams.append(rows)
+        return kernel(field, rows, ncols)
+
+    monkeypatch.setattr(trialg.maps._System, "equation", counting_equation)
+    monkeypatch.setattr(trialg.linalg, "_integer_rows", counting_rows)
+    monkeypatch.setattr(trialg.maps, "sparse_kernel", receiving)
+    space = solve_space(t, sigma, kind)
+    monkeypatch.undo()
+    assert len(streams) == 1 and len(assembled) > 1
+    assert reduced[0] == sum(assembled)
+    assert space == solve_space(t, sigma, kind)
+
+
+def test_pair_solve_holds_pivots_not_the_system():
+    """Solving the T6 generalized pairs over GF(10007) (882 unknowns, 882
+    equations) peaks at about 0.65 MiB; storing the system's rows before
+    eliminating them took it to about 1.8 MiB."""
+    t = upper_triangular(6, GF(10007))
+    ident = LinearEndo.identity(t.algebra)
+    tracemalloc.start()
+    try:
+        space = solve_space(t, ident, "generalized_pair")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 41
+    assert peak < 1024 * 1024

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from trialg import (
+    GF,
     QQ,
     HypothesisNotMet,
     LinearEndo,
@@ -8,6 +11,8 @@ from trialg import (
     full_matrix_algebra,
     predicate,
     solve_space,
+    theorems,
+    trian_trunc,
     verify_gd_left_mult,
     verify_mayne,
     verify_posner,
@@ -15,7 +20,7 @@ from trialg import (
     verify_skew_zero,
 )
 from conftest import diag_sign_automorphism, unipotent_automorphism
-from dense_oracle import contains_pair
+from dense_oracle import contains_pair, sample_conjugation_automorphism, sample_parts_automorphism
 
 
 def test_posner_identity_twist(t2q, t3q, block21q):
@@ -115,3 +120,15 @@ def test_unipotent_conjugation_is_not_centralizing(t2q):
 def test_reports_are_truthy_only_when_passing(t2q):
     report = verify_posner(t2q)
     assert bool(report) is report.passed is True
+
+
+@pytest.mark.parametrize("seed", [0, 3, 777, 2024])
+def test_mayne_samplers_draw_the_inverting_samplers_maps(t2q, t2f5, seed):
+    """Keeping the inverses of the invertibility draws changes neither the
+    sampled automorphisms nor the random stream."""
+    for t in (t2q, t2f5, trian_trunc(3, GF(7))):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            assert theorems._sample_parts_automorphism(t, new) == sample_parts_automorphism(t, old)
+            assert theorems._sample_conjugation_automorphism(t, new) == sample_conjugation_automorphism(t, old)
+        assert new.getstate() == old.getstate()
