@@ -1,7 +1,15 @@
 """Exact-arithmetic construction of triangular algebras, solvers for spaces
 of structured linear maps (twisted derivations, centralizing maps,
 generalized derivations, left multipliers), canonical decompositions, and
-machine verification of the corresponding structure theorems."""
+machine verification of the corresponding structure theorems.
+
+``structure`` and ``theorems`` sit in ``sys.modules`` unexecuted until the
+first access to an attribute (``importlib.util.LazyLoader``; on Python 3.11
+that first access is not thread-safe), and ``__getattr__`` serves the names
+re-exported from them, so a run that only solves never executes them."""
+
+import importlib.util
+import sys
 
 from .algebra import (
     Bimodule,
@@ -56,33 +64,37 @@ from .maps import (
     predicate,
     solve_space,
 )
-from .structure import (
-    AutParts,
-    CentParts,
-    DerParts,
-    GenParts,
-    MultParts,
-    SigmaCenterData,
-    centralizing_conditions,
-    commuting_criterion,
-    compose_automorphism,
-    compose_centralizing,
-    compose_generalized,
-    compose_sigma_derivation,
-    decompose_automorphism,
-    decompose_centralizing,
-    decompose_generalized,
-    decompose_left_multiplier,
-    decompose_sigma_derivation,
-    sigma_center,
+
+def _deferred(name: str):
+    """``trialg.<name>``, in ``sys.modules`` but executed on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+structure = _deferred("structure")
+theorems = _deferred("theorems")
+
+# every name the package re-exports from a deferred module, with that module
+_DEFERRED_NAMES = dict.fromkeys(
+    "AutParts CentParts DerParts GenParts MultParts SigmaCenterData centralizing_conditions commuting_criterion "
+    "compose_automorphism compose_centralizing compose_generalized compose_sigma_derivation decompose_automorphism "
+    "decompose_centralizing decompose_generalized decompose_left_multiplier decompose_sigma_derivation "
+    "sigma_center".split(),
+    structure,
+) | dict.fromkeys(
+    "TheoremReport verify_gd_left_mult verify_mayne verify_posner verify_sharma_dhara verify_skew_zero".split(), theorems
 )
-from .theorems import (
-    TheoremReport,
-    verify_gd_left_mult,
-    verify_mayne,
-    verify_posner,
-    verify_sharma_dhara,
-    verify_skew_zero,
-)
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
 
 __version__ = "0.1.0"

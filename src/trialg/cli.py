@@ -1,9 +1,11 @@
-"""Configuration-driven command line front end.
+"""Configuration-driven front end: a config in, a JSON report out.
 
-``trialg run --config cfg.json`` builds an algebra instance, runs an ordered
-task list (center / sigma_center / solve:<kind> / decompose:<kind> /
-verify:<theorem>) and writes a JSON report.  Scalars are serialized as
-strings ("num/den" over Q) so exactness survives the wire; reports contain no
+``run_config`` builds an algebra instance, runs an ordered task list
+(center / sigma_center / solve:<kind> / decompose:<kind> / verify:<theorem>)
+and returns the report that ``report_to_json`` writes; ``trialg.__main__``
+is the command line, and ``structure`` and ``theorems`` are reached through
+the package's deferred modules.  Scalars are serialized as strings
+("num/den" over Q) so exactness survives the wire; reports contain no
 timestamps or environment data, making identical config+seed runs
 byte-identical.
 
@@ -13,11 +15,10 @@ task fails or errors, 2 on configuration or usage errors.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from json.encoder import encode_basestring_ascii
 
+from . import structure, theorems
 from .algebra import (
     FDAlgebra,
     TriangularAlgebra,
@@ -40,24 +41,6 @@ from .families import (
 from .fields import QQ, Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
 from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, require_automorphism, solve_space
-from .structure import (
-    AutParts,
-    commuting_criterion,
-    compose_automorphism,
-    decompose_automorphism,
-    decompose_centralizing,
-    decompose_generalized,
-    decompose_left_multiplier,
-    decompose_sigma_derivation,
-    sigma_center,
-)
-from .theorems import (
-    verify_gd_left_mult,
-    verify_mayne,
-    verify_posner,
-    verify_sharma_dhara,
-    verify_skew_zero,
-)
 
 SCHEMA_VERSION = 1
 
@@ -254,14 +237,14 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
         t = instance.require_triangular(where)
         p = spec["parts"]
         _reject_unknown_keys(p, PARTS_KEYS, f"{where}.parts")
-        parts = AutParts(
+        parts = structure.AutParts(
             t,
             parse_matrix(field, p["f"]),
             parse_matrix(field, p["g"]),
             parse_vector(field, p["m_sigma"]),
             parse_matrix(field, p["nu"]),
         )
-        return compose_automorphism(t, parts)
+        return structure.compose_automorphism(t, parts)
     except ConfigError:
         raise
     except (KeyError, TypeError) as exc:
@@ -286,7 +269,7 @@ def _run_sigma_center(instance: Instance, sigma: LinearEndo) -> dict:
     if instance.t is None:
         space = sigma_center_subspace(instance.algebra, require_automorphism(sigma).matrix)
         return {"sigma_center": fmt_subspace(field, space)}
-    return _record(field, sigma_center(instance.t, sigma))
+    return _record(field, structure.sigma_center(instance.t, sigma))
 
 
 def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
@@ -307,27 +290,27 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
     field = instance.algebra.field
     t = instance.require_triangular(f"decompose:{kind}")
     if kind == "automorphism":
-        return _record(field, decompose_automorphism(t, sigma), kind=kind, round_trip=True)
+        return _record(field, structure.decompose_automorphism(t, sigma), kind=kind, round_trip=True)
     members = []
     if kind in ("derivation", "sigma_derivation"):
         effective = LinearEndo.identity(instance.algebra) if kind == "derivation" else sigma
         for endo in solve_space(instance.algebra, effective, kind).endos():
-            members.append(_record(field, decompose_sigma_derivation(t, effective, endo), round_trip=True))
+            members.append(_record(field, structure.decompose_sigma_derivation(t, effective, endo), round_trip=True))
     elif kind in ("centralizing", "commuting"):
         for endo in solve_space(instance.algebra, sigma, kind).endos():
-            parts = decompose_centralizing(t, sigma, endo)
+            parts = structure.decompose_centralizing(t, sigma, endo)
             members.append(
                 _record(
                     field,
                     parts,
                     conditions={label: bool(res) for label, res in parts.conditions.items()},
-                    commuting_criterion=commuting_criterion(parts),
+                    commuting_criterion=structure.commuting_criterion(parts),
                     round_trip=True,
                 )
             )
     elif kind == "generalized_pair":
         for D, d in solve_space(instance.algebra, sigma, kind).endo_pairs():
-            parts = decompose_generalized(t, sigma, D, d)
+            parts = structure.decompose_generalized(t, sigma, D, d)
             members.append(
                 _record(
                     field,
@@ -340,7 +323,7 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
             )
     elif kind == "left_multiplier":
         for endo in solve_space(instance.algebra, None, kind).endos():
-            members.append(_record(field, decompose_left_multiplier(t, endo), round_trip=True))
+            members.append(_record(field, structure.decompose_left_multiplier(t, endo), round_trip=True))
     else:
         raise ConfigError("tasks", f"unknown decompose kind {kind!r}")
     return {"kind": kind, "dim": len(members), "members": members}
@@ -348,17 +331,17 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, samples: int) -> dict:
     if name == "posner":
-        report = verify_posner(instance.require_triangular("verify:posner"), sigma, instance.name)
+        report = theorems.verify_posner(instance.require_triangular("verify:posner"), sigma, instance.name)
     elif name == "mayne":
-        report = verify_mayne(
+        report = theorems.verify_mayne(
             instance.require_triangular("verify:mayne"), samples=samples, seed=seed, instance=instance.name
         )
     elif name == "skew_zero":
-        report = verify_skew_zero(instance.require_triangular("verify:skew_zero"), sigma, instance.name)
+        report = theorems.verify_skew_zero(instance.require_triangular("verify:skew_zero"), sigma, instance.name)
     elif name == "sharma_dhara":
-        report = verify_sharma_dhara(instance.algebra, instance.name)
+        report = theorems.verify_sharma_dhara(instance.algebra, instance.name)
     elif name == "gd_left_mult":
-        report = verify_gd_left_mult(instance.require_triangular("verify:gd_left_mult"), instance.name)
+        report = theorems.verify_gd_left_mult(instance.require_triangular("verify:gd_left_mult"), instance.name)
     else:
         raise ConfigError("tasks", f"unknown verification {name!r}")
     out = {
@@ -500,7 +483,7 @@ def fixtures_catalog() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# report text
 
 
 def _to_json(value, indent: str) -> str:
@@ -524,81 +507,3 @@ def _to_json(value, indent: str) -> str:
 
 def report_to_json(report: dict) -> str:
     return _to_json(report, "") + "\n"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="trialg", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run tasks from a JSON config")
-    p_run.add_argument("--config", required=True, help="path to the JSON config")
-    p_run.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-
-    sub.add_parser("fixtures", help="list the built-in fixtures")
-
-    p_solve = sub.add_parser("solve", help="solve one map space for a family")
-    p_solve.add_argument("--family", required=True, choices=["Tn", "block", "trian_trunc", "matrix"])
-    p_solve.add_argument("--n", type=int, help="size for Tn / matrix")
-    p_solve.add_argument("--N", type=int, help="truncation order for trian_trunc")
-    p_solve.add_argument("--dims", help="comma-separated block sizes for block")
-    p_solve.add_argument("--split", type=int, default=1)
-    p_solve.add_argument("--kind", required=True, choices=list(SOLVE_KINDS))
-    p_solve.add_argument("--prime", type=int, help="use F_p instead of Q")
-    p_solve.add_argument("--out")
-
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "fixtures":
-            _emit(report_to_json({"schema_version": SCHEMA_VERSION, "fixtures": fixtures_catalog()}), None)
-            return 0
-        if args.command == "run":
-            with open(args.config) as fh:
-                config = json.load(fh)
-            if args.seed is not None and isinstance(config, dict):
-                config["seed"] = args.seed
-        else:
-            config = _solve_args_to_config(args)
-        report, code = run_config(config)
-        _emit(report_to_json(report), args.out)
-        return code
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _solve_args_to_config(args) -> dict:
-    if args.family == "Tn":
-        if args.n is None:
-            raise ConfigError("solve", "--n is required for Tn")
-        algebra = {"family": "Tn", "n": args.n, "split": args.split}
-    elif args.family == "matrix":
-        if args.n is None:
-            raise ConfigError("solve", "--n is required for matrix")
-        algebra = {"family": "matrix", "n": args.n}
-    elif args.family == "trian_trunc":
-        if args.N is None:
-            raise ConfigError("solve", "--N is required for trian_trunc")
-        algebra = {"family": "trian_trunc", "N": args.N}
-    else:
-        if not args.dims:
-            raise ConfigError("solve", "--dims is required for block")
-        try:
-            dims = [int(d) for d in args.dims.split(",")]
-        except ValueError as exc:
-            raise ConfigError("solve", f"--dims must be comma-separated integers, got {args.dims!r}") from exc
-        algebra = {"family": "block", "dims": dims, "split": args.split}
-    field = {"prime": args.prime} if args.prime else "rational"
-    return {"field": field, "algebra": algebra, "sigma": "identity", "tasks": [f"solve:{args.kind}"]}
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,12 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialg.cli import fixtures_catalog, fmt_vector, main, report_to_json, run_config
+from trialg.__main__ import main
+from trialg.cli import (
+    DECOMPOSE_KINDS,
+    SCHEMA_VERSION,
+    SIGMA_FORMS,
+    VERIFY_TASKS,
+    fixtures_catalog,
+    fmt_vector,
+    report_to_json,
+    run_config,
+)
 from trialg.errors import ConfigError
 from trialg.fields import GF, QQ
+from trialg.maps import SOLVE_KINDS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, config, name="cfg.json"):
@@ -432,3 +448,108 @@ def test_pair_solve_memory_is_bounded():
         tracemalloc.stop()
     assert code == 0 and report["tasks"][0]["dim"] == 41
     assert peak < 2 * 1024 * 1024
+
+
+def test_python_m_trialg_fixtures():
+    """``python -m trialg fixtures`` prints exactly the catalog report."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-m", "trialg", "fixtures"], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    expected = report_to_json({"schema_version": SCHEMA_VERSION, "fixtures": fixtures_catalog()})
+    assert done.stdout == expected.encode()
+
+
+# Malformed configs for the fuzz test below.  Each key takes a well-formed
+# value of a small instance three times in four, and otherwise a value of the
+# wrong type or shape or arbitrary JSON, so that draws reach every stage of a
+# run; sizes stay small so that a well-formed draw runs fast.
+def _mostly(valid, malformed):
+    return st.integers(0, 3).flatmap(lambda i: malformed if i == 0 else valid)
+
+
+_junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+_sizes = _mostly(st.integers(1, 3), st.one_of(st.integers(-2, 0), _junk))
+_scalars = _mostly(st.one_of(st.integers(-2, 3), st.sampled_from(["0", "1", "-1", "1/2", "2/3"])),
+                   st.one_of(st.sampled_from(["3/0", "x", "", "1e3", "1/-0"]), _junk))
+_vectors = _mostly(st.lists(_scalars, min_size=1, max_size=9), _junk)
+_matrices = _mostly(st.lists(_vectors, min_size=1, max_size=9), _junk)
+_fields = _mostly(
+    st.sampled_from(["rational", {"prime": 5}, {"prime": 7}]),
+    st.one_of(st.sampled_from(["Q", {"prime": 2}, {"prime": 9}]), st.fixed_dictionaries({"prime": _junk}), _junk),
+)
+_families = st.one_of(
+    st.fixed_dictionaries({"family": st.just("Tn"), "n": _sizes}, optional={"split": _sizes}),
+    st.fixed_dictionaries({"family": st.just("block"), "dims": _mostly(st.lists(_sizes, min_size=1, max_size=3), _junk)},
+                          optional={"split": _sizes}),
+    st.fixed_dictionaries({"family": st.sampled_from(["trian_trunc", "trunc_poly"]), "N": _sizes}),
+    st.fixed_dictionaries({"family": st.just("matrix"), "n": _sizes}),
+    st.fixed_dictionaries({"family": st.just("fixture"), "name": _mostly(st.sampled_from(["n3", "trian_AA0"]), _junk)},
+                          optional={"N": _sizes}),
+    st.fixed_dictionaries({"table": _mostly(st.lists(st.lists(_vectors, max_size=3), max_size=3), _junk)},
+                          optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=3), _junk),
+                                    "unit": _vectors}),
+)
+_algebras = _mostly(
+    _families,
+    st.one_of(
+        st.tuples(_families, st.text(max_size=6), _junk).map(lambda drawn: {**drawn[0], drawn[1]: drawn[2]}),
+        st.fixed_dictionaries({"family": _junk}),
+        _junk,
+    ),
+)
+_sigmas = _mostly(
+    st.one_of(
+        st.sampled_from([None, "identity"]),
+        st.fixed_dictionaries({"diag_signs": _mostly(st.lists(_scalars, min_size=2, max_size=2), _junk)}),
+        st.fixed_dictionaries({"conjugate_by": _vectors}),
+        st.fixed_dictionaries({"matrix": _matrices}),
+        st.fixed_dictionaries({"parts": _mostly(
+            st.fixed_dictionaries({"f": _matrices, "g": _matrices, "m_sigma": _vectors, "nu": _matrices}), _junk)}),
+        st.fixed_dictionaries({"fixture_map": st.sampled_from(["sigma", "theta", "D", "d"])}),
+    ),
+    st.one_of(st.just("twist"), st.dictionaries(st.sampled_from(sorted(SIGMA_FORMS) + ["other"]), _junk), _junk),
+)
+_tasks = _mostly(
+    st.lists(
+        st.sampled_from(
+            ["center", "sigma_center"]
+            + [f"solve:{kind}" for kind in SOLVE_KINDS]
+            + [f"decompose:{kind}" for kind in DECOMPOSE_KINDS]
+            + [f"verify:{name}" for name in VERIFY_TASKS]
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.one_of(st.lists(st.one_of(st.sampled_from(["solve:", "verify:", "decompose:x"]), st.text(max_size=8), _junk),
+                       max_size=2), _junk),
+)
+_configs_keyed = st.fixed_dictionaries(
+    {"field": _fields, "algebra": _algebras, "tasks": _tasks},
+    optional={
+        "schema_version": _mostly(st.just(1), _junk),
+        "sigma": _sigmas,
+        "seed": _mostly(st.integers(0, 9), _junk),
+        "samples": _sizes,
+    },
+)
+_configs = _mostly(
+    _configs_keyed,
+    st.one_of(
+        st.tuples(_configs_keyed, st.text(max_size=6), _junk).map(lambda drawn: {**drawn[0], drawn[1]: drawn[2]}),
+        _junk,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs)
+def test_malformed_configs_never_raise(tmp_path_factory, config):
+    """``trialg run`` on any config exits 0, 1 or 2; nothing escapes."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(directory / "report.json")]) in (0, 1, 2)
