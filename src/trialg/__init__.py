@@ -83,10 +83,12 @@ _DEFERRED_NAMES = dict.fromkeys(
     "AutParts CentParts DerParts GenParts MultParts SigmaCenterData centralizing_conditions commuting_criterion "
     "compose_automorphism compose_centralizing compose_generalized compose_sigma_derivation decompose_automorphism "
     "decompose_centralizing decompose_generalized decompose_left_multiplier decompose_sigma_derivation "
-    "sigma_center".split(),
+    "decompose_space description_space sigma_center".split(),
     structure,
 ) | dict.fromkeys(
-    "TheoremReport verify_gd_left_mult verify_mayne verify_posner verify_sharma_dhara verify_skew_zero".split(), theorems
+    "TheoremReport verify_description verify_gd_left_mult verify_mayne verify_posner verify_sharma_dhara "
+    "verify_skew_zero".split(),
+    theorems,
 )
 
 

@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 
-from .cli import SCHEMA_VERSION, fixtures_catalog, report_to_json, run_config
+from .cli import SCHEMA_VERSION, fixtures_catalog, run_config
 from .errors import ConfigError
 from .maps import SOLVE_KINDS
+from .report import report_fragments
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="trialg", description=__doc__.splitlines()[0])
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "fixtures":
-            _emit(report_to_json({"schema_version": SCHEMA_VERSION, "fixtures": fixtures_catalog()}), None)
+            _emit(report_fragments({"schema_version": SCHEMA_VERSION, "fixtures": fixtures_catalog()}), None)
             return 0
         if args.command == "run":
             with open(args.config) as fh:
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
         else:
             config = _solve_args_to_config(args)
         report, code = run_config(config)
-        _emit(report_to_json(report), args.out)
+        _emit(report_fragments(report), args.out)
         return code
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -80,12 +81,13 @@ def _solve_args_to_config(args) -> dict:
     return {"field": field, "algebra": algebra, "sigma": "identity", "tasks": [f"solve:{args.kind}"]}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(fragments: list[str], out: str | None) -> None:
+    """Write the report's fragments in order, never joined into one string."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(fragments)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(fragments)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,6 @@ task fails or errors, 2 on configuration or usage errors.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
-
 from . import structure, theorems
 from .algebra import (
     FDAlgebra,
@@ -41,10 +38,11 @@ from .families import (
 from .fields import QQ, Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
 from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, require_automorphism, solve_space
+from .report import report_fragments
 
 SCHEMA_VERSION = 1
 
-VERIFY_TASKS = ("posner", "mayne", "skew_zero", "sharma_dhara", "gd_left_mult")
+VERIFY_TASKS = ("posner", "mayne", "skew_zero", "sharma_dhara", "gd_left_mult", "description")
 DECOMPOSE_KINDS = (
     "automorphism",
     "derivation",
@@ -112,6 +110,9 @@ def parse_scalar(field: Field, x):
             return field.parse(x)
         except ZeroDivisionError as exc:
             raise ConfigError("scalar", f"{x!r} has a zero denominator") from exc
+        except ValueError as exc:
+            form = "an integer" if field.char else 'an integer or as "num/den"'
+            raise ConfigError("scalar", f"{x!r} is not a scalar of {field!r}: write it as {form}") from exc
     if isinstance(x, int) and not isinstance(x, bool):
         return field.from_int(x)
     raise ConfigError("scalar", f"expected string or integer, got {x!r}")
@@ -149,8 +150,12 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
     if not isinstance(spec, dict):
         raise ConfigError(where, "algebra spec must be an object")
     family = spec.get("family")
+    named = {"family": family, "name": spec.get("name")} if family == "fixture" else {"family": family}
+    for key, value in named.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(where, f"{key} must be a string, got {value!r}")
     try:
-        allowed = FAMILY_KEYS.get((family, spec.get("name")) if family == "fixture" else family)
+        allowed = FAMILY_KEYS.get(tuple(named.values()) if family == "fixture" else family)
         if allowed is not None:
             _reject_unknown_keys(spec, allowed, where)
         if family == "Tn":
@@ -159,7 +164,7 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
             t = upper_triangular(n, field, split)
             return Instance(f"T{n}(split={split})", t.algebra, t)
         if family == "block":
-            dims = tuple(_config_int(d, "dims") for d in spec["dims"])
+            dims = tuple(_config_int(d, "dims") for d in _config_list(spec["dims"], "dims"))
             split = _config_int(spec.get("split", 1), "split")
             t = block_upper(dims, split, field)
             return Instance(f"block{dims}(split={split})", t.algebra, t)
@@ -183,13 +188,16 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
                 raise ConfigError(where, f"unknown fixture {name!r}")
             return Instance(fx.name, fx.algebra, fixture=fx)
         if family is None and "table" in spec:
-            labels = _config_list(spec.get("labels", []), "labels") or [f"e{i}" for i in range(len(spec["table"]))]
-            table = [[parse_vector(field, v) for v in row] for row in spec["table"]]
+            rows = _config_list(spec["table"], "table")
+            labels = _config_list(spec.get("labels", []), "labels") or [f"e{i}" for i in range(len(rows))]
+            table = [[parse_vector(field, v) for v in _config_list(row, "table")] for row in rows]
             unit = parse_vector(field, spec["unit"]) if spec.get("unit") is not None else None
             return Instance("inline", FDAlgebra(field, labels, table, unit))
     except ConfigError:
         raise
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ConfigError(where, f"missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
         raise ConfigError(where, f"bad algebra spec: {exc}") from exc
     except (TrialgError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from exc
@@ -247,7 +255,9 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
         return structure.compose_automorphism(t, parts)
     except ConfigError:
         raise
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ConfigError(where, f"missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
         raise ConfigError(where, f"bad sigma spec: {exc}") from exc
     except (TrialgError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from exc
@@ -291,41 +301,24 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
     t = instance.require_triangular(f"decompose:{kind}")
     if kind == "automorphism":
         return _record(field, structure.decompose_automorphism(t, sigma), kind=kind, round_trip=True)
-    members = []
-    if kind in ("derivation", "sigma_derivation"):
-        effective = LinearEndo.identity(instance.algebra) if kind == "derivation" else sigma
-        for endo in solve_space(instance.algebra, effective, kind).endos():
-            members.append(_record(field, structure.decompose_sigma_derivation(t, effective, endo), round_trip=True))
-    elif kind in ("centralizing", "commuting"):
-        for endo in solve_space(instance.algebra, sigma, kind).endos():
-            parts = structure.decompose_centralizing(t, sigma, endo)
-            members.append(
-                _record(
-                    field,
-                    parts,
-                    conditions={label: bool(res) for label, res in parts.conditions.items()},
-                    commuting_criterion=structure.commuting_criterion(parts),
-                    round_trip=True,
-                )
-            )
-    elif kind == "generalized_pair":
-        for D, d in solve_space(instance.algebra, sigma, kind).endo_pairs():
-            parts = structure.decompose_generalized(t, sigma, D, d)
-            members.append(
-                _record(
-                    field,
-                    parts,
-                    m_d=fmt_vector(field, parts.m_d),
-                    xi=fmt_matrix(field, parts.xi),
-                    display_form_matches=parts.display_matches,
-                    round_trip=True,
-                )
-            )
-    elif kind == "left_multiplier":
-        for endo in solve_space(instance.algebra, None, kind).endos():
-            members.append(_record(field, structure.decompose_left_multiplier(t, endo), round_trip=True))
-    else:
+    if kind not in DECOMPOSE_KINDS:
         raise ConfigError("tasks", f"unknown decompose kind {kind!r}")
+    members = []
+    for parts in structure.decompose_space(t, sigma, kind):
+        if kind in ("centralizing", "commuting"):
+            extra = {
+                "conditions": {label: bool(res) for label, res in parts.conditions.items()},
+                "commuting_criterion": structure.commuting_criterion(parts),
+            }
+        elif kind == "generalized_pair":
+            extra = {
+                "m_d": fmt_vector(field, parts.m_d),
+                "xi": fmt_matrix(field, parts.xi),
+                "display_form_matches": parts.display_matches,
+            }
+        else:
+            extra = {}
+        members.append(_record(field, parts, round_trip=True, **extra))
     return {"kind": kind, "dim": len(members), "members": members}
 
 
@@ -342,6 +335,8 @@ def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, sam
         report = theorems.verify_sharma_dhara(instance.algebra, instance.name)
     elif name == "gd_left_mult":
         report = theorems.verify_gd_left_mult(instance.require_triangular("verify:gd_left_mult"), instance.name)
+    elif name == "description":
+        report = theorems.verify_description(instance.require_triangular("verify:description"), sigma, instance.name)
     else:
         raise ConfigError("tasks", f"unknown verification {name!r}")
     out = {
@@ -486,24 +481,6 @@ def fixtures_catalog() -> list[dict]:
 # report text
 
 
-def _to_json(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it; a non-``str`` key raises TypeError."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        ends, items = "{}", [f"{encode_basestring_ascii(key)}: {_to_json(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, (list, tuple)):
-        ends, items = "[]", [encode_basestring_ascii(x) if type(x) is str else _to_json(x, inner) for x in value]
-    else:
-        return json.dumps(value)
-    if not items:
-        return ends
-    # the brackets go onto the end items, so the container is built in one join
-    items[0] = ends[0] + "\n" + inner + items[0]
-    items[-1] += "\n" + indent + ends[1]
-    return (",\n" + inner).join(items)
-
-
 def report_to_json(report: dict) -> str:
-    return _to_json(report, "") + "\n"
+    """The report's JSON text, its fragments joined once."""
+    return "".join(report_fragments(report))

@@ -67,6 +67,16 @@ class Witness(Record):
             bits.append(f"pair={self.pair}")
         return f"Witness({', '.join(bits)})"
 
+    def __str__(self):
+        """The reason, the pair and every vector present, with entries written
+        as reports write scalars (``str`` of a ``Fraction`` is ``num/den``)."""
+        text = self.reason if self.pair is None else f"{self.reason} at pair {self.pair}"
+        for name in ("element", "lhs", "rhs"):
+            vector = getattr(self, name)
+            if vector is not None:
+                text += f", {name} [{', '.join(map(str, vector))}]"
+        return text
+
 
 class CheckResult(Record):
     ok: bool
@@ -386,13 +396,14 @@ class _Leibniz:
                 yield terms
 
 
-def _bracket_equations(op: list, n: int) -> Iterator[list]:
-    """The polarized bracket condition: op_i(e_i) = 0, and
-    op_i(e_j) + op_j(e_i) = 0 for i < j, with op_i given by its live rows."""
-    basis = [{i: 1} for i in range(n)]
-    for i in range(n):
+def _bracket_equations(op, indices: Sequence[int]) -> Iterator[list]:
+    """The polarized bracket condition over the basis vectors e_i, i in
+    ``indices``: op_i(e_i) = 0, and op_i(e_j) + op_j(e_i) = 0 for i < j,
+    with op_i = ``op[i]`` given by its live rows."""
+    basis = {i: {i: 1} for i in indices}
+    for a, i in enumerate(indices):
         yield [(0, op[i], basis[i], 1)]
-        for j in range(i + 1, n):
+        for j in indices[a + 1 :]:
             yield [(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)]
 
 
@@ -403,6 +414,10 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
     ignored (replaced by the identity) for ``derivation`` and
     ``left_multiplier``.  Generalized pairs are solved jointly in the
     unknowns (D, d) with the twisted Leibniz constraint imposed on d.
+
+    Each space is solved once: the result is kept in the algebra's ``memo``
+    under its kind and σ's matrix (``None`` for the two untwisted kinds),
+    so it is freed with the algebra.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown solve kind {kind!r}")
@@ -410,11 +425,18 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
     f = alg.field
     n = alg.dim
     if kind in ("derivation", "left_multiplier"):
+        key = ("solve", kind, None)
+        if key in alg.memo:
+            return alg.memo[key]
         sigma = LinearEndo.identity(alg)
     else:
         if sigma is None:
             raise ValueError(f"kind {kind!r} needs an automorphism")
-        sigma = require_automorphism(as_endo(alg, sigma))
+        sigma = as_endo(alg, sigma)
+        key = ("solve", kind, sigma.matrix)
+        if key in alg.memo:
+            return alg.memo[key]
+        require_automorphism(sigma)
 
     pair = kind == "generalized_pair"
     system = _System(f, n, 2 if pair else 1)
@@ -432,6 +454,7 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if kind.endswith("centralizing"):
             center = center_subspace(alg)
             op = [center.reduce_rows(rows) for rows in op]
-        equations = _bracket_equations([_live(rows) for rows in op], n)
+        equations = _bracket_equations([_live(rows) for rows in op], range(n))
 
-    return MapSpace(alg, kind, pair, system.kernel(equations))
+    alg.memo[key] = MapSpace(alg, kind, pair, system.kernel(equations))
+    return alg.memo[key]

@@ -27,31 +27,55 @@ Decompositions for a non-identity twist require both diagonal algebras to be
 decided free of nontrivial idempotents (:func:`trialg.algebra.trivial_idempotents`);
 the identity twist bypasses the decision because the untwisted corollaries
 carry no such hypothesis.
+
+Each precise description is also a kernel: its side conditions and
+canonical-form entries are rows in the map's own unknowns
+(:func:`description_space`), and :func:`decompose_space` decomposes a whole
+solved space by proving it lies in that kernel, falling back to the
+per-member decompositions above, which stay the reference.
 """
 
 from __future__ import annotations
 
-from .algebra import TriangularAlgebra, _bilinear, _pair_partners, _structural_pairs, center_subspace, sigma_center_subspace
+from itertools import chain
+
+from .algebra import (
+    TriangularAlgebra,
+    _bilinear,
+    _bracket_operator,
+    _pair_partners,
+    _structural_pairs,
+    center_subspace,
+    sigma_center_subspace,
+)
 from .errors import (
     ConditionFailure,
     HypothesisNotMet,
     InvalidParts,
     PredicateNotSatisfied,
     ReconstructionMismatch,
+    StructuralMismatch,
 )
-from .linalg import Matrix, Subspace, Vector, _sparse, vec_add, vec_neg, vec_sub
+from .linalg import Matrix, Subspace, Vector, _plain_rows, _sparse, vec_add, vec_neg, vec_sub
 from .maps import (
     CheckResult,
     LinearEndo,
+    MapSpace,
     Witness,
+    _bracket_equations,
+    _PASS,
+    _Leibniz,
     _leibniz_check,
+    _live,
     _pair_check,
+    _System,
     _units,
     as_endo,
     is_automorphism,
     is_sigma_derivation,
     predicate,
     require_automorphism,
+    solve_space,
 )
 from .records import Record, field
 
@@ -269,15 +293,16 @@ def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
 
 def _der_parts(t: TriangularAlgebra, sigma: LinearEndo, d: LinearEndo) -> DerParts:
     """The parts of a σ-derivation whose own rule is already checked."""
-    aut = _aut_parts_for(t, sigma)
-    d_A = _corner_matrix(t, d, "a", "a")
-    d_B = _corner_matrix(t, d, "b", "b")
-    xi = _corner_matrix(t, d, "m", "m")
-    m_d = t.pi_m(d(t.p))
-    parts = DerParts(t, aut, d_A, d_B, m_d, xi)
+    parts = _der_blocks(t, _aut_parts_for(t, sigma), d)
     _check_der_parts(parts)
     _compare(t, compose_sigma_derivation(t, parts), d)
     return parts
+
+
+def _der_blocks(t: TriangularAlgebra, aut: AutParts, d: LinearEndo) -> DerParts:
+    """(d_A, d_B, m_d, ξ) read off the blocks of d, unchecked."""
+    xi = _corner_matrix(t, d, "m", "m")
+    return DerParts(t, aut, _corner_matrix(t, d, "a", "a"), _corner_matrix(t, d, "b", "b"), t.pi_m(d(t.p)), xi)
 
 
 def _check_der_parts(parts: DerParts) -> None:
@@ -581,20 +606,30 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
         raise PredicateNotSatisfied(chk.witness)
     require_trivial_idempotents(t, sigma, "twisted decomposition")
     der = _der_parts(t, sigma, d)
-    D_A = _corner_matrix(t, D, "a", "a")
-    D_B = _corner_matrix(t, D, "b", "b")
-    m_D = t.pi_m(D(t.q))
-    corners = (("D_A", t.A, D_A, der.d_A, der.aut.f_sigma), ("D_B", t.B, D_B, der.d_B, der.aut.g_sigma))
+    parts = _gen_blocks(t, der, D)
+    corners = (("D_A", t.A, parts.D_A, der.d_A, der.aut.f_sigma), ("D_B", t.B, parts.D_B, der.d_B, der.aut.g_sigma))
     for name, alg, D_c, d_c, sigma_c in corners:
         chk = _leibniz_check(LinearEndo(alg, D_c), LinearEndo(alg, d_c), LinearEndo(alg, sigma_c), "generalized Leibniz rule")
         if not chk.ok:
             raise ConditionFailure(f"{name} generalized Leibniz", chk.witness)
-    parts = GenParts(t, der, D_A, D_B, m_D, display_matches=True)
     _compare(t, compose_generalized(t, parts), D)
-    display = compose_generalized(t, parts, use_display_form=True)
-    if display.matrix != D.matrix:
-        parts = GenParts(t, der, D_A, D_B, m_D, display_matches=False)
     return parts
+
+
+def _gen_blocks(t: TriangularAlgebra, der: DerParts, D: LinearEndo) -> GenParts:
+    """(D_A, D_B, m_D) read off the blocks of D, with the partner's parts.
+
+    ``display_matches`` is decided for a D that the canonical form gives: the
+    display form then differs from D only by m_σ·(D_B(b) − d_B(b)) on each b.
+    """
+    D_A, D_B = _corner_matrix(t, D, "a", "a"), _corner_matrix(t, D, "b", "b")
+    M, f = t.M, t.field
+    m_sigma = _sparse(der.aut.m_sigma).items()
+    display = not m_sigma or not any(
+        any(_bilinear(f, M.dim, M._right, ((m_sigma, _sparse(vec_sub(f, Db, db)).items()),)))
+        for Db, db in zip(D_B.columns(), der.d_B.columns())
+    )
+    return GenParts(t, der, D_A, D_B, t.pi_m(D(t.q)), display_matches=display)
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +651,252 @@ def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
     round-tripped as the generalized derivation (F, 0)."""
     gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
     return MultParts(t, gen.D_A, gen.D_B, gen.m_D)
+
+
+# ---------------------------------------------------------------------------
+# description kernels
+#
+# Every side condition of a structure statement, and every entry of its
+# canonical form, is linear in the map.  So the statement is a system of
+# rows in the map's own n² unknowns (2n² for a pair, D then d), and the maps
+# it describes are the kernel K of those rows.  The rows are built from T's
+# own operators: corner projections of the identity, of the Leibniz
+# operators L_{σ(e_i)} and R_{e_j}, of left multiplications, and of the
+# bracket operators, reduced against a corner's (twisted) center where a
+# condition asks for membership.  K equals the solved space exactly when the
+# statement is a precise description; C ⊆ K already proves that every member
+# decomposes, with every condition and the round trip holding.
+
+DESCRIPTION_KINDS = ("sigma_derivation", "generalized_pair", "centralizing", "left_multiplier")
+
+
+def _corner_rows(op, span: range) -> list:
+    """The live rows of ``op`` on the coordinates in ``span``."""
+    return [(r, row) for r, row in op if r in span]
+
+
+def _after(P, Q) -> list:
+    """The live rows of P∘Q, for operators given by their live rows."""
+    q = dict(Q)
+    out = []
+    for r, prow in P:
+        row: dict = {}
+        for k, a in prow.items():
+            for c, b in q.get(k, {}).items():
+                row[c] = row.get(c, 0) + a * b
+        if row:
+            out.append((r, row))
+    return out
+
+
+def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> list[tuple[str, object]]:
+    """The description of ``kind`` as ``(label, equations)`` groups in
+    :class:`trialg.maps._System` form, one group per condition.
+
+    Unknowns are the entries of the map (block 0; for a pair, D in block 0
+    and its partner d in block 1).  Each equation is a sum of terms
+    sign·P·X(v) with P a corner projection of one of T's operators.
+    """
+    alg, f = t.algebra, t.field
+    na, nm, one = t.A.dim, t.M.dim, t.field.one
+    spans = {"a": range(0, na), "m": range(na, na + nm), "b": range(na + nm, t.dim)}
+    A, M, B = spans["a"], spans["m"], spans["b"]
+    aut = _aut_parts_for(t, sigma)
+    leibniz = _Leibniz(alg, sigma)
+    e, table = leibniz.basis, leibniz.table
+    p, q = _plain_rows(f, [_sparse(t.p), _sparse(t.q)])
+    ident = {c: _corner_rows(leibniz.identity, span) for c, span in spans.items()}
+    right_m = {j: _corner_rows(leibniz.right[j], M) for j in range(t.dim)}
+
+    def left(x, corner):
+        """L_x on T, x given by its ``(index, value)`` nonzeros, projected to a corner."""
+        return _corner_rows(_live(_bracket_operator(alg, x, (), 1)), spans[corner])
+
+    f_cols = aut.f_sigma._cols()
+    left_f = {i: left(f_cols[i], "m") for i in A}  # m ↦ f(a_i)·m
+    left_m_sigma = left(tuple((na + k, v) for k, v in _sparse(aut.m_sigma).items()), "m")  # b ↦ m_σ·b
+
+    def rule(D, d, out, lefts, rights):
+        """X_D(e_i e_j) = X_D(e_i)e_j + σ(e_i)X_d(e_j) for e_i in ``lefts`` and
+        e_j in ``rights``, on the coordinates of corner ``out``; ``d=None``
+        drops the σ term."""
+        ident_out = ident[out]
+        right_out = {j: _corner_rows(leibniz.right[j], spans[out]) for j in rights}
+        for i in lefts:
+            left_sigma = _corner_rows(leibniz.left_sigma[i], spans[out])
+            for j in rights:
+                terms = [(D, ident_out, table[i][j], 1), (D, right_out[j], e[i], -1)]
+                if d is not None:
+                    terms.append((d, left_sigma, e[j], -1))
+                yield terms
+
+    def zero_blocks(X, blocks):
+        return [[(X, ident[out], e[k], 1)] for out, into in blocks for k in spans[into]]
+
+    off_diagonal = (("b", "a"), ("a", "m"), ("b", "m"), ("a", "b"))
+
+    def derivation(d):
+        """d(a, m, b) = (d_A(a), f(a)m_d − m_d b − m_σ d_B(b) + ξ(m), d_B(b))."""
+        column = [[(d, ident["m"], e[i], 1), (d, left_f[i], p, -1)] for i in A]
+        column += [[(d, ident["m"], e[j], 1), (d, right_m[j], p, 1), (d, left_m_sigma, e[j], 1)] for j in B]
+        return [
+            ("zero blocks", zero_blocks(d, off_diagonal)),
+            ("M-column", column),
+            ("d_A twisted Leibniz", rule(d, d, "a", A, A)),
+            ("d_B twisted Leibniz", rule(d, d, "b", B, B)),
+            ("xi left compatibility", rule(d, d, "m", A, M)),
+            ("xi right compatibility", rule(d, d, "m", M, B)),
+        ]
+
+    if kind == "sigma_derivation":
+        return derivation(0)
+    if kind == "generalized_pair":
+        # D(a, m, b) = (D_A(a), f(a)m_d + m_D b − m_σ d_B(b) + ξ(m) + D_A(1)m, D_B(b))
+        column = [[(0, ident["m"], e[i], 1), (1, left_f[i], p, -1)] for i in A]
+        column += [[(0, ident["m"], e[k], 1), (1, ident["m"], e[k], -1), (0, right_m[k], p, -1)] for k in M]
+        column += [[(0, ident["m"], e[j], 1), (0, right_m[j], q, -1), (1, left_m_sigma, e[j], 1)] for j in B]
+        return derivation(1) + [
+            ("D zero blocks", zero_blocks(0, off_diagonal)),
+            ("D M-column", column),
+            ("D_A generalized Leibniz", rule(0, 1, "a", A, A)),
+            ("D_B generalized Leibniz", rule(0, 1, "b", B, B)),
+        ]
+    if kind == "left_multiplier":
+        # F(a, m, b) = (F_A(a), m_F b + F_A(1)m, F_B(b))
+        column = [[(0, ident["m"], e[k], 1), (0, right_m[k], p, -1)] for k in M]
+        column += [[(0, ident["m"], e[j], 1), (0, right_m[j], q, -1)] for j in B]
+        return [
+            ("zero blocks", zero_blocks(0, off_diagonal + (("m", "a"),))),
+            ("M-column", column),
+            ("F_A left multiplier", rule(0, None, "a", A, A)),
+            ("F_B left multiplier", rule(0, None, "b", B, B)),
+        ]
+
+    # centralizing: θ(x) = (δ(x), ·, μ(x)); c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x)
+    # is C_k θ(x) with C_k(λ) = π_M(λ·m_k − ν(m_k)·λ)
+    images = sigma.matrix._cols()
+    bracket = [_bracket_operator(alg, images[i], ((i, one),), -1) for i in range(t.dim)]  # σ(e_i)λ − λe_i
+    op = {i: _corner_rows(_live(bracket[i]), spans["a" if i in A else "b"]) for i in chain(A, B)}
+    nu = aut.nu_sigma._cols()
+    c = {
+        k: _corner_rows(_live(_bracket_operator(alg, tuple((na + r, -v) for r, v in nu[k - na]), ((k, one),), 1)), M)
+        for k in M
+    }
+    center_a, center_b = center_subspace(t.A), center_subspace(t.B)
+    vii = {i: _live(center_a.reduce_rows(bracket[i][:na])) for i in A}
+    viii = {j: _live(center_b.reduce_rows(bracket[j][na + nm :])) for j in B}
+    delta2 = _live(sigma_center_subspace(t.A, aut.f_sigma).reduce_rows([{r: 1} for r in A]))
+    mu2 = _live(sigma_center_subspace(t.B, aut.g_sigma).reduce_rows([{r: 1} for r in B]))
+    component = [[(0, ident["m"], e[x], 1), (0, left_m_sigma, e[x], 1)] for x in chain(A, B)]
+    component += [[(0, ident["m"], e[k], 1), (0, c[k], p, -1), (0, left_m_sigma, e[k], 1)] for k in M]
+    return [
+        ("i", _bracket_equations(op, A)),
+        ("ii", _bracket_equations(op, B)),
+        ("iii", ([(0, c[k], e[i], 1), (0, _after(left_f[i], c[k]), p, -1)] for i in A for k in M)),
+        ("iv", ([(0, c[k], e[j], 1), (0, _after(right_m[j], c[k]), q, -1)] for k in M for j in B)),
+        ("v", _bracket_equations(c, M)),
+        ("vi", ([(0, c[k], p, 1), (0, c[k], q, 1)] for k in M)),
+        ("vii", ([(0, vii[i], e[j], 1)] for i in A for j in B)),
+        ("viii", ([(0, viii[j], e[i], 1)] for j in B for i in A)),
+        ("delta2_range", ([(0, delta2, e[k], 1)] for k in M)),
+        ("mu2_range", ([(0, mu2, e[k], 1)] for k in M)),
+        ("m_component", component),
+    ]
+
+
+def _description_kernel(t: TriangularAlgebra, kind: str, groups) -> Subspace:
+    """The solution space of the ``(label, equations)`` groups."""
+    system = _System(t.field, t.dim, 2 if kind == "generalized_pair" else 1)
+    return system.kernel(chain.from_iterable(equations for _, equations in groups))
+
+
+def description_space(t: TriangularAlgebra, sigma, kind: str) -> Subspace:
+    """The kernel K of the precise description of the σ-maps of ``kind``.
+
+    ``kind`` is one of :data:`DESCRIPTION_KINDS`: ``sigma_derivation`` (the
+    identity twist gives the derivations), ``generalized_pair`` (pairs
+    (D, d), 2n² unknowns), ``centralizing`` (conditions (i)–(viii), both
+    range conditions and the canonical module component; commuting maps
+    are centralizing) and ``left_multiplier`` (the (F, 0) form, σ ignored).
+    K is kept in ``t.memo``.
+    """
+    if kind not in DESCRIPTION_KINDS:
+        raise ValueError(f"unknown description kind {kind!r}")
+    ident = sigma is None or kind == "left_multiplier"
+    sigma = LinearEndo.identity(t.algebra) if ident else as_endo(t.algebra, sigma)
+    require_trivial_idempotents(t, sigma, "twisted description")
+    key = ("description", kind, None if sigma.is_identity() else sigma.matrix)
+    if key not in t.memo:
+        t.memo[key] = _description_kernel(t, kind, _description_rows(t, sigma, kind))
+    return t.memo[key]
+
+
+# ---------------------------------------------------------------------------
+# decomposing a solved space
+
+
+def _members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, space: MapSpace) -> list:
+    """Each member of the solved space decomposed on its own, every fact checked."""
+    if kind in ("derivation", "sigma_derivation"):
+        return [decompose_sigma_derivation(t, sigma, d) for d in space.endos()]
+    if kind in ("centralizing", "commuting"):
+        return [decompose_centralizing(t, sigma, theta) for theta in space.endos()]
+    if kind == "generalized_pair":
+        return [decompose_generalized(t, sigma, D, d) for D, d in space.endo_pairs()]
+    return [decompose_left_multiplier(t, F) for F in space.endos()]
+
+
+def _described_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, space: MapSpace) -> list:
+    """Each member's parts read off its blocks, for a space inside its
+    description kernel: every condition holds and the round trip is exact."""
+    aut = _aut_parts_for(t, sigma)
+    if kind in ("derivation", "sigma_derivation"):
+        return [_der_blocks(t, aut, d) for d in space.endos()]
+    if kind in ("centralizing", "commuting"):
+        return [
+            _extract_cent_parts(t, sigma, theta).replace(conditions=dict.fromkeys(CENT_CONDITION_LABELS, _PASS))
+            for theta in space.endos()
+        ]
+    if kind == "generalized_pair":
+        return [_gen_blocks(t, _der_blocks(t, aut, d), D) for D, d in space.endo_pairs()]
+    return [
+        MultParts(t, _corner_matrix(t, F, "a", "a"), _corner_matrix(t, F, "b", "b"), t.pi_m(F(t.q)))
+        for F in space.endos()
+    ]
+
+
+# the description kind whose kernel must contain each decomposed kind's space
+_DESCRIBED_BY = {
+    "derivation": "sigma_derivation",
+    "sigma_derivation": "sigma_derivation",
+    "centralizing": "centralizing",
+    "commuting": "centralizing",
+    "generalized_pair": "generalized_pair",
+    "left_multiplier": "left_multiplier",
+}
+
+
+def decompose_space(t: TriangularAlgebra, sigma, kind: str) -> list:
+    """The parts of every member of the solved space of ``kind``, in basis order.
+
+    The space C is solved once (:func:`trialg.maps.solve_space`), and the
+    structure statement is proved for all of it at once as C ⊆ K, with K the
+    description kernel (:func:`description_space`); each member's parts are
+    then read off its blocks.  When C ⊄ K, or the twisted hypothesis fails,
+    every member is decomposed on its own, which raises the error that
+    member meets; if they all decompose although C ⊄ K, the two checks
+    disagree and StructuralMismatch is raised.  ``derivation`` and
+    ``left_multiplier`` ignore σ.
+    """
+    if kind not in _DESCRIBED_BY:
+        raise ValueError(f"unknown decompose kind {kind!r}")
+    untwisted = kind in ("derivation", "left_multiplier")
+    sigma = LinearEndo.identity(t.algebra) if untwisted else as_endo(t.algebra, sigma)
+    space = solve_space(t.algebra, None if untwisted else sigma, kind)
+    described = space.dim > 0 and (sigma.is_identity() or t.trivial_idempotent_components)
+    if described and space.space.leq(description_space(t, sigma, _DESCRIBED_BY[kind])):
+        return _described_members(t, sigma, kind, space)
+    members = _members(t, sigma, kind, space)
+    if described:
+        raise StructuralMismatch(f"{kind} space is not inside its description kernel, yet every member decomposes")
+    return members

@@ -26,13 +26,21 @@ from .maps import (
     solve_space,
 )
 from .records import Record, field
-from .structure import AutParts, _composed, decompose_generalized, require_trivial_idempotents
+from .structure import (
+    DESCRIPTION_KINDS,
+    AutParts,
+    _composed,
+    decompose_generalized,
+    description_space,
+    require_trivial_idempotents,
+)
 
 POSNER = "posner"
 MAYNE = "mayne"
 SKEW_ZERO = "skew_zero"
 SHARMA_DHARA = "sharma_dhara"
 GD_LEFT_MULT = "gd_left_mult"
+DESCRIPTION = "description"
 
 
 class TheoremReport(Record):
@@ -181,6 +189,44 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
             "left_multipliers": mult.dim,
         },
         details={"restriction_inside_multipliers": inclusion, **checks},
+        witness=witness,
+    )
+
+
+def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+    """The paper's precise descriptions, each as one space equality.
+
+    For every kind of :data:`trialg.structure.DESCRIPTION_KINDS` the kernel
+    K of the description (:func:`trialg.structure.description_space`) must
+    equal the solved space C, which decides both directions of the statement
+    at once.  A failure carries the first basis vector of C missing from K,
+    or else of K missing from C, as a matrix of n columns (D's rows above
+    d's for a pair).
+    """
+    sigma = _sigma_for(t, sigma)
+    require_trivial_idempotents(t, sigma, f"{DESCRIPTION} with a non-identity twist")
+    n = t.dim
+    dimensions: dict[str, int] = {}
+    details: dict = {}
+    witness = None
+    for kind in DESCRIPTION_KINDS:
+        solved = solve_space(t, sigma, kind).space
+        described = description_space(t, sigma, kind)
+        dimensions[kind] = solved.dim
+        dimensions[f"{kind}_description"] = described.dim
+        details[kind] = described == solved
+        if witness is None and not details[kind]:
+            missing = [(v, "description") for v in solved.basis if not described.contains(v)]
+            missing += [(v, "solved_space") for v in described.basis if not solved.contains(v)]
+            v, details["witness_missing_from"] = missing[0]
+            details["witness_kind"] = kind
+            witness = Matrix(t.field, [v[r : r + n] for r in range(0, len(v), n)], ncols=n)
+    return TheoremReport(
+        DESCRIPTION,
+        instance or repr(t),
+        passed=witness is None,
+        dimensions=dimensions,
+        details=details,
         witness=witness,
     )
 

@@ -13,6 +13,8 @@ from trialg.cli import (
     SCHEMA_VERSION,
     SIGMA_FORMS,
     VERIFY_TASKS,
+    build_instance,
+    build_sigma,
     fixtures_catalog,
     fmt_vector,
     report_to_json,
@@ -21,6 +23,7 @@ from trialg.cli import (
 from trialg.errors import ConfigError
 from trialg.fields import GF, QQ
 from trialg.maps import SOLVE_KINDS
+from trialg.report import report_fragments
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -400,6 +403,42 @@ def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"algebra": {"family": ["Tn"]}}, "algebra: family must be a string, got ['Tn']"),
+        ({"algebra": {"family": "fixture", "name": ["n3"]}}, "algebra: name must be a string, got ['n3']"),
+        ({"algebra": {"family": "Tn"}}, "algebra: missing key 'n'"),
+        ({"algebra": {"family": "block", "dims": 3}}, "dims: expected a list, got 3"),
+        ({"field": {"prime": 7}, "sigma": {"conjugate_by": ["1/2", "0", "1"]}},
+         "scalar: '1/2' is not a scalar of GF(7): write it as an integer"),
+        ({"sigma": {"conjugate_by": ["one", "0", "1"]}},
+         "scalar: 'one' is not a scalar of QQ: write it as an integer or as \"num/den\""),
+        ({"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"]}}}, "sigma: missing key 'nu'"),
+    ],
+)
+def test_config_errors_name_the_field_and_the_value(tmp_path, capsys, edit, message):
+    path = write_config(tmp_path, dict(BASE, **edit))
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "matrix,witness",
+    [
+        # swapping the diagonal idempotents keeps the unit but not a·m = m
+        ([["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]], "multiplicativity at pair (0, 1), lhs [0, 1, 0], rhs [0, 0, 0]"),
+        ([["1/2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "unit not preserved, lhs [1/2, 0, 1], rhs [1, 0, 1]"),
+        ([["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]], "not invertible"),
+    ],
+)
+def test_non_automorphism_errors_show_the_witness(matrix, witness):
+    instance = build_instance(QQ, BASE["algebra"])
+    with pytest.raises(ConfigError) as err:
+        build_sigma(instance, {"matrix": matrix})
+    assert str(err.value) == f"sigma: matrix is not an automorphism: {witness}"
+
+
 @pytest.mark.parametrize("dims", ["a,b", "2,,2"])
 def test_main_solve_bad_dims_exit_two(capsys, dims):
     assert main(["solve", "--family", "block", "--dims", dims, "--kind", "derivation"]) == 2
@@ -448,6 +487,39 @@ def test_pair_solve_memory_is_bounded():
         tracemalloc.stop()
     assert code == 0 and report["tasks"][0]["dim"] == 41
     assert peak < 2 * 1024 * 1024
+
+
+def test_report_writer_peak_is_the_text_and_its_fragments():
+    """Serializing the T6 generalized-pair report (739,042 bytes) holds the
+    fragment list and the joined text, about 1.5 times the text; building
+    each container's text from its items' texts took it to 2 times."""
+    cfg = {"field": {"prime": 10007}, "algebra": {"family": "Tn", "n": 6},
+           "sigma": "identity", "tasks": ["solve:generalized_pair"]}
+    report, _ = run_config(cfg)
+    tracemalloc.start()
+    try:
+        text = report_to_json(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert peak <= 1.6 * len(text)
+
+
+def test_report_fragments_share_their_separators():
+    report = {"basis": [["0", "1", "0"], ["0", "0", "1"]], "dim": 2}
+    fragments = report_fragments(report)
+    assert "".join(fragments) == report_to_json(report)
+    # the later zeros of both rows are one string, separator included
+    zeros = [f for f in fragments if f.endswith('"0"') and f.startswith(",")]
+    assert len(zeros) == 2 and zeros[0] is zeros[1]
+
+
+def test_main_run_writes_the_fragments(tmp_path, capsys):
+    path = write_config(tmp_path, dict(BASE, tasks=["center", "solve:generalized_pair"]))
+    assert main(["run", "--config", path]) == 0
+    report, _ = run_config(dict(BASE, tasks=["center", "solve:generalized_pair"]))
+    assert capsys.readouterr().out == report_to_json(report)
 
 
 def test_python_m_trialg_fixtures():

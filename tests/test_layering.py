@@ -230,6 +230,7 @@ KEPT_API = {
     "bracket_sigma": "the paper's twisted bracket [x, y]_σ, evaluated pointwise",
     "is_generalized_pair": "the checker of the paper's generalized σ-derivation pairs",
     "compose_centralizing": "the inverse of decompose_centralizing, as for the other kinds",
+    "report_to_json": "the report as one string, for library callers and the benchmark's jobs",
 }
 
 

@@ -34,6 +34,7 @@ from trialg import (
     trian_trunc,
     upper_triangular,
 )
+from trialg.cli import run_config
 from trialg.linalg import Matrix, vec_add, vec_sub
 from trialg.maps import SOLVE_KINDS, as_endo, endo_of_vec
 
@@ -468,3 +469,65 @@ def test_pair_solve_holds_pivots_not_the_system():
         tracemalloc.stop()
     assert space.dim == 41
     assert peak < 1024 * 1024
+
+
+def test_each_space_is_solved_once(monkeypatch):
+    """The second solve of a (kind, σ) space is the memoized one; σ counts by
+    its matrix, and the untwisted kinds ignore it.  Built afresh, because the
+    session fixtures share their algebras' memos."""
+    t = trian_trunc(2, GF(7))
+    sigma = unipotent_automorphism(t)
+    kernels = []
+    kernel = trialg.maps._System.kernel
+
+    def counting(system, equations):
+        kernels.append(system.width)
+        return kernel(system, equations)
+
+    monkeypatch.setattr(trialg.maps._System, "kernel", counting)
+    for kind in SOLVE_KINDS:
+        first = solve_space(t, sigma, kind)
+        assert solve_space(t, LinearEndo(t.algebra, sigma.matrix), kind) is first
+        assert solve_space(t.algebra, sigma.matrix, kind) is first
+    assert len(kernels) == len(SOLVE_KINDS)
+    assert solve_space(t, None, "derivation") is solve_space(t, sigma, "derivation")
+    assert solve_space(t, None, "left_multiplier") is solve_space(t, sigma, "left_multiplier")
+    assert len(kernels) == len(SOLVE_KINDS)
+    identity = LinearEndo.identity(t.algebra)
+    assert solve_space(t, identity, "sigma_derivation") is not solve_space(t, sigma, "sigma_derivation")
+    assert len(kernels) == len(SOLVE_KINDS) + 1
+
+
+def test_a_rejected_twist_is_rejected_every_time():
+    t = upper_triangular(2, QQ)
+    proj = LinearEndo(t.algebra, Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    for _ in range(2):
+        with pytest.raises(NotAutomorphism):
+            solve_space(t, proj, "sigma_derivation")
+    assert not any(key[0] == "solve" for key in t.algebra.memo if isinstance(key, tuple))
+
+
+def test_a_run_solves_each_space_once(monkeypatch):
+    """The 14 task kinds of the benchmark's mixed job make 14 solve calls
+    but only 9 distinct (kind, σ) spaces: the twisted σ-derivations, pairs,
+    centralizing and skew-commuting maps, left multipliers, and the
+    untwisted skew-centralizing, commuting, pair and centralizing spaces."""
+    solved = []
+    real = trialg.maps.MapSpace
+
+    def counting(*args, **kwargs):
+        solved.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trialg.maps, "MapSpace", counting)
+    tasks = ["center", "sigma_center", "solve:sigma_derivation", "solve:generalized_pair", "decompose:automorphism",
+             "decompose:sigma_derivation", "decompose:centralizing", "decompose:generalized_pair",
+             "decompose:left_multiplier", "verify:posner", "verify:mayne", "verify:skew_zero",
+             "verify:sharma_dhara", "verify:gd_left_mult"]
+    config = {"field": {"prime": 7}, "algebra": {"family": "trian_trunc", "N": 2},
+              "sigma": {"conjugate_by": ["1", "2", "3", "4", "5", "6"]}, "tasks": tasks, "samples": 2}
+    report, code = run_config(config)
+    assert code == 0
+    assert sorted(solved) == sorted(["sigma_derivation", "generalized_pair", "centralizing", "left_multiplier",
+                                     "skew_commuting", "skew_centralizing", "commuting", "generalized_pair",
+                                     "centralizing"])
