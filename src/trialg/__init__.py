@@ -80,7 +80,7 @@ theorems = _deferred("theorems")
 
 # every name the package re-exports from a deferred module, with that module
 _DEFERRED_NAMES = dict.fromkeys(
-    "AutParts CentParts DerParts GenParts MultParts SigmaCenterData centralizing_conditions commuting_criterion "
+    "AutParts CentParts DerParts GenParts MultParts SigmaCenterData commuting_criterion "
     "compose_automorphism compose_centralizing compose_generalized compose_sigma_derivation decompose_automorphism "
     "decompose_centralizing decompose_generalized decompose_left_multiplier decompose_sigma_derivation "
     "decompose_space description_space sigma_center".split(),

@@ -15,7 +15,7 @@ complement projection that annihilates the center.
 
 One checker, :func:`_pair_check`, decides every identity X(e_i·e_j) =
 Σ P(e_i)·Q(e_j) on basis pairs: multiplicativity and the Leibniz rules here,
-and the intertwining and ξ laws of :mod:`trialg.structure` over the module
+and the intertwining laws of :mod:`trialg.structure` over the module
 tables.  Each side is one sparse evaluation on the maps' cached columns.
 
 The solver never stores its system: the equations are generated one at a
@@ -342,8 +342,9 @@ class _System:
         self.n = n
         self.width = blocks * n * n
 
-    def equation(self, terms) -> Iterable[dict[int, Scalar]]:
-        """The coordinate rows of sum of terms = 0 that some term writes to.
+    def equation(self, terms) -> Iterable[tuple[int, dict[int, Scalar]]]:
+        """The ``(coordinate, row)`` pairs of sum of terms = 0 that some term
+        writes to.
 
         Each term is (block, P, v, sign): the expression sign·P·X_block(v)
         with P a known matrix given by its :func:`_live` rows and v a known
@@ -364,11 +365,12 @@ class _System:
                     for k, vk in v.items():
                         col = base + k
                         row[col] = row.get(col, 0) + c * vk
-        return rows.values()
+        return rows.items()
 
     def kernel(self, equations: Iterable) -> Subspace:
-        """The solution space of the equations, each given by its terms."""
-        rows = (row for terms in equations for row in self.equation(terms))
+        """The solution space of the equations, each given as ``(pair, terms)``
+        with ``pair`` the basis pair (or index, twice) it is taken at."""
+        rows = (row for _, terms in equations for _, row in self.equation(terms))
         return sparse_kernel(self.field, rows, self.width)
 
 
@@ -384,27 +386,28 @@ class _Leibniz:
         self.right = [_live(_bracket_operator(alg, (), ((j, one),), 1)) for j in range(n)]
         self.left_sigma = [_live(_bracket_operator(alg, images[i], (), 1)) for i in range(n)]
 
-    def equations(self, D_block: int, d_block: int | None) -> Iterator[list]:
-        """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
-        ``d_block=None`` drops the σ term (the left multiplier rule)."""
+    def equations(self, D_block: int, d_block: int | None) -> Iterator[tuple]:
+        """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs
+        (i, j); ``d_block=None`` drops the σ term (the left multiplier rule)."""
         n = self.n
         for i in range(n):
             for j in range(n):
                 terms = [(D_block, self.identity, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
                 if d_block is not None:
                     terms.append((d_block, self.left_sigma[i], self.basis[j], -1))
-                yield terms
+                yield (i, j), terms
 
 
-def _bracket_equations(op, indices: Sequence[int]) -> Iterator[list]:
+def _bracket_equations(op, indices: Sequence[int]) -> Iterator[tuple]:
     """The polarized bracket condition over the basis vectors e_i, i in
     ``indices``: op_i(e_i) = 0, and op_i(e_j) + op_j(e_i) = 0 for i < j,
-    with op_i = ``op[i]`` given by its live rows."""
+    with op_i = ``op[i]`` given by its live rows; each equation comes with
+    its pair (i, j)."""
     basis = {i: {i: 1} for i in indices}
     for a, i in enumerate(indices):
-        yield [(0, op[i], basis[i], 1)]
+        yield (i, i), [(0, op[i], basis[i], 1)]
         for j in indices[a + 1 :]:
-            yield [(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)]
+            yield (i, j), [(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)]
 
 
 def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:

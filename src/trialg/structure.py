@@ -1,38 +1,35 @@
 """Decomposition of verified maps into their canonical triangular components,
 and the twisted center of a triangular algebra.
 
-Each decomposition extracts components by composing the map with the corner
-embeddings and projections, verifies every side condition of the relevant
-structure statement once, and finally recomposes and compares with the
-original map entry by entry.  Extraction formulas (m_σ from σ(p), m_d from
-d(p), m_D from D(q)) come from evaluating the canonical forms at the diagonal
-idempotents; reconstruction equality is the correctness oracle.  The
-intertwining and ξ laws go through the basis-pair checker of
-:mod:`trialg.maps`, and a left multiplier F is decomposed as the generalized
-derivation (F, 0) of the identity.
+Each precise description (σ-derivations, generalized σ-derivation pairs,
+σ-centralizing maps and left multipliers) is stated once, as labelled groups
+of linear rows in the map's own entries (:func:`_description_rows`): every
+side condition, and every entry of the canonical form, is one group.  The
+rows serve twice.  Their kernel K is the space the description defines
+(:func:`description_space`), and evaluated on given maps they decide every
+condition for every map (:func:`description_conditions`): a group holds on a
+map exactly when all its rows vanish there.  A decomposition checks the
+map's defining identity and the twisted hypothesis, evaluates the rows on
+its members (a whole solved space at once in :func:`decompose_space`; there
+is no fallback), and reads the parts off the blocks of each member.  The
+canonical form is among the rows, so a member on which they all vanish
+recomposes exactly.
+
+An automorphism σ is split into (f, g, m_σ, ν) by its blocks and m_σ =
+π_M σ(p), and the recomposed map is compared with σ entry by entry.  A
+centralizing map θ splits into the corner maps δ₁, δ₂, δ₃, μ₁, μ₂, μ₃; its
+canonical M-column is read off the module bracket c_x(m) = δ(x)·m −
+ν(m)·μ(x) at x = 1_A.
 
 The twisted center is computed as a kernel and, when the automorphism can be
 decomposed, cross-checked against the structural form that its memoized
 parts (m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
 uses; η is read off the same structural pairs.
 
-A centralizing map θ splits into the corner maps δ₁, δ₂, δ₃, μ₁, μ₂, μ₃.
-Its side conditions (iii), (iv) and (vi), and its canonical M-column, are
-read off one quantity, the module bracket c_x(m) = δ(x)·m − ν(m)·μ(x) of the
-A- and B-parts of θ(x), evaluated once for each basis element and for each
-unit of A and of B on the sparse module tables.  The round trip is the check
-of the canonical module component, not a second comparison.
-
 Decompositions for a non-identity twist require both diagonal algebras to be
 decided free of nontrivial idempotents (:func:`trialg.algebra.trivial_idempotents`);
 the identity twist bypasses the decision because the untwisted corollaries
 carry no such hypothesis.
-
-Each precise description is also a kernel: its side conditions and
-canonical-form entries are rows in the map's own unknowns
-(:func:`description_space`), and :func:`decompose_space` decomposes a whole
-solved space by proving it lies in that kernel, falling back to the
-per-member decompositions above, which stay the reference.
 """
 
 from __future__ import annotations
@@ -54,13 +51,11 @@ from .errors import (
     InvalidParts,
     PredicateNotSatisfied,
     ReconstructionMismatch,
-    StructuralMismatch,
 )
 from .linalg import Matrix, Subspace, Vector, _plain_rows, _sparse, vec_add, vec_neg, vec_sub
 from .maps import (
     CheckResult,
     LinearEndo,
-    MapSpace,
     Witness,
     _bracket_equations,
     _PASS,
@@ -71,6 +66,7 @@ from .maps import (
     _System,
     _units,
     as_endo,
+    endo_of_vec,
     is_automorphism,
     is_sigma_derivation,
     predicate,
@@ -283,46 +279,19 @@ def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEnd
 
 
 def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
+    """Decompose a twisted derivation: its rule, then its description."""
     sigma = as_endo(t.algebra, sigma)
     d = as_endo(t.algebra, d)
     chk = is_sigma_derivation(d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    return _der_parts(t, sigma, d)
-
-
-def _der_parts(t: TriangularAlgebra, sigma: LinearEndo, d: LinearEndo) -> DerParts:
-    """The parts of a σ-derivation whose own rule is already checked."""
-    parts = _der_blocks(t, _aut_parts_for(t, sigma), d)
-    _check_der_parts(parts)
-    _compare(t, compose_sigma_derivation(t, parts), d)
-    return parts
+    return _decompose_members(t, sigma, "sigma_derivation", [_entries(d)])[0]
 
 
 def _der_blocks(t: TriangularAlgebra, aut: AutParts, d: LinearEndo) -> DerParts:
     """(d_A, d_B, m_d, ξ) read off the blocks of d, unchecked."""
     xi = _corner_matrix(t, d, "m", "m")
     return DerParts(t, aut, _corner_matrix(t, d, "a", "a"), _corner_matrix(t, d, "b", "b"), t.pi_m(d(t.p)), xi)
-
-
-def _check_der_parts(parts: DerParts) -> None:
-    t = parts.t
-    A, M, B = t.A, t.M, t.B
-    aut, xi = parts.aut, parts.xi._cols()
-    chk = is_sigma_derivation(LinearEndo(A, parts.d_A), LinearEndo(A, aut.f_sigma))
-    if not chk.ok:
-        raise ConditionFailure("d_A twisted Leibniz", chk.witness)
-    chk = is_sigma_derivation(LinearEndo(B, parts.d_B), LinearEndo(B, aut.g_sigma))
-    if not chk.ok:
-        raise ConditionFailure("d_B twisted Leibniz", chk.witness)
-    compatibility = (
-        ("xi left", M._left, ((parts.d_A._cols(), _units(M)), (aut.f_sigma._cols(), xi)), "ξ(am) ≠ d_A(a)m + f(a)ξ(m)"),
-        ("xi right", M._right, ((xi, _units(B)), (aut.nu_sigma._cols(), parts.d_B._cols())), "ξ(mb) ≠ ξ(m)b + ν(m)d_B(b)"),
-    )
-    for side, table, terms, reason in compatibility:
-        chk = _pair_check(table, parts.xi, terms, reason)
-        if not chk.ok:
-            raise ConditionFailure(f"{side} compatibility", chk.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +305,7 @@ class CentParts(Record):
     """The six corner maps of a twisted centralizing map.
 
     ``conditions`` holds the result of each named side condition (see
-    :func:`centralizing_conditions`) once :func:`decompose_centralizing` has
+    :func:`description_conditions`) once :func:`decompose_centralizing` has
     checked them.
     """
 
@@ -365,136 +334,25 @@ def _extract_cent_parts(t: TriangularAlgebra, sigma: LinearEndo, theta: LinearEn
     )
 
 
-def _module_bracket(parts: CentParts, delta, mu) -> list[Vector]:
-    """c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x) on every basis vector m_k of M, for
-    the A-part δ(x) and B-part μ(x) of θ(x) given as ``(index, value)`` nonzeros."""
-    M = parts.t.M
-    f, n = M.field, M.dim
+def _unit_bracket(parts: CentParts) -> list[Vector]:
+    """c_{1_A}(m_k) = δ₁(1_A)·m_k − ν(m_k)·μ₁(1_A) on every basis vector m_k
+    of M, evaluated on the sparse module tables."""
+    t = parts.t
+    M, f = t.M, t.field
+    delta, mu = (_sparse(m.mul_vec(t.A.unit)).items() for m in (parts.delta1, parts.mu1))
     nu = parts.aut.nu_sigma._cols()
     return [
-        vec_sub(f, _bilinear(f, n, M._left, ((delta, e),)), _bilinear(f, n, M._right, ((nu[k], mu),)))
+        vec_sub(f, _bilinear(f, M.dim, M._left, ((delta, e),)), _bilinear(f, M.dim, M._right, ((nu[k], mu),)))
         for k, e in enumerate(_units(M))
     ]
 
 
-def _unit_bracket(parts: CentParts, delta: Matrix, mu: Matrix, unit: Vector) -> list[Vector]:
-    """c_1 for the unit of the corner on which ``delta`` and ``mu`` act."""
-    return _module_bracket(parts, _sparse(delta.mul_vec(unit)).items(), _sparse(mu.mul_vec(unit)).items())
-
-
-def _first_failure(reason: str, cases) -> CheckResult:
-    """The first ``(pair, lhs, rhs)`` of ``cases`` with lhs ≠ rhs, as a failure."""
-    for pair, lhs, rhs in cases:
-        if lhs != rhs:
-            return CheckResult(False, Witness(reason, pair=pair, lhs=lhs, rhs=rhs))
-    return CheckResult(True)
-
-
-def _condition_v(parts: CentParts) -> CheckResult:
-    """δ₂(m)·m = ν(m)·μ₂(m): diagonal values, then symmetrized basis pairs."""
-    M = parts.t.M
-    f, n = M.field, M.dim
-    d2, m2, nu, e = parts.delta2._cols(), parts.mu2._cols(), parts.aut.nu_sigma._cols(), _units(M)
-    for k in range(n):
-        lhs = _bilinear(f, n, M._left, ((d2[k], e[k]),))
-        rhs = _bilinear(f, n, M._right, ((nu[k], m2[k]),))
-        if lhs != rhs:
-            return CheckResult(False, Witness("condition (v) diagonal", pair=(k, k), lhs=lhs, rhs=rhs))
-        for l in range(k + 1, n):
-            lhs = _bilinear(f, n, M._left, ((d2[k], e[l]), (d2[l], e[k])))
-            rhs = _bilinear(f, n, M._right, ((nu[k], m2[l]), (nu[l], m2[k])))
-            if lhs != rhs:
-                return CheckResult(False, Witness("condition (v) polarized", pair=(k, l)))
-    return CheckResult(True)
-
-
-def centralizing_conditions(parts: CentParts, theta: LinearEndo) -> dict[str, CheckResult]:
-    """Each named side condition of the centralizing structure statement.
-
-    For x in A or in B write θ(x) = (δ(x), ·, μ(x)), with (δ, μ) = (δ₁, μ₁)
-    on A and (δ₃, μ₃) on B, and c_x(m) = δ(x)·m − ν(m)·μ(x).  Conditions
-    (iii) c_a = f(a)·c_{1_A}, (iv) c_b = c_{1_B}·b and (vi) c_{1_A} = −c_{1_B}
-    compare these module brackets, each evaluated once on the basis of M;
-    (iv) and (vi) show −c_b and −c_{1_B} in their witnesses.  Bilinear
-    conditions are checked on basis pairs; the one quadratic condition (v)
-    through its diagonal plus symmetrized off-diagonal values.
-    """
-    t = parts.t
-    A, M, B = t.A, t.M, t.B
-    f = t.field
-    aut = parts.aut
-    fa, gb = aut.f_sigma._cols(), aut.g_sigma._cols()
-    d1, d3, m1, m3 = (m._cols() for m in (parts.delta1, parts.delta3, parts.mu1, parts.mu3))
-    results: dict[str, CheckResult] = {}
-
-    results["i"] = predicate(LinearEndo(A, parts.delta1), LinearEndo(A, aut.f_sigma), "commuting")
-    results["ii"] = predicate(LinearEndo(B, parts.mu3), LinearEndo(B, aut.g_sigma), "commuting")
-
-    c_a = [_module_bracket(parts, d1[i], m1[i]) for i in range(A.dim)]
-    c_b = [_module_bracket(parts, d3[j], m3[j]) for j in range(B.dim)]
-    c_one_a = _unit_bracket(parts, parts.delta1, parts.mu1, A.unit)
-    minus_one_b = [vec_neg(f, c) for c in _unit_bracket(parts, parts.delta3, parts.mu3, B.unit)]
-    one_a_items = [_sparse(c).items() for c in c_one_a]
-    minus_one_b_items = [_sparse(c).items() for c in minus_one_b]
-    e_a, e_b = _units(A), _units(B)
-    iii = (
-        ((i, k), c_a[i][k], _bilinear(f, M.dim, M._left, ((fa[i], one_a_items[k]),)))
-        for i in range(A.dim)
-        for k in range(M.dim)
-    )
-    iv = (
-        ((k, j), vec_neg(f, c_b[j][k]), _bilinear(f, M.dim, M._right, ((minus_one_b_items[k], e_b[j]),)))
-        for k in range(M.dim)
-        for j in range(B.dim)
-    )
-    vi = (((k, k), c_one_a[k], minus_one_b[k]) for k in range(M.dim))
-    results["iii"] = _first_failure("condition (iii)", iii)
-    results["iv"] = _first_failure("condition (iv)", iv)
-    results["v"] = _condition_v(parts)
-    results["vi"] = _first_failure("condition (vi)", vi)
-
-    # σ(x)·y − y·x lies in the corner's center, for (σ, x, y) = (f, a_i, δ₃(b_j)) and (g, b_j, μ₁(a_i))
-    minus_d3, minus_m1 = ([tuple((r, f.neg(v)) for r, v in col) for col in cols] for cols in (d3, m1))
-    brackets = (
-        ("vii", A, lambda i, j: ((fa[i], d3[j]), (minus_d3[j], e_a[i]))),
-        ("viii", B, lambda i, j: ((gb[j], m1[i]), (minus_m1[i], e_b[j]))),
-    )
-    for label, alg, terms in brackets:
-        center_space = center_subspace(alg)
-        values = (((i, j), alg._products(terms(i, j))) for i in range(A.dim) for j in range(B.dim))
-        bad = next(((pair, val) for pair, val in values if not center_space.contains(val)), None)
-        results[label] = (
-            CheckResult(True) if bad is None else CheckResult(False, Witness(f"condition ({label})", pair=bad[0], lhs=bad[1]))
-        )
-
-    ranges = (("delta2_range", "δ₂", A, aut.f_sigma, parts.delta2), ("mu2_range", "μ₂", B, aut.g_sigma, parts.mu2))
-    for label, name, alg, sigma, image in ranges:
-        twisted_center = sigma_center_subspace(alg, sigma)
-        bad = next((k for k in range(M.dim) if not twisted_center.contains(image.column(k))), None)
-        results[label] = (
-            CheckResult(True) if bad is None else CheckResult(False, Witness(f"{name} image not twisted-central", pair=(bad, bad)))
-        )
-
-    # the A and B rows of the recomposed map are slices of θ, so the round
-    # trip compares exactly the M rows that the canonical form derives
-    recomposed = _cent_composed(t, parts, c_one_a).matrix
-    bad = next((i for i in range(t.dim) if recomposed.column(i) != theta.matrix.column(i)), None)
-    witness = None if bad is None else Witness(
-        "module component", pair=(bad, bad), lhs=theta.matrix.column(bad), rhs=recomposed.column(bad)
-    )
-    results["m_component"] = CheckResult(bad is None, witness)
-    return results
-
-
 def compose_centralizing(t: TriangularAlgebra, parts: CentParts) -> LinearEndo:
-    """Rebuild the map from its corner components and the canonical M-column."""
-    return _cent_composed(t, parts, _unit_bracket(parts, parts.delta1, parts.mu1, t.A.unit))
-
-
-def _cent_composed(t: TriangularAlgebra, parts: CentParts, c_one_a: list[Vector]) -> LinearEndo:
-    """The map with M-column −m_σ·μ(x) on x in A or B, and c_{1_A}(m) − m_σ·μ₂(m) on m in M."""
+    """Rebuild the map from its corner components and the canonical M-column:
+    −m_σ·μ(x) on x in A or B, and c_{1_A}(m) − m_σ·μ₂(m) on m in M."""
     M, f = t.M, t.field
     minus_m_sigma = tuple((i, f.neg(v)) for i, v in _sparse(parts.aut.m_sigma).items())
+    c_one_a = _unit_bracket(parts)
     corners = ((parts.delta1, parts.mu1, None), (parts.delta2, parts.mu2, c_one_a), (parts.delta3, parts.mu3, None))
     images = []
     for delta, mu, c_one in corners:
@@ -512,13 +370,7 @@ def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     chk = predicate(theta, sigma, "centralizing")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    require_trivial_idempotents(t, sigma, "twisted decomposition")
-    parts = _extract_cent_parts(t, sigma, theta)
-    conditions = centralizing_conditions(parts, theta)
-    for label, result in conditions.items():
-        if not result.ok:
-            raise ConditionFailure(label, result.witness)
-    return parts.replace(conditions=conditions)
+    return _decompose_members(t, sigma, "centralizing", [_entries(theta)])[0]
 
 
 def commuting_criterion(parts: CentParts) -> bool:
@@ -564,7 +416,7 @@ class GenParts(Record):
         return self.der.xi
 
 
-def compose_generalized(t: TriangularAlgebra, parts: GenParts, use_display_form: bool = False) -> LinearEndo:
+def compose_generalized(t: TriangularAlgebra, parts: GenParts) -> LinearEndo:
     """(a,m,b) -> (D_A(a), f(a)m_d + m_D b - m_σ d_B(b) + ξ(m) + D_A(1)m, D_B(b))."""
     A, M, B = t.A, t.M, t.B
     f = t.field
@@ -581,11 +433,10 @@ def compose_generalized(t: TriangularAlgebra, parts: GenParts, use_display_form:
     ]
     b_images = []
     for j in range(B.dim):
-        corner = parts.D_B.column(j) if use_display_form else der.d_B.column(j)
         m_part = vec_sub(
             f,
             M.act_right(parts.m_D, B.basis_vector(j)),
-            M.act_right(aut.m_sigma, corner),
+            M.act_right(aut.m_sigma, der.d_B.column(j)),
         )
         b_images.append((A.zero(), m_part, parts.D_B.column(j)))
     return _endo_from_corner_images(t, a_images + m_images + b_images)
@@ -594,8 +445,8 @@ def compose_generalized(t: TriangularAlgebra, parts: GenParts, use_display_form:
 def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
     """Decompose a generalized twisted derivation with known partner d.
 
-    The rules of d and then of D are checked once on the whole algebra; the
-    corner rules of D_A and D_B are checked against the partner's parts."""
+    The rules of d and then of D are checked once on the whole algebra, then
+    the description of the pair."""
     sigma = as_endo(t.algebra, sigma)
     D = as_endo(t.algebra, D)
     d = as_endo(t.algebra, d)
@@ -604,16 +455,7 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
         chk = _leibniz_check(D, d, sigma, "generalized Leibniz rule")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    require_trivial_idempotents(t, sigma, "twisted decomposition")
-    der = _der_parts(t, sigma, d)
-    parts = _gen_blocks(t, der, D)
-    corners = (("D_A", t.A, parts.D_A, der.d_A, der.aut.f_sigma), ("D_B", t.B, parts.D_B, der.d_B, der.aut.g_sigma))
-    for name, alg, D_c, d_c, sigma_c in corners:
-        chk = _leibniz_check(LinearEndo(alg, D_c), LinearEndo(alg, d_c), LinearEndo(alg, sigma_c), "generalized Leibniz rule")
-        if not chk.ok:
-            raise ConditionFailure(f"{name} generalized Leibniz", chk.witness)
-    _compare(t, compose_generalized(t, parts), D)
-    return parts
+    return _decompose_members(t, sigma, "generalized_pair", [_entries(D, d)])[0]
 
 
 def _gen_blocks(t: TriangularAlgebra, der: DerParts, D: LinearEndo) -> GenParts:
@@ -647,25 +489,29 @@ class MultParts(Record):
 
 
 def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
-    """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b)), decomposed and
-    round-tripped as the generalized derivation (F, 0)."""
-    gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
-    return MultParts(t, gen.D_A, gen.D_B, gen.m_D)
+    """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b)): F's rule, which is
+    the generalized Leibniz rule of (F, 0), then the left multiplier
+    description."""
+    F = as_endo(t.algebra, F)
+    chk = _leibniz_check(F, None, None, "generalized Leibniz rule")
+    if not chk.ok:
+        raise PredicateNotSatisfied(chk.witness)
+    return _decompose_members(t, LinearEndo.identity(t.algebra), "left_multiplier", [_entries(F)])[0]
 
 
 # ---------------------------------------------------------------------------
-# description kernels
+# precise descriptions
 #
 # Every side condition of a structure statement, and every entry of its
 # canonical form, is linear in the map.  So the statement is a system of
-# rows in the map's own n² unknowns (2n² for a pair, D then d), and the maps
-# it describes are the kernel K of those rows.  The rows are built from T's
-# own operators: corner projections of the identity, of the Leibniz
-# operators L_{σ(e_i)} and R_{e_j}, of left multiplications, and of the
-# bracket operators, reduced against a corner's (twisted) center where a
-# condition asks for membership.  K equals the solved space exactly when the
-# statement is a precise description; C ⊆ K already proves that every member
-# decomposes, with every condition and the round trip holding.
+# rows in the map's own n² unknowns (2n² for a pair, D then d).  The maps it
+# describes are the kernel K of those rows, and a given map satisfies a
+# condition exactly when the condition's rows vanish on its entries.  The
+# rows are built from T's own operators: corner projections of the identity,
+# of the Leibniz operators L_{σ(e_i)} and R_{e_j}, of left multiplications,
+# and of the bracket operators, reduced against a corner's (twisted) center
+# where a condition asks for membership.  K equals the solved space exactly
+# when the statement is a precise description.
 
 DESCRIPTION_KINDS = ("sigma_derivation", "generalized_pair", "centralizing", "left_multiplier")
 
@@ -690,12 +536,15 @@ def _after(P, Q) -> list:
 
 
 def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> list[tuple[str, object]]:
-    """The description of ``kind`` as ``(label, equations)`` groups in
-    :class:`trialg.maps._System` form, one group per condition.
+    """The description of ``kind`` as ``(label, equations)`` groups, one
+    group per condition, each equation a ``(pair, terms)`` in
+    :class:`trialg.maps._System` form with ``pair`` the basis pair (or
+    index, twice) of T it is taken at.
 
     Unknowns are the entries of the map (block 0; for a pair, D in block 0
     and its partner d in block 1).  Each equation is a sum of terms
-    sign·P·X(v) with P a corner projection of one of T's operators.
+    sign·P·X(v) with P a corner projection of one of T's operators, its rows
+    indexed by T's coordinates.
     """
     alg, f = t.algebra, t.field
     na, nm, one = t.A.dim, t.M.dim, t.field.one
@@ -728,17 +577,17 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
                 terms = [(D, ident_out, table[i][j], 1), (D, right_out[j], e[i], -1)]
                 if d is not None:
                     terms.append((d, left_sigma, e[j], -1))
-                yield terms
+                yield (i, j), terms
 
     def zero_blocks(X, blocks):
-        return [[(X, ident[out], e[k], 1)] for out, into in blocks for k in spans[into]]
+        return [((k, k), [(X, ident[out], e[k], 1)]) for out, into in blocks for k in spans[into]]
 
     off_diagonal = (("b", "a"), ("a", "m"), ("b", "m"), ("a", "b"))
 
     def derivation(d):
         """d(a, m, b) = (d_A(a), f(a)m_d − m_d b − m_σ d_B(b) + ξ(m), d_B(b))."""
-        column = [[(d, ident["m"], e[i], 1), (d, left_f[i], p, -1)] for i in A]
-        column += [[(d, ident["m"], e[j], 1), (d, right_m[j], p, 1), (d, left_m_sigma, e[j], 1)] for j in B]
+        column = [((i, i), [(d, ident["m"], e[i], 1), (d, left_f[i], p, -1)]) for i in A]
+        column += [((j, j), [(d, ident["m"], e[j], 1), (d, right_m[j], p, 1), (d, left_m_sigma, e[j], 1)]) for j in B]
         return [
             ("zero blocks", zero_blocks(d, off_diagonal)),
             ("M-column", column),
@@ -752,9 +601,9 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         return derivation(0)
     if kind == "generalized_pair":
         # D(a, m, b) = (D_A(a), f(a)m_d + m_D b − m_σ d_B(b) + ξ(m) + D_A(1)m, D_B(b))
-        column = [[(0, ident["m"], e[i], 1), (1, left_f[i], p, -1)] for i in A]
-        column += [[(0, ident["m"], e[k], 1), (1, ident["m"], e[k], -1), (0, right_m[k], p, -1)] for k in M]
-        column += [[(0, ident["m"], e[j], 1), (0, right_m[j], q, -1), (1, left_m_sigma, e[j], 1)] for j in B]
+        column = [((i, i), [(0, ident["m"], e[i], 1), (1, left_f[i], p, -1)]) for i in A]
+        column += [((k, k), [(0, ident["m"], e[k], 1), (1, ident["m"], e[k], -1), (0, right_m[k], p, -1)]) for k in M]
+        column += [((j, j), [(0, ident["m"], e[j], 1), (0, right_m[j], q, -1), (1, left_m_sigma, e[j], 1)]) for j in B]
         return derivation(1) + [
             ("D zero blocks", zero_blocks(0, off_diagonal)),
             ("D M-column", column),
@@ -763,8 +612,8 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         ]
     if kind == "left_multiplier":
         # F(a, m, b) = (F_A(a), m_F b + F_A(1)m, F_B(b))
-        column = [[(0, ident["m"], e[k], 1), (0, right_m[k], p, -1)] for k in M]
-        column += [[(0, ident["m"], e[j], 1), (0, right_m[j], q, -1)] for j in B]
+        column = [((k, k), [(0, ident["m"], e[k], 1), (0, right_m[k], p, -1)]) for k in M]
+        column += [((j, j), [(0, ident["m"], e[j], 1), (0, right_m[j], q, -1)]) for j in B]
         return [
             ("zero blocks", zero_blocks(0, off_diagonal + (("m", "a"),))),
             ("M-column", column),
@@ -782,26 +631,42 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         k: _corner_rows(_live(_bracket_operator(alg, tuple((na + r, -v) for r, v in nu[k - na]), ((k, one),), 1)), M)
         for k in M
     }
+
+    def on_b(rows):
+        """Rows of an operator into B, moved to B's coordinates in T."""
+        return [(na + nm + r, row) for r, row in _live(rows)]
+
     center_a, center_b = center_subspace(t.A), center_subspace(t.B)
     vii = {i: _live(center_a.reduce_rows(bracket[i][:na])) for i in A}
-    viii = {j: _live(center_b.reduce_rows(bracket[j][na + nm :])) for j in B}
+    viii = {j: on_b(center_b.reduce_rows(bracket[j][na + nm :])) for j in B}
     delta2 = _live(sigma_center_subspace(t.A, aut.f_sigma).reduce_rows([{r: 1} for r in A]))
-    mu2 = _live(sigma_center_subspace(t.B, aut.g_sigma).reduce_rows([{r: 1} for r in B]))
-    component = [[(0, ident["m"], e[x], 1), (0, left_m_sigma, e[x], 1)] for x in chain(A, B)]
-    component += [[(0, ident["m"], e[k], 1), (0, c[k], p, -1), (0, left_m_sigma, e[k], 1)] for k in M]
+    mu2 = on_b(sigma_center_subspace(t.B, aut.g_sigma).reduce_rows([{r: 1} for r in B]))
+    component = [((x, x), [(0, ident["m"], e[x], 1), (0, left_m_sigma, e[x], 1)]) for x in chain(A, B)]
+    component += [((k, k), [(0, ident["m"], e[k], 1), (0, c[k], p, -1), (0, left_m_sigma, e[k], 1)]) for k in M]
     return [
         ("i", _bracket_equations(op, A)),
         ("ii", _bracket_equations(op, B)),
-        ("iii", ([(0, c[k], e[i], 1), (0, _after(left_f[i], c[k]), p, -1)] for i in A for k in M)),
-        ("iv", ([(0, c[k], e[j], 1), (0, _after(right_m[j], c[k]), q, -1)] for k in M for j in B)),
+        ("iii", (((i, k), [(0, c[k], e[i], 1), (0, _after(left_f[i], c[k]), p, -1)]) for i in A for k in M)),
+        ("iv", (((k, j), [(0, c[k], e[j], 1), (0, _after(right_m[j], c[k]), q, -1)]) for k in M for j in B)),
         ("v", _bracket_equations(c, M)),
-        ("vi", ([(0, c[k], p, 1), (0, c[k], q, 1)] for k in M)),
-        ("vii", ([(0, vii[i], e[j], 1)] for i in A for j in B)),
-        ("viii", ([(0, viii[j], e[i], 1)] for j in B for i in A)),
-        ("delta2_range", ([(0, delta2, e[k], 1)] for k in M)),
-        ("mu2_range", ([(0, mu2, e[k], 1)] for k in M)),
+        ("vi", (((k, k), [(0, c[k], p, 1), (0, c[k], q, 1)]) for k in M)),
+        ("vii", (((i, j), [(0, vii[i], e[j], 1)]) for i in A for j in B)),
+        ("viii", (((i, j), [(0, viii[j], e[i], 1)]) for j in B for i in A)),
+        ("delta2_range", (((k, k), [(0, delta2, e[k], 1)]) for k in M)),
+        ("mu2_range", (((k, k), [(0, mu2, e[k], 1)]) for k in M)),
         ("m_component", component),
     ]
+
+
+def _description_sigma(t: TriangularAlgebra, sigma, kind: str) -> LinearEndo:
+    """σ as the description of ``kind`` uses it: the identity for left
+    multipliers or when ``sigma`` is None; the twisted hypothesis must hold."""
+    if kind not in DESCRIPTION_KINDS:
+        raise ValueError(f"unknown description kind {kind!r}")
+    ident = sigma is None or kind == "left_multiplier"
+    sigma = LinearEndo.identity(t.algebra) if ident else as_endo(t.algebra, sigma)
+    require_trivial_idempotents(t, sigma, "twisted description")
+    return sigma
 
 
 def _description_kernel(t: TriangularAlgebra, kind: str, groups) -> Subspace:
@@ -820,52 +685,95 @@ def description_space(t: TriangularAlgebra, sigma, kind: str) -> Subspace:
     are centralizing) and ``left_multiplier`` (the (F, 0) form, σ ignored).
     K is kept in ``t.memo``.
     """
-    if kind not in DESCRIPTION_KINDS:
-        raise ValueError(f"unknown description kind {kind!r}")
-    ident = sigma is None or kind == "left_multiplier"
-    sigma = LinearEndo.identity(t.algebra) if ident else as_endo(t.algebra, sigma)
-    require_trivial_idempotents(t, sigma, "twisted description")
+    sigma = _description_sigma(t, sigma, kind)
     key = ("description", kind, None if sigma.is_identity() else sigma.matrix)
     if key not in t.memo:
         t.memo[key] = _description_kernel(t, kind, _description_rows(t, sigma, kind))
     return t.memo[key]
 
 
+def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> list[dict[str, CheckResult]]:
+    """Every condition of the description of ``kind`` on every map of ``vectors``.
+
+    A vector holds a map's entries row by row (D's, then d's, for a pair),
+    as the unknowns of :func:`description_space`.  For each vector the
+    result maps each group label of the description, in order, to whether
+    all of the group's equations vanish on it; a failure's witness gives the
+    pair of the first equation that does not, and its value there in T's
+    coordinates.  Each equation is built once and evaluated on all the
+    vectors at once, through the vectors' nonzero entries.
+    """
+    sigma = _description_sigma(t, sigma, kind)
+    f, n, p = t.field, t.dim, t.field.char
+    system = _System(f, n, 2 if kind == "generalized_pair" else 1)
+    entries: dict[int, list] = {}  # unknown -> the (vector, value) nonzeros there
+    for m, v in enumerate(vectors):
+        for c, x in enumerate(v):
+            if x:
+                entries.setdefault(c, []).append((m, x))
+    results: list[dict[str, CheckResult]] = [{} for _ in vectors]
+    for label, equations in _description_rows(t, sigma, kind):
+        failed: dict[int, CheckResult] = {}
+        for pair, terms in equations:
+            values: dict[int, dict] = {}  # vector -> {coordinate: nonzero value}
+            for r, row in system.equation(terms):
+                sums: dict[int, object] = {}
+                for c, a in row.items():
+                    for m, x in entries.get(c, ()):
+                        sums[m] = sums.get(m, 0) + a * x
+                for m, x in sums.items():
+                    if p:
+                        x %= p
+                    if x and m not in failed:
+                        values.setdefault(m, {})[r] = x
+            for m, value in values.items():
+                lhs = tuple(value.get(r, f.zero) for r in range(n))
+                failed[m] = CheckResult(False, Witness(label, pair=pair, lhs=lhs))
+        for m, conditions in enumerate(results):
+            conditions[label] = failed.get(m, _PASS)
+    return results
+
+
 # ---------------------------------------------------------------------------
-# decomposing a solved space
+# decomposing members
 
 
-def _members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, space: MapSpace) -> list:
-    """Each member of the solved space decomposed on its own, every fact checked."""
-    if kind in ("derivation", "sigma_derivation"):
-        return [decompose_sigma_derivation(t, sigma, d) for d in space.endos()]
-    if kind in ("centralizing", "commuting"):
-        return [decompose_centralizing(t, sigma, theta) for theta in space.endos()]
-    if kind == "generalized_pair":
-        return [decompose_generalized(t, sigma, D, d) for D, d in space.endo_pairs()]
-    return [decompose_left_multiplier(t, F) for F in space.endos()]
+def _entries(*maps: LinearEndo) -> Vector:
+    """The entries of the maps, row by row and one map after another."""
+    return tuple(x for X in maps for row in X.matrix.entries for x in row)
 
 
-def _described_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, space: MapSpace) -> list:
-    """Each member's parts read off its blocks, for a space inside its
-    description kernel: every condition holds and the round trip is exact."""
+def _decompose_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, vectors) -> list:
+    """The parts of the maps of ``vectors`` (as :func:`description_conditions`
+    takes them), whose defining identity holds: the twisted hypothesis, then
+    every condition of the description of ``kind`` on every map, raising
+    ConditionFailure at the first that fails, then the blocks of each map."""
+    if kind in ("centralizing", "generalized_pair"):
+        require_trivial_idempotents(t, sigma, "twisted decomposition")
     aut = _aut_parts_for(t, sigma)
-    if kind in ("derivation", "sigma_derivation"):
-        return [_der_blocks(t, aut, d) for d in space.endos()]
-    if kind in ("centralizing", "commuting"):
-        return [
-            _extract_cent_parts(t, sigma, theta).replace(conditions=dict.fromkeys(CENT_CONDITION_LABELS, _PASS))
-            for theta in space.endos()
-        ]
+    results = description_conditions(t, sigma, kind, vectors)
+    for conditions in results:
+        for label, result in conditions.items():
+            if not result.ok:
+                raise ConditionFailure(label, result.witness)
+    alg, half = t.algebra, t.dim**2
+    if kind == "sigma_derivation":
+        return [_der_blocks(t, aut, endo_of_vec(alg, v)) for v in vectors]
     if kind == "generalized_pair":
-        return [_gen_blocks(t, _der_blocks(t, aut, d), D) for D, d in space.endo_pairs()]
+        pairs = [(endo_of_vec(alg, v[:half]), endo_of_vec(alg, v[half:])) for v in vectors]
+        return [_gen_blocks(t, _der_blocks(t, aut, d), D) for D, d in pairs]
+    if kind == "centralizing":
+        return [
+            _extract_cent_parts(t, sigma, endo_of_vec(alg, v)).replace(conditions=conditions)
+            for v, conditions in zip(vectors, results)
+        ]
     return [
         MultParts(t, _corner_matrix(t, F, "a", "a"), _corner_matrix(t, F, "b", "b"), t.pi_m(F(t.q)))
-        for F in space.endos()
+        for F in (endo_of_vec(alg, v) for v in vectors)
     ]
 
 
-# the description kind whose kernel must contain each decomposed kind's space
+# the description each decomposed kind is checked against
 _DESCRIBED_BY = {
     "derivation": "sigma_derivation",
     "sigma_derivation": "sigma_derivation",
@@ -879,24 +787,14 @@ _DESCRIBED_BY = {
 def decompose_space(t: TriangularAlgebra, sigma, kind: str) -> list:
     """The parts of every member of the solved space of ``kind``, in basis order.
 
-    The space C is solved once (:func:`trialg.maps.solve_space`), and the
-    structure statement is proved for all of it at once as C ⊆ K, with K the
-    description kernel (:func:`description_space`); each member's parts are
-    then read off its blocks.  When C ⊄ K, or the twisted hypothesis fails,
-    every member is decomposed on its own, which raises the error that
-    member meets; if they all decompose although C ⊄ K, the two checks
-    disagree and StructuralMismatch is raised.  ``derivation`` and
-    ``left_multiplier`` ignore σ.
+    The space is solved once (:func:`trialg.maps.solve_space`), so its
+    members' defining identity holds; the description's rows are evaluated
+    on all of them at once, and each member's parts are read off its blocks.
+    ``derivation`` and ``left_multiplier`` ignore σ.
     """
     if kind not in _DESCRIBED_BY:
         raise ValueError(f"unknown decompose kind {kind!r}")
     untwisted = kind in ("derivation", "left_multiplier")
     sigma = LinearEndo.identity(t.algebra) if untwisted else as_endo(t.algebra, sigma)
     space = solve_space(t.algebra, None if untwisted else sigma, kind)
-    described = space.dim > 0 and (sigma.is_identity() or t.trivial_idempotent_components)
-    if described and space.space.leq(description_space(t, sigma, _DESCRIBED_BY[kind])):
-        return _described_members(t, sigma, kind, space)
-    members = _members(t, sigma, kind, space)
-    if described:
-        raise StructuralMismatch(f"{kind} space is not inside its description kernel, yet every member decomposes")
-    return members
+    return _decompose_members(t, sigma, _DESCRIBED_BY[kind], space.space.basis) if space.dim else []

@@ -30,7 +30,7 @@ from .structure import (
     DESCRIPTION_KINDS,
     AutParts,
     _composed,
-    decompose_generalized,
+    _decompose_members,
     description_space,
     require_trivial_idempotents,
 )
@@ -144,9 +144,11 @@ def verify_sharma_dhara(algebra, instance: str = "") -> TheoremReport:
 def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremReport:
     """Centralizing generalized derivations degenerate to left multipliers.
 
-    Restricts the solved (D, d) pair space to pairs with centralizing D and
-    checks, member by member: D is a left multiplier, the partner d is zero,
-    and the decomposition has m_d = 0 and ξ = 0.
+    Restricts the solved (D, d) pair space to pairs with centralizing D,
+    decomposes its members at once, and checks member by member: D is a left
+    multiplier, the partner d is zero, and the decomposition has m_d = 0 and
+    ξ = 0.  Every D must lie in the solved left-multiplier space; when one
+    does not, the first such D is the witness.
     """
     ident = LinearEndo.identity(t.algebra)
     pairs = solve_space(t, ident, "generalized_pair")
@@ -158,37 +160,32 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     carrier += [(f.zero,) * n2 + unit_vector(f, n2, j) for j in range(n2)]
     restricted = pairs.space.intersect(Subspace.from_vectors(f, 2 * n2, carrier))
 
-    all_good = True
     witness = None
     checks = {"left_multiplier": True, "partner_zero": True, "decomposition_trivial": True}
-    for v in restricted.basis:
+    for v, parts in zip(restricted.basis, _decompose_members(t, ident, "generalized_pair", restricted.basis)):
         D = endo_of_vec(t.algebra, v[:n2])
-        d = endo_of_vec(t.algebra, v[n2:])
         if not is_left_multiplier(D).ok:
             checks["left_multiplier"] = False
-        if not d.matrix.is_zero():
+        if any(v[n2:]):
             checks["partner_zero"] = False
-        parts = decompose_generalized(t, ident, D, d)
         if any(parts.m_d) or not parts.xi.is_zero():
             checks["decomposition_trivial"] = False
         if not all(checks.values()):
-            all_good = False
             witness = D.matrix
             break
-    d_components = Subspace.from_vectors(f, n2, [v[:n2] for v in restricted.basis])
-    inclusion = d_components.leq(mult.space)
-    if not inclusion:
-        all_good = False
+    outside = next((v[:n2] for v in restricted.basis if not mult.space.contains(v[:n2])), None)
+    if witness is None and outside is not None:
+        witness = endo_of_vec(t.algebra, outside).matrix
     return TheoremReport(
         GD_LEFT_MULT,
         instance or repr(t),
-        passed=all_good,
+        passed=witness is None,
         dimensions={
             "generalized_pairs": pairs.dim,
             "centralizing_restriction": restricted.dim,
             "left_multipliers": mult.dim,
         },
-        details={"restriction_inside_multipliers": inclusion, **checks},
+        details={"restriction_inside_multipliers": outside is None, **checks},
         witness=witness,
     )
 

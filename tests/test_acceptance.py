@@ -34,7 +34,7 @@ from trialg import (
     verify_mayne,
 )
 from trialg.linalg import vec_add
-from trialg.structure import centralizing_conditions
+from trialg.structure import description_conditions
 from trialg.cli import report_to_json, run_config
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
@@ -194,7 +194,7 @@ def test_structure_round_trips(t2q, t2f5, trunc3q):
                 space = solve_space(t, sigma, kind)
                 for theta in space.endos():
                     cent = decompose_centralizing(t, sigma, theta)
-                    conds = centralizing_conditions(cent, theta)
+                    [conds] = description_conditions(t, sigma, "centralizing", [vec_of_endo(theta)])
                     assert all(bool(conds[label]) for label in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii"))
                     assert all(bool(r) for r in conds.values())
                     assert compose_centralizing(t, cent).matrix == theta.matrix

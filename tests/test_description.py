@@ -2,9 +2,9 @@
 decomposition of whole solved spaces against them.
 
 K = C on every instance is the description theorem for that instance; a
-dropped condition must break it.  ``decompose_space`` reads parts off the
-blocks once C ⊆ K, and must give exactly what decomposing every member on
-its own gives, errors included.
+dropped condition must break it.  ``decompose_space`` evaluates the same
+rows on the solved members and reads parts off their blocks, and must give
+exactly what decomposing every member on its own gives, errors included.
 """
 
 import gc
@@ -13,12 +13,17 @@ import weakref
 import pytest
 
 from trialg import GF, QQ, LinearEndo, block_upper, cli, structure, theorems, trian_trunc, upper_triangular
-from trialg.errors import StructuralMismatch
-from trialg.linalg import Subspace
+from trialg.errors import ConditionFailure
+from trialg.linalg import Matrix, Subspace
 from trialg.maps import MapSpace, solve_space
 from trialg.structure import (
     CENT_CONDITION_LABELS,
     DESCRIPTION_KINDS,
+    DerParts,
+    GenParts,
+    compose_generalized,
+    compose_sigma_derivation,
+    identity_aut_parts,
     _description_kernel,
     _description_rows,
     decompose_centralizing,
@@ -26,10 +31,12 @@ from trialg.structure import (
     decompose_left_multiplier,
     decompose_sigma_derivation,
     decompose_space,
+    description_conditions,
     description_space,
 )
 
 from conftest import unipotent_automorphism
+from dense_oracle import dense_centralizing_conditions, dense_check_der_parts, dense_compose_centralizing
 
 F7, P = GF(7), GF(10007)
 
@@ -138,6 +145,30 @@ def _solved(t, sigma, kind):
     return solve_space(t, None if kind in ("derivation", "left_multiplier") else sigma, kind)
 
 
+def _oracle_accepts(t, kind, space, parts):
+    """Each member's parts against the dense oracle and the inverse
+    constructors: every side condition holds and the parts recompose to it."""
+    if kind in ("centralizing", "commuting"):
+        for theta, p in zip(space.endos(), parts):
+            assert all(r.ok for r in dense_centralizing_conditions(p, theta).values())
+            assert dense_compose_centralizing(t, p).matrix == theta.matrix
+    elif kind == "generalized_pair":
+        for (D, d), p in zip(space.endo_pairs(), parts):
+            dense_check_der_parts(p.der)
+            assert compose_sigma_derivation(t, p.der).matrix == d.matrix
+            assert compose_generalized(t, p).matrix == D.matrix
+    elif kind == "left_multiplier":
+        f, na, nm, nb = t.field, t.A.dim, t.M.dim, t.B.dim
+        zero = DerParts(t, identity_aut_parts(t), Matrix.zeros(f, na, na), Matrix.zeros(f, nb, nb), t.M.zero(),
+                        Matrix.zeros(f, nm, nm))
+        for F, p in zip(space.endos(), parts):
+            assert compose_generalized(t, GenParts(t, zero, p.F_A, p.F_B, p.m_F, True)).matrix == F.matrix
+    else:
+        for d, p in zip(space.endos(), parts):
+            dense_check_der_parts(p)
+            assert compose_sigma_derivation(t, p).matrix == d.matrix
+
+
 @pytest.mark.parametrize("twist", ["identity", "inner"])
 @pytest.mark.parametrize("name", SPACE_INSTANCES)
 def test_decompose_space_matches_each_member(name, twist):
@@ -147,6 +178,8 @@ def test_decompose_space_matches_each_member(name, twist):
     for kind in SPACE_KINDS:
         outcomes[kind] = _outcome(lambda: _member_by_member(t, sigma, kind, _solved(t, sigma, kind)))
         assert _outcome(lambda: decompose_space(t, sigma, kind)) == outcomes[kind], kind
+        if isinstance(outcomes[kind], list):
+            _oracle_accepts(t, kind, _solved(t, sigma, kind), [p for p, _ in outcomes[kind]])
     if twist == "inner" and not t.trivial_idempotent_components:
         assert outcomes["centralizing"][0].__name__ == "HypothesisNotMet"
     else:
@@ -154,18 +187,18 @@ def test_decompose_space_matches_each_member(name, twist):
 
 
 def test_described_members_run_no_pointwise_check(monkeypatch):
-    """Once C ⊆ K, no member's defining identity or side condition is checked."""
+    """A solved space's members have their defining identity checked by no
+    pointwise checker: only the description's rows are evaluated on them."""
     t = trian_trunc(3, F7)
     sigma = unipotent_automorphism(t)
+    structure._aut_parts_for(t, sigma)  # decomposing σ checks σ, not the members
     for kind in SPACE_KINDS:
         _solved(t, sigma, kind)
-        if kind in DESCRIPTION_KINDS:
-            description_space(t, sigma, kind)
 
     def refuse(*args, **kwargs):
         raise AssertionError("pointwise check on the described path")
 
-    for name in ("is_sigma_derivation", "predicate", "_leibniz_check", "_pair_check", "centralizing_conditions", "_compare"):
+    for name in ("is_sigma_derivation", "predicate", "_leibniz_check", "_pair_check", "_compare"):
         monkeypatch.setattr(structure, name, refuse)
     for kind in SPACE_KINDS:
         parts = decompose_space(t, sigma, kind)
@@ -187,23 +220,63 @@ def _bumped(space: MapSpace) -> MapSpace:
     raise AssertionError("no bump leaves the space")
 
 
+# the first condition a bumped first member fails, with trian_trunc(3) over F_7 and the inner twist
+CORRUPTED_LABEL = {
+    "derivation": "d_A twisted Leibniz",
+    "sigma_derivation": "d_A twisted Leibniz",
+    "centralizing": "iii",
+    "commuting": "iii",
+    "generalized_pair": "D M-column",
+    "left_multiplier": "M-column",
+}
+
+
 @pytest.mark.parametrize("kind", SPACE_KINDS)
 def test_corrupted_members_raise_todays_errors(monkeypatch, kind):
+    """Decomposed on its own, a member that fails its defining identity is
+    rejected by its predicate; ``decompose_space`` takes its members as
+    solved and rejects it by the first condition of the description that
+    fails on it."""
     t = trian_trunc(3, F7)
     sigma = unipotent_automorphism(t)
     corrupted = _bumped(_solved(t, sigma, kind))
     expected = _outcome(lambda: _member_by_member(t, sigma, kind, corrupted))
     assert expected[0].__name__ == "PredicateNotSatisfied"
     monkeypatch.setattr(structure, "solve_space", lambda *args: corrupted)
-    assert _outcome(lambda: decompose_space(t, sigma, kind)) == expected
+    with pytest.raises(ConditionFailure) as exc:
+        decompose_space(t, sigma, kind)
+    assert exc.value.label == CORRUPTED_LABEL[kind]
+    described = structure._DESCRIBED_BY[kind]
+    twist = None if kind in ("derivation", "left_multiplier") else sigma
+    first = description_conditions(t, twist, described, corrupted.space.basis[:1])[0]
+    assert exc.value.witness == first[exc.value.label].witness
 
 
-def test_a_wrong_kernel_is_a_structural_mismatch(monkeypatch):
-    """Members that all decompose although C ⊄ K mean the two checks disagree."""
-    t = trian_trunc(2, F7)
-    monkeypatch.setattr(structure, "description_space", lambda t, sigma, kind: Subspace.zero(t.field, t.dim**2))
-    with pytest.raises(StructuralMismatch):
-        decompose_space(t, LinearEndo.identity(t.algebra), "sigma_derivation")
+def _without_m_sigma(rows):
+    """``_description_rows`` with the m_σ·d_B(b) term dropped from the
+    σ-derivation M-column."""
+
+    def mutated(t, sigma, kind):
+        groups = rows(t, sigma, kind)
+        if kind != "sigma_derivation":
+            return groups
+        return [(label, [(pair, terms[:2]) for pair, terms in eqs] if label == "M-column" else eqs) for label, eqs in groups]
+
+    return mutated
+
+
+def test_a_wrong_description_fails_decomposition_and_verification(monkeypatch):
+    """The description is stated once: a term dropped from its rows is seen
+    both by the decomposition of the solved space and by verify:description."""
+    t = trian_trunc(3, F7)
+    sigma = unipotent_automorphism(t)
+    monkeypatch.setattr(structure, "_description_rows", _without_m_sigma(structure._description_rows))
+    with pytest.raises(ConditionFailure) as exc:
+        decompose_space(t, sigma, "sigma_derivation")
+    assert str(exc.value) == "structure condition M-column fails: M-column at pair (7, 7), lhs [0, 0, 0, 0, 1, 0, 0, 0, 0]"
+    report = theorems.verify_description(t, sigma)
+    assert not report.passed
+    assert report.details["witness_kind"] == "sigma_derivation" and not report.details["sigma_derivation"]
 
 
 def test_decompose_space_caches_die_with_the_algebra():

@@ -85,10 +85,11 @@ from trialg.structure import (
     MultParts,
     SigmaCenterData,
     _check_aut_parts,
-    _check_der_parts,
     _corner_matrix,
-    centralizing_conditions,
+    _extract_cent_parts,
+    compose_sigma_derivation,
     decompose_automorphism,
+    description_conditions,
 )
 from trialg.theorems import TheoremReport
 
@@ -444,11 +445,33 @@ def _bumps(parts, names):
                 yield parts.replace(**{name: _bumped(m, r, c)})
 
 
-def _der_outcome(check, parts):
+# the (rows, columns) corners of each block a map is split into
+BLOCKS = {
+    "d_A": ("a", "a"), "xi": ("m", "m"), "d_B": ("b", "b"),
+    "delta1": ("a", "a"), "delta2": ("a", "m"), "delta3": ("a", "b"),
+    "mu1": ("b", "a"), "mu2": ("b", "m"), "mu3": ("b", "b"),
+}
+
+
+def _map_bumps(t, endo, parts, names):
+    """``endo`` itself, then one copy per entry of each named block of its
+    ``parts`` with that entry of the map bumped."""
+    yield endo
+    offset = {"a": 0, "m": t.A.dim, "b": t.A.dim + t.M.dim}
+    for name in names:
+        out, into = BLOCKS[name]
+        m = getattr(parts, name)
+        for r in range(m.nrows):
+            for c in range(m.ncols):
+                yield LinearEndo(t.algebra, _bumped(endo.matrix, offset[out] + r, offset[into] + c))
+
+
+def _first_label(check, parts):
+    """The label of the ConditionFailure ``check`` raises, or ``None``."""
     try:
         check(parts)
     except ConditionFailure as exc:
-        return exc.label, exc.witness
+        return exc.label
     return None
 
 
@@ -456,9 +479,11 @@ def _der_outcome(check, parts):
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("family", ETA_FAMILIES)
 def test_part_checks_match_dense_loops(family, field_name, twist):
-    """Whole CheckResults of the automorphism-parts check and the label and
-    witness of the derivation-parts check, on solved members and on members
-    with one entry of f, g, ν, ξ, d_A or d_B bumped."""
+    """Whole CheckResults of the automorphism-parts check on solved parts and
+    on parts with one entry of f, g or ν bumped; and the description of
+    σ-derivations on the maps that solved parts, and parts with one entry of
+    ξ, d_A or d_B bumped, compose to.  Those maps keep the zero blocks and
+    the M-column, so the first failing label is the dense part check's."""
     t = ETA_FAMILIES[family](FIELDS[field_name])
     sigma = TWISTS[twist](t)
     reasons = set()
@@ -468,12 +493,12 @@ def test_part_checks_match_dense_loops(family, field_name, twist):
         reasons.add(got.witness.reason if got.witness else None)
     labels = set()
     for d in solve_space(t, sigma, "sigma_derivation").endos():
-        der = decompose_sigma_derivation(t, sigma, d)
-        assert _der_outcome(_check_der_parts, der) is None
-        for parts in _bumps(der, ("xi", "d_A", "d_B")):
-            got = _der_outcome(_check_der_parts, parts)
-            assert got == _der_outcome(dense_check_der_parts, parts)
-            labels.add(got and got[0])
+        bumped = list(_bumps(decompose_sigma_derivation(t, sigma, d), ("xi", "d_A", "d_B")))
+        maps = [vec_of_endo(compose_sigma_derivation(t, parts)) for parts in bumped]
+        for parts, conditions in zip(bumped, description_conditions(t, sigma, "sigma_derivation", maps)):
+            got = next((label for label, r in conditions.items() if not r.ok), None)
+            assert got == _first_label(dense_check_der_parts, parts)
+            labels.add(got)
     if t.M.dim > 1:
         assert {"left intertwining fails", "right intertwining fails"} <= reasons
         assert {"xi left compatibility", "xi right compatibility"} <= labels
@@ -524,24 +549,29 @@ def _cent_members(t, sigma):
 
 @pytest.mark.parametrize("field_name", FIELDS)
 def test_centralizing_conditions_match_dense_loops(field_name):
-    """Whole result dicts of the centralizing conditions, in label order and
-    with every witness, and the recomposed map, on solved members and on the
-    parts of the generic member with one entry of a corner map
-    bumped.  Between them the cases make every condition fail."""
+    """The verdict of every centralizing condition, in label order, and the
+    recomposed map, on solved members and on the generic member with one
+    entry of a corner block bumped.  Between them the cases make every
+    condition fail."""
     failed = set()
     for _, build, twists in CENT_CASES:
         t, inner = _twisted(build(FIELDS[field_name]))
         for twist in twists:
             sigma = LinearEndo.identity(t.algebra) if twist == "identity" else inner
             members = _cent_members(t, sigma)
-            for n, theta in enumerate(members):
-                parts = decompose_centralizing(t, sigma, theta)
-                bumped = _bumps(parts, CENT_CORNERS) if n == len(members) - 1 else (parts,)
-                for p in bumped:
-                    got = centralizing_conditions(p, theta)
-                    assert list(got.items()) == list(dense_centralizing_conditions(p, theta).items())
-                    assert compose_centralizing(t, p).matrix == dense_compose_centralizing(t, p).matrix
-                    failed.update(label for label, result in got.items() if not result.ok)
+            generic = members.pop()
+            maps = members + list(_map_bumps(t, generic, decompose_centralizing(t, sigma, generic), CENT_CORNERS))
+            results = description_conditions(t, sigma, "centralizing", [vec_of_endo(m) for m in maps])
+            for n, (theta, got) in enumerate(zip(maps, results)):
+                p = _extract_cent_parts(t, sigma, theta)
+                want = dense_centralizing_conditions(p, theta)
+                assert [(label, r.ok) for label, r in got.items()] == [(label, r.ok) for label, r in want.items()]
+                assert n > len(members) or all(r.ok for r in got.values())
+                assert compose_centralizing(t, p).matrix == dense_compose_centralizing(t, p).matrix
+                for label, r in got.items():
+                    if not r.ok:
+                        assert r.witness.reason == label and any(r.witness.lhs)
+                        failed.add(label)
     assert failed == set(CENT_CONDITION_LABELS)
 
 

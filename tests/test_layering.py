@@ -174,7 +174,7 @@ REEXPORTS = {
     "linalg": "Matrix Subspace kernel_basis solve_linear",
     "maps": "CheckResult LinearEndo MapSpace Witness bracket_sigma inner_automorphism is_automorphism "
     "is_generalized_pair is_left_multiplier is_sigma_derivation predicate solve_space",
-    "structure": "AutParts CentParts DerParts GenParts MultParts SigmaCenterData centralizing_conditions "
+    "structure": "AutParts CentParts DerParts GenParts MultParts SigmaCenterData "
     "commuting_criterion compose_automorphism compose_centralizing compose_generalized compose_sigma_derivation "
     "decompose_automorphism decompose_centralizing decompose_generalized decompose_left_multiplier "
     "decompose_sigma_derivation sigma_center",
@@ -230,6 +230,12 @@ KEPT_API = {
     "bracket_sigma": "the paper's twisted bracket [x, y]_σ, evaluated pointwise",
     "is_generalized_pair": "the checker of the paper's generalized σ-derivation pairs",
     "compose_centralizing": "the inverse of decompose_centralizing, as for the other kinds",
+    "compose_sigma_derivation": "the inverse of decompose_sigma_derivation, used by the README example",
+    "compose_generalized": "the inverse of decompose_generalized, as for the other kinds",
+    "decompose_sigma_derivation": "the per-map decomposition of the paper's σ-derivation description",
+    "decompose_centralizing": "the per-map decomposition of the paper's σ-centralizing description",
+    "decompose_generalized": "the per-map decomposition of a generalized σ-derivation with its partner",
+    "decompose_left_multiplier": "the per-map decomposition of a left multiplier",
     "report_to_json": "the report as one string, for library callers and the benchmark's jobs",
 }
 

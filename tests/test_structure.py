@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from dense_oracle import dense_bracket_matrix
+from dense_oracle import dense_bracket_matrix, dense_centralizing_conditions, vec_of_endo
 
 from trialg import (
     GF,
@@ -28,9 +28,9 @@ from trialg import (
     solve_space,
     trian_trunc,
 )
-from trialg.linalg import Matrix, vec_add
+from trialg.linalg import Matrix, vec_add, vec_sub
 from trialg.maps import endo_of_vec
-from trialg.structure import AutParts, CentParts, centralizing_conditions, identity_aut_parts
+from trialg.structure import AutParts, _extract_cent_parts, description_conditions, identity_aut_parts
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
 
@@ -168,34 +168,31 @@ def test_central_multiplication_decomposes(t2q):
     theta = LinearEndo(alg, alg.left_mul_matrix(z))
     parts = decompose_centralizing(t2q, LinearEndo.identity(alg), theta)
     assert compose_centralizing(t2q, parts).matrix == theta.matrix
-    conds = centralizing_conditions(parts, theta)
+    [conds] = description_conditions(t2q, LinearEndo.identity(alg), "centralizing", [vec_of_endo(theta)])
     assert all(bool(r) for r in conds.values())
 
 
 def test_centralizing_condition_labels(t2q):
     ident = LinearEndo.identity(t2q.algebra)
-    parts = decompose_centralizing(t2q, ident, ident)
-    conds = centralizing_conditions(parts, ident)
+    [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(ident)])
+    assert decompose_centralizing(t2q, ident, ident).conditions == conds
     expected = {"i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delta2_range", "mu2_range", "m_component"}
     assert set(conds) == expected
     assert all(bool(r) for r in conds.values())
 
 
 def test_corrupted_components_fail_their_conditions(t2q):
+    """The identity with δ₃ = id breaks (vi); (iv) holds, as B = K·1_B, and
+    the M-rows are still the canonical ones."""
     ident = LinearEndo.identity(t2q.algebra)
-    parts = decompose_centralizing(t2q, ident, ident)
-    broken = CentParts(
-        t2q,
-        parts.aut,
-        parts.delta1,
-        parts.delta2,
-        Matrix.identity(QQ, 1),  # delta3 = id breaks (vi) and the round trip; (iv) holds, as B = K·1_B
-        parts.mu1,
-        parts.mu2,
-        parts.mu3,
-    )
-    conds = centralizing_conditions(broken, ident)
-    assert {label for label, r in conds.items() if not r.ok} == {"vi", "m_component"}
+    rows = [list(r) for r in ident.matrix.entries]
+    rows[0][2] = ONE  # the A-row of the B column: δ₃
+    broken = LinearEndo(t2q.algebra, Matrix(QQ, rows))
+    assert _extract_cent_parts(t2q, ident, broken).delta3 == Matrix.identity(QQ, 1)
+    [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(broken)])
+    assert {label for label, r in conds.items() if not r.ok} == {"vi"}
+    dense = dense_centralizing_conditions(_extract_cent_parts(t2q, ident, broken), broken)
+    assert {label for label, r in dense.items() if not r.ok} == {"vi"}
 
 
 def test_centralizing_conditions_make_no_dense_product(monkeypatch):
@@ -208,7 +205,7 @@ def test_centralizing_conditions_make_no_dense_product(monkeypatch):
     for b in space.basis[1:]:
         v = vec_add(t.field, v, b)
     theta = endo_of_vec(t.algebra, v)
-    parts = decompose_centralizing(t, ident, theta)
+    decompose_centralizing(t, ident, theta)
     calls = []
 
     def counted(name, original):
@@ -220,24 +217,24 @@ def test_centralizing_conditions_make_no_dense_product(monkeypatch):
 
     for cls, name in ((Bimodule, "act_left"), (Bimodule, "act_right"), (FDAlgebra, "mul")):
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-    conds = centralizing_conditions(parts, theta)
+    [conds] = description_conditions(t, ident, "centralizing", [v])
     assert all(r.ok for r in conds.values())
     assert calls == []
 
 
 def test_module_component_witness_is_first_differing_column(t2q):
     # θ = id with the M-row entry of the e_22 column changed: the round trip of
-    # the identity's parts differs from it in that column only
+    # its parts differs from it in that column only, by that entry
     ident = LinearEndo.identity(t2q.algebra)
-    parts = decompose_centralizing(t2q, ident, ident)
     rows = [list(r) for r in ident.matrix.entries]
     rows[1][2] = Fraction(5)
     theta = LinearEndo(t2q.algebra, Matrix(QQ, rows))
-    check = centralizing_conditions(parts, theta)["m_component"]
+    [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(theta)])
+    check = conds["m_component"]
     assert not check.ok
     assert check.witness.pair == (2, 2)
-    assert check.witness.lhs == theta.matrix.column(2)
-    assert check.witness.rhs == ident.matrix.column(2)
+    assert check.witness.lhs == vec_sub(QQ, theta.matrix.column(2), ident.matrix.column(2))
+    assert compose_centralizing(t2q, _extract_cent_parts(t2q, ident, theta)).matrix == ident.matrix
 
 
 def test_centralizing_round_trip_all_twists(t2q, t2f5, trunc3q):
@@ -310,7 +307,7 @@ def test_generalized_display_variant_differs_with_corner(t2q):
     parts = decompose_generalized(t2q, sig, LinearEndo.identity(t2q.algebra), LinearEndo.zero(t2q.algebra))
     assert not parts.display_matches
     assert compose_generalized(t2q, parts).matrix == Matrix.identity(QQ, t2q.dim)
-    variant = compose_generalized(t2q, parts, use_display_form=True)
+    variant = compose_generalized(t2q, parts.replace(der=parts.der.replace(d_B=parts.D_B)))
     assert variant.matrix != Matrix.identity(QQ, t2q.dim)
 
 

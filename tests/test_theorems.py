@@ -7,8 +7,10 @@ from trialg import (
     QQ,
     HypothesisNotMet,
     LinearEndo,
+    Subspace,
     fixture_n3,
     full_matrix_algebra,
+    is_left_multiplier,
     predicate,
     solve_space,
     theorems,
@@ -20,7 +22,8 @@ from trialg import (
     verify_skew_zero,
 )
 from conftest import diag_sign_automorphism, unipotent_automorphism
-from dense_oracle import contains_pair, sample_conjugation_automorphism, sample_parts_automorphism
+from dense_oracle import contains_pair, sample_conjugation_automorphism, sample_parts_automorphism, vec_of_endo
+from trialg.maps import MapSpace
 
 
 def test_posner_identity_twist(t2q, t3q, block21q):
@@ -78,6 +81,26 @@ def test_centralizing_generalized_derivations_are_multipliers(t2q, t3q):
         assert report.details["restriction_inside_multipliers"]
         assert report.details["partner_zero"]
         assert report.details["decomposition_trivial"]
+
+
+def test_gd_left_mult_witness_is_a_multiplier_outside_the_space(monkeypatch, t3q):
+    """With the left-multiplier space replaced by zero, the restriction is not
+    inside it, and the witness is a left multiplier the space misses."""
+    solve = theorems.solve_space
+
+    def without_multipliers(t, sigma, kind):
+        space = solve(t, sigma, kind)
+        if kind != "left_multiplier":
+            return space
+        return MapSpace(space.algebra, kind, False, Subspace.zero(t.field, t.dim**2))
+
+    monkeypatch.setattr(theorems, "solve_space", without_multipliers)
+    report = verify_gd_left_mult(t3q)
+    assert not report.passed and not report.details["restriction_inside_multipliers"]
+    assert report.details["left_multiplier"] and report.details["partner_zero"]
+    F = LinearEndo(t3q.algebra, report.witness)
+    assert is_left_multiplier(F).ok
+    assert not without_multipliers(t3q, None, "left_multiplier").space.contains(vec_of_endo(F))
 
 
 def test_identity_map_lies_in_the_restricted_pair_space(t2q):
