@@ -415,10 +415,10 @@ class TriangularAlgebra:
         left = ((k * n + t, i, s) for i, row in enumerate(M._left) for k, v in enumerate(row) for t, s in v)
         right = ((k * n + t, j, s) for k, row in enumerate(M._right) for j, v in enumerate(row) for t, s in v)
         for side, entries, ncols in (("left", left, A.dim), ("right", right, B.dim)):
-            rows = [[f.zero] * ncols for _ in range(n * n)]
+            rows: list[dict] = [{} for _ in range(n * n)]
             for r, c, s in entries:
                 rows[r][c] = s
-            ker = kernel_basis(Matrix(f, rows, ncols=ncols))
+            ker = sparse_kernel(f, rows, ncols)
             if ker.dim:
                 raise NotFaithful(side, ker.basis[0])
 
@@ -489,7 +489,7 @@ def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
     """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates."""
     A, M, B = t.A, t.M, t.B
     f, na, n = t.field, A.dim, M.dim
-    rows = [[f.zero] * (na + B.dim) for _ in range(n * n)]  # row k·dim M + t: coordinate t at m_k
+    rows: list[dict] = [{} for _ in range(n * n)]  # row k·dim M + t: coordinate t at m_k
     for k in range(n):
         block = rows[k * n : (k + 1) * n]
         for i in range(na):
@@ -499,7 +499,7 @@ def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
         for j in range(B.dim):
             for tcoord, s in _sparse(M.act_right(nu_mk, B.basis_vector(j))).items():
                 block[tcoord][na + j] = f.neg(s)
-    return kernel_basis(Matrix(f, rows, ncols=na + B.dim))
+    return sparse_kernel(f, rows, na + B.dim)
 
 
 def _structural_pairs(t: TriangularAlgebra, space: Subspace, nu: Matrix, m_sigma: Vector, what: str) -> Subspace:

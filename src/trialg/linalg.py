@@ -434,10 +434,6 @@ class Subspace:
         combos = Matrix(f, coefficients.basis, ncols=self.dim) @ Matrix(f, self.basis, ncols=self.ambient_dim)
         return Subspace.from_vectors(f, self.ambient_dim, combos.entries)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, list(self.basis) + list(other.basis))
-
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise ValueError("subspaces live in different ambient spaces")

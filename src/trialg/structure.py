@@ -161,19 +161,28 @@ def compose_automorphism(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
 
 def _composed(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
     """The map the parts define, unchecked."""
-    A, M, B, m_sigma = t.A, t.M, t.B, parts.m_sigma
-    fs = [parts.f_sigma.column(i) for i in range(A.dim)]
-    gs = [parts.g_sigma.column(j) for j in range(B.dim)]
-    a_images = [(fa, M.act_left(fa, m_sigma), B.zero()) for fa in fs]
-    m_images = [(A.zero(), parts.nu_sigma.column(k), B.zero()) for k in range(M.dim)]
-    b_images = [(A.zero(), vec_neg(t.field, M.act_right(m_sigma, gb)), gb) for gb in gs]
-    return _endo_from_corner_images(t, a_images + m_images + b_images)
+    g = parts.g_sigma
+    return _canonical(t, parts, parts.f_sigma, parts.m_sigma, parts.nu_sigma.columns(), t.M.zero(), g, g)
 
 
-def require_trivial_idempotents(t: TriangularAlgebra, sigma: LinearEndo, what: str) -> None:
-    """Raise HypothesisNotMet unless σ is the identity or both diagonal algebras
-    are decided idempotent-free, the hypothesis of the twisted statements."""
-    if not sigma.is_identity() and not t.trivial_idempotent_components:
+def _canonical(t: TriangularAlgebra, aut: AutParts, X_A, m_1, X_M, m_2, Y_B, X_B) -> LinearEndo:
+    """The canonical form (a, m, b) ↦ (X_A(a), f(a)·m₁ + X_M(m) + m₂·b − m_σ·Y_B(b),
+    X_B(b)), unchecked, with f and m_σ those of ``aut`` and X_M given by its
+    columns."""
+    A, M, B, f = t.A, t.M, t.B, t.field
+    images = [(X_A.column(i), M.act_left(aut.f_sigma.column(i), m_1), B.zero()) for i in range(A.dim)]
+    images += [(A.zero(), x, B.zero()) for x in X_M]
+    for j in range(B.dim):
+        m = vec_sub(f, M.act_right(m_2, B.basis_vector(j)), M.act_right(aut.m_sigma, Y_B.column(j)))
+        images.append((A.zero(), m, X_B.column(j)))
+    return _endo_from_corner_images(t, images)
+
+
+def require_trivial_idempotents(t, sigma: LinearEndo, what: str) -> None:
+    """Raise HypothesisNotMet unless σ is the identity or ``t`` is a triangular
+    algebra whose diagonal algebras are both decided idempotent-free, the
+    hypothesis of the twisted statements."""
+    if not sigma.is_identity() and not (isinstance(t, TriangularAlgebra) and t.trivial_idempotent_components):
         raise HypothesisNotMet(f"{what} needs diagonal algebras decided idempotent-free")
 
 
@@ -263,19 +272,8 @@ class DerParts(Record):
 
 def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEndo:
     """(a, m, b) -> (d_A(a), f(a)m_d - m_d b - m_σ d_B(b) + ξ(m), d_B(b))."""
-    A, M, B = t.A, t.M, t.B
-    f = t.field
-    a_images = []
-    for i in range(A.dim):
-        fa = parts.aut.f_sigma.column(i)
-        a_images.append((parts.d_A.column(i), M.act_left(fa, parts.m_d), B.zero()))
-    m_images = [(A.zero(), parts.xi.column(k), B.zero()) for k in range(M.dim)]
-    b_images = []
-    for j in range(B.dim):
-        db = parts.d_B.column(j)
-        m_part = vec_neg(f, vec_add(f, M.act_right(parts.m_d, B.basis_vector(j)), M.act_right(parts.aut.m_sigma, db)))
-        b_images.append((A.zero(), m_part, db))
-    return _endo_from_corner_images(t, a_images + m_images + b_images)
+    d_B = parts.d_B
+    return _canonical(t, parts.aut, parts.d_A, parts.m_d, parts.xi.columns(), vec_neg(t.field, parts.m_d), d_B, d_B)
 
 
 def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
@@ -418,28 +416,10 @@ class GenParts(Record):
 
 def compose_generalized(t: TriangularAlgebra, parts: GenParts) -> LinearEndo:
     """(a,m,b) -> (D_A(a), f(a)m_d + m_D b - m_σ d_B(b) + ξ(m) + D_A(1)m, D_B(b))."""
-    A, M, B = t.A, t.M, t.B
-    f = t.field
-    aut, der = parts.aut, parts.der
-    one_a = tuple(A.unit)
-    DA_one = parts.D_A.mul_vec(one_a)
-    a_images = []
-    for i in range(A.dim):
-        fa = aut.f_sigma.column(i)
-        a_images.append((parts.D_A.column(i), M.act_left(fa, der.m_d), B.zero()))
-    m_images = [
-        (A.zero(), vec_add(f, der.xi.column(k), M.act_left(DA_one, M.basis_vector(k))), B.zero())
-        for k in range(M.dim)
-    ]
-    b_images = []
-    for j in range(B.dim):
-        m_part = vec_sub(
-            f,
-            M.act_right(parts.m_D, B.basis_vector(j)),
-            M.act_right(aut.m_sigma, der.d_B.column(j)),
-        )
-        b_images.append((A.zero(), m_part, parts.D_B.column(j)))
-    return _endo_from_corner_images(t, a_images + m_images + b_images)
+    M = t.M
+    DA_one = parts.D_A.mul_vec(t.A.unit)
+    X_M = [vec_add(t.field, xi, M.act_left(DA_one, M.basis_vector(k))) for k, xi in enumerate(parts.xi.columns())]
+    return _canonical(t, parts.aut, parts.D_A, parts.m_d, X_M, parts.m_D, parts.der.d_B, parts.D_B)
 
 
 def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:

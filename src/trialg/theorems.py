@@ -1,8 +1,9 @@
 """Executable verification of the structure theorems on concrete instances.
 
 Each verifier returns a :class:`TheoremReport` whose dimensions are exact and
-reproducible; a failing report always carries a witness that has been
-re-checked against the defining predicates before being reported.
+reproducible; a failing report carries a witness rechecked against the
+defining predicates, and a witness that fails its recheck raises
+StructuralMismatch.
 """
 
 from __future__ import annotations
@@ -55,33 +56,42 @@ class TheoremReport(Record):
         return self.passed
 
 
-def _sigma_for(t: TriangularAlgebra, sigma) -> LinearEndo:
-    if sigma is None:
-        return LinearEndo.identity(t.algebra)
-    return as_endo(t.algebra, sigma)
+def _sigma_for(t, sigma, what: str) -> LinearEndo:
+    """σ on the algebra of ``t`` (the identity for None), under the twisted hypothesis."""
+    sigma = LinearEndo.identity(as_algebra(t)) if sigma is None else as_endo(t, sigma)
+    require_trivial_idempotents(t, sigma, f"{what} with a non-identity twist")
+    return sigma
 
 
-def verify_posner(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def _counterexample(t, space: Subspace, inside: Subspace | None, recheck) -> Matrix | None:
+    """The first basis vector of ``space`` outside ``inside`` (None: zero) as a
+    map's matrix, or None; StructuralMismatch if ``recheck`` rejects the map."""
+    for v in space.basis:
+        if inside is None or not inside.contains(v):
+            w = endo_of_vec(as_algebra(t), v)
+            if not recheck(w):
+                raise StructuralMismatch("a counterexample fails its defining predicates")
+            return w.matrix
+    return None
+
+
+def verify_posner(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Twisted derivations that are twisted-centralizing must vanish.
 
     Computes the two solved spaces and intersects them; passes iff the
-    intersection is zero.
+    intersection is zero.  Runs on any algebra under the identity twist.
     """
-    sigma = _sigma_for(t, sigma)
-    require_trivial_idempotents(t, sigma, f"{POSNER} with a non-identity twist")
+    sigma = _sigma_for(t, sigma, POSNER)
     der = solve_space(t, sigma, "sigma_derivation")
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
-    witness = None
-    rechecked = True
-    if inter.dim:
-        w = endo_of_vec(t.algebra, inter.basis[0])
-        rechecked = bool(is_sigma_derivation(w, sigma)) and bool(predicate(w, sigma, "centralizing"))
-        witness = w.matrix
+    witness = _counterexample(
+        t, inter, None, lambda w: is_sigma_derivation(w, sigma).ok and predicate(w, sigma, "centralizing").ok
+    )
     return TheoremReport(
         POSNER,
         instance or repr(t),
-        passed=inter.dim == 0 and rechecked,
+        passed=witness is None,
         dimensions={
             "twisted_derivations": der.dim,
             "twisted_centralizing": cent.dim,
@@ -91,22 +101,17 @@ def verify_posner(t: TriangularAlgebra, sigma=None, instance: str = "") -> Theor
     )
 
 
-def verify_skew_zero(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def verify_skew_zero(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Zero is the only twisted skew-commuting map (char != 2 is guaranteed
-    by the admitted fields, so the algebra is 2-torsion-free)."""
-    sigma = _sigma_for(t, sigma)
-    require_trivial_idempotents(t, sigma, f"{SKEW_ZERO} with a non-identity twist")
+    by the admitted fields, so the algebra is 2-torsion-free).  Runs on any
+    algebra under the identity twist."""
+    sigma = _sigma_for(t, sigma, SKEW_ZERO)
     space = solve_space(t, sigma, "skew_commuting")
-    witness = None
-    rechecked = True
-    if space.dim:
-        w = space.endos()[0]
-        rechecked = bool(predicate(w, sigma, "skew_commuting")) and not w.matrix.is_zero()
-        witness = w.matrix
+    witness = _counterexample(t, space.space, None, lambda w: predicate(w, sigma, "skew_commuting").ok)
     return TheoremReport(
         SKEW_ZERO,
         instance or repr(t),
-        passed=space.dim == 0 and rechecked,
+        passed=witness is None,
         dimensions={"skew_commuting": space.dim},
         witness=witness,
     )
@@ -121,22 +126,17 @@ def verify_sharma_dhara(algebra, instance: str = "") -> TheoremReport:
     ident = LinearEndo.identity(alg)
     skew = solve_space(alg, ident, "skew_centralizing")
     comm = solve_space(alg, ident, "commuting")
-    included = skew.space.leq(comm.space)
-    witness = None
-    rechecked = True
-    if not included:
-        bad = next(v for v in skew.space.basis if not comm.space.contains(v))
-        w = endo_of_vec(alg, bad)
-        rechecked = bool(predicate(w, ident, "skew_centralizing")) and not bool(
-            predicate(w, ident, "commuting")
-        )
-        witness = w.matrix
+
+    def recheck(w):
+        return predicate(w, ident, "skew_centralizing").ok and not predicate(w, ident, "commuting").ok
+
+    witness = _counterexample(alg, skew.space, comm.space, recheck)
     return TheoremReport(
         SHARMA_DHARA,
         instance or repr(alg),
-        passed=included and rechecked,
+        passed=witness is None,
         dimensions={"skew_centralizing": skew.dim, "commuting": comm.dim},
-        details={"inclusion": included},
+        details={"inclusion": witness is None},
         witness=witness,
     )
 
@@ -200,8 +200,7 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
     or else of K missing from C, as a matrix of n columns (D's rows above
     d's for a pair).
     """
-    sigma = _sigma_for(t, sigma)
-    require_trivial_idempotents(t, sigma, f"{DESCRIPTION} with a non-identity twist")
+    sigma = _sigma_for(t, sigma, DESCRIPTION)
     n = t.dim
     dimensions: dict[str, int] = {}
     details: dict = {}

@@ -7,14 +7,17 @@ from trialg import (
     QQ,
     HypothesisNotMet,
     LinearEndo,
+    StructuralMismatch,
     Subspace,
     fixture_n3,
     full_matrix_algebra,
     is_left_multiplier,
+    is_sigma_derivation,
     predicate,
     solve_space,
     theorems,
     trian_trunc,
+    trunc_poly,
     verify_gd_left_mult,
     verify_mayne,
     verify_posner,
@@ -61,6 +64,56 @@ def test_skew_zero_nontrivial_twists(t2q, t2f5, trunc3q):
 def test_skew_zero_gate(t3q):
     with pytest.raises(HypothesisNotMet):
         verify_skew_zero(t3q, diag_sign_automorphism(t3q))
+
+
+@pytest.mark.parametrize(
+    "algebra, dim",
+    [(trunc_poly(3, QQ), 2), (fixture_n3(QQ).algebra, 4)],
+    ids=["trunc_poly(3)", "n3"],
+)
+def test_posner_fails_outside_the_triangular_hypothesis(algebra, dim):
+    """On a commutative local algebra and on the non-unital n3, some nonzero
+    derivations are centralizing; the witness is one of them."""
+    report = verify_posner(algebra)
+    assert not report.passed and report.dimensions["intersection"] == dim
+    w = LinearEndo(algebra, report.witness)
+    ident = LinearEndo.identity(algebra)
+    assert not w.matrix.is_zero()
+    assert is_sigma_derivation(w, ident).ok and predicate(w, ident, "centralizing").ok
+
+
+def test_skew_zero_fails_on_n3():
+    """The maps of n3 into its annihilator are skew-commuting."""
+    algebra = fixture_n3(QQ).algebra
+    report = verify_skew_zero(algebra)
+    assert not report.passed and report.dimensions["skew_commuting"] == 4
+    w = LinearEndo(algebra, report.witness)
+    assert not w.matrix.is_zero() and predicate(w, LinearEndo.identity(algebra), "skew_commuting").ok
+
+
+def test_vanishing_verifiers_need_a_triangular_algebra_for_a_twist():
+    fx = fixture_n3(QQ)
+    for verify in (verify_posner, verify_skew_zero):
+        with pytest.raises(HypothesisNotMet):
+            verify(fx.algebra, fx.maps["sigma"])
+
+
+@pytest.mark.parametrize("verify", [verify_posner, verify_skew_zero, verify_sharma_dhara])
+def test_a_counterexample_that_fails_its_recheck_is_a_structural_mismatch(monkeypatch, t2q, verify):
+    """With every solved space replaced by the whole space (the commuting
+    space by zero), the first basis map is a counterexample that satisfies
+    none of the defining identities; it must not be reported as one."""
+    solve = theorems.solve_space
+
+    def whole(t, sigma, kind):
+        space = solve(t, sigma, kind)
+        n, f = space.space.ambient_dim, space.space.field
+        bogus = Subspace.zero(f, n) if kind == "commuting" else Subspace.full(f, n)
+        return MapSpace(space.algebra, kind, space.pair, bogus)
+
+    monkeypatch.setattr(theorems, "solve_space", whole)
+    with pytest.raises(StructuralMismatch):
+        verify(t2q)
 
 
 def test_skew_centralizing_degenerates_to_commuting(t2q, t3q):
