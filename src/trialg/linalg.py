@@ -283,21 +283,11 @@ class Matrix:
         return self._apply((j, x) for j, x in enumerate(v) if x)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, column by column: ``self`` applied to each sparse column of ``other``."""
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("incompatible matrix product")
-        f = self.field
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        rows = []
-        for r in self.entries:
-            row = []
-            for c in ot:
-                acc = f.zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            rows.append(row)
-        return Matrix(f, rows, ncols=other.ncols)
+        cols = [self._apply(col) for col in other._cols()]
+        return Matrix(self.field, list(zip(*cols)) if cols else [()] * self.nrows, ncols=other.ncols)
 
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)

@@ -56,8 +56,12 @@ class TheoremReport(Record):
         return self.passed
 
 
-def _sigma_for(t, sigma, what: str) -> LinearEndo:
-    """σ on the algebra of ``t`` (the identity for None), under the twisted hypothesis."""
+def _sigma_for(t, sigma, what: str, triangular: bool = False) -> LinearEndo:
+    """σ on the algebra of ``t`` (the identity for None), under the twisted
+    hypothesis, and with ``triangular`` under the hypothesis that ``t`` is a
+    triangular algebra."""
+    if triangular and not isinstance(t, TriangularAlgebra):
+        raise HypothesisNotMet(f"{what} needs a triangular algebra")
     sigma = LinearEndo.identity(as_algebra(t)) if sigma is None else as_endo(t, sigma)
     require_trivial_idempotents(t, sigma, f"{what} with a non-identity twist")
     return sigma
@@ -150,7 +154,7 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     ξ = 0.  Every D must lie in the solved left-multiplier space; when one
     does not, the first such D is the witness.
     """
-    ident = LinearEndo.identity(t.algebra)
+    ident = _sigma_for(t, None, GD_LEFT_MULT, triangular=True)
     pairs = solve_space(t, ident, "generalized_pair")
     cent = solve_space(t, ident, "centralizing")
     mult = solve_space(t, None, "left_multiplier")
@@ -200,7 +204,7 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
     or else of K missing from C, as a matrix of n columns (D's rows above
     d's for a pair).
     """
-    sigma = _sigma_for(t, sigma, DESCRIPTION)
+    sigma = _sigma_for(t, sigma, DESCRIPTION, triangular=True)
     n = t.dim
     dimensions: dict[str, int] = {}
     details: dict = {}
@@ -295,10 +299,10 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
     non-identity automorphism (built from random canonical parts and from
     random conjugations, alternating) must fail the centralizing predicate.
     """
+    ident = _sigma_for(t, None, MAYNE, triangular=True)
     if not t.trivial_idempotent_components:
         raise HypothesisNotMet("mayne verification needs diagonal algebras decided idempotent-free")
     rng = random.Random(seed)
-    ident = LinearEndo.identity(t.algebra)
     identity_commutes = bool(predicate(ident, ident, "commuting"))
     tested = 0
     attempts = 0

@@ -57,6 +57,15 @@ The Mayne samplers are the ones :mod:`trialg.theorems` used before they
 kept the inverses their invertibility draws compute: each sampled
 conjugation inverts its whole conjugating element again.
 
+The matrix product is the dense triple loop ``Matrix.__matmul__`` ran
+before it applied the left factor to the right factor's sparse columns.
+
+The generated subalgebra is the span of some basis vectors closed under
+dense products until it stops growing: it checks the generating sets that
+the Leibniz-type solves and checks scan (``trialg.maps._generators``).  The
+change of basis gives algebras whose structure vectors have several terms,
+where the families' tables are monomial.
+
 The map helpers at the end are public names trialg dropped because only the
 tests used them: the twisted anti-bracket, the plain derivation check, a
 map's coordinates in a solved space, and the membership and projection
@@ -131,6 +140,48 @@ def dense_mul_vec(m, v: Sequence) -> tuple:
                 acc = f.add(acc, f.mul(a, x))
         out.append(acc)
     return tuple(out)
+
+
+def dense_matmul(a, b) -> Matrix:
+    """The matrix product, entry by entry over the rows of ``a`` and the columns of ``b``."""
+    f = a.field
+    cols = list(zip(*b.entries)) if b.entries else [()] * b.ncols
+    rows = []
+    for r in a.entries:
+        row = []
+        for c in cols:
+            acc = f.zero
+            for x, y in zip(r, c):
+                if x and y:
+                    acc = f.add(acc, f.mul(x, y))
+            row.append(acc)
+        rows.append(row)
+    return Matrix(f, rows, ncols=b.ncols)
+
+
+def rebased(alg, P: Matrix) -> FDAlgebra:
+    """The algebra on the basis e'_i = Σ_k P[k][i]·e_k, for an invertible P:
+    e'_i·e'_j and the unit in the new coordinates, P⁻¹ applied to the old."""
+    f = alg.field
+    inverse = P.inverse()
+    cols = P.columns()
+    table = [[dense_mul_vec(inverse, dense_bilinear(f, alg.dim, alg.table, x, y)) for y in cols] for x in cols]
+    unit = None if alg.unit is None else dense_mul_vec(inverse, alg.unit)
+    return FDAlgebra(f, [f"{label}'" for label in alg.labels], table, unit)
+
+
+def dense_generated_dim(alg, indices: Sequence[int]) -> int:
+    """The dimension of the subalgebra the basis vectors e_i, i in
+    ``indices``, generate: their span, with all products of a basis of it
+    added until the span stops growing."""
+    f, n = alg.field, alg.dim
+    span = [alg.basis_vector(i) for i in indices]
+    while True:
+        products = [dense_bilinear(f, n, alg.table, x, y) for x in span for y in span]
+        rows, _ = dense_rref(f, span + products, n)
+        if len(rows) == len(span):
+            return len(span)
+        span = rows
 
 
 def _reduce_content(row: list[int]) -> None:

@@ -2,6 +2,7 @@
 checkers against the dense reference path."""
 
 import dataclasses
+import random
 
 import pytest
 from dense_oracle import (
@@ -19,7 +20,9 @@ from dense_oracle import (
     dense_is_generalized_pair,
     dense_is_left_multiplier,
     dense_is_sigma_derivation,
+    dense_generated_dim,
     dense_kernel,
+    dense_matmul,
     dense_mul_vec,
     dense_predicate,
     dense_rref,
@@ -28,6 +31,7 @@ from dense_oracle import (
     embed_a,
     embed_b,
     embed_m,
+    rebased,
     solve_eta_image,
     solve_right_partner,
     vec_of_endo,
@@ -75,7 +79,16 @@ from trialg.algebra import CenterData, _bilinear, _sparse_table
 from trialg.cli import _record, fmt_matrix, fmt_subspace, fmt_vector
 from trialg.families import Fixture
 from trialg.linalg import Subspace, _echelon, _sparse, rref, sparse_kernel, unit_vector, vec_add, vec_scale
-from trialg.maps import PREDICATE_MODES, SOLVE_KINDS, CheckResult, MapSpace, Witness, endo_of_vec
+from trialg.maps import (
+    PREDICATE_MODES,
+    SOLVE_KINDS,
+    CheckResult,
+    MapSpace,
+    Witness,
+    _generators,
+    as_algebra,
+    endo_of_vec,
+)
 from trialg.structure import (
     CENT_CONDITION_LABELS,
     AutParts,
@@ -108,6 +121,25 @@ def _fixture(fx):
     return fx.algebra, fx.maps["sigma"]
 
 
+def _rebased(t, sigma, seed):
+    """The algebra of ``t`` and its twist σ on the basis given by the columns
+    of P = LU, for seeded unit lower and upper triangular L and U with
+    entries in {−1, 0, 1}: P is invertible over every field, and the
+    structure vectors of the new basis have several terms."""
+    alg, f, rng = as_algebra(t), t.field, random.Random(seed)
+    n = alg.dim
+
+    def unit_triangular(below):
+        return Matrix(f, [
+            [f.one if i == j else f.from_int(rng.randint(-1, 1)) if (i > j) == below else f.zero for j in range(n)]
+            for i in range(n)
+        ])
+
+    P = unit_triangular(True) @ unit_triangular(False)
+    new = rebased(alg, P)
+    return new, LinearEndo(new, P.inverse() @ sigma.matrix @ P)
+
+
 FAMILIES = {
     "T2": lambda f: _twisted(upper_triangular(2, f)),
     "T3": lambda f: _twisted(upper_triangular(3, f)),
@@ -116,6 +148,8 @@ FAMILIES = {
     "trian_trunc": lambda f: _twisted(trian_trunc(2, f)),
     "n3": lambda f: _fixture(fixture_n3(f)),
     "trian_AA0": lambda f: _fixture(fixture_trian_AA0(3, f)),
+    "T3-rebased": lambda f: _rebased(*_twisted(upper_triangular(3, f)), seed=1),
+    "trian_trunc3-rebased": lambda f: _rebased(*_twisted(trian_trunc(3, f)), seed=2),
 }
 
 _instances: dict = {}
@@ -137,6 +171,78 @@ def test_solve_space_matches_dense_oracle(field_name, family, kind):
     basis, pivots = dense_solve_space(alg, sigma, kind)
     assert space.basis == tuple(basis)
     assert space.pivots == tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# basis × generators: the generating sets, and the solves and checks that
+# scan only them
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_generate_the_algebra(family, field_name):
+    alg = as_algebra(_instance(family, field_name)[0])
+    generators = _generators(alg)
+    assert list(generators) == sorted(set(generators))
+    assert dense_generated_dim(alg, generators) == alg.dim
+    if family.endswith("rebased"):
+        assert any(len(v) > 1 for row in alg._sparse for v in row)
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reduced_checks_match_full_scans(family, field_name, data):
+    """The checks that scan basis × generators give the dense full scans'
+    verdicts and witnesses: on random maps, and on the twist, a solved
+    σ-derivation, pair or left multiplier, with one entry perturbed or not.
+    Under the identity twist the Leibniz checks scan the reduced pairs;
+    under the family's twist they scan all pairs and must agree too."""
+    field = FIELDS[field_name]
+    alg, sigma = _instance(family, field_name)
+    alg = as_algebra(alg)
+    twist = data.draw(st.sampled_from([sigma, LinearEndo.identity(alg)]))
+    kind = data.draw(st.sampled_from(("automorphism", "sigma_derivation", "generalized_pair", "left_multiplier")))
+    start = data.draw(st.sampled_from(["random", "member"]))
+    width = alg.dim**2 * (2 if kind == "generalized_pair" else 1)
+    if start == "random":
+        v = data.draw(_vectors(field, width))
+    elif kind == "automorphism":
+        v = vec_of_endo(sigma)
+    else:
+        space = solve_space(alg, twist, kind).space
+        v = (field.zero,) * width
+        for c, b in zip(data.draw(_vectors(field, space.dim)), space.basis):
+            v = vec_add(field, v, vec_scale(field, c, b))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, width - 1))
+        v = v[:k] + (field.add(v[k], data.draw(_nonzero(field))),) + v[k + 1 :]
+    n2 = alg.dim**2
+    X = endo_of_vec(alg, v[:n2])
+    if kind == "automorphism":
+        got, want = is_automorphism(X), dense_is_automorphism(X)
+    elif kind == "sigma_derivation":
+        got, want = is_sigma_derivation(X, twist), dense_is_sigma_derivation(X, twist)
+    elif kind == "generalized_pair":
+        d = endo_of_vec(alg, v[n2:])
+        got, want = is_generalized_pair(X, d, twist), dense_is_generalized_pair(X, d, twist)
+    else:
+        got, want = is_left_multiplier(X), dense_is_left_multiplier(X)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_matches_dense_oracle(field, nrows, inner, ncols, data):
+    """Every shape, empty and rectangular ones included; entries of equal types."""
+    a = Matrix(field, data.draw(st.lists(_vectors(field, inner), min_size=nrows, max_size=nrows)), ncols=inner)
+    b = Matrix(field, data.draw(st.lists(_vectors(field, ncols), min_size=inner, max_size=inner)), ncols=ncols)
+    got, want = a @ b, dense_matmul(a, b)
+    assert got == want and (got.nrows, got.ncols) == (nrows, ncols)
+    for row, expected in zip(got.entries, want.entries):
+        _assert_same(row, expected)
+    with pytest.raises(ValueError):
+        a @ Matrix(field, [(field.one,) * ncols] * (inner + 1), ncols=ncols)
 
 
 @st.composite

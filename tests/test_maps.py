@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from dense_oracle import (
     contains_endo,
     contains_pair,
     dense_bracket_matrix,
+    dense_is_sigma_derivation,
+    dense_solve_space,
     first_component_space,
     is_derivation,
     vec_of_endo,
@@ -36,7 +39,7 @@ from trialg import (
 )
 from trialg.cli import run_config
 from trialg.linalg import Matrix, vec_add, vec_sub
-from trialg.maps import SOLVE_KINDS, as_endo, endo_of_vec
+from trialg.maps import SOLVE_KINDS, _generators, _Leibniz, _System, as_endo, endo_of_vec
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
 
@@ -531,3 +534,71 @@ def test_a_run_solves_each_space_once(monkeypatch):
     assert sorted(solved) == sorted(["sigma_derivation", "generalized_pair", "centralizing", "left_multiplier",
                                      "skew_commuting", "skew_centralizing", "commuting", "generalized_pair",
                                      "centralizing"])
+
+
+@pytest.mark.parametrize(
+    "build, kind, blocks",
+    [
+        (lambda: upper_triangular(7, GF(10007)), "derivation", {0: 28 * 13}),
+        (lambda: trian_trunc(4, GF(10007)), "generalized_pair", {0: 12 * 5, 1: 12 * 5}),
+        (lambda: trian_trunc(4, GF(10007)), "left_multiplier", {0: 12 * 5}),
+    ],
+    ids=["T7-derivation", "trian_trunc4-pair", "trian_trunc4-left_multiplier"],
+)
+def test_leibniz_solves_stream_basis_times_generators(monkeypatch, build, kind, blocks):
+    """A Leibniz-type solve streams one equation per pair (e_i, g), g a
+    generator: 13 of T7's 28 basis vectors and 5 of trian_trunc(4)'s 12,
+    against 28² = 784 and 12² = 144 equations per block over all pairs."""
+    t = build()
+    streamed = Counter()
+    kernel = _System.kernel
+
+    def counting(system, equations):
+        def count():
+            for pair, terms in equations:
+                streamed[terms[0][0]] += 1
+                yield pair, terms
+
+        return kernel(system, count())
+
+    monkeypatch.setattr(_System, "kernel", counting)
+    solve_space(t, LinearEndo.identity(t.algebra), kind)
+    assert dict(streamed) == blocks
+
+
+def test_an_unverified_twist_keeps_the_full_scan():
+    """σ = 2 on e11 of T3, 1 elsewhere, is not multiplicative, and a d with
+    the twisted rule on every pair (e_i, g) can still break it elsewhere:
+    ``is_sigma_derivation`` must scan all pairs to reject it."""
+    t = upper_triangular(3, QQ)
+    alg = t.algebra
+    rows = [[Fraction(int(i == j)) for j in range(alg.dim)] for i in range(alg.dim)]
+    rows[0][0] = Fraction(2)
+    sigma = LinearEndo(alg, Matrix(QQ, rows))
+    assert not is_automorphism(sigma).ok
+    # the d whose rule holds on basis × generators but not on all pairs
+    reduced = _System(QQ, alg.dim, 1).kernel(_Leibniz(alg, sigma).equations(0, 0))
+    full = Subspace(QQ, alg.dim**2, *dense_solve_space(alg, sigma, "sigma_derivation"))
+    d = endo_of_vec(alg, next(v for v in reduced.basis if not full.contains(v)))
+    generators = _generators(alg)
+    for i in range(alg.dim):
+        for g in generators:
+            ei, eg = alg.basis_vector(i), alg.basis_vector(g)
+            assert d(alg.mul(ei, eg)) == vec_add(QQ, alg.mul(d(ei), eg), alg.mul(sigma(ei), d(eg)))
+    check = is_sigma_derivation(d, sigma)
+    assert not check.ok and check.witness.pair[1] not in generators
+    assert check == dense_is_sigma_derivation(d, sigma)
+
+
+@pytest.mark.parametrize("kind", ["derivation", "left_multiplier", "generalized_pair"])
+def test_dropping_a_generator_breaks_the_solve(monkeypatch, kind):
+    """Without e12 among T4's generators the Leibniz-type solves find spaces
+    larger than the dense oracle's, so the generating set carries weight."""
+    generators = _generators(upper_triangular(4, QQ).algebra)
+    assert 1 in generators  # e12, the first basis vector of M
+    monkeypatch.setattr(trialg.maps, "_generators", lambda alg: tuple(g for g in generators if g != 1))
+    t = upper_triangular(4, QQ)
+    ident = LinearEndo.identity(t.algebra)
+    space = solve_space(t, ident, kind).space
+    basis, _ = dense_solve_space(t, ident, kind)
+    assert space.dim > len(basis)

@@ -18,6 +18,7 @@ from trialg import (
     theorems,
     trian_trunc,
     trunc_poly,
+    verify_description,
     verify_gd_left_mult,
     verify_mayne,
     verify_posner,
@@ -96,6 +97,16 @@ def test_vanishing_verifiers_need_a_triangular_algebra_for_a_twist():
     for verify in (verify_posner, verify_skew_zero):
         with pytest.raises(HypothesisNotMet):
             verify(fx.algebra, fx.maps["sigma"])
+
+
+@pytest.mark.parametrize(
+    "verify", [verify_gd_left_mult, verify_description, verify_mayne], ids=["gd_left_mult", "description", "mayne"]
+)
+def test_triangular_verifiers_reject_a_plain_algebra(verify):
+    """The statements about the corners of T need a triangular algebra; a
+    plain one is a hypothesis not met, not a missing attribute."""
+    with pytest.raises(HypothesisNotMet, match="needs a triangular algebra"):
+        verify(trunc_poly(3, QQ))
 
 
 @pytest.mark.parametrize("verify", [verify_posner, verify_skew_zero, verify_sharma_dhara])
