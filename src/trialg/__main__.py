@@ -10,10 +10,11 @@ import argparse
 import json
 import sys
 
-from .cli import SCHEMA_VERSION, fixtures_catalog, run_config
+from .cli import FAMILY_KEYS, SCHEMA_VERSION, fixtures_catalog, run_config
 from .errors import ConfigError
 from .maps import SOLVE_KINDS
 from .report import report_fragments
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="trialg", description=__doc__.splitlines()[0])
@@ -27,11 +28,15 @@ def main(argv=None) -> int:
     sub.add_parser("fixtures", help="list the built-in fixtures")
 
     p_solve = sub.add_parser("solve", help="solve one map space for a family")
-    p_solve.add_argument("--family", required=True, choices=["Tn", "block", "trian_trunc", "matrix"])
-    p_solve.add_argument("--n", type=int, help="size for Tn / matrix")
-    p_solve.add_argument("--N", type=int, help="truncation order for trian_trunc")
-    p_solve.add_argument("--dims", help="comma-separated block sizes for block")
-    p_solve.add_argument("--split", type=int, default=1)
+    families = [family for family in FAMILY_KEYS if isinstance(family, str)]  # the families named by a string
+    p_solve.add_argument("--family", required=True, choices=families)
+    # one flag per key a family takes
+    for key in sorted(set().union(*(FAMILY_KEYS[family] for family in families)) - {"family"}):
+        takers = " / ".join(family for family in families if key in FAMILY_KEYS[family])
+        if key == "dims":
+            p_solve.add_argument("--dims", help=f"comma-separated dims for {takers}")
+        else:
+            p_solve.add_argument(f"--{key}", type=int, help=f"{key} for {takers}")
     p_solve.add_argument("--kind", required=True, choices=list(SOLVE_KINDS))
     p_solve.add_argument("--prime", type=int, help="use F_p instead of Q")
     p_solve.add_argument("--out")
@@ -57,27 +62,18 @@ def main(argv=None) -> int:
 
 
 def _solve_args_to_config(args) -> dict:
-    if args.family == "Tn":
-        if args.n is None:
-            raise ConfigError("solve", "--n is required for Tn")
-        algebra = {"family": "Tn", "n": args.n, "split": args.split}
-    elif args.family == "matrix":
-        if args.n is None:
-            raise ConfigError("solve", "--n is required for matrix")
-        algebra = {"family": "matrix", "n": args.n}
-    elif args.family == "trian_trunc":
-        if args.N is None:
-            raise ConfigError("solve", "--N is required for trian_trunc")
-        algebra = {"family": "trian_trunc", "N": args.N}
-    else:
-        if not args.dims:
-            raise ConfigError("solve", "--dims is required for block")
+    """The config of a ``trialg solve``: the flags its family takes, the
+    keys it misses left to ``build_instance`` to name."""
+    algebra = {"family": args.family}
+    for key in sorted(FAMILY_KEYS[args.family] - {"family"}):
+        if getattr(args, key) is not None:
+            algebra[key] = getattr(args, key)
+    if "dims" in algebra:
         try:
-            dims = [int(d) for d in args.dims.split(",")]
+            algebra["dims"] = [int(d) for d in args.dims.split(",")]
         except ValueError as exc:
             raise ConfigError("solve", f"--dims must be comma-separated integers, got {args.dims!r}") from exc
-        algebra = {"family": "block", "dims": dims, "split": args.split}
-    field = {"prime": args.prime} if args.prime else "rational"
+    field = {"prime": args.prime} if args.prime is not None else "rational"
     return {"field": field, "algebra": algebra, "sigma": "identity", "tasks": [f"solve:{args.kind}"]}
 
 

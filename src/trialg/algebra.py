@@ -4,13 +4,12 @@ An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
 into the block algebra of formal upper-triangular 2x2 matrices.  The center
 is the twisted center of the identity, and twisted centers are kernels of the
-bracket operators λ ↦ σ(x)λ − λx, which one sparse builder reads from the
-structure constants; :mod:`trialg.maps` takes its operators from the same
-builder.  The (twisted) center of a triangular algebra is cross-checked
-against its structural form, built from the pairs (a, b) with a·m = ν(m)·b,
-and the corner maps τ and η are read off those pairs (the twisted-center
-caller needs the automorphism decomposition and lives in
-:mod:`trialg.structure`).  Whether a unital algebra has only the trivial
+bracket operators λ ↦ σ(e_i)λ − λe_i, which one sparse builder reads from the
+structure constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
+The (twisted) center of a triangular algebra is cross-checked against its
+structural form, built from the pairs (a, b) with a·m = ν(m)·b, and the
+corner maps τ and η are read off those pairs (the twisted-center caller needs
+the automorphism decomposition and lives in :mod:`trialg.structure`).  Whether a unital algebra has only the trivial
 idempotents, the hypothesis of the paper's twisted structure theorems, is
 decided from its structure constants by :func:`trivial_idempotents`.
 
@@ -453,6 +452,13 @@ def _bracket_operator(algebra: FDAlgebra, x, y, sign: int) -> list[dict]:
     return _plain_rows(algebra.field, rows)
 
 
+def _twisted_brackets(algebra: FDAlgebra, sigma: Matrix, sign: int) -> list[list[dict]]:
+    """The sparse rows of λ ↦ σ(e_i)λ + sign·λe_i for every basis vector e_i,
+    in basis order, as :func:`_bracket_operator` gives them."""
+    images, one = sigma._cols(), algebra.field.one
+    return [_bracket_operator(algebra, images[i], ((i, one),), sign) for i in range(algebra.dim)]
+
+
 def center_subspace(algebra: FDAlgebra) -> Subspace:
     """The center, as the twisted center of the identity."""
     if "center" not in algebra.memo:
@@ -465,8 +471,7 @@ def sigma_center_subspace(algebra: FDAlgebra, sigma: Matrix) -> Subspace:
     λ ↦ σ(e_i)λ − λe_i stacked over the basis."""
     key = ("sigma_center", sigma)
     if key not in algebra.memo:
-        images, one = sigma._cols(), algebra.field.one
-        rows = [row for i in range(algebra.dim) for row in _bracket_operator(algebra, images[i], ((i, one),), -1)]
+        rows = [row for op in _twisted_brackets(algebra, sigma, -1) for row in op]
         algebra.memo[key] = sparse_kernel(algebra.field, rows, algebra.dim)
     return algebra.memo[key]
 

@@ -52,6 +52,13 @@ DECOMPOSE_KINDS = (
     "generalized_pair",
     "left_multiplier",
 )
+# every task name run_config accepts
+TASKS = frozenset(
+    {"center", "sigma_center"}
+    | {f"solve:{kind}" for kind in SOLVE_KINDS}
+    | {f"decompose:{kind}" for kind in DECOMPOSE_KINDS}
+    | {f"verify:{name}" for name in VERIFY_TASKS}
+)
 # the keys run_config reads, and those build_instance reads for each family
 # (a fixture's by its name, an inline structure-constant table's under None)
 CONFIG_KEYS = frozenset({"schema_version", "field", "algebra", "sigma", "tasks", "seed", "samples"})
@@ -442,15 +449,8 @@ def _reject_unknown_keys(table: dict, allowed: frozenset, where: str) -> None:
 
 def _validate_tasks(tasks: list[str]) -> None:
     for task in tasks:
-        if task in ("center", "sigma_center"):
-            continue
-        if task.startswith("solve:") and task.split(":", 1)[1] in SOLVE_KINDS:
-            continue
-        if task.startswith("decompose:") and task.split(":", 1)[1] in DECOMPOSE_KINDS:
-            continue
-        if task.startswith("verify:") and task.split(":", 1)[1] in VERIFY_TASKS:
-            continue
-        raise ConfigError("tasks", f"unknown task {task!r}")
+        if task not in TASKS:
+            raise ConfigError("tasks", f"unknown task {task!r}")
 
 
 # ---------------------------------------------------------------------------

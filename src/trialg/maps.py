@@ -5,9 +5,12 @@ Quantified conditions ("for all x") are handled by polarization: the value of
 q(x) = [x, Θ(x)]_σ (or its anti-symmetric variant) expands bilinearly as
 q(Σ x_i e_i) = Σ_i x_i² q(e_i) + Σ_{i<j} x_i x_j sym(i, j), so q vanishes for
 every x exactly when all diagonal values and all symmetrized basis-pair
-values vanish.  The bracket operators λ ↦ σ(e_i)λ ∓ λe_i, and the Leibniz
-rule's L_{σ(e_i)} and R_{e_j}, come as sparse rows from the one builder that
-also gives the twisted centers (:func:`trialg.algebra._bracket_operator`).
+values vanish.  The bracket operators λ ↦ σ(e_i)λ ∓ λe_i come from the
+builder of the twisted centers (:func:`trialg.algebra._twisted_brackets`),
+and the Leibniz rule's L_{σ(e_i)} and R_{e_j} from the sparse builder under
+it.  :meth:`_Leibniz.equations` writes the Leibniz equations for both the
+solver (on basis × generators) and the precise descriptions of
+:mod:`trialg.structure` (on corner pairs, read on one corner).
 Conditions of the form "value lies in the center" are made linear by reducing
 each operator's rows against the center's echelon basis
 (:meth:`trialg.linalg.Subspace.reduce_rows`), the row form of the fixed
@@ -39,7 +42,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, center_subspace
+from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, _twisted_brackets, center_subspace
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
@@ -419,6 +422,11 @@ def _live(rows) -> list[tuple[int, dict]]:
     return [(r, row) for r, row in enumerate(rows) if row]
 
 
+def _corner_rows(op, span) -> list[tuple[int, dict]]:
+    """The live rows of ``op`` on the coordinates in ``span``; all of them when it is None."""
+    return op if span is None else [(r, row) for r, row in op if r in span]
+
+
 class _System:
     """A homogeneous system over endo-block unknowns, streamed into elimination.
 
@@ -481,16 +489,23 @@ class _Leibniz:
         self.left_sigma = [_live(_bracket_operator(alg, images[i], (), 1)) for i in range(n)]
         self.generators = _generators(alg)
 
-    def equations(self, D_block: int, d_block: int | None) -> Iterator[tuple]:
-        """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on the basis pairs
-        (i, j) with e_j one of :func:`_generators`, which decide the rule on
-        all pairs (σ is multiplicative, and a pair system holds d's rule);
-        ``d_block=None`` drops the σ term (the left multiplier rule)."""
-        for i in range(self.n):
-            for j in self.generators:
-                terms = [(D_block, self.identity, self.table[i][j], 1), (D_block, self.right[j], self.basis[i], -1)]
+    def equations(self, D_block: int, d_block: int | None, lefts=None, rights=None, out=None) -> Iterator[tuple]:
+        """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 for e_i in ``lefts``
+        (default: every basis vector) and e_j in ``rights`` (default: the
+        :func:`_generators`, which decide the rule on all pairs: σ is
+        multiplicative, and a pair system holds d's rule), on the coordinates
+        in ``out`` (default: all); ``d_block=None`` drops the σ term (the left
+        multiplier rule)."""
+        lefts = range(self.n) if lefts is None else lefts
+        rights = self.generators if rights is None else rights
+        identity = _corner_rows(self.identity, out)
+        right = {j: _corner_rows(self.right[j], out) for j in rights}
+        for i in lefts:
+            left_sigma = _corner_rows(self.left_sigma[i], out)
+            for j in rights:
+                terms = [(D_block, identity, self.table[i][j], 1), (D_block, right[j], self.basis[i], -1)]
                 if d_block is not None:
-                    terms.append((d_block, self.left_sigma[i], self.basis[j], -1))
+                    terms.append((d_block, left_sigma, self.basis[j], -1))
                 yield (i, j), terms
 
 
@@ -547,9 +562,7 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
             equations = chain(equations, leibniz.equations(1, 1))
     else:
         # σ(e_i)λ − λe_i, or σ(e_i)λ + λe_i for the skew kinds
-        sign = 1 if kind.startswith("skew") else -1
-        images, one = sigma.matrix._cols(), f.one
-        op = [_bracket_operator(alg, images[i], ((i, one),), sign) for i in range(n)]
+        op = _twisted_brackets(alg, sigma.matrix, 1 if kind.startswith("skew") else -1)
         if kind.endswith("centralizing"):
             center = center_subspace(alg)
             op = [center.reduce_rows(rows) for rows in op]

@@ -42,6 +42,7 @@ from .algebra import (
     _bracket_operator,
     _pair_partners,
     _structural_pairs,
+    _twisted_brackets,
     center_subspace,
     sigma_center_subspace,
 )
@@ -58,6 +59,7 @@ from .maps import (
     LinearEndo,
     Witness,
     _bracket_equations,
+    _corner_rows,
     _PASS,
     _Leibniz,
     _leibniz_check,
@@ -68,6 +70,7 @@ from .maps import (
     as_endo,
     endo_of_vec,
     is_automorphism,
+    is_generalized_pair,
     is_sigma_derivation,
     predicate,
     require_automorphism,
@@ -425,14 +428,12 @@ def compose_generalized(t: TriangularAlgebra, parts: GenParts) -> LinearEndo:
 def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
     """Decompose a generalized twisted derivation with known partner d.
 
-    The rules of d and then of D are checked once on the whole algebra, then
-    the description of the pair."""
+    The pair's rule (:func:`trialg.maps.is_generalized_pair`: d's, then D's)
+    is checked once on the whole algebra, then the description of the pair."""
     sigma = as_endo(t.algebra, sigma)
     D = as_endo(t.algebra, D)
     d = as_endo(t.algebra, d)
-    chk = is_sigma_derivation(d, sigma)
-    if chk.ok:
-        chk = _leibniz_check(D, d, sigma, "generalized Leibniz rule")
+    chk = is_generalized_pair(D, d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
     return _decompose_members(t, sigma, "generalized_pair", [_entries(D, d)])[0]
@@ -487,18 +488,14 @@ def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
 # rows in the map's own n² unknowns (2n² for a pair, D then d).  The maps it
 # describes are the kernel K of those rows, and a given map satisfies a
 # condition exactly when the condition's rows vanish on its entries.  The
-# rows are built from T's own operators: corner projections of the identity,
-# of the Leibniz operators L_{σ(e_i)} and R_{e_j}, of left multiplications,
-# and of the bracket operators, reduced against a corner's (twisted) center
-# where a condition asks for membership.  K equals the solved space exactly
-# when the statement is a precise description.
+# corner Leibniz rules are the solver's own equations (maps._Leibniz), taken
+# on corner pairs and read on one corner.  The other rows are corner
+# projections of T's identity, of its multiplications and of its twisted
+# brackets (algebra._twisted_brackets), reduced against a corner's (twisted)
+# center where a condition asks for membership.  K equals the solved space
+# exactly when the statement is a precise description.
 
 DESCRIPTION_KINDS = ("sigma_derivation", "generalized_pair", "centralizing", "left_multiplier")
-
-
-def _corner_rows(op, span: range) -> list:
-    """The live rows of ``op`` on the coordinates in ``span``."""
-    return [(r, row) for r, row in op if r in span]
 
 
 def _after(P, Q) -> list:
@@ -532,7 +529,7 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     A, M, B = spans["a"], spans["m"], spans["b"]
     aut = _aut_parts_for(t, sigma)
     leibniz = _Leibniz(alg, sigma)
-    e, table = leibniz.basis, leibniz.table
+    e = leibniz.basis
     p, q = _plain_rows(f, [_sparse(t.p), _sparse(t.q)])
     ident = {c: _corner_rows(leibniz.identity, span) for c, span in spans.items()}
     right_m = {j: _corner_rows(leibniz.right[j], M) for j in range(t.dim)}
@@ -544,20 +541,6 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     f_cols = aut.f_sigma._cols()
     left_f = {i: left(f_cols[i], "m") for i in A}  # m ↦ f(a_i)·m
     left_m_sigma = left(tuple((na + k, v) for k, v in _sparse(aut.m_sigma).items()), "m")  # b ↦ m_σ·b
-
-    def rule(D, d, out, lefts, rights):
-        """X_D(e_i e_j) = X_D(e_i)e_j + σ(e_i)X_d(e_j) for e_i in ``lefts`` and
-        e_j in ``rights``, on the coordinates of corner ``out``; ``d=None``
-        drops the σ term."""
-        ident_out = ident[out]
-        right_out = {j: _corner_rows(leibniz.right[j], spans[out]) for j in rights}
-        for i in lefts:
-            left_sigma = _corner_rows(leibniz.left_sigma[i], spans[out])
-            for j in rights:
-                terms = [(D, ident_out, table[i][j], 1), (D, right_out[j], e[i], -1)]
-                if d is not None:
-                    terms.append((d, left_sigma, e[j], -1))
-                yield (i, j), terms
 
     def zero_blocks(X, blocks):
         return [((k, k), [(X, ident[out], e[k], 1)]) for out, into in blocks for k in spans[into]]
@@ -571,10 +554,10 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         return [
             ("zero blocks", zero_blocks(d, off_diagonal)),
             ("M-column", column),
-            ("d_A twisted Leibniz", rule(d, d, "a", A, A)),
-            ("d_B twisted Leibniz", rule(d, d, "b", B, B)),
-            ("xi left compatibility", rule(d, d, "m", A, M)),
-            ("xi right compatibility", rule(d, d, "m", M, B)),
+            ("d_A twisted Leibniz", leibniz.equations(d, d, A, A, A)),
+            ("d_B twisted Leibniz", leibniz.equations(d, d, B, B, B)),
+            ("xi left compatibility", leibniz.equations(d, d, A, M, M)),
+            ("xi right compatibility", leibniz.equations(d, d, M, B, M)),
         ]
 
     if kind == "sigma_derivation":
@@ -587,8 +570,8 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         return derivation(1) + [
             ("D zero blocks", zero_blocks(0, off_diagonal)),
             ("D M-column", column),
-            ("D_A generalized Leibniz", rule(0, 1, "a", A, A)),
-            ("D_B generalized Leibniz", rule(0, 1, "b", B, B)),
+            ("D_A generalized Leibniz", leibniz.equations(0, 1, A, A, A)),
+            ("D_B generalized Leibniz", leibniz.equations(0, 1, B, B, B)),
         ]
     if kind == "left_multiplier":
         # F(a, m, b) = (F_A(a), m_F b + F_A(1)m, F_B(b))
@@ -597,14 +580,13 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         return [
             ("zero blocks", zero_blocks(0, off_diagonal + (("m", "a"),))),
             ("M-column", column),
-            ("F_A left multiplier", rule(0, None, "a", A, A)),
-            ("F_B left multiplier", rule(0, None, "b", B, B)),
+            ("F_A left multiplier", leibniz.equations(0, None, A, A, A)),
+            ("F_B left multiplier", leibniz.equations(0, None, B, B, B)),
         ]
 
     # centralizing: θ(x) = (δ(x), ·, μ(x)); c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x)
     # is C_k θ(x) with C_k(λ) = π_M(λ·m_k − ν(m_k)·λ)
-    images = sigma.matrix._cols()
-    bracket = [_bracket_operator(alg, images[i], ((i, one),), -1) for i in range(t.dim)]  # σ(e_i)λ − λe_i
+    bracket = _twisted_brackets(alg, sigma.matrix, -1)  # σ(e_i)λ − λe_i
     op = {i: _corner_rows(_live(bracket[i]), spans["a" if i in A else "b"]) for i in chain(A, B)}
     nu = aut.nu_sigma._cols()
     c = {

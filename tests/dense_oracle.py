@@ -366,20 +366,29 @@ class DenseSystem:
         self.rows.extend(rows)
 
 
-def _dense_leibniz(system: DenseSystem, alg, sigma, D_block: int, d_block: int | None) -> None:
-    """X_D(e_i e_j) − X_D(e_i)e_j − σ(e_i)X_d(e_j) = 0 on all basis pairs;
+def dense_leibniz_terms(alg, sigma, D_block: int, d_block: int | None) -> dict:
+    """The :class:`DenseSystem` terms of X_D(e_i e_j) − X_D(e_i)e_j −
+    σ(e_i)X_d(e_j) = 0 on every basis pair, by pair (i, j) in order;
     ``d_block=None`` drops the σ term (the left multiplier rule)."""
     f = alg.field
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     right = [alg.right_mul_matrix(e) for e in basis]
     left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
     one, minus = f.one, f.neg(f.one)
+    equations = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
             terms = [(D_block, None, alg.table[i][j], one), (D_block, right[j], basis[i], minus)]
             if d_block is not None:
                 terms.append((d_block, left_sigma[i], basis[j], minus))
-            system.equation(terms)
+            equations[i, j] = terms
+    return equations
+
+
+def _dense_leibniz(system: DenseSystem, alg, sigma, D_block: int, d_block: int | None) -> None:
+    """The Leibniz-type rule of :func:`dense_leibniz_terms` on all basis pairs."""
+    for terms in dense_leibniz_terms(alg, sigma, D_block, d_block).values():
+        system.equation(terms)
 
 
 def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list[int]]:

@@ -7,12 +7,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trialg import cli
 from trialg.__main__ import main
 from trialg.cli import (
-    DECOMPOSE_KINDS,
     SCHEMA_VERSION,
     SIGMA_FORMS,
-    VERIFY_TASKS,
+    TASKS,
     build_instance,
     build_sigma,
     fixtures_catalog,
@@ -22,7 +22,6 @@ from trialg.cli import (
 )
 from trialg.errors import ConfigError
 from trialg.fields import GF, QQ
-from trialg.maps import SOLVE_KINDS
 from trialg.report import report_fragments
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -464,6 +463,40 @@ def test_main_solve_prime_field(capsys):
     assert out["field"] == {"prime": 5}
 
 
+def test_main_solve_prime_zero_is_rejected(capsys):
+    """``--prime 0`` names the field, as ``{"prime": 0}`` in a config does;
+    it does not fall back to Q."""
+    assert main(["solve", "--family", "Tn", "--n", "2", "--kind", "derivation", "--prime", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: field: 0 is not prime\n" and captured.out == ""
+
+
+def test_main_solve_takes_every_named_family(capsys):
+    """``trunc_poly`` is a solve family as it is a config family: K[x]/(x^3)
+    has the derivations x ↦ x and x ↦ x²."""
+    assert main(["solve", "--family", "trunc_poly", "--N", "3", "--kind", "derivation"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["instance"] == "trunc_poly(3)" and out["tasks"][0]["dim"] == 2
+
+
+def test_main_solve_leaves_a_missing_size_to_the_config(capsys):
+    assert main(["solve", "--family", "Tn", "--kind", "derivation"]) == 2
+    assert capsys.readouterr().err == "config error: algebra: missing key 'n'\n"
+
+
+@pytest.mark.parametrize("name", ["solve:", "decompose:x", "verify:posner ", "Center", "solve:Derivation"])
+def test_unknown_tasks_exit_two_before_any_task_runs(tmp_path, capsys, monkeypatch, name):
+    """A task list is checked whole, by exact name, before its first task runs."""
+    def ran(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "_run_center", ran)
+    path = write_config(tmp_path, dict(BASE, tasks=["center", name]))
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: tasks: unknown task {name!r}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
 def test_formatted_zeros_share_one_string(field):
     v = (field.zero, field.from_int(3), field.zero, field.from_int(-2), field.zero)
@@ -586,16 +619,7 @@ _sigmas = _mostly(
     st.one_of(st.just("twist"), st.dictionaries(st.sampled_from(sorted(SIGMA_FORMS) + ["other"]), _junk), _junk),
 )
 _tasks = _mostly(
-    st.lists(
-        st.sampled_from(
-            ["center", "sigma_center"]
-            + [f"solve:{kind}" for kind in SOLVE_KINDS]
-            + [f"decompose:{kind}" for kind in DECOMPOSE_KINDS]
-            + [f"verify:{name}" for name in VERIFY_TASKS]
-        ),
-        min_size=1,
-        max_size=3,
-    ),
+    st.lists(st.sampled_from(sorted(TASKS)), min_size=1, max_size=3),
     st.one_of(st.lists(st.one_of(st.sampled_from(["solve:", "verify:", "decompose:x"]), st.text(max_size=8), _junk),
                        max_size=2), _junk),
 )

@@ -15,7 +15,7 @@ import pytest
 from trialg import GF, QQ, LinearEndo, block_upper, cli, structure, theorems, trian_trunc, upper_triangular
 from trialg.errors import ConditionFailure
 from trialg.linalg import Matrix, Subspace
-from trialg.maps import MapSpace, solve_space
+from trialg.maps import MapSpace, _System, solve_space
 from trialg.structure import (
     CENT_CONDITION_LABELS,
     DESCRIPTION_KINDS,
@@ -36,7 +36,13 @@ from trialg.structure import (
 )
 
 from conftest import unipotent_automorphism
-from dense_oracle import dense_centralizing_conditions, dense_check_der_parts, dense_compose_centralizing
+from dense_oracle import (
+    DenseSystem,
+    dense_centralizing_conditions,
+    dense_check_der_parts,
+    dense_compose_centralizing,
+    dense_leibniz_terms,
+)
 
 F7, P = GF(7), GF(10007)
 
@@ -88,6 +94,67 @@ def test_dropping_a_condition_breaks_the_equality(name, kind):
         weaker = _description_kernel(t, kind, [(label, eqs) for label, eqs in groups if label != DROPPED[kind]])
         solved = solve_space(t, sigma, kind).space
         assert solved.leq(weaker) and weaker.dim > solved.dim
+
+
+# each corner Leibniz group of a description: (D's block, d's block or None,
+# the corners of e_i and e_j, the corner of the coordinates the rule is read on)
+CORNER_RULES = {
+    "sigma_derivation": {
+        "d_A twisted Leibniz": (0, 0, "a", "a", "a"),
+        "d_B twisted Leibniz": (0, 0, "b", "b", "b"),
+        "xi left compatibility": (0, 0, "a", "m", "m"),
+        "xi right compatibility": (0, 0, "m", "b", "m"),
+    },
+    "generalized_pair": {
+        "d_A twisted Leibniz": (1, 1, "a", "a", "a"),
+        "d_B twisted Leibniz": (1, 1, "b", "b", "b"),
+        "xi left compatibility": (1, 1, "a", "m", "m"),
+        "xi right compatibility": (1, 1, "m", "b", "m"),
+        "D_A generalized Leibniz": (0, 1, "a", "a", "a"),
+        "D_B generalized Leibniz": (0, 1, "b", "b", "b"),
+    },
+    "centralizing": {},
+    "left_multiplier": {
+        "F_A left multiplier": (0, None, "a", "a", "a"),
+        "F_B left multiplier": (0, None, "b", "b", "b"),
+    },
+}
+LEIBNIZ_LABELS = {label for rules in CORNER_RULES.values() for label in rules}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("kind", DESCRIPTION_KINDS)
+def test_corner_rules_are_the_dense_leibniz_rows(kind, field):
+    """Each corner Leibniz group holds the equations at exactly its corner
+    pairs, and each equation is the dense oracle's Leibniz equation at that
+    pair, read on the group's corner only.  Most of these groups are implied
+    by the others on the shipped instances, so the kernel tests cannot see a
+    wrong corner in them."""
+    t = trian_trunc(2, field)
+    n, na, nm = t.dim, t.A.dim, t.M.dim
+    spans = {"a": range(na), "m": range(na, na + nm), "b": range(na + nm, n)}
+    blocks = 2 if kind == "generalized_pair" else 1
+    zero = [field.zero] * (blocks * n * n)
+    twists = _twists(t)
+    assert [name for name, _ in twists] == ["identity", "inner"]
+    for _, sigma in twists:
+        groups = dict(_description_rows(t, sigma, kind))
+        assert LEIBNIZ_LABELS & set(groups) == set(CORNER_RULES[kind])
+        oracle = {}
+        for label, (D, d, left, right, out) in CORNER_RULES[kind].items():
+            if (D, d) not in oracle:
+                oracle[D, d] = dense_leibniz_terms(t.algebra, sigma, D, d)
+            equations = list(groups[label])
+            assert [pair for pair, _ in equations] == [(i, j) for i in spans[left] for j in spans[right]], label
+            for pair, terms in equations:
+                got = [list(zero) for _ in range(n)]
+                for r, row in _System(field, n, blocks).equation(terms):
+                    for c, a in row.items():
+                        got[r][c] = field.add(field.zero, a)
+                dense = DenseSystem(field, n, blocks)
+                dense.equation(oracle[D, d][pair])
+                want = [row if r in spans[out] else zero for r, row in enumerate(dense.rows)]
+                assert got == want, (label, pair)
 
 
 def test_centralizing_groups_are_the_condition_labels():

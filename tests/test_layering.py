@@ -228,7 +228,6 @@ KEPT_API = {
     "GF": "the documented constructor of prime fields",
     "Subspace.full": "the whole space, the natural partner of the canonical subspaces",
     "bracket_sigma": "the paper's twisted bracket [x, y]_σ, evaluated pointwise",
-    "is_generalized_pair": "the checker of the paper's generalized σ-derivation pairs",
     "compose_centralizing": "the inverse of decompose_centralizing, as for the other kinds",
     "compose_sigma_derivation": "the inverse of decompose_sigma_derivation, used by the README example",
     "compose_generalized": "the inverse of decompose_generalized, as for the other kinds",
