@@ -30,8 +30,8 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve one map space for a family")
     families = [family for family in FAMILY_KEYS if isinstance(family, str)]  # the families named by a string
     p_solve.add_argument("--family", required=True, choices=families)
-    # one flag per key a family takes
-    for key in sorted(set().union(*(FAMILY_KEYS[family] for family in families)) - {"family"}):
+    keys = sorted(set().union(*(FAMILY_KEYS[family] for family in families)) - {"family"})
+    for key in keys:  # one flag per key a family takes
         takers = " / ".join(family for family in families if key in FAMILY_KEYS[family])
         if key == "dims":
             p_solve.add_argument("--dims", help=f"comma-separated dims for {takers}")
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
             if args.seed is not None and isinstance(config, dict):
                 config["seed"] = args.seed
         else:
-            config = _solve_args_to_config(args)
+            config = _solve_args_to_config(args, keys)
         report, code = run_config(config)
         _emit(report_fragments(report), args.out)
         return code
@@ -61,11 +61,11 @@ def main(argv=None) -> int:
         return 2
 
 
-def _solve_args_to_config(args) -> dict:
-    """The config of a ``trialg solve``: the flags its family takes, the
-    keys it misses left to ``build_instance`` to name."""
+def _solve_args_to_config(args, keys) -> dict:
+    """The config of a ``trialg solve``: every key flag given, so that
+    ``build_instance`` names the keys its family misses or does not take."""
     algebra = {"family": args.family}
-    for key in sorted(FAMILY_KEYS[args.family] - {"family"}):
+    for key in keys:
         if getattr(args, key) is not None:
             algebra[key] = getattr(args, key)
     if "dims" in algebra:

@@ -328,20 +328,20 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 
 def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, samples: int) -> dict:
+    # each verifier gates its own hypotheses, a triangular algebra included
+    t = instance.t or instance.algebra
     if name == "posner":
-        report = theorems.verify_posner(instance.require_triangular("verify:posner"), sigma, instance.name)
+        report = theorems.verify_posner(t, sigma, instance.name)
     elif name == "mayne":
-        report = theorems.verify_mayne(
-            instance.require_triangular("verify:mayne"), samples=samples, seed=seed, instance=instance.name
-        )
+        report = theorems.verify_mayne(t, samples=samples, seed=seed, instance=instance.name)
     elif name == "skew_zero":
-        report = theorems.verify_skew_zero(instance.require_triangular("verify:skew_zero"), sigma, instance.name)
+        report = theorems.verify_skew_zero(t, sigma, instance.name)
     elif name == "sharma_dhara":
         report = theorems.verify_sharma_dhara(instance.algebra, instance.name)
     elif name == "gd_left_mult":
-        report = theorems.verify_gd_left_mult(instance.require_triangular("verify:gd_left_mult"), instance.name)
+        report = theorems.verify_gd_left_mult(t, instance.name)
     else:
-        report = theorems.verify_description(instance.require_triangular("verify:description"), sigma, instance.name)
+        report = theorems.verify_description(t, sigma, instance.name)
     out = {
         "theorem": report.theorem,
         "instance": report.instance,

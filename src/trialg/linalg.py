@@ -1,7 +1,7 @@
 """Exact linear algebra over Q and F_p: vectors, matrices, kernels, solving,
 canonical subspaces.
 
-Every echelon form, rank, inverse, kernel and solution comes from one sparse
+Every echelon form, rank, kernel and solution comes from one sparse
 elimination engine.  Its rows are ``{col: value}`` dicts of nonzero entries.
 Over Q each row's denominators are cleared once on entry, elimination is
 fraction-free on primitive integer rows, and ``Fraction`` appears only when the
@@ -295,18 +295,6 @@ class Matrix:
     def rank(self) -> int:
         _, piv = rref(self.field, self.entries, self.ncols)
         return len(piv)
-
-    def inverse(self) -> "Matrix | None":
-        """Inverse via Gauss-Jordan on the augmented matrix; None if singular."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        f = self.field
-        aug = [list(r) + list(unit_vector(f, n, i)) for i, r in enumerate(self.entries)]
-        rows, piv = rref(f, aug, 2 * n)
-        if piv != list(range(n)):
-            return None
-        return Matrix(f, [r[n:] for r in rows], ncols=n)
 
     def __eq__(self, other):
         return (

@@ -46,7 +46,7 @@ from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator,
 from .errors import NotAutomorphism
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
-from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, sparse_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, solve_linear, sparse_kernel  # noqa: F401
 from .linalg import vec_add, vec_is_zero
 from .records import Record
 
@@ -362,17 +362,18 @@ def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
 def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
     """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
 
-    Raises ValueError when the algebra has no unit, or u has the wrong length
-    or is not invertible.
+    u⁻¹ is the one solution of u·x = 1: in a finite-dimensional algebra a
+    right inverse is an inverse.  Raises ValueError when the algebra has no
+    unit, or u has the wrong length or is not invertible.
     """
     if not alg.is_unital:
         raise ValueError("conjugation needs a unital algebra")
     if len(u) != alg.dim:
         raise ValueError("conjugating element has wrong length")
-    inv = alg.left_mul_matrix(u).inverse()
-    if inv is None:
+    u_inv = solve_linear(alg.left_mul_matrix(u), alg.unit)
+    if u_inv is None:
         raise ValueError("conjugating element is not invertible")
-    return _conjugation(alg, u, inv.mul_vec(alg.unit))
+    return _conjugation(alg, u, u_inv)
 
 
 def _conjugation(alg: FDAlgebra, u: Sequence, u_inv: Sequence) -> LinearEndo:

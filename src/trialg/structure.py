@@ -181,19 +181,19 @@ def _canonical(t: TriangularAlgebra, aut: AutParts, X_A, m_1, X_M, m_2, Y_B, X_B
     return _endo_from_corner_images(t, images)
 
 
-def require_trivial_idempotents(t, sigma: LinearEndo, what: str) -> None:
-    """Raise HypothesisNotMet unless σ is the identity or ``t`` is a triangular
-    algebra whose diagonal algebras are both decided idempotent-free, the
-    hypothesis of the twisted statements."""
-    if not sigma.is_identity() and not (isinstance(t, TriangularAlgebra) and t.trivial_idempotent_components):
+def require_trivial_idempotents(t, what: str, sigma: LinearEndo | None = None) -> None:
+    """Raise HypothesisNotMet unless ``t`` is a triangular algebra whose
+    diagonal algebras are both decided idempotent-free, the hypothesis of the
+    twisted statements; a given σ that is the identity needs nothing."""
+    twisted = sigma is None or not sigma.is_identity()
+    if twisted and not (isinstance(t, TriangularAlgebra) and t.trivial_idempotent_components):
         raise HypothesisNotMet(f"{what} needs diagonal algebras decided idempotent-free")
 
 
 def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     """Split a verified automorphism into (f, g, m_σ, ν); exact round trip."""
     sigma = as_endo(t.algebra, sigma)
-    if not t.trivial_idempotent_components:
-        raise HypothesisNotMet("both diagonal algebras must be decided idempotent-free")
+    require_trivial_idempotents(t, "automorphism decomposition")
     require_automorphism(sigma)
     f = _corner_matrix(t, sigma, "a", "a")
     g = _corner_matrix(t, sigma, "b", "b")
@@ -375,13 +375,12 @@ def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
 
 
 def commuting_criterion(parts: CentParts) -> bool:
-    """δ₃(B) ⊆ twisted-center of A and μ₁(A) ⊆ twisted-center of B."""
+    """δ₃(B) ⊆ twisted-center of A and μ₁(A) ⊆ twisted-center of B, column
+    by column: each image is spanned by its map's columns."""
     t = parts.t
     zf = sigma_center_subspace(t.A, parts.aut.f_sigma)
     zg = sigma_center_subspace(t.B, parts.aut.g_sigma)
-    delta3_image = Subspace.from_vectors(t.field, t.A.dim, parts.delta3.columns())
-    mu1_image = Subspace.from_vectors(t.field, t.B.dim, parts.mu1.columns())
-    return delta3_image.leq(zf) and mu1_image.leq(zg)
+    return all(map(zf.contains, parts.delta3.columns())) and all(map(zg.contains, parts.mu1.columns()))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +626,7 @@ def _description_sigma(t: TriangularAlgebra, sigma, kind: str) -> LinearEndo:
         raise ValueError(f"unknown description kind {kind!r}")
     ident = sigma is None or kind == "left_multiplier"
     sigma = LinearEndo.identity(t.algebra) if ident else as_endo(t.algebra, sigma)
-    require_trivial_idempotents(t, sigma, "twisted description")
+    require_trivial_idempotents(t, "twisted description", sigma)
     return sigma
 
 
@@ -707,11 +706,10 @@ def _entries(*maps: LinearEndo) -> Vector:
 
 def _decompose_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, vectors) -> list:
     """The parts of the maps of ``vectors`` (as :func:`description_conditions`
-    takes them), whose defining identity holds: the twisted hypothesis, then
-    every condition of the description of ``kind`` on every map, raising
-    ConditionFailure at the first that fails, then the blocks of each map."""
-    if kind in ("centralizing", "generalized_pair"):
-        require_trivial_idempotents(t, sigma, "twisted decomposition")
+    takes them), whose defining identity holds: σ's parts (which gate the
+    twisted hypothesis), then every condition of the description of ``kind``
+    on every map, raising ConditionFailure at the first that fails, then the
+    blocks of each map."""
     aut = _aut_parts_for(t, sigma)
     results = description_conditions(t, sigma, kind, vectors)
     for conditions in results:

@@ -13,7 +13,7 @@ import random
 from .algebra import FDAlgebra, TriangularAlgebra
 from .errors import HypothesisNotMet, StructuralMismatch
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, unit_vector, vec_neg
+from .linalg import Matrix, Subspace, Vector, solve_linear, unit_vector, vec_neg
 from .maps import (
     LinearEndo,
     _conjugation,
@@ -63,7 +63,7 @@ def _sigma_for(t, sigma, what: str, triangular: bool = False) -> LinearEndo:
     if triangular and not isinstance(t, TriangularAlgebra):
         raise HypothesisNotMet(f"{what} needs a triangular algebra")
     sigma = LinearEndo.identity(as_algebra(t)) if sigma is None else as_endo(t, sigma)
-    require_trivial_idempotents(t, sigma, f"{what} with a non-identity twist")
+    require_trivial_idempotents(t, f"{what} with a non-identity twist", sigma)
     return sigma
 
 
@@ -257,9 +257,9 @@ def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, 
     retries until invertible)."""
     while True:
         u = _random_vector(algebra.field, algebra.dim, rng)
-        inv = algebra.left_mul_matrix(u).inverse()
-        if inv is not None:
-            return u, inv.mul_vec(algebra.unit)
+        u_inv = solve_linear(algebra.left_mul_matrix(u), algebra.unit)
+        if u_inv is not None:
+            return u, u_inv
 
 
 def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
@@ -300,8 +300,7 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
     random conjugations, alternating) must fail the centralizing predicate.
     """
     ident = _sigma_for(t, None, MAYNE, triangular=True)
-    if not t.trivial_idempotent_components:
-        raise HypothesisNotMet("mayne verification needs diagonal algebras decided idempotent-free")
+    require_trivial_idempotents(t, MAYNE)
     rng = random.Random(seed)
     identity_commutes = bool(predicate(ident, ident, "commuting"))
     tested = 0

@@ -59,6 +59,9 @@ conjugation inverts its whole conjugating element again.
 
 The matrix product is the dense triple loop ``Matrix.__matmul__`` ran
 before it applied the left factor to the right factor's sparse columns.
+The dense inverse stands in for ``Matrix.inverse``, which trialg dropped
+when an element's inverse became one solve of u·x = 1; the tests still
+change basis with it.
 
 The generated subalgebra is the span of some basis vectors closed under
 dense products until it stops growing: it checks the generating sets that
@@ -163,7 +166,7 @@ def rebased(alg, P: Matrix) -> FDAlgebra:
     """The algebra on the basis e'_i = Σ_k P[k][i]·e_k, for an invertible P:
     e'_i·e'_j and the unit in the new coordinates, P⁻¹ applied to the old."""
     f = alg.field
-    inverse = P.inverse()
+    inverse = dense_inverse(P)
     cols = P.columns()
     table = [[dense_mul_vec(inverse, dense_bilinear(f, alg.dim, alg.table, x, y)) for y in cols] for x in cols]
     unit = None if alg.unit is None else dense_mul_vec(inverse, alg.unit)
@@ -307,6 +310,14 @@ def dense_solve(field, rows: Sequence[Sequence], b: Sequence, ncols: int) -> tup
             return None
         x[pcol] = prow[-1]
     return tuple(x)
+
+
+def dense_inverse(P: Matrix) -> Matrix | None:
+    """P⁻¹ for a square P, one :func:`dense_solve` per column, or None if P
+    is singular."""
+    f, n = P.field, P.nrows
+    cols = [dense_solve(f, P.entries, unit_vector(f, n, j), n) for j in range(n)]
+    return None if None in cols else Matrix.from_columns(f, cols, nrows=n)
 
 
 def dense_bracket_matrix(alg, x: Sequence, y: Sequence, sign: int) -> Matrix:

@@ -115,6 +115,26 @@ def test_idempotent_flags_certified(field, algebra, certified):
     assert report["idempotent_flags_certified"] is certified
 
 
+@pytest.mark.parametrize(
+    "algebra,skew_zero",
+    [({"family": "fixture", "name": "n3"}, "fail"), ({"family": "trunc_poly", "N": 3}, "pass")],
+)
+def test_plain_algebra_verdicts(algebra, skew_zero):
+    """The CLI hands each verifier the algebra, and each verifier gates its
+    own hypotheses: Posner and skew-zero run on a plain algebra under the
+    identity (and can fail there), the triangular-only verifiers refuse it."""
+    triangular_only = ["mayne", "gd_left_mult", "description"]
+    tasks = ["verify:posner", "verify:skew_zero"] + [f"verify:{name}" for name in triangular_only]
+    report, code = run_config(dict(BASE, algebra=algebra, tasks=tasks))
+    posner, skew, *refused = report["tasks"]
+    assert code == 1
+    assert posner["status"] == "fail" and posner["witness"]
+    assert skew["status"] == skew_zero and ("witness" in skew) == (skew_zero == "fail")
+    for name, record in zip(triangular_only, refused):
+        assert record["status"] == "error"
+        assert record["error"] == f"HypothesisNotMet: {name} needs a triangular algebra"
+
+
 def test_task_errors_do_not_abort_the_run():
     cfg = dict(
         BASE,
@@ -482,6 +502,13 @@ def test_main_solve_takes_every_named_family(capsys):
 def test_main_solve_leaves_a_missing_size_to_the_config(capsys):
     assert main(["solve", "--family", "Tn", "--kind", "derivation"]) == 2
     assert capsys.readouterr().err == "config error: algebra: missing key 'n'\n"
+
+
+def test_main_solve_passes_every_flag_to_the_config(capsys):
+    """A size flag the family does not take is an unknown key, as in a config."""
+    assert main(["solve", "--family", "trunc_poly", "--N", "3", "--n", "5", "--kind", "derivation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: algebra: unknown keys ['n']\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("name", ["solve:", "decompose:x", "verify:posner ", "Center", "solve:Derivation"])

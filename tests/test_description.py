@@ -406,10 +406,13 @@ def test_verify_description_pair_witness_stacks_d_under_D(monkeypatch):
 
 
 def test_verify_description_outside_the_hypotheses_matches_the_other_verifiers():
-    base = {"field": "rational", "tasks": ["verify:description", "verify:posner"]}
-    for algebra, sigma in (({"family": "fixture", "name": "n3"}, "identity"),
-                           ({"family": "Tn", "n": 3}, {"diag_signs": [1, -1]})):
-        report, code = cli.run_config(dict(base, algebra=algebra, sigma=sigma))
-        description, posner = report["tasks"]
-        assert code == 1 and description["status"] == posner["status"] == "error"
-        assert description["error"].split(":")[0] == posner["error"].split(":")[0]
+    """On the plain algebra n3, verify:description fails its hypothesis as
+    verify:gd_left_mult does (both need a triangular algebra); under a twist
+    on T3, whose corner T2 has idempotents, as verify:posner does."""
+    for algebra, sigma, other in (({"family": "fixture", "name": "n3"}, "identity", "verify:gd_left_mult"),
+                                  ({"family": "Tn", "n": 3}, {"diag_signs": [1, -1]}, "verify:posner")):
+        config = {"field": "rational", "algebra": algebra, "sigma": sigma, "tasks": ["verify:description", other]}
+        report, code = cli.run_config(config)
+        description, verifier = report["tasks"]
+        assert code == 1 and description["status"] == verifier["status"] == "error"
+        assert description["error"].split(":")[0] == verifier["error"].split(":")[0] == "HypothesisNotMet"

@@ -25,6 +25,7 @@ from dense_oracle import (
     dense_matmul,
     dense_mul_vec,
     dense_predicate,
+    dense_inverse,
     dense_rref,
     dense_solve,
     dense_solve_space,
@@ -137,7 +138,7 @@ def _rebased(t, sigma, seed):
 
     P = unit_triangular(True) @ unit_triangular(False)
     new = rebased(alg, P)
-    return new, LinearEndo(new, P.inverse() @ sigma.matrix @ P)
+    return new, LinearEndo(new, dense_inverse(P) @ sigma.matrix @ P)
 
 
 FAMILIES = {
