@@ -9,9 +9,10 @@ structure constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
 The (twisted) center of a triangular algebra is cross-checked against its
 structural form, built from the pairs (a, b) with a·m = ν(m)·b, and the
 corner maps τ and η are read off those pairs (the twisted-center caller needs
-the automorphism decomposition and lives in :mod:`trialg.structure`).  Whether a unital algebra has only the trivial
-idempotents, the hypothesis of the paper's twisted structure theorems, is
-decided from its structure constants by :func:`trivial_idempotents`.
+the automorphism decomposition and lives in :mod:`trialg.structure`).  Whether a
+unital algebra has only the trivial idempotents, the hypothesis of the paper's
+twisted structure theorems, is decided by :func:`trivial_idempotents`, and
+:func:`require_hypotheses` is the one gate of it and of being triangular.
 
 Structure constants are held in one form, as the ``(t, s)`` nonzeros of
 each basis-pair product; the public dense ``table`` is a view built from
@@ -34,6 +35,7 @@ from typing import Sequence
 from .errors import (
     AssociativityViolation,
     BimoduleAxiomViolation,
+    HypothesisNotMet,
     NotFaithful,
     StructuralMismatch,
     UnitViolation,
@@ -539,6 +541,7 @@ def center(t: TriangularAlgebra) -> CenterData:
     """Center as a commutator kernel, cross-checked against its structural
     form {(a, 0, b) : a·m = m·b for all m}; raises StructuralMismatch if the
     cross-check fails.  τ is read off the structural pairs."""
+    require_hypotheses(t, "center")
     f = t.field
     oracle = center_subspace(t.algebra)
     pairs = _structural_pairs(t, oracle, Matrix.identity(f, t.M.dim), t.M.zero(), "center")
@@ -578,6 +581,19 @@ def trivial_idempotents(algebra: FDAlgebra) -> bool | None:
             decided = True if radical.dim == algebra.dim - 1 and _nilpotent(algebra, radical) else None
         memo["trivial_idempotents"] = decided
     return memo["trivial_idempotents"]
+
+
+def require_hypotheses(t, what: str | None, twisted: str | None = None, sigma=None) -> None:
+    """HypothesisNotMet unless ``t`` is a triangular algebra (asked by the
+    statement named ``what``) whose diagonal algebras are both decided
+    idempotent-free (the hypothesis of the twisted statement named
+    ``twisted``, which a given ``sigma`` that is the identity does not need)."""
+    triangular = isinstance(t, TriangularAlgebra)
+    if what is not None and not triangular:
+        raise HypothesisNotMet(f"{what} needs a triangular algebra")
+    identity = sigma is not None and sigma.is_identity()
+    if twisted is not None and not (identity or triangular and t.trivial_idempotent_components):
+        raise HypothesisNotMet(f"{twisted} needs diagonal algebras decided idempotent-free")
 
 
 def _trace_radical(algebra: FDAlgebra) -> Subspace:

@@ -21,10 +21,11 @@ from .algebra import (
     TriangularAlgebra,
     center,
     center_subspace,
+    require_hypotheses,
     sigma_center_subspace,
     trivial_idempotents,
 )
-from .errors import ConfigError, TrialgError
+from .errors import ConfigError, NotAutomorphism, TrialgError
 from .families import (
     Fixture,
     block_upper,
@@ -37,7 +38,7 @@ from .families import (
 )
 from .fields import QQ, Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
-from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, is_automorphism, require_automorphism, solve_space
+from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, resolve_twist, solve_space
 from .report import report_fragments
 
 SCHEMA_VERSION = 1
@@ -147,11 +148,6 @@ class Instance:
         self.t = t
         self.fixture = fixture
 
-    def require_triangular(self, where: str) -> TriangularAlgebra:
-        if self.t is None:
-            raise ConfigError(where, f"task needs a triangular algebra, {self.name} is not one")
-        return self.t
-
 
 def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
     if not isinstance(spec, dict):
@@ -214,6 +210,7 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
 def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
     alg = instance.algebra
     field = alg.field
+    t = instance.t or alg  # the diag_signs and parts forms gate it
     if spec in (None, "identity"):
         return LinearEndo.identity(alg)
     if not isinstance(spec, dict):
@@ -230,7 +227,7 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
                 raise ConfigError(where, f"fixture has no map {name!r}")
             return instance.fixture.maps[name]
         if "diag_signs" in spec:
-            t = instance.require_triangular(where)
+            require_hypotheses(t, "diag_signs")
             signs = _config_list(spec["diag_signs"], "diag_signs")
             if len(signs) != 2:
                 raise ConfigError(where, "diag_signs must give one sign per diagonal corner")
@@ -243,13 +240,12 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             u = parse_vector(field, spec["conjugate_by"])
             return inner_automorphism(alg, u)
         if "matrix" in spec:
-            endo = LinearEndo(alg, parse_matrix(field, spec["matrix"]))
-            chk = is_automorphism(endo)
-            if not chk.ok:
-                raise ConfigError(where, f"matrix is not an automorphism: {chk.witness}")
-            return endo
+            try:
+                return resolve_twist(alg, parse_matrix(field, spec["matrix"]))
+            except NotAutomorphism as exc:
+                raise ConfigError(where, f"matrix is not an automorphism: {exc.witness}") from exc
         # the one form left: parts
-        t = instance.require_triangular(where)
+        require_hypotheses(t, "parts")
         p = spec["parts"]
         _reject_unknown_keys(p, PARTS_KEYS, f"{where}.parts")
         parts = structure.AutParts(
@@ -284,7 +280,7 @@ def _run_center(instance: Instance) -> dict:
 def _run_sigma_center(instance: Instance, sigma: LinearEndo) -> dict:
     field = instance.algebra.field
     if instance.t is None:
-        space = sigma_center_subspace(instance.algebra, require_automorphism(sigma).matrix)
+        space = sigma_center_subspace(instance.algebra, resolve_twist(instance.algebra, sigma).matrix)
         return {"sigma_center": fmt_subspace(field, space)}
     return _record(field, structure.sigma_center(instance.t, sigma))
 
@@ -305,7 +301,8 @@ def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
     field = instance.algebra.field
-    t = instance.require_triangular(f"decompose:{kind}")
+    # each decomposition and verifier gates its own hypotheses, a triangular algebra included
+    t = instance.t or instance.algebra
     if kind == "automorphism":
         return _record(field, structure.decompose_automorphism(t, sigma), kind=kind, round_trip=True)
     members = []
@@ -328,7 +325,6 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 
 def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, samples: int) -> dict:
-    # each verifier gates its own hypotheses, a triangular algebra included
     t = instance.t or instance.algebra
     if name == "posner":
         report = theorems.verify_posner(t, sigma, instance.name)

@@ -402,12 +402,17 @@ class Subspace:
         return all(other.contains(v) for v in self.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The combinations Σ c_i·b_i of this basis that ``other`` contains:
-        c runs over the kernel of the residues of the b_i modulo ``other``,
-        so the elimination is only dim(self) columns wide."""
+        """The vectors of this space that ``other`` contains."""
         self._same_ambient(other)
+        return self.restrict(other, lambda v: v)
+
+    def restrict(self, other: "Subspace", part) -> "Subspace":
+        """The v in this space with ``part(v)`` in ``other``, for a linear
+        map ``part`` into the ambient space of ``other``: Σ c_i·b_i over
+        this basis, c in the kernel of the residues of the part(b_i) modulo
+        ``other``, so the elimination is only dim(self) columns wide."""
         f = self.field
-        residues = [other.reduce(b) for b in self.basis]
+        residues = [other.reduce(part(b)) for b in self.basis]
         coefficients = sparse_kernel(f, (_sparse(col) for col in zip(*residues)), self.dim)
         combos = Matrix(f, coefficients.basis, ncols=self.dim) @ Matrix(f, self.basis, ncols=self.ambient_dim)
         return Subspace.from_vectors(f, self.ambient_dim, combos.entries)

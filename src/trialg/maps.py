@@ -61,6 +61,9 @@ SOLVE_KINDS = (
     "skew_centralizing",
 )
 
+# the kinds whose identity carries no twist: they solve under the identity, whatever σ is given
+UNTWISTED_KINDS = ("derivation", "left_multiplier")
+
 PREDICATE_MODES = ("commuting", "centralizing", "skew_commuting", "skew_centralizing")
 
 
@@ -286,11 +289,27 @@ def is_automorphism(theta: LinearEndo) -> CheckResult:
 
 
 def require_automorphism(theta: LinearEndo) -> LinearEndo:
-    """``theta`` itself, or NotAutomorphism carrying the check's witness."""
-    check = is_automorphism(theta)
-    if not check.ok:
-        raise NotAutomorphism(check.witness)
+    """``theta`` itself, or NotAutomorphism carrying the check's witness; a
+    passing verdict is kept on the algebra's ``memo`` under θ's matrix, so
+    each map is checked once per algebra."""
+    key = ("automorphism", theta.matrix)
+    memo = theta.algebra.memo
+    if key not in memo:
+        check = is_automorphism(theta)
+        if not check.ok:
+            raise NotAutomorphism(check.witness)
+        memo[key] = True
     return theta
+
+
+def resolve_twist(algebra_or_t, sigma, kind: str | None = None) -> LinearEndo:
+    """The twist σ a call uses: the identity for ``sigma=None`` and for the
+    :data:`UNTWISTED_KINDS`, otherwise ``sigma`` (a LinearEndo or a raw
+    Matrix) as a verified automorphism (NotAutomorphism if it is not one)."""
+    alg = as_algebra(algebra_or_t)
+    if sigma is None or kind in UNTWISTED_KINDS:
+        return LinearEndo.identity(alg)
+    return require_automorphism(as_endo(alg, sigma))
 
 
 def _leibniz_check(D: LinearEndo, d: LinearEndo | None, sigma: LinearEndo | None, reason: str) -> CheckResult:
@@ -362,18 +381,23 @@ def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
 def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
     """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
 
-    u⁻¹ is the one solution of u·x = 1: in a finite-dimensional algebra a
-    right inverse is an inverse.  Raises ValueError when the algebra has no
-    unit, or u has the wrong length or is not invertible.
+    Raises ValueError when the algebra has no unit, or u has the wrong
+    length or is not invertible (:func:`_inverse`).
     """
     if not alg.is_unital:
         raise ValueError("conjugation needs a unital algebra")
     if len(u) != alg.dim:
         raise ValueError("conjugating element has wrong length")
-    u_inv = solve_linear(alg.left_mul_matrix(u), alg.unit)
+    u_inv = _inverse(alg, u)
     if u_inv is None:
         raise ValueError("conjugating element is not invertible")
     return _conjugation(alg, u, u_inv)
+
+
+def _inverse(alg: FDAlgebra, u: Sequence) -> Vector | None:
+    """u⁻¹ as the one solution of u·x = 1 (in a finite-dimensional algebra a
+    right inverse is an inverse); None when u is not invertible."""
+    return solve_linear(alg.left_mul_matrix(u), alg.unit)
 
 
 def _conjugation(alg: FDAlgebra, u: Sequence, u_inv: Sequence) -> LinearEndo:
@@ -525,36 +549,24 @@ def _bracket_equations(op, indices: Sequence[int]) -> Iterator[tuple]:
 def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
     """Solve the full space of maps of the given kind as a kernel.
 
-    ``sigma`` must be a verified automorphism for the twisted kinds and is
-    ignored (replaced by the identity) for ``derivation`` and
-    ``left_multiplier``.  Generalized pairs are solved jointly in the
-    unknowns (D, d) with the twisted Leibniz constraint imposed on d.
+    σ is the one :func:`resolve_twist` gives: ``None`` means the identity,
+    the untwisted kinds ignore ``sigma``, and any other σ must be an
+    automorphism.  Generalized pairs are solved jointly in the unknowns
+    (D, d) with the twisted Leibniz constraint imposed on d.
 
     Each space is solved once: the result is kept in the algebra's ``memo``
-    under its kind and σ's matrix (``None`` for the two untwisted kinds),
-    so it is freed with the algebra.
+    under its kind and σ's matrix, so it is freed with the algebra.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown solve kind {kind!r}")
     alg = as_algebra(algebra_or_t)
-    f = alg.field
-    n = alg.dim
-    if kind in ("derivation", "left_multiplier"):
-        key = ("solve", kind, None)
-        if key in alg.memo:
-            return alg.memo[key]
-        sigma = LinearEndo.identity(alg)
-    else:
-        if sigma is None:
-            raise ValueError(f"kind {kind!r} needs an automorphism")
-        sigma = as_endo(alg, sigma)
-        key = ("solve", kind, sigma.matrix)
-        if key in alg.memo:
-            return alg.memo[key]
-        require_automorphism(sigma)
+    sigma = resolve_twist(alg, sigma, kind)
+    key = ("solve", kind, sigma.matrix)
+    if key in alg.memo:
+        return alg.memo[key]
 
     pair = kind == "generalized_pair"
-    system = _System(f, n, 2 if pair else 1)
+    system = _System(alg.field, alg.dim, 2 if pair else 1)
 
     if kind in ("derivation", "sigma_derivation", "left_multiplier", "generalized_pair"):
         leibniz = _Leibniz(alg, sigma)
@@ -567,7 +579,7 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
         if kind.endswith("centralizing"):
             center = center_subspace(alg)
             op = [center.reduce_rows(rows) for rows in op]
-        equations = _bracket_equations([_live(rows) for rows in op], range(n))
+        equations = _bracket_equations([_live(rows) for rows in op], range(alg.dim))
 
     alg.memo[key] = MapSpace(alg, kind, pair, system.kernel(equations))
     return alg.memo[key]

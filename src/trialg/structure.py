@@ -26,10 +26,10 @@ decomposed, cross-checked against the structural form that its memoized
 parts (m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
 uses; η is read off the same structural pairs.
 
-Decompositions for a non-identity twist require both diagonal algebras to be
-decided free of nontrivial idempotents (:func:`trialg.algebra.trivial_idempotents`);
-the identity twist bypasses the decision because the untwisted corollaries
-carry no such hypothesis.
+Every entry point resolves σ (:func:`trialg.maps.resolve_twist`) and gates
+its hypotheses (:func:`trialg.algebra.require_hypotheses`) before any work: a
+triangular algebra, and for a non-identity twist diagonal algebras decided
+idempotent-free (the untwisted corollaries carry no such hypothesis).
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ from .algebra import (
     _structural_pairs,
     _twisted_brackets,
     center_subspace,
+    require_hypotheses,
     sigma_center_subspace,
 )
 from .errors import (
     ConditionFailure,
-    HypothesisNotMet,
     InvalidParts,
+    NotAutomorphism,
     PredicateNotSatisfied,
     ReconstructionMismatch,
 )
@@ -73,7 +74,7 @@ from .maps import (
     is_generalized_pair,
     is_sigma_derivation,
     predicate,
-    require_automorphism,
+    resolve_twist,
     solve_space,
 )
 from .records import Record, field
@@ -152,14 +153,14 @@ def _check_aut_parts(parts: AutParts) -> CheckResult:
 
 def compose_automorphism(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
     """(a, m, b) -> (f(a), f(a)m_σ - m_σ g(b) + ν(m), g(b)), parts and map checked."""
+    require_hypotheses(t, "compose_automorphism")
     chk = _check_aut_parts(parts)
     if not chk.ok:
         raise InvalidParts(chk.witness)
-    endo = _composed(t, parts)
-    post = is_automorphism(endo)
-    if not post.ok:
-        raise InvalidParts(post.witness)
-    return endo
+    try:
+        return resolve_twist(t, _composed(t, parts))
+    except NotAutomorphism as exc:
+        raise InvalidParts(exc.witness) from None
 
 
 def _composed(t: TriangularAlgebra, parts: AutParts) -> LinearEndo:
@@ -181,20 +182,13 @@ def _canonical(t: TriangularAlgebra, aut: AutParts, X_A, m_1, X_M, m_2, Y_B, X_B
     return _endo_from_corner_images(t, images)
 
 
-def require_trivial_idempotents(t, what: str, sigma: LinearEndo | None = None) -> None:
-    """Raise HypothesisNotMet unless ``t`` is a triangular algebra whose
-    diagonal algebras are both decided idempotent-free, the hypothesis of the
-    twisted statements; a given σ that is the identity needs nothing."""
-    twisted = sigma is None or not sigma.is_identity()
-    if twisted and not (isinstance(t, TriangularAlgebra) and t.trivial_idempotent_components):
-        raise HypothesisNotMet(f"{what} needs diagonal algebras decided idempotent-free")
+_TWISTED_DECOMPOSITION = "automorphism decomposition"
 
 
 def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     """Split a verified automorphism into (f, g, m_σ, ν); exact round trip."""
-    sigma = as_endo(t.algebra, sigma)
-    require_trivial_idempotents(t, "automorphism decomposition")
-    require_automorphism(sigma)
+    require_hypotheses(t, "decompose_automorphism", _TWISTED_DECOMPOSITION)
+    sigma = resolve_twist(t, sigma)
     f = _corner_matrix(t, sigma, "a", "a")
     g = _corner_matrix(t, sigma, "b", "b")
     nu = _corner_matrix(t, sigma, "m", "m")
@@ -208,10 +202,7 @@ def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
     identity = sigma.is_identity()
     key = ("automorphism_parts", None if identity else sigma.matrix)
     if key not in t.memo:
-        if identity:
-            t.memo[key] = identity_aut_parts(t)
-        else:
-            t.memo[key] = decompose_automorphism(t, LinearEndo(t.algebra, sigma.matrix))
+        t.memo[key] = identity_aut_parts(t) if identity else decompose_automorphism(t, sigma.matrix)
     return t.memo[key]
 
 
@@ -242,11 +233,9 @@ def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
     {(a, −m_σ·b, b) : a·m = ν(m)·b for all m} that the automorphism's parts
     determine, and eta is read off those pairs.
     """
-    sigma = as_endo(t.algebra, sigma)
-    # the memoized decomposition verifies σ, and later decompositions reuse it
+    require_hypotheses(t, "sigma_center")
+    sigma = resolve_twist(t, sigma)
     parts = _aut_parts_for(t, sigma) if t.trivial_idempotent_components else None
-    if parts is None:
-        require_automorphism(sigma)
     f = t.field
     space = sigma_center_subspace(t.algebra, sigma.matrix)
     piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in space.basis])
@@ -281,8 +270,9 @@ def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEnd
 
 def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
     """Decompose a twisted derivation: its rule, then its description."""
-    sigma = as_endo(t.algebra, sigma)
-    d = as_endo(t.algebra, d)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, "decompose_sigma_derivation", _TWISTED_DECOMPOSITION, sigma)
+    d = as_endo(t, d)
     chk = is_sigma_derivation(d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
@@ -366,8 +356,9 @@ def compose_centralizing(t: TriangularAlgebra, parts: CentParts) -> LinearEndo:
 def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     """Decompose a twisted centralizing map and verify conditions (i)-(viii),
     the range constraints on δ₂/μ₂, and the canonical module component."""
-    sigma = as_endo(t.algebra, sigma)
-    theta = as_endo(t.algebra, theta)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, "decompose_centralizing", _TWISTED_DECOMPOSITION, sigma)
+    theta = as_endo(t, theta)
     chk = predicate(theta, sigma, "centralizing")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
@@ -429,9 +420,10 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
 
     The pair's rule (:func:`trialg.maps.is_generalized_pair`: d's, then D's)
     is checked once on the whole algebra, then the description of the pair."""
-    sigma = as_endo(t.algebra, sigma)
-    D = as_endo(t.algebra, D)
-    d = as_endo(t.algebra, d)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, "decompose_generalized", _TWISTED_DECOMPOSITION, sigma)
+    D = as_endo(t, D)
+    d = as_endo(t, d)
     chk = is_generalized_pair(D, d, sigma)
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
@@ -472,11 +464,12 @@ def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
     """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b)): F's rule, which is
     the generalized Leibniz rule of (F, 0), then the left multiplier
     description."""
-    F = as_endo(t.algebra, F)
+    require_hypotheses(t, "decompose_left_multiplier")
+    F = as_endo(t, F)
     chk = _leibniz_check(F, None, None, "generalized Leibniz rule")
     if not chk.ok:
         raise PredicateNotSatisfied(chk.witness)
-    return _decompose_members(t, LinearEndo.identity(t.algebra), "left_multiplier", [_entries(F)])[0]
+    return _decompose_members(t, resolve_twist(t, None), "left_multiplier", [_entries(F)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +515,8 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     sign·P·X(v) with P a corner projection of one of T's operators, its rows
     indexed by T's coordinates.
     """
+    if kind not in DESCRIPTION_KINDS:
+        raise ValueError(f"unknown description kind {kind!r}")
     alg, f = t.algebra, t.field
     na, nm, one = t.A.dim, t.M.dim, t.field.one
     spans = {"a": range(0, na), "m": range(na, na + nm), "b": range(na + nm, t.dim)}
@@ -619,17 +614,6 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     ]
 
 
-def _description_sigma(t: TriangularAlgebra, sigma, kind: str) -> LinearEndo:
-    """σ as the description of ``kind`` uses it: the identity for left
-    multipliers or when ``sigma`` is None; the twisted hypothesis must hold."""
-    if kind not in DESCRIPTION_KINDS:
-        raise ValueError(f"unknown description kind {kind!r}")
-    ident = sigma is None or kind == "left_multiplier"
-    sigma = LinearEndo.identity(t.algebra) if ident else as_endo(t.algebra, sigma)
-    require_trivial_idempotents(t, "twisted description", sigma)
-    return sigma
-
-
 def _description_kernel(t: TriangularAlgebra, kind: str, groups) -> Subspace:
     """The solution space of the ``(label, equations)`` groups."""
     system = _System(t.field, t.dim, 2 if kind == "generalized_pair" else 1)
@@ -646,7 +630,8 @@ def description_space(t: TriangularAlgebra, sigma, kind: str) -> Subspace:
     are centralizing) and ``left_multiplier`` (the (F, 0) form, σ ignored).
     K is kept in ``t.memo``.
     """
-    sigma = _description_sigma(t, sigma, kind)
+    sigma = resolve_twist(t, sigma, kind)
+    require_hypotheses(t, "description_space", "twisted description", sigma)
     key = ("description", kind, None if sigma.is_identity() else sigma.matrix)
     if key not in t.memo:
         t.memo[key] = _description_kernel(t, kind, _description_rows(t, sigma, kind))
@@ -664,7 +649,8 @@ def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> l
     coordinates.  Each equation is built once and evaluated on all the
     vectors at once, through the vectors' nonzero entries.
     """
-    sigma = _description_sigma(t, sigma, kind)
+    sigma = resolve_twist(t, sigma, kind)
+    require_hypotheses(t, "description_conditions", "twisted description", sigma)
     f, n, p = t.field, t.dim, t.field.char
     system = _System(f, n, 2 if kind == "generalized_pair" else 1)
     entries: dict[int, list] = {}  # unknown -> the (vector, value) nonzeros there
@@ -750,11 +736,12 @@ def decompose_space(t: TriangularAlgebra, sigma, kind: str) -> list:
     The space is solved once (:func:`trialg.maps.solve_space`), so its
     members' defining identity holds; the description's rows are evaluated
     on all of them at once, and each member's parts are read off its blocks.
-    ``derivation`` and ``left_multiplier`` ignore σ.
+    ``derivation`` and ``left_multiplier`` ignore σ.  The hypotheses are
+    checked before the space is solved.
     """
     if kind not in _DESCRIBED_BY:
         raise ValueError(f"unknown decompose kind {kind!r}")
-    untwisted = kind in ("derivation", "left_multiplier")
-    sigma = LinearEndo.identity(t.algebra) if untwisted else as_endo(t.algebra, sigma)
-    space = solve_space(t.algebra, None if untwisted else sigma, kind)
+    sigma = resolve_twist(t, sigma, kind)
+    require_hypotheses(t, "decompose_space", _TWISTED_DECOMPOSITION, sigma)
+    space = solve_space(t, sigma, kind)
     return _decompose_members(t, sigma, _DESCRIBED_BY[kind], space.space.basis) if space.dim else []

@@ -10,31 +10,25 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FDAlgebra, TriangularAlgebra
+from .algebra import FDAlgebra, TriangularAlgebra, require_hypotheses
 from .errors import HypothesisNotMet, StructuralMismatch
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, solve_linear, unit_vector, vec_neg
+from .linalg import Matrix, Subspace, Vector, vec_neg
 from .maps import (
     LinearEndo,
     _conjugation,
+    _inverse,
     as_algebra,
-    as_endo,
     endo_of_vec,
     is_automorphism,
     is_left_multiplier,
     is_sigma_derivation,
     predicate,
+    resolve_twist,
     solve_space,
 )
 from .records import Record, field
-from .structure import (
-    DESCRIPTION_KINDS,
-    AutParts,
-    _composed,
-    _decompose_members,
-    description_space,
-    require_trivial_idempotents,
-)
+from .structure import DESCRIPTION_KINDS, AutParts, _composed, _decompose_members, description_space
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -56,17 +50,6 @@ class TheoremReport(Record):
         return self.passed
 
 
-def _sigma_for(t, sigma, what: str, triangular: bool = False) -> LinearEndo:
-    """σ on the algebra of ``t`` (the identity for None), under the twisted
-    hypothesis, and with ``triangular`` under the hypothesis that ``t`` is a
-    triangular algebra."""
-    if triangular and not isinstance(t, TriangularAlgebra):
-        raise HypothesisNotMet(f"{what} needs a triangular algebra")
-    sigma = LinearEndo.identity(as_algebra(t)) if sigma is None else as_endo(t, sigma)
-    require_trivial_idempotents(t, f"{what} with a non-identity twist", sigma)
-    return sigma
-
-
 def _counterexample(t, space: Subspace, inside: Subspace | None, recheck) -> Matrix | None:
     """The first basis vector of ``space`` outside ``inside`` (None: zero) as a
     map's matrix, or None; StructuralMismatch if ``recheck`` rejects the map."""
@@ -85,7 +68,8 @@ def verify_posner(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = 
     Computes the two solved spaces and intersects them; passes iff the
     intersection is zero.  Runs on any algebra under the identity twist.
     """
-    sigma = _sigma_for(t, sigma, POSNER)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, None, f"{POSNER} with a non-identity twist", sigma)
     der = solve_space(t, sigma, "sigma_derivation")
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
@@ -109,7 +93,8 @@ def verify_skew_zero(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str
     """Zero is the only twisted skew-commuting map (char != 2 is guaranteed
     by the admitted fields, so the algebra is 2-torsion-free).  Runs on any
     algebra under the identity twist."""
-    sigma = _sigma_for(t, sigma, SKEW_ZERO)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, None, f"{SKEW_ZERO} with a non-identity twist", sigma)
     space = solve_space(t, sigma, "skew_commuting")
     witness = _counterexample(t, space.space, None, lambda w: predicate(w, sigma, "skew_commuting").ok)
     return TheoremReport(
@@ -154,15 +139,13 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     ξ = 0.  Every D must lie in the solved left-multiplier space; when one
     does not, the first such D is the witness.
     """
-    ident = _sigma_for(t, None, GD_LEFT_MULT, triangular=True)
+    require_hypotheses(t, GD_LEFT_MULT)
+    ident = LinearEndo.identity(t.algebra)
     pairs = solve_space(t, ident, "generalized_pair")
     cent = solve_space(t, ident, "centralizing")
     mult = solve_space(t, None, "left_multiplier")
     n2 = t.dim * t.dim
-    f = t.field
-    carrier = [v + (f.zero,) * n2 for v in cent.space.basis]
-    carrier += [(f.zero,) * n2 + unit_vector(f, n2, j) for j in range(n2)]
-    restricted = pairs.space.intersect(Subspace.from_vectors(f, 2 * n2, carrier))
+    restricted = pairs.space.restrict(cent.space, lambda v: v[:n2])
 
     witness = None
     checks = {"left_multiplier": True, "partner_zero": True, "decomposition_trivial": True}
@@ -204,7 +187,8 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
     or else of K missing from C, as a matrix of n columns (D's rows above
     d's for a pair).
     """
-    sigma = _sigma_for(t, sigma, DESCRIPTION, triangular=True)
+    sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, DESCRIPTION, f"{DESCRIPTION} with a non-identity twist", sigma)
     n = t.dim
     dimensions: dict[str, int] = {}
     details: dict = {}
@@ -257,7 +241,7 @@ def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, 
     retries until invertible)."""
     while True:
         u = _random_vector(algebra.field, algebra.dim, rng)
-        u_inv = solve_linear(algebra.left_mul_matrix(u), algebra.unit)
+        u_inv = _inverse(algebra, u)
         if u_inv is not None:
             return u, u_inv
 
@@ -299,8 +283,8 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
     non-identity automorphism (built from random canonical parts and from
     random conjugations, alternating) must fail the centralizing predicate.
     """
-    ident = _sigma_for(t, None, MAYNE, triangular=True)
-    require_trivial_idempotents(t, MAYNE)
+    require_hypotheses(t, MAYNE, MAYNE)
+    ident = LinearEndo.identity(t.algebra)
     rng = random.Random(seed)
     identity_commutes = bool(predicate(ident, ident, "commuting"))
     tested = 0

@@ -135,6 +135,18 @@ def test_plain_algebra_verdicts(algebra, skew_zero):
         assert record["error"] == f"HypothesisNotMet: {name} needs a triangular algebra"
 
 
+def test_plain_algebra_decompositions_are_refused():
+    """Each decomposition gates its own hypotheses: on a plain algebra it
+    reports HypothesisNotMet naming the library entry point it runs."""
+    tasks = [task for task in sorted(TASKS) if task.startswith("decompose:")]
+    report, code = run_config(dict(BASE, algebra={"family": "fixture", "name": "n3"}, tasks=tasks))
+    assert code == 0
+    for record in report["tasks"]:
+        name = "decompose_automorphism" if record["task"] == "decompose:automorphism" else "decompose_space"
+        assert record["status"] == "error"
+        assert record["error"] == f"HypothesisNotMet: {name} needs a triangular algebra"
+
+
 def test_task_errors_do_not_abort_the_run():
     cfg = dict(
         BASE,

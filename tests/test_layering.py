@@ -223,6 +223,34 @@ def test_every_imported_name_is_used(module):
     assert [name for name in unused if (module, name) not in RE_EXPORTS] == []
 
 
+def _docstrings(tree):
+    """The ids of the docstring nodes of a module and of its classes and functions."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+@pytest.mark.parametrize("phrase", ["needs a triangular algebra", "decided idempotent-free"])
+def test_each_hypothesis_message_is_built_in_one_module(phrase):
+    """Only the hypothesis gate (``algebra.require_hypotheses``) writes a
+    hypothesis message: no string outside a docstring holds the phrase in
+    any other module, so the gate cannot be copied again."""
+    builders = [
+        module
+        for module, tree in MODULES.items()
+        if any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+            and id(node) not in _docstrings(tree)
+            for node in ast.walk(tree)
+        )
+    ]
+    assert builders == ["algebra"]
+
+
 # Public names that nothing in the package calls, each kept on purpose.
 KEPT_API = {
     "GF": "the documented constructor of prime fields",

@@ -213,3 +213,22 @@ def test_intersection_matches_complement_oracle(field, n, data):
     s = Subspace.from_vectors(field, n, common + rows(n))
     t = Subspace.from_vectors(field, n, common + rows(n))
     assert s.intersect(t) == intersect_by_complements(s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_restriction_is_the_intersection_with_a_carrier(field, k, rest, data):
+    """The vectors of s whose first k coordinates lie in t are s ∩ (t × F^rest),
+    the carrier being t's basis padded with zeros plus the unit vectors of the
+    last coordinates."""
+    n = k + rest
+
+    def rows(width, most):
+        vectors = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+        return [qvec(field, r) for r in data.draw(st.lists(vectors, max_size=most))]
+
+    s = Subspace.from_vectors(field, n, rows(n, n))
+    t = Subspace.from_vectors(field, k, rows(k, k))
+    carrier = [v + (field.zero,) * rest for v in t.basis]
+    carrier += [(field.zero,) * k + v for v in Subspace.full(field, rest).basis]
+    assert s.restrict(t, lambda v: v[:k]) == s.intersect(Subspace.from_vectors(field, n, carrier))

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -37,11 +39,15 @@ from trialg import (
     trian_trunc,
     upper_triangular,
 )
-from trialg.cli import run_config
+from trialg.cli import build_instance, build_sigma, run_config
+from trialg.fields import field_from_spec
 from trialg.linalg import Matrix, vec_add, vec_sub
 from trialg.maps import SOLVE_KINDS, _generators, _Leibniz, _System, as_endo, endo_of_vec
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 
 def rand_vec(alg, rng, lo=-3, hi=3):
@@ -534,6 +540,45 @@ def test_a_run_solves_each_space_once(monkeypatch):
     assert sorted(solved) == sorted(["sigma_derivation", "generalized_pair", "centralizing", "left_multiplier",
                                      "skew_commuting", "skew_centralizing", "commuting", "generalized_pair",
                                      "centralizing"])
+
+
+def test_a_run_verifies_each_twist_once(monkeypatch):
+    """In one run of the benchmark's mixed job no map but the Mayne samples
+    reaches ``is_automorphism`` twice: a passing verdict is kept on the
+    algebra's memo under the map's matrix, so σ and the identity are each
+    checked once (6 and 4 times before the memo)."""
+    checked = Counter()
+    sampled = set()
+    check = trialg.maps.is_automorphism
+
+    def counting(theta):
+        checked[theta.matrix] += 1
+        return check(theta)
+
+    for module in (trialg.maps, trialg.structure, trialg.theorems):
+        monkeypatch.setattr(module, "is_automorphism", counting)
+    for name in ("_sample_parts_automorphism", "_sample_conjugation_automorphism"):
+        def recording(t, rng, sampler=getattr(trialg.theorems, name)):
+            sigma = sampler(t, rng)
+            sampled.add(sigma.matrix)
+            return sigma
+
+        monkeypatch.setattr(trialg.theorems, name, recording)
+    config = workloads.verify_mix_job(random.Random(0), N=2)
+    instance = build_instance(field_from_spec(config["field"]), config["algebra"])
+    sigma = build_sigma(instance, config["sigma"]).matrix
+    report, code = run_config(config)
+    assert code == 0
+    assert {matrix: n for matrix, n in checked.items() if n > 1 and matrix not in sampled} == {}
+    assert checked[sigma] == checked[Matrix.identity(instance.algebra.field, instance.algebra.dim)] == 1
+
+
+def test_none_is_the_identity_twist():
+    """``sigma=None`` solves every kind under the identity, unchecked; a
+    given identity is checked, and both give the one memoized space."""
+    t = trian_trunc(2, GF(7))
+    for kind in SOLVE_KINDS:
+        assert solve_space(t, None, kind) is solve_space(t, LinearEndo.identity(t.algebra), kind)
 
 
 @pytest.mark.parametrize(

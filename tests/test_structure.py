@@ -27,10 +27,21 @@ from trialg import (
     predicate,
     solve_space,
     trian_trunc,
+    trunc_poly,
+    upper_triangular,
 )
+from trialg.algebra import center
 from trialg.linalg import Matrix, vec_add, vec_sub
 from trialg.maps import endo_of_vec
-from trialg.structure import AutParts, _extract_cent_parts, description_conditions, identity_aut_parts
+from trialg.structure import (
+    AutParts,
+    _extract_cent_parts,
+    decompose_space,
+    description_conditions,
+    description_space,
+    identity_aut_parts,
+    sigma_center,
+)
 
 from conftest import diag_sign_automorphism, unipotent_automorphism
 
@@ -68,6 +79,40 @@ def test_decomposition_gates_on_idempotent_flags(t3q):
         decompose_automorphism(t3q, LinearEndo.identity(t3q.algebra))
 
 
+# every entry point that needs a triangular algebra, called on a plain one
+PLAIN_ALGEBRA_CALLS = {
+    "center": lambda a: center(a),
+    "sigma_center": lambda a: sigma_center(a, None),
+    "decompose_automorphism": lambda a: decompose_automorphism(a, None),
+    "decompose_space": lambda a: decompose_space(a, None, "derivation"),
+    "description_space": lambda a: description_space(a, None, "sigma_derivation"),
+    "description_conditions": lambda a: description_conditions(a, None, "centralizing", []),
+    "decompose_sigma_derivation": lambda a: decompose_sigma_derivation(a, None, LinearEndo.zero(a)),
+    "decompose_centralizing": lambda a: decompose_centralizing(a, None, LinearEndo.zero(a)),
+    "decompose_generalized": lambda a: decompose_generalized(a, None, LinearEndo.zero(a), LinearEndo.zero(a)),
+    "decompose_left_multiplier": lambda a: decompose_left_multiplier(a, LinearEndo.zero(a)),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_ALGEBRA_CALLS)
+def test_plain_algebras_are_refused(name):
+    """Each entry point refuses an algebra that is not triangular with
+    HypothesisNotMet naming itself, before it reads a corner."""
+    with pytest.raises(HypothesisNotMet, match=f"^{name} needs a triangular algebra$"):
+        PLAIN_ALGEBRA_CALLS[name](trunc_poly(3, QQ))
+
+
+def test_decompose_space_gates_before_it_solves():
+    """A twisted decomposition on corners not decided idempotent-free is
+    refused before its space is solved.  Built afresh, so that no solve is
+    memoized."""
+    t = upper_triangular(3, QQ)
+    for kind in ("sigma_derivation", "centralizing", "commuting", "generalized_pair"):
+        with pytest.raises(HypothesisNotMet, match="^automorphism decomposition needs diagonal algebras"):
+            decompose_space(t, diag_sign_automorphism(t), kind)
+    assert not any(key[0] == "solve" for key in t.algebra.memo if isinstance(key, tuple))
+
+
 def test_decomposition_rejects_non_automorphism(t2q):
     with pytest.raises(NotAutomorphism):
         decompose_automorphism(t2q, LinearEndo.zero(t2q.algebra))
@@ -99,11 +144,14 @@ def test_automorphism_round_trip(t2q, t2f5, trunc3q):
             assert compose_automorphism(t, parts).matrix == sig.matrix
 
 
-def test_decomposition_checks_the_automorphism_once(trunc3q, automorphism_checks):
-    """σ is checked once; the parts that recompose to it need no check of their own."""
-    sig = unipotent_automorphism(trunc3q)
-    decompose_automorphism(trunc3q, sig)
-    assert automorphism_checks == [trunc3q.dim]
+def test_decomposition_checks_the_automorphism_once(automorphism_checks):
+    """σ is checked once; the parts that recompose to it need no check of their own.
+    Built afresh: a passing check is kept on the algebra's memo, which the
+    session fixtures share."""
+    t = trian_trunc(3, QQ)
+    sig = unipotent_automorphism(t)
+    decompose_automorphism(t, sig)
+    assert automorphism_checks == [t.dim]
 
 
 def test_zero_derivation_decomposes_to_zero(t2q):
