@@ -342,8 +342,8 @@ def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, sam
         "theorem": report.theorem,
         "instance": report.instance,
         "passed": report.passed,
-        "dimensions": dict(sorted(report.dimensions.items())),
-        "details": {k: report.details[k] for k in sorted(report.details)},
+        "dimensions": report.dimensions,
+        "details": report.details,
     }
     if report.witness is not None:
         out["witness"] = fmt_matrix(instance.algebra.field, report.witness)

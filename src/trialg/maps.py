@@ -381,28 +381,20 @@ def predicate(theta: LinearEndo, sigma: LinearEndo, mode: str) -> CheckResult:
 def inner_automorphism(alg: FDAlgebra, u: Sequence) -> LinearEndo:
     """Conjugation x -> u·x·u⁻¹ by an invertible element of a unital algebra.
 
-    Raises ValueError when the algebra has no unit, or u has the wrong
-    length or is not invertible (:func:`_inverse`).
+    u⁻¹ is the one solution of u·x = 1 (in a finite-dimensional algebra a
+    right inverse is an inverse).  Raises ValueError when the algebra has no
+    unit, or u has the wrong length or is not invertible; ``verify_mayne``
+    draws random elements until one is accepted.
     """
     if not alg.is_unital:
         raise ValueError("conjugation needs a unital algebra")
     if len(u) != alg.dim:
         raise ValueError("conjugating element has wrong length")
-    u_inv = _inverse(alg, u)
+    left = alg.left_mul_matrix(u)
+    u_inv = solve_linear(left, alg.unit)
     if u_inv is None:
         raise ValueError("conjugating element is not invertible")
-    return _conjugation(alg, u, u_inv)
-
-
-def _inverse(alg: FDAlgebra, u: Sequence) -> Vector | None:
-    """u⁻¹ as the one solution of u·x = 1 (in a finite-dimensional algebra a
-    right inverse is an inverse); None when u is not invertible."""
-    return solve_linear(alg.left_mul_matrix(u), alg.unit)
-
-
-def _conjugation(alg: FDAlgebra, u: Sequence, u_inv: Sequence) -> LinearEndo:
-    """x -> u·x·u⁻¹, for an element whose inverse is already known."""
-    return LinearEndo(alg, alg.left_mul_matrix(u) @ alg.right_mul_matrix(u_inv))
+    return LinearEndo(alg, left @ alg.right_mul_matrix(u_inv))
 
 
 # ---------------------------------------------------------------------------

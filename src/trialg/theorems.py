@@ -13,13 +13,12 @@ import random
 from .algebra import FDAlgebra, TriangularAlgebra, require_hypotheses
 from .errors import HypothesisNotMet, StructuralMismatch
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, vec_neg
+from .linalg import Matrix, Subspace, Vector
 from .maps import (
     LinearEndo,
-    _conjugation,
-    _inverse,
     as_algebra,
     endo_of_vec,
+    inner_automorphism,
     is_automorphism,
     is_left_multiplier,
     is_sigma_derivation,
@@ -28,7 +27,7 @@ from .maps import (
     solve_space,
 )
 from .records import Record, field
-from .structure import DESCRIPTION_KINDS, AutParts, _composed, _decompose_members, description_space
+from .structure import DESCRIPTION_KINDS, _decompose_members, description_space
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -219,70 +218,28 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
 # Mayne-style sampling
 
 
-def _random_scalar(field: Field, rng: random.Random, nonzero: bool = False):
-    if field.char == 0:
-        lo, hi = (-3, 3)
-        while True:
-            x = field.from_int(rng.randint(lo, hi))
-            if x or not nonzero:
-                return x
-    while True:
-        x = field.from_int(rng.randrange(field.char))
-        if x or not nonzero:
-            return x
-
-
 def _random_vector(field: Field, n: int, rng: random.Random) -> Vector:
-    return tuple(_random_scalar(field, rng) for _ in range(n))
-
-
-def _random_invertible(algebra: FDAlgebra, rng: random.Random) -> tuple[Vector, Vector]:
-    """A random invertible element and its inverse (unital algebras only;
-    retries until invertible)."""
-    while True:
-        u = _random_vector(algebra.field, algebra.dim, rng)
-        u_inv = _inverse(algebra, u)
-        if u_inv is not None:
-            return u, u_inv
-
-
-def _sample_parts_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
-    """Compose parts, unchecked: inner f and g, ν = s·(u·m·w⁻¹), random m_σ."""
-    A, M, B = t.A, t.M, t.B
-    field = t.field
-    u, u_inv = _random_invertible(A, rng)
-    fmat = _conjugation(A, u, u_inv).matrix
-    w, w_inv = _random_invertible(B, rng)
-    gmat = _conjugation(B, w, w_inv).matrix
-    s = _random_scalar(field, rng, nonzero=True)
-    nu_cols = [
-        tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))
-        for k in range(M.dim)
-    ]
-    nu = Matrix.from_columns(field, nu_cols, nrows=M.dim)
-    m_sigma = _random_vector(field, M.dim, rng)
-    return _composed(t, AutParts(t, fmat, gmat, m_sigma, nu))
-
-
-def _sample_conjugation_automorphism(t: TriangularAlgebra, rng: random.Random) -> LinearEndo:
-    """Conjugation by a random (a, m, b) with a and b invertible, which makes
-    it invertible with inverse (a⁻¹, −a⁻¹·m·b⁻¹, b⁻¹)."""
-    M = t.M
-    a, a_inv = _random_invertible(t.A, rng)
-    b, b_inv = _random_invertible(t.B, rng)
-    m = _random_vector(t.field, M.dim, rng)
-    m_inv = vec_neg(t.field, M.act_right(M.act_left(a_inv, m), b_inv))
-    return _conjugation(t.algebra, t.element(a, m, b), t.element(a_inv, m_inv, b_inv))
+    if field.char == 0:
+        return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(n))
+    return tuple(field.from_int(rng.randrange(field.char)) for _ in range(n))
 
 
 def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instance: str = "") -> TheoremReport:
     """The identity is the only centralizing automorphism.
 
     The automorphisms of an algebra are not a linear space, so this is a
-    seeded property test: the identity must be commuting, and every sampled
-    non-identity automorphism (built from random canonical parts and from
-    random conjugations, alternating) must fail the centralizing predicate.
+    seeded property test: the identity must be commuting, and each of
+    ``samples`` (at least 1) non-identity automorphisms must fail the
+    centralizing predicate.  Each sample is the conjugation
+    (:func:`~trialg.maps.inner_automorphism`) by a random unit of T, drawn
+    coordinate by coordinate until it is invertible; (a, m, b) is a unit
+    exactly when a and b are, with inverse (a⁻¹, −a⁻¹·m·b⁻¹, b⁻¹).  Every
+    automorphism composed from inner corner parts is one of these: f = conj_u,
+    g = conj_w, ν(m) = s·u·m·w⁻¹ and any m_σ give conjugation by
+    (s·u, −m_σ·w, w).
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     require_hypotheses(t, MAYNE, MAYNE)
     ident = LinearEndo.identity(t.algebra)
     rng = random.Random(seed)
@@ -294,8 +251,10 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
         attempts += 1
         if attempts > 50 * samples:
             raise StructuralMismatch("automorphism sampling failed to produce non-identity maps")
-        sampler = _sample_parts_automorphism if attempts % 2 else _sample_conjugation_automorphism
-        sigma = sampler(t, rng)
+        try:
+            sigma = inner_automorphism(t.algebra, _random_vector(t.field, t.dim, rng))
+        except ValueError:
+            continue
         if sigma.is_identity():
             continue
         chk = is_automorphism(sigma)

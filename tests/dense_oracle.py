@@ -53,10 +53,6 @@ The subspace intersection is the one :class:`trialg.Subspace` computed
 before it eliminated in the coefficients of its own basis: the kernel of
 both orthogonal complements stacked, each complement itself a kernel.
 
-The Mayne samplers are the ones :mod:`trialg.theorems` used before they
-kept the inverses their invertibility draws compute: each sampled
-conjugation inverts its whole conjugating element again.
-
 The matrix product is the dense triple loop ``Matrix.__matmul__`` ran
 before it applied the left factor to the right factor's sparse columns.
 The dense inverse stands in for ``Matrix.inverse``, which trialg dropped
@@ -108,10 +104,7 @@ from trialg.maps import (
     as_endo,
     bracket_sigma,
     endo_of_vec,
-    inner_automorphism,
 )
-from trialg.structure import AutParts, _composed
-from trialg.theorems import _random_invertible, _random_scalar, _random_vector
 
 
 def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
@@ -994,36 +987,3 @@ def orthogonal_complement(s: Subspace) -> Subspace:
 def intersect_by_complements(s: Subspace, t: Subspace) -> Subspace:
     stacked = list(orthogonal_complement(s).basis) + list(orthogonal_complement(t).basis)
     return kernel_basis(Matrix(s.field, stacked, ncols=s.ambient_dim))
-
-
-# ---------------------------------------------------------------------------
-# Mayne samplers that invert every conjugating element again
-
-
-def sample_parts_automorphism(t, rng) -> LinearEndo:
-    A, M, B = t.A, t.M, t.B
-    field = t.field
-    while True:
-        u = _random_vector(field, A.dim, rng)
-        try:
-            fmat = inner_automorphism(A, u).matrix
-            break
-        except ValueError:
-            pass
-    w, w_inv = _random_invertible(B, rng)
-    gmat = inner_automorphism(B, w).matrix
-    s = _random_scalar(field, rng, nonzero=True)
-    nu_cols = [
-        tuple(field.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv))
-        for k in range(M.dim)
-    ]
-    nu = Matrix.from_columns(field, nu_cols, nrows=M.dim)
-    m_sigma = _random_vector(field, M.dim, rng)
-    return _composed(t, AutParts(t, fmat, gmat, m_sigma, nu))
-
-
-def sample_conjugation_automorphism(t, rng) -> LinearEndo:
-    a, _ = _random_invertible(t.A, rng)
-    b, _ = _random_invertible(t.B, rng)
-    m = _random_vector(t.field, t.M.dim, rng)
-    return inner_automorphism(t.algebra, t.element(a, m, b))

@@ -251,6 +251,19 @@ def test_each_hypothesis_message_is_built_in_one_module(phrase):
     assert builders == ["algebra"]
 
 
+def test_theorems_uses_only_public_names_of_maps():
+    """The Mayne sampler stays on the public ``inner_automorphism``:
+    ``theorems`` imports no underscore-prefixed name from ``maps``."""
+    private = [
+        alias.name
+        for node in _imports(MODULES["theorems"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "maps"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 # Public names that nothing in the package calls, each kept on purpose.
 KEPT_API = {
     "GF": "the documented constructor of prime fields",

@@ -557,13 +557,14 @@ def test_a_run_verifies_each_twist_once(monkeypatch):
 
     for module in (trialg.maps, trialg.structure, trialg.theorems):
         monkeypatch.setattr(module, "is_automorphism", counting)
-    for name in ("_sample_parts_automorphism", "_sample_conjugation_automorphism"):
-        def recording(t, rng, sampler=getattr(trialg.theorems, name)):
-            sigma = sampler(t, rng)
-            sampled.add(sigma.matrix)
-            return sigma
+    conjugation = trialg.theorems.inner_automorphism
 
-        monkeypatch.setattr(trialg.theorems, name, recording)
+    def recording(alg, u):
+        sigma = conjugation(alg, u)
+        sampled.add(sigma.matrix)
+        return sigma
+
+    monkeypatch.setattr(trialg.theorems, "inner_automorphism", recording)
     config = workloads.verify_mix_job(random.Random(0), N=2)
     instance = build_instance(field_from_spec(config["field"]), config["algebra"])
     sigma = build_sigma(instance, config["sigma"]).matrix

@@ -5,19 +5,27 @@ import pytest
 from trialg import (
     GF,
     QQ,
+    AutParts,
+    CheckResult,
     HypothesisNotMet,
     LinearEndo,
+    Matrix,
     StructuralMismatch,
     Subspace,
+    block_upper,
+    compose_automorphism,
     fixture_n3,
     full_matrix_algebra,
+    inner_automorphism,
     is_left_multiplier,
     is_sigma_derivation,
     predicate,
+    solve_linear,
     solve_space,
     theorems,
     trian_trunc,
     trunc_poly,
+    upper_triangular,
     verify_description,
     verify_gd_left_mult,
     verify_mayne,
@@ -26,7 +34,8 @@ from trialg import (
     verify_skew_zero,
 )
 from conftest import diag_sign_automorphism, unipotent_automorphism
-from dense_oracle import contains_pair, sample_conjugation_automorphism, sample_parts_automorphism, vec_of_endo
+from dense_oracle import contains_pair, vec_of_endo
+from trialg.linalg import vec_neg
 from trialg.maps import MapSpace
 
 
@@ -209,13 +218,76 @@ def test_reports_are_truthy_only_when_passing(t2q):
     assert bool(report) is report.passed is True
 
 
-@pytest.mark.parametrize("seed", [0, 3, 777, 2024])
-def test_mayne_samplers_draw_the_inverting_samplers_maps(t2q, t2f5, seed):
-    """Keeping the inverses of the invertibility draws changes neither the
-    sampled automorphisms nor the random stream."""
-    for t in (t2q, t2f5, trian_trunc(3, GF(7))):
-        new, old = random.Random(seed), random.Random(seed)
-        for _ in range(6):
-            assert theorems._sample_parts_automorphism(t, new) == sample_parts_automorphism(t, old)
-            assert theorems._sample_conjugation_automorphism(t, new) == sample_conjugation_automorphism(t, old)
-        assert new.getstate() == old.getstate()
+@pytest.mark.parametrize("samples", [0, -3])
+def test_mayne_refuses_fewer_than_one_sample(t2q, samples):
+    """No sample would make the verifier pass vacuously."""
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_mayne(t2q, samples=samples)
+
+
+def _unit(alg, rng):
+    """A random invertible element of a unital algebra and its inverse."""
+    while True:
+        u = tuple(alg.field.from_int(rng.randint(-3, 3)) for _ in range(alg.dim))
+        u_inv = solve_linear(alg.left_mul_matrix(u), alg.unit)
+        if u_inv is not None:
+            return u, u_inv
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: upper_triangular(2, QQ),
+        lambda: upper_triangular(3, GF(7)),
+        lambda: trian_trunc(3, GF(7)),
+        lambda: block_upper((2, 2), 1, QQ),
+    ],
+    ids=["T2-Q", "T3-GF7", "trian_trunc3-GF7", "block22-Q"],
+)
+def test_inner_parts_compose_to_a_conjugation_by_a_unit(build):
+    """The automorphism with parts f = conj_u, g = conj_w, ν(m) = s·u·m·w⁻¹
+    and any m_σ is the conjugation by the unit (s·u, −m_σ·w, w), so
+    conjugations by random units of T cover every map composed from inner
+    corner parts."""
+    t = build()
+    A, M, B, f = t.A, t.M, t.B, t.field
+    rng = random.Random(11)
+    for _ in range(4):
+        u, _ = _unit(A, rng)
+        w, w_inv = _unit(B, rng)
+        s = f.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        m_sigma = tuple(f.from_int(rng.randint(-3, 3)) for _ in range(M.dim))
+        nu = Matrix.from_columns(
+            f,
+            [tuple(f.mul(s, x) for x in M.act_right(M.act_left(u, M.basis_vector(k)), w_inv)) for k in range(M.dim)],
+            nrows=M.dim,
+        )
+        parts = AutParts(t, inner_automorphism(A, u).matrix, inner_automorphism(B, w).matrix, m_sigma, nu)
+        unit = t.element(tuple(f.mul(s, x) for x in u), vec_neg(f, M.act_right(m_sigma, w)), w)
+        assert compose_automorphism(t, parts) == inner_automorphism(t.algebra, unit)
+
+
+def test_mayne_reports_the_first_sample_that_is_centralizing(t2f5, monkeypatch):
+    """With every map taken as centralizing, the report fails on the first
+    non-identity sample and names it as its witness."""
+    sampled = []
+    conjugation = theorems.inner_automorphism
+
+    def recording(alg, u):
+        sigma = conjugation(alg, u)
+        sampled.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(theorems, "inner_automorphism", recording)
+    monkeypatch.setattr(theorems, "predicate", lambda theta, sigma, mode: CheckResult(True))
+    report = verify_mayne(t2f5, samples=10, seed=3)
+    first = next(sigma for sigma in sampled if not sigma.is_identity())
+    assert not report.passed
+    assert report.witness == first.matrix
+    assert report.dimensions["samples"] == 0
+
+
+def test_mayne_raises_on_a_sampled_non_automorphism(t2f5, monkeypatch):
+    monkeypatch.setattr(theorems, "inner_automorphism", lambda alg, u: LinearEndo.zero(alg))
+    with pytest.raises(StructuralMismatch, match="non-automorphism"):
+        verify_mayne(t2f5, samples=5, seed=1)
