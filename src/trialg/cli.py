@@ -355,7 +355,7 @@ def run_config(config: dict) -> tuple[dict, int]:
     if not isinstance(config, dict):
         raise ConfigError("config", "top level must be an object")
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
-    version = config.get("schema_version", SCHEMA_VERSION)
+    version = _config_int(config.get("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported schema version {version!r}")
     field = _field_from_config(config)
@@ -474,5 +474,5 @@ def fixtures_catalog() -> list[dict]:
 
 
 def report_to_json(report: dict) -> str:
-    """The report's JSON text, its fragments joined once."""
+    """The report's JSON text, lists of scalars on one line, its fragments joined once."""
     return "".join(report_fragments(report))

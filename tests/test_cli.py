@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from report_reference import reference_text
 
 from trialg import cli
 from trialg.__main__ import main
@@ -279,7 +280,9 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 def test_report_writer_matches_json_dumps(value):
-    assert report_to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    text = report_to_json(value)
+    assert text == reference_text(value) + "\n"
+    assert json.loads(text) == json.loads(json.dumps(value))
 
 
 def test_report_writer_rejects_non_string_keys():
@@ -385,6 +388,8 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         {"algebra": {"labels": "e", "table": [[["1"]]], "unit": ["1"]}},
         {"sigma": {"diag_signs": [True, -1]}},
         {"sigma": {"conjugate_by": ["1", False, "1"]}},
+        {"schema_version": True},
+        {"schema_version": 1.0},
     ],
     ids=[
         "samples-zero",
@@ -426,6 +431,8 @@ def test_main_config_error_exit_two(tmp_path, capsys):
         "labels-string",
         "diag-signs-bool",
         "conjugate-by-bool",
+        "schema-version-bool",
+        "schema-version-float",
     ],
 )
 def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
@@ -562,9 +569,10 @@ def test_pair_solve_memory_is_bounded():
 
 
 def test_report_writer_peak_is_the_text_and_its_fragments():
-    """Serializing the T6 generalized-pair report (739,042 bytes) holds the
-    fragment list and the joined text, about 1.5 times the text; building
-    each container's text from its items' texts took it to 2 times."""
+    """Serializing the T6 generalized-pair report (208,666 bytes, each matrix
+    row on one line) holds the fragment list and the joined text.  The bound
+    is about half the peak of 1,093,602 B measured when every entry had its
+    own line (739,042 bytes of text)."""
     cfg = {"field": {"prime": 10007}, "algebra": {"family": "Tn", "n": 6},
            "sigma": "identity", "tasks": ["solve:generalized_pair"]}
     report, _ = run_config(cfg)
@@ -574,17 +582,36 @@ def test_report_writer_peak_is_the_text_and_its_fragments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert peak <= 1.6 * len(text)
+    assert text == reference_text(report) + "\n"
+    assert len(text) == 208_666
+    assert peak <= 550_000
 
 
-def test_report_fragments_share_their_separators():
-    report = {"basis": [["0", "1", "0"], ["0", "0", "1"]], "dim": 2}
+def test_report_layout_puts_each_list_of_scalars_on_one_line():
+    report = {
+        "basis": [["0", "1", "\u00e9"], ["0", "0", "1"]],
+        "dims": (2, 3),
+        "empty": [],
+        "details": {"pair": [1, None], "rows": [[True, 0.5]], "name": "T2"},
+    }
     fragments = report_fragments(report)
-    assert "".join(fragments) == report_to_json(report)
-    # the later zeros of both rows are one string, separator included
-    zeros = [f for f in fragments if f.endswith('"0"') and f.startswith(",")]
-    assert len(zeros) == 2 and zeros[0] is zeros[1]
+    assert "".join(fragments) == report_to_json(report) == (
+        "{\n"
+        '  "basis": [\n'
+        '    ["0", "1", "\\u00e9"],\n'
+        '    ["0", "0", "1"]\n'
+        "  ],\n"
+        '  "details": {\n'
+        '    "name": "T2",\n'
+        '    "pair": [1, null],\n'
+        '    "rows": [\n'
+        "      [true, 0.5]\n"
+        "    ]\n"
+        "  },\n"
+        '  "dims": [2, 3],\n'
+        '  "empty": []\n'
+        "}\n"
+    )
 
 
 def test_main_run_writes_the_fragments(tmp_path, capsys):

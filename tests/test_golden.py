@@ -1,13 +1,19 @@
-"""Golden reports: the exact bytes of six reports, pinned by their sha256.
+"""Golden reports: six reports, each pinned by two sha256 digests.
 
-A refactor that is meant to leave reports unchanged must keep these digests.
-A deliberate change to the report format updates them, with the reason in
+The first digest is of the report's bytes; the second is of its content,
+``json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))``.  A
+refactor that is meant to leave reports unchanged must keep both.  A change to
+the layout alone keeps the content digest and updates the byte digest; a
+change to the content updates both.  Either comes with the reason in
 CHANGES.md.
 """
 
+import functools
 import hashlib
+import json
 
 import pytest
+from report_reference import reference_text
 
 from trialg.cli import report_to_json, run_config
 from trialg.maps import SOLVE_KINDS
@@ -39,7 +45,8 @@ GOLDEN = {
             "seed": 7,
             "samples": 10,
         },
-        "90e4848af65c914fd2f413963ecc43f74b0e812be6195a8850b216e3646ddda2",
+        "530553fb905d31c9a8669891cfd478450399a4e1f831075615a1399efcdd4941",
+        "b2615c9804caeea37be8fc063fb392bc238869e4810652127f87f83718a3b251",
     ),
     "t3_q_solve_all": (
         {
@@ -48,7 +55,8 @@ GOLDEN = {
             "sigma": "identity",
             "tasks": [f"solve:{kind}" for kind in SOLVE_KINDS] + ["decompose:centralizing"],
         },
-        "93e46a3fa31d495ed36f26c5e62f5da33b978eb987f044bbbe43bf95ead02521",
+        "a8b4f7e1cfa93e7d67185ead11b2ee016380e025850d2255fc5cd7f7fffe983b",
+        "e75b426084d8250adfaa0f8f133fb1c1fe6c9f73742110e29f76da3dad0fd9e9",
     ),
     # every decomposition kind but automorphism, and a triangular sigma_center
     # without eta (T2 has nontrivial idempotents)
@@ -70,7 +78,8 @@ GOLDEN = {
                 )
             ],
         },
-        "c136d24d1b514e63720a6f723e9a895fb929b5e1de190a9d98c81b27ae96dea0",
+        "7bd24abd62f2a2d1e3c0016374af7a58709c28a3d6c8b19d8714a572d8f103b9",
+        "d90c630063678e687b93b631fdcdc075b8e0af7de0dbf23b0021cd5ea5f49987",
     ),
     # the center and sigma_center records of a non-triangular algebra
     "n3_gf7_centers": (
@@ -80,7 +89,8 @@ GOLDEN = {
             "sigma": {"fixture_map": "sigma"},
             "tasks": ["center", "sigma_center"],
         },
-        "0bda76afa9d0977300750ab64a07479208bf96c2d458f773aff3095e7bccde14",
+        "4df82e7a6527e5ea3b51d53308781b3aaea0bad3f98936dee246629f574af176",
+        "8c1c6067f8658354d3c0c26db6c79dfc9ffbb8d7d86195d93d287efa3e4d061e",
     ),
     # centers, twisted centers and every solve kind under inner twists, where
     # the centralizing kinds reduce against Z(A) ≠ A and σ-centers need τ and η
@@ -91,7 +101,8 @@ GOLDEN = {
             "sigma": {"conjugate_by": ["1", "2", "3", "4", "5", "6", "1", "2", "3"]},
             "tasks": ["center", "sigma_center"] + [f"solve:{kind}" for kind in SOLVE_KINDS],
         },
-        "ca0dbabe7781201042c6c2657f22636ab6a38fd63ceb073874d1e47a73869864",
+        "1e952990b1f4034c73f75b155857a03ccc698e51fe67d5cd2aca400effe810a0",
+        "11960fb6b2c82eab6d854426c8fb03826b92bf4e7794b5e0535fd0e4edd95cdd",
     ),
     "trian_trunc2_q_inner_centers_solve_all": (
         {
@@ -100,15 +111,33 @@ GOLDEN = {
             "sigma": {"conjugate_by": ["1", "1/2", "3", "-1", "2", "1/3"]},
             "tasks": ["center", "sigma_center"] + [f"solve:{kind}" for kind in SOLVE_KINDS],
         },
-        "16e490619d56b879f6855eb65c184286a8f1d0219bd9d78c26124ddbac913cf6",
+        "409554407ad0fbe7d1ea2ee6a5a94180dce7cb08c3e6bf7b4a54f971f4ba7adf",
+        "6857969679b7aa9ce1e358dfc87b3367fe17ef425e8622dca9c1f7d241846a69",
     ),
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_report_bytes_match_golden_digest(name):
-    config, digest = GOLDEN[name]
+@functools.cache
+def _golden_report(name):
+    config = GOLDEN[name][0]
     report, code = run_config(config)
     assert code == 0
     assert all(record["status"] in ("ok", "pass") for record in report["tasks"])
-    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
+    return report, report_to_json(report)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_report_bytes_match_golden_digest(name):
+    _, text = _golden_report(name)
+    assert _sha256(text) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_report_content_matches_golden_digest(name):
+    report, text = _golden_report(name)
+    assert _sha256(json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))) == GOLDEN[name][2]
+    assert text == reference_text(report) + "\n"
