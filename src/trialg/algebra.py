@@ -2,10 +2,12 @@
 
 An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
-into the block algebra of formal upper-triangular 2x2 matrices.  The center
-is the twisted center of the identity, and twisted centers are kernels of the
-bracket operators λ ↦ σ(e_i)λ − λe_i, which one sparse builder reads from the
-structure constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
+into the block algebra of formal upper-triangular 2x2 matrices, and is itself
+an :class:`FDAlgebra` (its ``algebra`` property returns the algebra itself,
+kept for existing callers).  The center is the twisted center of the
+identity, and twisted centers are kernels of the bracket operators
+λ ↦ σ(e_i)λ − λe_i, which one sparse builder reads from the structure
+constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
 The (twisted) center of a triangular algebra is cross-checked against its
 structural form, built from the pairs (a, b) with a·m = ν(m)·b, and the
 corner maps τ and η are read off those pairs (the twisted-center caller needs
@@ -335,17 +337,17 @@ class Bimodule:
         return f"Bimodule(dim={self.dim})"
 
 
-class TriangularAlgebra:
-    """The block algebra of formal matrices [[a, m], [0, b]].
+class TriangularAlgebra(FDAlgebra):
+    """The block algebra of formal matrices [[a, m], [0, b]], itself an
+    :class:`FDAlgebra` with the unit (1_A, 0, 1_B).
 
     Basis order: A's basis, then M's, then B's, so coordinate projections and
     embeddings are index slices.  ``p`` and ``q`` are the complementary
     diagonal idempotents (1_A, 0, 0) and (0, 0, 1_B).  M must be faithful
-    on both sides (NotFaithful otherwise).  ``memo`` holds values derived from
-    the algebra, computed once and freed with it.
+    on both sides (NotFaithful otherwise).
     """
 
-    __slots__ = ("A", "M", "B", "algebra", "p", "q", "memo", "__weakref__")
+    __slots__ = ("A", "M", "B", "p", "q")
 
     def __init__(self, A: FDAlgebra, M: Bimodule, B: FDAlgebra):
         if not (A.is_unital and B.is_unital):
@@ -353,21 +355,17 @@ class TriangularAlgebra:
         if M.left_algebra is not A or M.right_algebra is not B:
             raise ValueError("bimodule does not act for the given algebras")
         self.A, self.M, self.B = A, M, B
-        self.memo: dict = {}
         self._check_faithful()
-        self.algebra = self._assemble()
+        self._assemble()
         self.p = self.element(A.unit, M.zero(), B.zero())
         self.q = self.element(A.zero(), M.zero(), B.unit)
 
+    @property
+    def algebra(self) -> "TriangularAlgebra":
+        """T itself, its own assembled FDAlgebra; kept for existing callers."""
+        return self
+
     # -- coordinate bookkeeping ------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.A.dim + self.M.dim + self.B.dim
-
-    @property
-    def field(self) -> Field:
-        return self.A.field
 
     @property
     def trivial_idempotent_components(self) -> bool:
@@ -388,11 +386,12 @@ class TriangularAlgebra:
 
     # -- construction ------------------------------------------------------
 
-    def _assemble(self) -> FDAlgebra:
-        """T from its corners' sparse tables: a_i·a_j, a_i·m_k, m_k·b_j and
-        b_i·b_j are corner products with shifted indices, and every other
-        basis product is 0.  A, B and M were checked at construction, so T
-        is associative with unit (1_A, 0, 1_B) and is not checked again."""
+    def _assemble(self) -> None:
+        """Set T's structure constants from its corners' sparse tables:
+        a_i·a_j, a_i·m_k, m_k·b_j and b_i·b_j are corner products with shifted
+        indices, and every other basis product is 0.  A, B and M were checked
+        at construction, so T is associative with unit (1_A, 0, 1_B) and is
+        not checked again."""
         A, M, B = self.A, self.M, self.B
         na, nm, nb = A.dim, M.dim, B.dim
 
@@ -405,14 +404,13 @@ class TriangularAlgebra:
             + [((),) * (na + nm) + b for b in shifted(B._sparse, na + nm)]
         )
         labels = [f"a:{s}" for s in A.labels] + [f"m:{s}" for s in M.labels] + [f"b:{s}" for s in B.labels]
-        unit = self.element(A.unit, M.zero(), B.unit)
-        return FDAlgebra.__new__(FDAlgebra)._init(self.field, labels, sparse, unit)
+        self._init(A.field, labels, sparse, self.element(A.unit, M.zero(), B.unit))
 
     def _check_faithful(self) -> None:
         # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; the column of a
         # basis element stacks its action on every basis vector of M, row
         # k·dim M + t holding coordinate t of its action on m_k
-        A, M, B, f, n = self.A, self.M, self.B, self.field, self.M.dim
+        A, M, B, f, n = self.A, self.M, self.B, self.A.field, self.M.dim
         left = ((k * n + t, i, s) for i, row in enumerate(M._left) for k, v in enumerate(row) for t, s in v)
         right = ((k * n + t, j, s) for k, row in enumerate(M._right) for j, v in enumerate(row) for t, s in v)
         for side, entries, ncols in (("left", left, A.dim), ("right", right, B.dim)):
@@ -543,7 +541,7 @@ def center(t: TriangularAlgebra) -> CenterData:
     cross-check fails.  τ is read off the structural pairs."""
     require_hypotheses(t, "center")
     f = t.field
-    oracle = center_subspace(t.algebra)
+    oracle = center_subspace(t)
     pairs = _structural_pairs(t, oracle, Matrix.identity(f, t.M.dim), t.M.zero(), "center")
     piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in oracle.basis])
     piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in oracle.basis])

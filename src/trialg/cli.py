@@ -39,6 +39,7 @@ from .families import (
 from .fields import QQ, Field, field_from_spec, field_to_spec
 from .linalg import Matrix, Subspace, vec_add, vec_scale
 from .maps import SOLVE_KINDS, LinearEndo, inner_automorphism, resolve_twist, solve_space
+from .records import Record
 from .report import report_fragments
 
 SCHEMA_VERSION = 1
@@ -138,15 +139,13 @@ def parse_matrix(field: Field, rows) -> Matrix:
 # config handling
 
 
-class Instance:
-    """A built algebra instance: always an FDAlgebra, sometimes triangular."""
+class Instance(Record):
+    """A built algebra instance: its name, its algebra (a TriangularAlgebra
+    for the triangular families) and, for a fixture, the fixture itself."""
 
-    def __init__(self, name: str, algebra: FDAlgebra, t: TriangularAlgebra | None = None,
-                 fixture: Fixture | None = None):
-        self.name = name
-        self.algebra = algebra
-        self.t = t
-        self.fixture = fixture
+    name: str
+    algebra: FDAlgebra
+    fixture: Fixture | None = None
 
 
 def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
@@ -164,17 +163,14 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
         if family == "Tn":
             n = _config_int(spec["n"], "n")
             split = _config_int(spec.get("split", 1), "split")
-            t = upper_triangular(n, field, split)
-            return Instance(f"T{n}(split={split})", t.algebra, t)
+            return Instance(f"T{n}(split={split})", upper_triangular(n, field, split))
         if family == "block":
             dims = tuple(_config_int(d, "dims") for d in _config_list(spec["dims"], "dims"))
             split = _config_int(spec.get("split", 1), "split")
-            t = block_upper(dims, split, field)
-            return Instance(f"block{dims}(split={split})", t.algebra, t)
+            return Instance(f"block{dims}(split={split})", block_upper(dims, split, field))
         if family == "trian_trunc":
             N = _config_int(spec["N"], "N")
-            t = trian_trunc(N, field)
-            return Instance(f"trian_trunc({N})", t.algebra, t)
+            return Instance(f"trian_trunc({N})", trian_trunc(N, field))
         if family == "trunc_poly":
             N = _config_int(spec["N"], "N")
             return Instance(f"trunc_poly({N})", trunc_poly(N, field))
@@ -210,7 +206,6 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
 def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
     alg = instance.algebra
     field = alg.field
-    t = instance.t or alg  # the diag_signs and parts forms gate it
     if spec in (None, "identity"):
         return LinearEndo.identity(alg)
     if not isinstance(spec, dict):
@@ -223,18 +218,20 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             if instance.fixture is None:
                 raise ConfigError(where, "fixture_map needs a fixture instance")
             name = spec["fixture_map"]
+            if not isinstance(name, str):
+                raise ConfigError(where, f"fixture_map must be a string, got {name!r}")
             if name not in instance.fixture.maps:
                 raise ConfigError(where, f"fixture has no map {name!r}")
             return instance.fixture.maps[name]
         if "diag_signs" in spec:
-            require_hypotheses(t, "diag_signs")
+            require_hypotheses(alg, "diag_signs")
             signs = _config_list(spec["diag_signs"], "diag_signs")
             if len(signs) != 2:
                 raise ConfigError(where, "diag_signs must give one sign per diagonal corner")
             sa, sb = (parse_scalar(field, s) for s in signs)
             if not sa or not sb:
                 raise ConfigError(where, "diagonal signs must be invertible")
-            u = vec_add(field, vec_scale(field, sa, t.p), vec_scale(field, sb, t.q))
+            u = vec_add(field, vec_scale(field, sa, alg.p), vec_scale(field, sb, alg.q))
             return inner_automorphism(alg, u)
         if "conjugate_by" in spec:
             u = parse_vector(field, spec["conjugate_by"])
@@ -245,17 +242,19 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
             except NotAutomorphism as exc:
                 raise ConfigError(where, f"matrix is not an automorphism: {exc.witness}") from exc
         # the one form left: parts
-        require_hypotheses(t, "parts")
+        require_hypotheses(alg, "parts")
         p = spec["parts"]
+        if not isinstance(p, dict):
+            raise ConfigError(where, f"parts must be an object, got {p!r}")
         _reject_unknown_keys(p, PARTS_KEYS, f"{where}.parts")
         parts = structure.AutParts(
-            t,
+            alg,
             parse_matrix(field, p["f"]),
             parse_matrix(field, p["g"]),
             parse_vector(field, p["m_sigma"]),
             parse_matrix(field, p["nu"]),
         )
-        return structure.compose_automorphism(t, parts)
+        return structure.compose_automorphism(alg, parts)
     except ConfigError:
         raise
     except KeyError as exc:
@@ -271,18 +270,18 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
 
 
 def _run_center(instance: Instance) -> dict:
-    field = instance.algebra.field
-    if instance.t is None:
-        return {"center": fmt_subspace(field, center_subspace(instance.algebra))}
-    return _record(field, center(instance.t))
+    alg = instance.algebra
+    if not isinstance(alg, TriangularAlgebra):
+        return {"center": fmt_subspace(alg.field, center_subspace(alg))}
+    return _record(alg.field, center(alg))
 
 
 def _run_sigma_center(instance: Instance, sigma: LinearEndo) -> dict:
-    field = instance.algebra.field
-    if instance.t is None:
-        space = sigma_center_subspace(instance.algebra, resolve_twist(instance.algebra, sigma).matrix)
-        return {"sigma_center": fmt_subspace(field, space)}
-    return _record(field, structure.sigma_center(instance.t, sigma))
+    alg = instance.algebra
+    if not isinstance(alg, TriangularAlgebra):
+        space = sigma_center_subspace(alg, resolve_twist(alg, sigma).matrix)
+        return {"sigma_center": fmt_subspace(alg.field, space)}
+    return _record(alg.field, structure.sigma_center(alg, sigma))
 
 
 def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
@@ -300,9 +299,9 @@ def _run_solve(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 
 def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
-    field = instance.algebra.field
     # each decomposition and verifier gates its own hypotheses, a triangular algebra included
-    t = instance.t or instance.algebra
+    t = instance.algebra
+    field = t.field
     if kind == "automorphism":
         return _record(field, structure.decompose_automorphism(t, sigma), kind=kind, round_trip=True)
     members = []
@@ -325,7 +324,7 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 
 
 def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, samples: int) -> dict:
-    t = instance.t or instance.algebra
+    t = instance.algebra
     if name == "posner":
         report = theorems.verify_posner(t, sigma, instance.name)
     elif name == "mayne":
@@ -333,7 +332,7 @@ def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, sam
     elif name == "skew_zero":
         report = theorems.verify_skew_zero(t, sigma, instance.name)
     elif name == "sharma_dhara":
-        report = theorems.verify_sharma_dhara(instance.algebra, instance.name)
+        report = theorems.verify_sharma_dhara(t, instance.name)
     elif name == "gd_left_mult":
         report = theorems.verify_gd_left_mult(t, instance.name)
     else:
@@ -346,7 +345,7 @@ def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, sam
         "details": report.details,
     }
     if report.witness is not None:
-        out["witness"] = fmt_matrix(instance.algebra.field, report.witness)
+        out["witness"] = fmt_matrix(t.field, report.witness)
     return out
 
 
@@ -367,8 +366,10 @@ def run_config(config: dict) -> tuple[dict, int]:
     seed = _config_int(config.get("seed", 0), "seed")
     samples = _config_int(config.get("samples", 50), "samples", minimum=1)
     _validate_tasks(tasks)
-    t = instance.t
-    decided = None if t is None else trivial_idempotents(t.A) is not None and trivial_idempotents(t.B) is not None
+    t = instance.algebra
+    decided = None
+    if isinstance(t, TriangularAlgebra):
+        decided = trivial_idempotents(t.A) is not None and trivial_idempotents(t.B) is not None
 
     records = []
     verify_failures = 0

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 
+def vector_text(v) -> str:
+    """A vector as messages write it, ``[1, 1/2]``: each entry as reports
+    write scalars (``str`` of a ``Fraction`` is ``num/den``)."""
+    return f"[{', '.join(map(str, v))}]"
+
+
 class TrialgError(Exception):
     """Base class for all library errors."""
 
@@ -12,7 +18,7 @@ class AssociativityViolation(TrialgError):
         self.indices = (i, j, k)
         self.left = left
         self.right = right
-        super().__init__(f"(e{i}·e{j})·e{k} = {left} but e{i}·(e{j}·e{k}) = {right}")
+        super().__init__(f"(e{i}·e{j})·e{k} = {vector_text(left)} but e{i}·(e{j}·e{k}) = {vector_text(right)}")
 
 
 class UnitViolation(TrialgError):
@@ -33,7 +39,7 @@ class NotFaithful(TrialgError):
     def __init__(self, side: str, witness):
         self.side = side
         self.witness = witness
-        super().__init__(f"module is not faithful on the {side}: {witness} annihilates it")
+        super().__init__(f"module is not faithful on the {side}: {vector_text(witness)} annihilates it")
 
 
 class StructuralMismatch(TrialgError):
@@ -65,7 +71,7 @@ class ReconstructionMismatch(TrialgError):
         self.got = got
         super().__init__(
             f"recomposition disagrees with the original map on basis element {basis_index}: "
-            f"expected {expected}, got {got}"
+            f"expected {vector_text(expected)}, got {vector_text(got)}"
         )
 
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FDAlgebra, TriangularAlgebra, _bilinear, _bracket_operator, _twisted_brackets, center_subspace
-from .errors import NotAutomorphism
+from .algebra import FDAlgebra, _bilinear, _bracket_operator, _twisted_brackets, center_subspace
+from .errors import NotAutomorphism, vector_text
 from .fields import Field, Scalar
 # kernel_basis is re-exported: perfbench's tracer rebinds trialg.maps.kernel_basis.
 from .linalg import Matrix, Subspace, Vector, _plain_rows, kernel_basis, solve_linear, sparse_kernel  # noqa: F401
@@ -83,13 +83,13 @@ class Witness(Record):
         return f"Witness({', '.join(bits)})"
 
     def __str__(self):
-        """The reason, the pair and every vector present, with entries written
-        as reports write scalars (``str`` of a ``Fraction`` is ``num/den``)."""
+        """The reason, the pair and every vector present, each as
+        :func:`trialg.errors.vector_text` writes it."""
         text = self.reason if self.pair is None else f"{self.reason} at pair {self.pair}"
         for name in ("element", "lhs", "rhs"):
             vector = getattr(self, name)
             if vector is not None:
-                text += f", {name} [{', '.join(map(str, vector))}]"
+                text += f", {name} {vector_text(vector)}"
         return text
 
 
@@ -147,18 +147,13 @@ class LinearEndo:
         return f"LinearEndo(dim={self.algebra.dim})"
 
 
-def as_algebra(obj) -> FDAlgebra:
-    return obj.algebra if isinstance(obj, TriangularAlgebra) else obj
-
-
-def as_endo(algebra_or_t, obj) -> LinearEndo:
+def as_endo(alg: FDAlgebra, obj) -> LinearEndo:
     """Coerce a LinearEndo or raw Matrix to an endomorphism of the algebra."""
-    algebra = as_algebra(algebra_or_t)
     if isinstance(obj, LinearEndo):
-        if obj.algebra is not algebra and obj.algebra._sparse != algebra._sparse:
+        if obj.algebra is not alg and obj.algebra._sparse != alg._sparse:
             raise ValueError("endomorphism belongs to a different algebra")
         return obj
-    return LinearEndo(algebra, obj)
+    return LinearEndo(alg, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +297,10 @@ def require_automorphism(theta: LinearEndo) -> LinearEndo:
     return theta
 
 
-def resolve_twist(algebra_or_t, sigma, kind: str | None = None) -> LinearEndo:
+def resolve_twist(alg: FDAlgebra, sigma, kind: str | None = None) -> LinearEndo:
     """The twist σ a call uses: the identity for ``sigma=None`` and for the
     :data:`UNTWISTED_KINDS`, otherwise ``sigma`` (a LinearEndo or a raw
     Matrix) as a verified automorphism (NotAutomorphism if it is not one)."""
-    alg = as_algebra(algebra_or_t)
     if sigma is None or kind in UNTWISTED_KINDS:
         return LinearEndo.identity(alg)
     return require_automorphism(as_endo(alg, sigma))
@@ -538,7 +532,7 @@ def _bracket_equations(op, indices: Sequence[int]) -> Iterator[tuple]:
             yield (i, j), [(0, op[i], basis[j], 1), (0, op[j], basis[i], 1)]
 
 
-def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
+def solve_space(alg: FDAlgebra, sigma: LinearEndo | None, kind: str) -> MapSpace:
     """Solve the full space of maps of the given kind as a kernel.
 
     σ is the one :func:`resolve_twist` gives: ``None`` means the identity,
@@ -551,7 +545,6 @@ def solve_space(algebra_or_t, sigma: LinearEndo | None, kind: str) -> MapSpace:
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown solve kind {kind!r}")
-    alg = as_algebra(algebra_or_t)
     sigma = resolve_twist(alg, sigma, kind)
     key = ("solve", kind, sigma.matrix)
     if key in alg.memo:

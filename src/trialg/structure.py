@@ -96,7 +96,7 @@ def _corner_matrix(t: TriangularAlgebra, endo: LinearEndo, out: str, into: str) 
 def _endo_from_corner_images(t: TriangularAlgebra, images) -> LinearEndo:
     """The map sending the basis of A, then M, then B to the ``(a, m, b)`` of ``images``."""
     cols = [t.element(*img) for img in images]
-    return LinearEndo(t.algebra, Matrix.from_columns(t.field, cols, nrows=t.dim))
+    return LinearEndo(t, Matrix.from_columns(t.field, cols, nrows=t.dim))
 
 
 def _compare(t: TriangularAlgebra, recomposed: LinearEndo, original: LinearEndo) -> None:
@@ -237,7 +237,7 @@ def sigma_center(t: TriangularAlgebra, sigma) -> SigmaCenterData:
     sigma = resolve_twist(t, sigma)
     parts = _aut_parts_for(t, sigma) if t.trivial_idempotent_components else None
     f = t.field
-    space = sigma_center_subspace(t.algebra, sigma.matrix)
+    space = sigma_center_subspace(t, sigma.matrix)
     piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in space.basis])
     piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in space.basis])
     eta = None
@@ -517,12 +517,12 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     """
     if kind not in DESCRIPTION_KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
-    alg, f = t.algebra, t.field
+    f = t.field
     na, nm, one = t.A.dim, t.M.dim, t.field.one
     spans = {"a": range(0, na), "m": range(na, na + nm), "b": range(na + nm, t.dim)}
     A, M, B = spans["a"], spans["m"], spans["b"]
     aut = _aut_parts_for(t, sigma)
-    leibniz = _Leibniz(alg, sigma)
+    leibniz = _Leibniz(t, sigma)
     e = leibniz.basis
     p, q = _plain_rows(f, [_sparse(t.p), _sparse(t.q)])
     ident = {c: _corner_rows(leibniz.identity, span) for c, span in spans.items()}
@@ -530,7 +530,7 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
 
     def left(x, corner):
         """L_x on T, x given by its ``(index, value)`` nonzeros, projected to a corner."""
-        return _corner_rows(_live(_bracket_operator(alg, x, (), 1)), spans[corner])
+        return _corner_rows(_live(_bracket_operator(t, x, (), 1)), spans[corner])
 
     f_cols = aut.f_sigma._cols()
     left_f = {i: left(f_cols[i], "m") for i in A}  # m ↦ f(a_i)·m
@@ -580,11 +580,11 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
 
     # centralizing: θ(x) = (δ(x), ·, μ(x)); c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x)
     # is C_k θ(x) with C_k(λ) = π_M(λ·m_k − ν(m_k)·λ)
-    bracket = _twisted_brackets(alg, sigma.matrix, -1)  # σ(e_i)λ − λe_i
+    bracket = _twisted_brackets(t, sigma.matrix, -1)  # σ(e_i)λ − λe_i
     op = {i: _corner_rows(_live(bracket[i]), spans["a" if i in A else "b"]) for i in chain(A, B)}
     nu = aut.nu_sigma._cols()
     c = {
-        k: _corner_rows(_live(_bracket_operator(alg, tuple((na + r, -v) for r, v in nu[k - na]), ((k, one),), 1)), M)
+        k: _corner_rows(_live(_bracket_operator(t, tuple((na + r, -v) for r, v in nu[k - na]), ((k, one),), 1)), M)
         for k in M
     }
 
@@ -702,20 +702,20 @@ def _decompose_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, vecto
         for label, result in conditions.items():
             if not result.ok:
                 raise ConditionFailure(label, result.witness)
-    alg, half = t.algebra, t.dim**2
+    half = t.dim**2
     if kind == "sigma_derivation":
-        return [_der_blocks(t, aut, endo_of_vec(alg, v)) for v in vectors]
+        return [_der_blocks(t, aut, endo_of_vec(t, v)) for v in vectors]
     if kind == "generalized_pair":
-        pairs = [(endo_of_vec(alg, v[:half]), endo_of_vec(alg, v[half:])) for v in vectors]
+        pairs = [(endo_of_vec(t, v[:half]), endo_of_vec(t, v[half:])) for v in vectors]
         return [_gen_blocks(t, _der_blocks(t, aut, d), D) for D, d in pairs]
     if kind == "centralizing":
         return [
-            _extract_cent_parts(t, sigma, endo_of_vec(alg, v)).replace(conditions=conditions)
+            _extract_cent_parts(t, sigma, endo_of_vec(t, v)).replace(conditions=conditions)
             for v, conditions in zip(vectors, results)
         ]
     return [
         MultParts(t, _corner_matrix(t, F, "a", "a"), _corner_matrix(t, F, "b", "b"), t.pi_m(F(t.q)))
-        for F in (endo_of_vec(alg, v) for v in vectors)
+        for F in (endo_of_vec(t, v) for v in vectors)
     ]
 
 

@@ -16,7 +16,6 @@ from .fields import Field
 from .linalg import Matrix, Subspace, Vector
 from .maps import (
     LinearEndo,
-    as_algebra,
     endo_of_vec,
     inner_automorphism,
     is_automorphism,
@@ -54,14 +53,14 @@ def _counterexample(t, space: Subspace, inside: Subspace | None, recheck) -> Mat
     map's matrix, or None; StructuralMismatch if ``recheck`` rejects the map."""
     for v in space.basis:
         if inside is None or not inside.contains(v):
-            w = endo_of_vec(as_algebra(t), v)
+            w = endo_of_vec(t, v)
             if not recheck(w):
                 raise StructuralMismatch("a counterexample fails its defining predicates")
             return w.matrix
     return None
 
 
-def verify_posner(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def verify_posner(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Twisted derivations that are twisted-centralizing must vanish.
 
     Computes the two solved spaces and intersects them; passes iff the
@@ -88,7 +87,7 @@ def verify_posner(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = 
     )
 
 
-def verify_skew_zero(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def verify_skew_zero(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport:
     """Zero is the only twisted skew-commuting map (char != 2 is guaranteed
     by the admitted fields, so the algebra is 2-torsion-free).  Runs on any
     algebra under the identity twist."""
@@ -105,10 +104,9 @@ def verify_skew_zero(t: FDAlgebra | TriangularAlgebra, sigma=None, instance: str
     )
 
 
-def verify_sharma_dhara(algebra, instance: str = "") -> TheoremReport:
+def verify_sharma_dhara(alg: FDAlgebra, instance: str = "") -> TheoremReport:
     """Skew-centralizing maps degenerate to commuting maps (any 2-torsion-free
     algebra with a left identity; here: any unital algebra over our fields)."""
-    alg = as_algebra(algebra)
     if not alg.is_unital:
         raise HypothesisNotMet("a (left) identity is required")
     ident = LinearEndo.identity(alg)
@@ -139,7 +137,7 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     does not, the first such D is the witness.
     """
     require_hypotheses(t, GD_LEFT_MULT)
-    ident = LinearEndo.identity(t.algebra)
+    ident = LinearEndo.identity(t)
     pairs = solve_space(t, ident, "generalized_pair")
     cent = solve_space(t, ident, "centralizing")
     mult = solve_space(t, None, "left_multiplier")
@@ -149,7 +147,7 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     witness = None
     checks = {"left_multiplier": True, "partner_zero": True, "decomposition_trivial": True}
     for v, parts in zip(restricted.basis, _decompose_members(t, ident, "generalized_pair", restricted.basis)):
-        D = endo_of_vec(t.algebra, v[:n2])
+        D = endo_of_vec(t, v[:n2])
         if not is_left_multiplier(D).ok:
             checks["left_multiplier"] = False
         if any(v[n2:]):
@@ -161,7 +159,7 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
             break
     outside = next((v[:n2] for v in restricted.basis if not mult.space.contains(v[:n2])), None)
     if witness is None and outside is not None:
-        witness = endo_of_vec(t.algebra, outside).matrix
+        witness = endo_of_vec(t, outside).matrix
     return TheoremReport(
         GD_LEFT_MULT,
         instance or repr(t),
@@ -241,7 +239,7 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
     if samples < 1:
         raise ValueError("samples must be at least 1")
     require_hypotheses(t, MAYNE, MAYNE)
-    ident = LinearEndo.identity(t.algebra)
+    ident = LinearEndo.identity(t)
     rng = random.Random(seed)
     identity_commutes = bool(predicate(ident, ident, "commuting"))
     tested = 0
@@ -252,7 +250,7 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
         if attempts > 50 * samples:
             raise StructuralMismatch("automorphism sampling failed to produce non-identity maps")
         try:
-            sigma = inner_automorphism(t.algebra, _random_vector(t.field, t.dim, rng))
+            sigma = inner_automorphism(t, _random_vector(t.field, t.dim, rng))
         except ValueError:
             continue
         if sigma.is_identity():

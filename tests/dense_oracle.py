@@ -100,7 +100,6 @@ from trialg.maps import (
     PREDICATE_MODES,
     CheckResult,
     Witness,
-    as_algebra,
     as_endo,
     bracket_sigma,
     endo_of_vec,
@@ -395,9 +394,8 @@ def _dense_leibniz(system: DenseSystem, alg, sigma, D_block: int, d_block: int |
         system.equation(terms)
 
 
-def dense_solve_space(algebra_or_t, sigma, kind: str) -> tuple[list[tuple], list[int]]:
+def dense_solve_space(alg, sigma, kind: str) -> tuple[list[tuple], list[int]]:
     """Canonical basis and pivots of the map space ``solve_space`` returns."""
-    alg = as_algebra(algebra_or_t)
     f = alg.field
     n = alg.dim
     sigma = LinearEndo.identity(alg) if kind in ("derivation", "left_multiplier") else as_endo(alg, sigma)

@@ -15,6 +15,7 @@ from trialg import (
     FDAlgebra,
     LinearEndo,
     NotFaithful,
+    ReconstructionMismatch,
     TriangularAlgebra,
     UnitViolation,
     ZeroModule,
@@ -24,6 +25,7 @@ from trialg import (
     inner_automorphism,
     sigma_center,
     sigma_center_subspace,
+    solve_space,
     trian_trunc,
     trivial_idempotents,
     trunc_poly,
@@ -70,6 +72,7 @@ def test_associativity_violation_reports_witness():
     assert err.value.indices == (0, 0, 0)
     assert err.value.left == z
     assert err.value.right == e1
+    assert str(err.value) == "(e0·e0)·e0 = [0, 0] but e0·(e0·e0) = [1, 0]"
 
 
 def test_associativity_violation_behind_a_zero_product():
@@ -122,6 +125,12 @@ def test_unfaithful_left_action_rejected():
         TriangularAlgebra(A, Bimodule(A, B, ["m"], left, right), B)
     assert err.value.side == "left"
     assert err.value.witness == (Fraction(0), Fraction(1))
+    assert str(err.value) == "module is not faithful on the left: [0, 1] annihilates it"
+
+
+def test_reconstruction_mismatch_writes_its_vectors_as_reports_do():
+    mismatch = ReconstructionMismatch(1, (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-1)))
+    assert str(mismatch).endswith("on basis element 1: expected [1/2, 0], got [0, -1]")
 
 
 def test_zero_module_rejected():
@@ -423,3 +432,15 @@ def test_discarded_algebras_are_freed():
     del t, sigma
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_triangular_algebra_is_its_own_algebra():
+    """T is the assembled FDAlgebra: ``t.algebra`` is T, and a space solved
+    through either name is the one memoized on T's one ``memo``."""
+    assert issubclass(TriangularAlgebra, FDAlgebra)
+    t = upper_triangular(3, GF(7))
+    assert t.algebra is t
+    sigma = diag_sign_automorphism(t)
+    space = solve_space(t, sigma, "sigma_derivation")
+    assert solve_space(t.algebra, sigma.matrix, "sigma_derivation") is space
+    assert t.memo[("solve", "sigma_derivation", sigma.matrix)] is space

@@ -453,6 +453,10 @@ def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
         ({"sigma": {"conjugate_by": ["one", "0", "1"]}},
          "scalar: 'one' is not a scalar of QQ: write it as an integer or as \"num/den\""),
         ({"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0"]}}}, "sigma: missing key 'nu'"),
+        ({"algebra": {"family": "fixture", "name": "n3"}, "sigma": {"fixture_map": ["x"]}},
+         "sigma: fixture_map must be a string, got ['x']"),
+        ({"sigma": {"parts": []}}, "sigma: parts must be an object, got []"),
+        ({"sigma": {"parts": "fg"}}, "sigma: parts must be an object, got 'fg'"),
     ],
 )
 def test_config_errors_name_the_field_and_the_value(tmp_path, capsys, edit, message):

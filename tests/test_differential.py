@@ -50,6 +50,7 @@ from trialg import (
     FDAlgebra,
     LinearEndo,
     Matrix,
+    TriangularAlgebra,
     UnitViolation,
     block_algebra,
     block_upper,
@@ -87,7 +88,6 @@ from trialg.maps import (
     MapSpace,
     Witness,
     _generators,
-    as_algebra,
     endo_of_vec,
 )
 from trialg.structure import (
@@ -122,12 +122,12 @@ def _fixture(fx):
     return fx.algebra, fx.maps["sigma"]
 
 
-def _rebased(t, sigma, seed):
-    """The algebra of ``t`` and its twist σ on the basis given by the columns
+def _rebased(alg, sigma, seed):
+    """The algebra ``alg`` and its twist σ on the basis given by the columns
     of P = LU, for seeded unit lower and upper triangular L and U with
     entries in {−1, 0, 1}: P is invertible over every field, and the
     structure vectors of the new basis have several terms."""
-    alg, f, rng = as_algebra(t), t.field, random.Random(seed)
+    f, rng = alg.field, random.Random(seed)
     n = alg.dim
 
     def unit_triangular(below):
@@ -181,7 +181,7 @@ def test_solve_space_matches_dense_oracle(field_name, family, kind):
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generators_generate_the_algebra(family, field_name):
-    alg = as_algebra(_instance(family, field_name)[0])
+    alg = _instance(family, field_name)[0]
     generators = _generators(alg)
     assert list(generators) == sorted(set(generators))
     assert dense_generated_dim(alg, generators) == alg.dim
@@ -201,7 +201,6 @@ def test_reduced_checks_match_full_scans(family, field_name, data):
     under the family's twist they scan all pairs and must agree too."""
     field = FIELDS[field_name]
     alg, sigma = _instance(family, field_name)
-    alg = as_algebra(alg)
     twist = data.draw(st.sampled_from([sigma, LinearEndo.identity(alg)]))
     kind = data.draw(st.sampled_from(("automorphism", "sigma_derivation", "generalized_pair", "left_multiplier")))
     start = data.draw(st.sampled_from(["random", "member"]))
@@ -799,19 +798,22 @@ BUILT = {
     "n3": lambda f: fixture_n3(f).algebra,
     "trian_AA0": lambda f: fixture_trian_AA0(2, f).algebra,
 }
+TRIANGULAR_BUILT = {"T3", "block_upper", "trian_trunc2"}
 
 
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("family", BUILT)
 def test_perturbed_family_tables_match_all_triples(family, field_name):
     """Every family builder's and fixture's tables pass, and each copy with
-    one entry changed gets the all-triples loops' verdict and first failure."""
+    one entry changed gets the all-triples loops' verdict and first failure.
+    A triangular algebra's corners A and B and bimodule M are perturbed too."""
     field = FIELDS[field_name]
     built = BUILT[family](field)
-    if isinstance(built, FDAlgebra):
+    assert isinstance(built, TriangularAlgebra) == (family in TRIANGULAR_BUILT)
+    if not isinstance(built, TriangularAlgebra):
         algebras, modules = [built], []
     else:
-        algebras, modules = [built.A, built.B, built.algebra], [built.M]
+        algebras, modules = [built.A, built.B, built], [built.M]
     outcomes = set()
     for alg in algebras:
         assert _same_algebra_outcome(field, alg.table, alg.unit) is None

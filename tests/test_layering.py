@@ -251,6 +251,22 @@ def test_each_hypothesis_message_is_built_in_one_module(phrase):
     assert builders == ["algebra"]
 
 
+def test_a_triangular_algebra_needs_no_coercion():
+    """A triangular algebra is an ``FDAlgebra``, so it is passed where an
+    algebra is asked for: no function of the package has a parameter named
+    ``algebra_or_t``, and ``maps`` defines no ``as_algebra``."""
+    coercing = [
+        (module, fn.name)
+        for module, tree in MODULES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg == "algebra_or_t"
+    ]
+    assert coercing == []
+    assert "as_algebra" not in {fn.name for fn in ast.walk(MODULES["maps"]) if isinstance(fn, ast.FunctionDef)}
+
+
 def test_theorems_uses_only_public_names_of_maps():
     """The Mayne sampler stays on the public ``inner_automorphism``:
     ``theorems`` imports no underscore-prefixed name from ``maps``."""
