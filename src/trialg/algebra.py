@@ -3,8 +3,7 @@
 An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
 into the block algebra of formal upper-triangular 2x2 matrices, and is itself
-an :class:`FDAlgebra` (its ``algebra`` property returns the algebra itself,
-kept for existing callers).  The center is the twisted center of the
+an :class:`FDAlgebra`.  The center is the twisted center of the
 identity, and twisted centers are kernels of the bracket operators
 λ ↦ σ(e_i)λ − λe_i, which one sparse builder reads from the structure
 constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
@@ -17,9 +16,8 @@ twisted structure theorems, is decided by :func:`trivial_idempotents`, and
 :func:`require_hypotheses` is the one gate of it and of being triangular.
 
 Structure constants are held in one form, as the ``(t, s)`` nonzeros of
-each basis-pair product; the public dense ``table`` is a view built from
-them on first read.  Every product and module action, and the axiom checks
-made at construction, run through one kernel, :func:`_bilinear`, that
+each basis-pair product.  Every product and module action, and the axiom
+checks made at construction, run through one kernel, :func:`_bilinear`, that
 touches only nonzero coordinates; the associativity and bimodule laws are
 checked by :func:`_associator` on the basis triples where a nonzero product
 enters either side.  Both sides are 0 on the others, so the verdict and
@@ -63,19 +61,6 @@ from .records import Record
 def _sparse_table(table) -> tuple:
     """``table[i][j]`` as its ``(t, s)`` nonzeros."""
     return tuple(tuple(tuple(_sparse(v).items()) for v in row) for row in table)
-
-
-def _dense(zero: Vector, items) -> Vector:
-    """The vector with ``(index, value)`` nonzeros ``items`` over ``zero``."""
-    out = list(zero)
-    for t, s in items:
-        out[t] = s
-    return tuple(out)
-
-
-def _dense_table(zero: Vector, sparse) -> tuple:
-    """The dense form of a sparse table, its vectors over ``zero``."""
-    return tuple(tuple(_dense(zero, v) for v in row) for row in sparse)
 
 
 def _bilinear(field: Field, dim: int, sparse, pairs) -> Vector:
@@ -129,13 +114,12 @@ def _associator(field: Field, dim: int, P, Q, X, Y):
 class FDAlgebra:
     """Associative algebra with a distinguished basis and structure constants.
 
-    ``table[i][j]`` holds the coordinates of the product of basis elements i
-    and j.  The constants are held sparsely, ``_sparse[i][j]`` being the
-    ``(t, s)`` nonzeros of that product; ``table`` is a dense view of them,
-    built on first read.  Associativity is verified at construction on the
-    basis triples where a nonzero product enters either side (both vanish on
-    the others), and the unit law, when a unit is declared, on every basis
-    element.
+    The constructor's ``table[i][j]`` holds the coordinates of the product
+    of basis elements i and j; they are kept sparsely, ``_sparse[i][j]``
+    being the ``(t, s)`` nonzeros of that product.  Associativity is verified
+    at construction on the basis triples where a nonzero product enters
+    either side (both vanish on the others), and the unit law, when a unit
+    is declared, on every basis element.
 
     ``memo`` holds values derived from the (immutable) algebra, such as its
     center or its idempotent decision, computed once and freed with the
@@ -143,7 +127,7 @@ class FDAlgebra:
     """
 
     __slots__ = (
-        "field", "labels", "unit", "memo", "_sparse", "_table", "_basis", "__weakref__"
+        "field", "labels", "unit", "memo", "_sparse", "_basis", "__weakref__"
     )
 
     def __init__(
@@ -168,16 +152,8 @@ class FDAlgebra:
         self.unit = tuple(unit) if unit is not None else None
         self.memo: dict = {}
         self._sparse = sparse
-        self._table = None
         self._basis = tuple(unit_vector(field, self.dim, i) for i in range(self.dim))
         return self
-
-    @property
-    def table(self) -> tuple:
-        """The dense structure constants, built from ``_sparse`` once."""
-        if self._table is None:
-            self._table = _dense_table(self.zero(), self._sparse)
-        return self._table
 
     @property
     def dim(self) -> int:
@@ -237,11 +213,11 @@ class FDAlgebra:
 class Bimodule:
     """A nonzero (A, B)-bimodule with basis and explicit action tables.
 
-    ``left[i][k]`` is the coordinate vector of (i-th basis of A)·(k-th basis
-    of M); ``right[k][j]`` that of (k-th basis of M)·(j-th basis of B).  Both
-    tables are held sparsely, as ``_left`` and ``_right`` in the ``_sparse``
-    form of :class:`FDAlgebra`; ``left`` and ``right`` are dense views of
-    them, built on first read.  Every action vector must have length dim M.
+    The constructor's ``left[i][k]`` is the coordinate vector of (i-th basis
+    of A)·(k-th basis of M), and ``right[k][j]`` that of (k-th basis of
+    M)·(j-th basis of B); both tables are kept sparsely, as ``_left`` and
+    ``_right`` in the ``_sparse`` form of :class:`FDAlgebra`.  Every action
+    vector must have length dim M.
     The two module laws and the compatibility law (a·m)·b = a·(m·b) are
     checked on the basis triples where a nonzero product enters either side
     (both vanish on the others), and the identity action of both units on
@@ -249,7 +225,7 @@ class Bimodule:
     """
 
     __slots__ = (
-        "left_algebra", "right_algebra", "labels", "_left", "_right", "_left_table", "_right_table", "_basis"
+        "left_algebra", "right_algebra", "labels", "_left", "_right", "_basis"
     )
 
     def __init__(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra, labels, left, right):
@@ -274,23 +250,8 @@ class Bimodule:
         self.right_algebra = right_algebra
         self.labels = tuple(labels)
         self._left, self._right = left, right
-        self._left_table = self._right_table = None
         self._basis = tuple(unit_vector(self.field, self.dim, k) for k in range(self.dim))
         return self
-
-    @property
-    def left(self) -> tuple:
-        """The dense left action table, built from ``_left`` once."""
-        if self._left_table is None:
-            self._left_table = _dense_table(self.zero(), self._left)
-        return self._left_table
-
-    @property
-    def right(self) -> tuple:
-        """The dense right action table, built from ``_right`` once."""
-        if self._right_table is None:
-            self._right_table = _dense_table(self.zero(), self._right)
-        return self._right_table
 
     @property
     def dim(self) -> int:
@@ -359,11 +320,6 @@ class TriangularAlgebra(FDAlgebra):
         self._assemble()
         self.p = self.element(A.unit, M.zero(), B.zero())
         self.q = self.element(A.zero(), M.zero(), B.unit)
-
-    @property
-    def algebra(self) -> "TriangularAlgebra":
-        """T itself, its own assembled FDAlgebra; kept for existing callers."""
-        return self
 
     # -- coordinate bookkeeping ------------------------------------------
 
@@ -585,12 +541,16 @@ def require_hypotheses(t, what: str | None, twisted: str | None = None, sigma=No
     """HypothesisNotMet unless ``t`` is a triangular algebra (asked by the
     statement named ``what``) whose diagonal algebras are both decided
     idempotent-free (the hypothesis of the twisted statement named
-    ``twisted``, which a given ``sigma`` that is the identity does not need)."""
+    ``twisted``, which a given ``sigma`` that is the identity does not need).
+    The first hypothesis not met is named."""
     triangular = isinstance(t, TriangularAlgebra)
     if what is not None and not triangular:
         raise HypothesisNotMet(f"{what} needs a triangular algebra")
-    identity = sigma is not None and sigma.is_identity()
-    if twisted is not None and not (identity or triangular and t.trivial_idempotent_components):
+    if twisted is None or sigma is not None and sigma.is_identity():
+        return
+    if not triangular:
+        raise HypothesisNotMet(f"{twisted} needs a triangular algebra")
+    if not t.trivial_idempotent_components:
         raise HypothesisNotMet(f"{twisted} needs diagonal algebras decided idempotent-free")
 
 

@@ -289,9 +289,6 @@ def _der_blocks(t: TriangularAlgebra, aut: AutParts, d: LinearEndo) -> DerParts:
 # twisted centralizing maps
 
 
-CENT_CONDITION_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delta2_range", "mu2_range", "m_component")
-
-
 class CentParts(Record):
     """The six corner maps of a twisted centralizing map.
 
@@ -642,11 +639,11 @@ def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> l
     """Every condition of the description of ``kind`` on every map of ``vectors``.
 
     A vector holds a map's entries row by row (D's, then d's, for a pair),
-    as the unknowns of :func:`description_space`.  For each vector the
-    result maps each group label of the description, in order, to whether
-    all of the group's equations vanish on it; a failure's witness gives the
-    pair of the first equation that does not, and its value there in T's
-    coordinates.  Each equation is built once and evaluated on all the
+    as the unknowns of :func:`description_space`; one of another length is
+    a ValueError.  For each vector the result maps each group label of the
+    description, in order, to whether all of the group's equations vanish
+    on it; a failure's witness gives the pair of the first equation that
+    does not, and its value there in T's coordinates.  Each equation is built once and evaluated on all the
     vectors at once, through the vectors' nonzero entries.
     """
     sigma = resolve_twist(t, sigma, kind)
@@ -655,6 +652,8 @@ def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> l
     system = _System(f, n, 2 if kind == "generalized_pair" else 1)
     entries: dict[int, list] = {}  # unknown -> the (vector, value) nonzeros there
     for m, v in enumerate(vectors):
+        if len(v) != system.width:
+            raise ValueError(f"a {kind} vector has {system.width} entries, got {len(v)}")
         for c, x in enumerate(v):
             if x:
                 entries.setdefault(c, []).append((m, x))

@@ -10,15 +10,15 @@ def diag_sign_automorphism(t):
     """(a, m, b) -> (a, -m, b): conjugation by p - q."""
     f = t.field
     u = tuple(f.sub(a, b) for a, b in zip(t.p, t.q))
-    return inner_automorphism(t.algebra, u)
+    return inner_automorphism(t, u)
 
 
 def unipotent_automorphism(t):
     """Conjugation by 1 + (first module basis vector): a non-diagonal inner map."""
     f = t.field
     m = t.M.basis_vector(0)
-    u = tuple(f.add(a, b) for a, b in zip(t.algebra.unit, embed_m(t, m)))
-    return inner_automorphism(t.algebra, u)
+    u = tuple(f.add(a, b) for a, b in zip(t.unit, embed_m(t, m)))
+    return inner_automorphism(t, u)
 
 
 @pytest.fixture

@@ -68,7 +68,10 @@ where the families' tables are monomial.
 The map helpers at the end are public names trialg dropped because only the
 tests used them: the twisted anti-bracket, the plain derivation check, a
 map's coordinates in a solved space, and the membership and projection
-queries on solved spaces.
+queries on solved spaces.  So is :func:`dense_table`, which writes out the
+dense structure tables an algebra (``table``) and a bimodule (``left``,
+``right``) once kept as views of their sparse tables; the dense paths here
+read their constants through it.
 """
 
 from __future__ import annotations
@@ -104,6 +107,20 @@ from trialg.maps import (
     bracket_sigma,
     endo_of_vec,
 )
+
+
+def dense_table(zero: Sequence, sparse) -> tuple:
+    """The dense form of a sparse structure table (an algebra's ``_sparse``,
+    a bimodule's ``_left`` or ``_right``): each vector of ``(index, value)``
+    nonzeros written out over ``zero``."""
+
+    def dense(items):
+        out = list(zero)
+        for t, s in items:
+            out[t] = s
+        return tuple(out)
+
+    return tuple(tuple(dense(v) for v in row) for row in sparse)
 
 
 def dense_bilinear(field, dim: int, table, x: Sequence, y: Sequence) -> tuple:
@@ -159,8 +176,8 @@ def rebased(alg, P: Matrix) -> FDAlgebra:
     e'_i·e'_j and the unit in the new coordinates, P⁻¹ applied to the old."""
     f = alg.field
     inverse = dense_inverse(P)
-    cols = P.columns()
-    table = [[dense_mul_vec(inverse, dense_bilinear(f, alg.dim, alg.table, x, y)) for y in cols] for x in cols]
+    cols, old = P.columns(), dense_table(alg.zero(), alg._sparse)
+    table = [[dense_mul_vec(inverse, dense_bilinear(f, alg.dim, old, x, y)) for y in cols] for x in cols]
     unit = None if alg.unit is None else dense_mul_vec(inverse, alg.unit)
     return FDAlgebra(f, [f"{label}'" for label in alg.labels], table, unit)
 
@@ -170,9 +187,9 @@ def dense_generated_dim(alg, indices: Sequence[int]) -> int:
     ``indices``, generate: their span, with all products of a basis of it
     added until the span stops growing."""
     f, n = alg.field, alg.dim
-    span = [alg.basis_vector(i) for i in indices]
+    span, table = [alg.basis_vector(i) for i in indices], dense_table(alg.zero(), alg._sparse)
     while True:
-        products = [dense_bilinear(f, n, alg.table, x, y) for x in span for y in span]
+        products = [dense_bilinear(f, n, table, x, y) for x in span for y in span]
         rows, _ = dense_rref(f, span + products, n)
         if len(rows) == len(span):
             return len(span)
@@ -377,11 +394,12 @@ def dense_leibniz_terms(alg, sigma, D_block: int, d_block: int | None) -> dict:
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     right = [alg.right_mul_matrix(e) for e in basis]
     left_sigma = [alg.left_mul_matrix(sigma(e)) for e in basis]
+    table = dense_table(alg.zero(), alg._sparse)
     one, minus = f.one, f.neg(f.one)
     equations = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
-            terms = [(D_block, None, alg.table[i][j], one), (D_block, right[j], basis[i], minus)]
+            terms = [(D_block, None, table[i][j], one), (D_block, right[j], basis[i], minus)]
             if d_block is not None:
                 terms.append((d_block, left_sigma[i], basis[j], minus))
             equations[i, j] = terms
@@ -432,6 +450,7 @@ def associated_derivations(D, sigma):
     f = alg.field
     n = alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
+    table = dense_table(alg.zero(), alg._sparse)
     system = DenseSystem(f, n, 1)
     rhs = []
     for i in range(n):
@@ -440,7 +459,7 @@ def associated_derivations(D, sigma):
         for j in range(n):
             # known part: D(e_i e_j) - D(e_i) e_j must equal sigma(e_i) d(e_j)
             system.equation([(0, left_sigma, basis[j], f.one)])
-            rhs.extend(vec_sub(f, D(alg.table[i][j]), alg.mul(D_ei, basis[j])))
+            rhs.extend(vec_sub(f, D(table[i][j]), alg.mul(D_ei, basis[j])))
     # twisted Leibniz on d itself is homogeneous; stack it below the probes
     _dense_leibniz(system, alg, sigma, 0, 0)
     rhs.extend([f.zero] * (len(system.rows) - len(rhs)))
@@ -459,14 +478,14 @@ _PASS = CheckResult(True)
 
 def dense_is_automorphism(theta) -> CheckResult:
     alg = theta.algebra
-    n = alg.dim
+    n, table = alg.dim, dense_table(alg.zero(), alg._sparse)
     if theta.matrix.rank() != n:
         return CheckResult(False, Witness("not invertible"))
     if alg.is_unital and theta(alg.unit) != tuple(alg.unit):
         return CheckResult(False, Witness("unit not preserved", lhs=theta(alg.unit), rhs=tuple(alg.unit)))
     for i in range(n):
         for j in range(n):
-            lhs = theta(alg.table[i][j])
+            lhs = theta(table[i][j])
             rhs = alg.mul(theta(alg.basis_vector(i)), theta(alg.basis_vector(j)))
             if lhs != rhs:
                 return CheckResult(False, Witness("multiplicativity", pair=(i, j), lhs=lhs, rhs=rhs))
@@ -476,13 +495,13 @@ def dense_is_automorphism(theta) -> CheckResult:
 def dense_is_sigma_derivation(d, sigma) -> CheckResult:
     alg = d.algebra
     f = alg.field
-    n = alg.dim
+    n, table = alg.dim, dense_table(alg.zero(), alg._sparse)
     for i in range(n):
         ei = alg.basis_vector(i)
         si = sigma(ei)
         for j in range(n):
             ej = alg.basis_vector(j)
-            lhs = d(alg.table[i][j])
+            lhs = d(table[i][j])
             rhs = vec_add(f, alg.mul(d(ei), ej), alg.mul(si, d(ej)))
             if lhs != rhs:
                 return CheckResult(False, Witness("twisted Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
@@ -495,13 +514,13 @@ def dense_is_generalized_pair(D, d, sigma) -> CheckResult:
         return inner
     alg = D.algebra
     f = alg.field
-    n = alg.dim
+    n, table = alg.dim, dense_table(alg.zero(), alg._sparse)
     for i in range(n):
         ei = alg.basis_vector(i)
         si = sigma(ei)
         for j in range(n):
             ej = alg.basis_vector(j)
-            lhs = D(alg.table[i][j])
+            lhs = D(table[i][j])
             rhs = vec_add(f, alg.mul(D(ei), ej), alg.mul(si, d(ej)))
             if lhs != rhs:
                 return CheckResult(False, Witness("generalized Leibniz rule", pair=(i, j), lhs=lhs, rhs=rhs))
@@ -510,11 +529,11 @@ def dense_is_generalized_pair(D, d, sigma) -> CheckResult:
 
 def dense_is_left_multiplier(F) -> CheckResult:
     alg = F.algebra
-    n = alg.dim
+    n, table = alg.dim, dense_table(alg.zero(), alg._sparse)
     for i in range(n):
         fei = F(alg.basis_vector(i))
         for j in range(n):
-            lhs = F(alg.table[i][j])
+            lhs = F(table[i][j])
             rhs = alg.mul(fei, alg.basis_vector(j))
             if lhs != rhs:
                 return CheckResult(False, Witness("left multiplier rule", pair=(i, j), lhs=lhs, rhs=rhs))
@@ -574,11 +593,11 @@ def has_only_trivial_idempotents_bruteforce(algebra, bound: int = 200_000) -> bo
     total = field.p**algebra.dim
     if total > bound:
         raise ValueError(f"{total} elements exceed the bound {bound}")
-    trivial = {(0,) * algebra.dim}
+    trivial, table = {(0,) * algebra.dim}, dense_table(algebra.zero(), algebra._sparse)
     if algebra.unit is not None:
         trivial.add(tuple(algebra.unit))
     for e in itertools.product(range(field.p), repeat=algebra.dim):
-        if dense_bilinear(field, algebra.dim, algebra.table, e, e) == e and e not in trivial:
+        if dense_bilinear(field, algebra.dim, table, e, e) == e and e not in trivial:
             return False
     return True
 
@@ -590,11 +609,12 @@ def has_only_trivial_idempotents_bruteforce(algebra, bound: int = 200_000) -> bo
 def solve_right_partner(t, a: Sequence) -> tuple | None:
     """Solve a·m = m·b for b, given a (faithfulness makes it unique)."""
     M = t.M
+    right = dense_table(M.zero(), M._right)
     rows, rhs = [], []
     for k in range(M.dim):
         target = M.act_left(a, M.basis_vector(k))
         for tcoord in range(M.dim):
-            rows.append([M.right[k][j][tcoord] for j in range(t.B.dim)])
+            rows.append([right[k][j][tcoord] for j in range(t.B.dim)])
             rhs.append(target[tcoord])
     return solve_linear(Matrix(t.field, rows, ncols=t.B.dim), rhs)
 
@@ -602,11 +622,12 @@ def solve_right_partner(t, a: Sequence) -> tuple | None:
 def solve_eta_image(t, nu, b: Sequence) -> tuple | None:
     """Solve η(b)·m = ν(m)·b for η(b) in A-coordinates."""
     M = t.M
+    left = dense_table(M.zero(), M._left)
     rows, rhs = [], []
     for k in range(M.dim):
         target = M.act_right(nu.column(k), b)
         for tcoord in range(M.dim):
-            rows.append([M.left[i][k][tcoord] for i in range(t.A.dim)])
+            rows.append([left[i][k][tcoord] for i in range(t.A.dim)])
             rhs.append(target[tcoord])
     return solve_linear(Matrix(t.field, rows, ncols=t.A.dim), rhs)
 
@@ -629,18 +650,19 @@ def dense_check_aut_parts(parts) -> CheckResult:
         return CheckResult(False, Witness("module component is not bijective"))
     if len(parts.m_sigma) != M.dim:
         return CheckResult(False, Witness("corner element has wrong dimension"))
+    left, right = dense_table(M.zero(), M._left), dense_table(M.zero(), M._right)
     for i in range(A.dim):
         fa = parts.f_sigma.column(i)
         for k in range(M.dim):
-            lhs = dense_mul_vec(parts.nu_sigma, M.left[i][k])
-            rhs = dense_bilinear(f, M.dim, M.left, fa, parts.nu_sigma.column(k))
+            lhs = dense_mul_vec(parts.nu_sigma, left[i][k])
+            rhs = dense_bilinear(f, M.dim, left, fa, parts.nu_sigma.column(k))
             if lhs != rhs:
                 return CheckResult(False, Witness("left intertwining fails", pair=(i, k), lhs=lhs, rhs=rhs))
     for k in range(M.dim):
         nk = parts.nu_sigma.column(k)
         for j in range(B.dim):
-            lhs = dense_mul_vec(parts.nu_sigma, M.right[k][j])
-            rhs = dense_bilinear(f, M.dim, M.right, nk, parts.g_sigma.column(j))
+            lhs = dense_mul_vec(parts.nu_sigma, right[k][j])
+            rhs = dense_bilinear(f, M.dim, right, nk, parts.g_sigma.column(j))
             if lhs != rhs:
                 return CheckResult(False, Witness("right intertwining fails", pair=(k, j), lhs=lhs, rhs=rhs))
     return _PASS
@@ -658,15 +680,16 @@ def dense_check_der_parts(parts) -> None:
     chk = dense_is_sigma_derivation(LinearEndo(B, parts.d_B), LinearEndo(B, parts.aut.g_sigma))
     if not chk.ok:
         raise ConditionFailure("d_B twisted Leibniz", chk.witness)
+    left, right = dense_table(M.zero(), M._left), dense_table(M.zero(), M._right)
     for i in range(A.dim):
         da = parts.d_A.column(i)
         fa = parts.aut.f_sigma.column(i)
         for k in range(M.dim):
-            lhs = dense_mul_vec(parts.xi, M.left[i][k])
+            lhs = dense_mul_vec(parts.xi, left[i][k])
             rhs = vec_add(
                 f,
-                dense_bilinear(f, M.dim, M.left, da, M.basis_vector(k)),
-                dense_bilinear(f, M.dim, M.left, fa, parts.xi.column(k)),
+                dense_bilinear(f, M.dim, left, da, M.basis_vector(k)),
+                dense_bilinear(f, M.dim, left, fa, parts.xi.column(k)),
             )
             if lhs != rhs:
                 raise ConditionFailure(
@@ -675,11 +698,11 @@ def dense_check_der_parts(parts) -> None:
     for k in range(M.dim):
         nk = parts.aut.nu_sigma.column(k)
         for j in range(B.dim):
-            lhs = dense_mul_vec(parts.xi, M.right[k][j])
+            lhs = dense_mul_vec(parts.xi, right[k][j])
             rhs = vec_add(
                 f,
-                dense_bilinear(f, M.dim, M.right, parts.xi.column(k), B.basis_vector(j)),
-                dense_bilinear(f, M.dim, M.right, nk, parts.d_B.column(j)),
+                dense_bilinear(f, M.dim, right, parts.xi.column(k), B.basis_vector(j)),
+                dense_bilinear(f, M.dim, right, nk, parts.d_B.column(j)),
             )
             if lhs != rhs:
                 raise ConditionFailure(
@@ -777,12 +800,13 @@ def dense_compose_centralizing(t, parts) -> LinearEndo:
         for j in range(B.dim)
     ]
     cols = [t.element(*img) for img in a_images + m_images + b_images]
-    return LinearEndo(t.algebra, Matrix.from_columns(t.field, cols, nrows=t.dim))
+    return LinearEndo(t, Matrix.from_columns(t.field, cols, nrows=t.dim))
 
 
 def dense_centralizing_conditions(parts, theta) -> dict:
     """Each named side condition of the centralizing structure statement, in
-    the order :data:`trialg.structure.CENT_CONDITION_LABELS` lists them."""
+    the order the centralizing description groups them
+    (:func:`trialg.structure.description_conditions`)."""
     t = parts.t
     A, M, B = t.A, t.M, t.B
     f = t.field
@@ -923,17 +947,19 @@ def dense_assemble(t) -> FDAlgebra:
     )
     zero = vec_zero(t.field, na + nm + nb)
     table = [[zero] * (na + nm + nb) for _ in range(na + nm + nb)]
+    a_table, b_table = dense_table(A.zero(), A._sparse), dense_table(B.zero(), B._sparse)
+    left, right = dense_table(M.zero(), M._left), dense_table(M.zero(), M._right)
     for i in range(na):
         for j in range(na):
-            table[i][j] = embed_a(t, A.table[i][j])
+            table[i][j] = embed_a(t, a_table[i][j])
         for k in range(nm):
-            table[i][na + k] = embed_m(t, M.left[i][k])
+            table[i][na + k] = embed_m(t, left[i][k])
     for k in range(nm):
         for j in range(nb):
-            table[na + k][na + nm + j] = embed_m(t, M.right[k][j])
+            table[na + k][na + nm + j] = embed_m(t, right[k][j])
     for i in range(nb):
         for j in range(nb):
-            table[na + nm + i][na + nm + j] = embed_b(t, B.table[i][j])
+            table[na + nm + i][na + nm + j] = embed_b(t, b_table[i][j])
     unit = t.element(A.unit, M.zero(), B.unit)
     return FDAlgebra(t.field, labels, table, unit)
 

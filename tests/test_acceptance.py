@@ -58,7 +58,7 @@ def criterion(number, name):
 
 def twists(t):
     return {
-        "identity": LinearEndo.identity(t.algebra),
+        "identity": LinearEndo.identity(t),
         "diag_sign": diag_sign_automorphism(t),
         "inner": unipotent_automorphism(t),
     }
@@ -101,7 +101,7 @@ def test_paired_derivation_fixture():
 def test_center_regression(t2q, t3q, t4q):
     for t in (t2q, t3q, t4q):
         data = center(t)  # raises if the two computations disagree
-        oracle = center_subspace(t.algebra)
+        oracle = center_subspace(t)
         assert data.center == oracle
         assert data.center.dim == 1
 
@@ -110,7 +110,7 @@ def test_center_regression(t2q, t3q, t4q):
 def test_derivation_space_regression(t2q):
     space = solve_space(t2q, None, "derivation")
     assert space.dim == 2
-    alg = t2q.algebra
+    alg = t2q
     inner = Subspace.from_vectors(
         QQ,
         alg.dim ** 2,
@@ -131,7 +131,7 @@ def _zero_intersection(t, sigma):
 @criterion(5, "vanishing centralizing derivations")
 def test_vanishing_centralizing_derivations(t2q, t3q, block21q, t2f5, trunc3q):
     for t in (t2q, t3q, block21q):
-        assert _zero_intersection(t, LinearEndo.identity(t.algebra)) == 0
+        assert _zero_intersection(t, LinearEndo.identity(t)) == 0
     for t in (t2q, t2f5, trunc3q):
         assert _zero_intersection(t, diag_sign_automorphism(t)) == 0
         assert _zero_intersection(t, unipotent_automorphism(t)) == 0
@@ -140,7 +140,7 @@ def test_vanishing_centralizing_derivations(t2q, t3q, block21q, t2f5, trunc3q):
 @criterion(6, "vanishing skew-commuting maps")
 def test_vanishing_skew_commuting_maps(t2q, t3q, block21q, t2f5, trunc3q):
     for t in (t2q, t3q, block21q):
-        assert solve_space(t, LinearEndo.identity(t.algebra), "skew_commuting").dim == 0
+        assert solve_space(t, LinearEndo.identity(t), "skew_commuting").dim == 0
     for t in (t2q, t2f5, trunc3q):
         assert solve_space(t, diag_sign_automorphism(t), "skew_commuting").dim == 0
         assert solve_space(t, unipotent_automorphism(t), "skew_commuting").dim == 0
@@ -148,7 +148,7 @@ def test_vanishing_skew_commuting_maps(t2q, t3q, block21q, t2f5, trunc3q):
 
 @criterion(7, "skew-centralizing inclusion")
 def test_skew_centralizing_inclusion(t2q, t3q):
-    for alg in (t2q.algebra, t3q.algebra, full_matrix_algebra(2, QQ)):
+    for alg in (t2q, t3q, full_matrix_algebra(2, QQ)):
         ident = LinearEndo.identity(alg)
         skew = solve_space(alg, ident, "skew_centralizing")
         comm = solve_space(alg, ident, "commuting")
@@ -158,7 +158,7 @@ def test_skew_centralizing_inclusion(t2q, t3q):
 @criterion(8, "centralizing generalized derivations degenerate")
 def test_centralizing_generalized_derivations(t2q, t3q):
     for t in (t2q, t3q):
-        ident = LinearEndo.identity(t.algebra)
+        ident = LinearEndo.identity(t)
         pairs = solve_space(t, ident, "generalized_pair")
         cent = solve_space(t, ident, "centralizing")
         n2 = t.dim ** 2
@@ -170,8 +170,8 @@ def test_centralizing_generalized_derivations(t2q, t3q):
         from trialg.maps import endo_of_vec
 
         for v in restricted.basis:
-            D = endo_of_vec(t.algebra, v[:n2])
-            d = endo_of_vec(t.algebra, v[n2:])
+            D = endo_of_vec(t, v[:n2])
+            d = endo_of_vec(t, v[n2:])
             assert is_left_multiplier(D).ok
             assert d.matrix.is_zero()
             parts = decompose_generalized(t, ident, D, d)
@@ -209,12 +209,12 @@ def test_structure_round_trips(t2q, t2f5, trunc3q):
 
         for F in solve_space(t, None, "left_multiplier").endos():
             mult = decompose_left_multiplier(t, F)
-            gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
+            gen = decompose_generalized(t, LinearEndo.identity(t), F, LinearEndo.zero(t))
             assert (mult.F_A, mult.F_B, mult.m_F) == (gen.D_A, gen.D_B, gen.m_D)
             assert compose_generalized(t, gen).matrix == F.matrix
 
         for d in solve_space(t, None, "derivation").endos():
-            der = decompose_sigma_derivation(t, LinearEndo.identity(t.algebra), d)
+            der = decompose_sigma_derivation(t, LinearEndo.identity(t), d)
             assert compose_sigma_derivation(t, der).matrix == d.matrix
 
 

@@ -35,7 +35,7 @@ from trialg import algebra as algebra_module
 from trialg.linalg import Matrix
 
 from conftest import diag_sign_automorphism
-from dense_oracle import embed_a, embed_b, embed_m, has_only_trivial_idempotents_bruteforce
+from dense_oracle import dense_table, embed_a, embed_b, embed_m, has_only_trivial_idempotents_bruteforce
 
 ZERO1 = (Fraction(0),)
 ONE1 = (Fraction(1),)
@@ -180,7 +180,8 @@ def test_broken_bimodule_axiom_rejected(make_a, make_b, labels, left, right, mes
 def test_action_vector_of_wrong_length_rejected(side, vector):
     # K[x]/(x^2) acting on itself, with one action vector replaced
     A = trunc_poly(2, GF(7))
-    tables = {"left": [list(r) for r in A.table], "right": [list(r) for r in A.table]}
+    regular = dense_table(A.zero(), A._sparse)
+    tables = {"left": [list(r) for r in regular], "right": [list(r) for r in regular]}
     tables[side][1][0] = vector
     with pytest.raises(ValueError, match=f"{side} action vectors must have length dim M"):
         Bimodule(A, A, A.labels, tables["left"], tables["right"])
@@ -215,32 +216,18 @@ def test_construction_evaluates_only_live_triples(monkeypatch):
 
 def test_triangular_laws_are_checked_only_on_the_corners(monkeypatch):
     """Building T7 runs the associator on A, on B and on M's three laws, not
-    on T, and leaves T's dense table unbuilt."""
+    on T."""
     tables = []
     associator = algebra_module._associator
     monkeypatch.setattr(algebra_module, "_associator", lambda *args: tables.append(args[2]) or associator(*args))
     t = upper_triangular(7, GF(10007))
     monkeypatch.undo()
-    assert len(tables) == 5 and t.algebra._sparse not in tables
-    assert t.algebra._table is None
-
-
-def test_construction_leaves_dense_views_unbuilt():
-    """Building T7 reads only the sparse tables: no dense table of T, A or B
-    and no dense action table of M is built, and the views, once read, are
-    the sparse tables written out."""
-    t = upper_triangular(7, GF(10007))
-    M = t.M
-    assert M._left_table is None and M._right_table is None
-    assert t.algebra._table is None and t.A._table is None and t.B._table is None
-    for dense, sparse in ((M.left, M._left), (M.right, M._right)):
-        assert [[tuple(algebra_module._sparse(v).items()) for v in row] for row in dense] == [list(r) for r in sparse]
-    assert M.left is M.left and M.right is M.right
+    assert len(tables) == 5 and t._sparse not in tables
 
 
 def test_peirce_corners(t3q):
     rng = random.Random(7)
-    alg = t3q.algebra
+    alg = t3q
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(t3q.dim))
         pxp = alg.mul(t3q.p, alg.mul(x, t3q.p))
@@ -265,7 +252,7 @@ def test_projections_invert_embeddings(t3q):
 
 def test_idempotent_identities(t2q, t3q, block21q, trunc3q):
     for t in (t2q, t3q, block21q, trunc3q):
-        alg = t.algebra
+        alg = t
         f = t.field
         assert alg.mul(t.p, t.p) == t.p
         assert alg.mul(t.q, t.q) == t.q
@@ -289,7 +276,7 @@ def test_multiplication_agrees_with_block_formula(t2q, t3q, block21q, trunc3q):
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.M.dim)),
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.B.dim)),
             )
-            got = t.algebra.mul(t.element(a, m, b), t.element(a2, m2, b2))
+            got = t.mul(t.element(a, m, b), t.element(a2, m2, b2))
             want = t.element(
                 t.A.mul(a, a2),
                 tuple(f.add(x, y) for x, y in zip(t.M.act_left(a, m2), t.M.act_right(m, b2))),
@@ -302,7 +289,7 @@ def test_center_of_scalar_triangulars(t2q, t3q, t4q):
     for t in (t2q, t3q, t4q):
         data = center(t)
         assert data.center.dim == 1
-        assert data.center.contains(tuple(t.algebra.unit))
+        assert data.center.contains(tuple(t.unit))
 
 
 def test_center_projections_are_central(t3q, block21q, trunc3q):
@@ -334,7 +321,7 @@ def test_tau_of_scalar_triangular_is_identity(t2q):
 
 def test_twisted_center_with_identity_is_center(t2q, trunc3q):
     for t in (t2q, trunc3q):
-        data = sigma_center(t, LinearEndo.identity(t.algebra))
+        data = sigma_center(t, LinearEndo.identity(t))
         assert data.sigma_center == center(t).center
 
 
@@ -348,7 +335,7 @@ def test_twisted_center_for_sign_conjugation(t2q):
 
 def test_twisted_center_closed_under_the_automorphism(t2q, t2f5, trunc3q):
     for t in (t2q, t2f5, trunc3q):
-        for sig in (diag_sign_automorphism(t), LinearEndo.identity(t.algebra)):
+        for sig in (diag_sign_automorphism(t), LinearEndo.identity(t)):
             data = sigma_center(t, sig)
             for v in data.sigma_center.basis:
                 assert data.sigma_center.contains(sig(v))
@@ -358,7 +345,7 @@ def test_twisted_center_module_component_tracks_corner(t2q):
     # conjugation by (1, 1, 1) has a nonzero corner, so Z_σ leaves the diagonal
     f = t2q.field
     u = t2q.element(ONE1, ONE1, ONE1)
-    sig = inner_automorphism(t2q.algebra, u)
+    sig = inner_automorphism(t2q, u)
     data = sigma_center(t2q, sig)
     assert data.sigma_center.dim == 1
     assert data.sigma_center.contains(u)
@@ -398,7 +385,7 @@ def test_bruteforce_idempotents_on_scalar_field():
 
 def test_bruteforce_idempotents_finds_matrix_units():
     t = upper_triangular(2, GF(3))
-    assert not has_only_trivial_idempotents_bruteforce(t.algebra)
+    assert not has_only_trivial_idempotents_bruteforce(t)
 
 
 def test_bruteforce_idempotents_on_truncated_polynomials():
@@ -426,21 +413,24 @@ def test_discarded_algebras_are_freed():
         sigma = diag_sign_automorphism(t)
         center(t)
         sigma_center(t, sigma)
-        decompose_sigma_derivation(t, sigma, LinearEndo.zero(t.algebra))
-        assert t.memo and t.algebra.memo and t.A.memo
-        refs += [weakref.ref(t), weakref.ref(t.algebra), weakref.ref(t.A), weakref.ref(t.B)]
+        decompose_sigma_derivation(t, sigma, LinearEndo.zero(t))
+        assert t.memo and t.A.memo
+        refs += [weakref.ref(t), weakref.ref(t.A), weakref.ref(t.B)]
     del t, sigma
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_a_triangular_algebra_is_its_own_algebra():
-    """T is the assembled FDAlgebra: ``t.algebra`` is T, and a space solved
-    through either name is the one memoized on T's one ``memo``."""
+    """T is the assembled FDAlgebra under one name, with its structure
+    constants in one (sparse) form: it has no ``algebra`` alias, no algebra
+    a dense ``table`` and no bimodule a dense ``left`` or ``right``, and a
+    solved space is memoized on T's one ``memo``."""
     assert issubclass(TriangularAlgebra, FDAlgebra)
     t = upper_triangular(3, GF(7))
-    assert t.algebra is t
+    assert not hasattr(t, "algebra")
+    assert not any(hasattr(alg, "table") for alg in (t, t.A, t.B, trunc_poly(2, GF(7))))
+    assert not hasattr(t.M, "left") and not hasattr(t.M, "right")
     sigma = diag_sign_automorphism(t)
     space = solve_space(t, sigma, "sigma_derivation")
-    assert solve_space(t.algebra, sigma.matrix, "sigma_derivation") is space
     assert t.memo[("solve", "sigma_derivation", sigma.matrix)] is space

@@ -17,7 +17,6 @@ from trialg.errors import ConditionFailure
 from trialg.linalg import Matrix, Subspace
 from trialg.maps import MapSpace, _System, solve_space
 from trialg.structure import (
-    CENT_CONDITION_LABELS,
     DESCRIPTION_KINDS,
     DerParts,
     GenParts,
@@ -60,7 +59,7 @@ ITEM2 = {
 def _twists(t):
     """The identity, and an inner twist with a corner element where the
     corners are decided idempotent-free."""
-    twists = [("identity", LinearEndo.identity(t.algebra))]
+    twists = [("identity", LinearEndo.identity(t))]
     if t.trivial_idempotent_components:
         twists.append(("inner", unipotent_automorphism(t)))
     return twists
@@ -143,7 +142,7 @@ def test_corner_rules_are_the_dense_leibniz_rows(kind, field):
         oracle = {}
         for label, (D, d, left, right, out) in CORNER_RULES[kind].items():
             if (D, d) not in oracle:
-                oracle[D, d] = dense_leibniz_terms(t.algebra, sigma, D, d)
+                oracle[D, d] = dense_leibniz_terms(t, sigma, D, d)
             equations = list(groups[label])
             assert [pair for pair, _ in equations] == [(i, j) for i in spans[left] for j in spans[right]], label
             for pair, terms in equations:
@@ -159,15 +158,30 @@ def test_corner_rules_are_the_dense_leibniz_rows(kind, field):
 
 def test_centralizing_groups_are_the_condition_labels():
     t = trian_trunc(2, F7)
-    labels = [label for label, _ in _description_rows(t, LinearEndo.identity(t.algebra), "centralizing")]
-    assert tuple(labels) == CENT_CONDITION_LABELS
+    labels = [label for label, _ in _description_rows(t, LinearEndo.identity(t), "centralizing")]
+    assert tuple(labels) == ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delta2_range", "mu2_range", "m_component")
+
+
+@pytest.mark.parametrize(
+    "kind,vector",
+    [("generalized_pair", (0,) * 36), ("sigma_derivation", (0,) * 36 + (1,))],
+    ids=["pair-D-only", "derivation-long"],
+)
+def test_description_conditions_refuse_a_vector_of_the_wrong_length(kind, vector):
+    """A vector must hold every unknown of the description: a pair vector
+    holding D alone does not pass every condition, and a long vector's tail
+    is not ignored.  The error names the expected length."""
+    t = upper_triangular(3, QQ)
+    width = 2 * t.dim**2 if kind == "generalized_pair" else t.dim**2
+    with pytest.raises(ValueError, match=f"^a {kind} vector has {width} entries, got {len(vector)}$"):
+        description_conditions(t, None, kind, [vector])
 
 
 def test_description_is_memoized_on_the_triangular_algebra():
     t = trian_trunc(2, F7)
     sigma = unipotent_automorphism(t)
     k = description_space(t, sigma, "sigma_derivation")
-    assert description_space(t, LinearEndo(t.algebra, sigma.matrix), "sigma_derivation") is k
+    assert description_space(t, LinearEndo(t, sigma.matrix), "sigma_derivation") is k
     # left multipliers ignore σ
     assert description_space(t, sigma, "left_multiplier") is description_space(t, None, "left_multiplier")
     with pytest.raises(ValueError):
@@ -190,7 +204,7 @@ SPACE_KINDS = ("derivation", "sigma_derivation", "centralizing", "commuting", "g
 def _member_by_member(t, sigma, kind, space):
     """The per-member decompositions, in the order the CLI made them."""
     if kind == "derivation":
-        return [decompose_sigma_derivation(t, LinearEndo.identity(t.algebra), d) for d in space.endos()]
+        return [decompose_sigma_derivation(t, LinearEndo.identity(t), d) for d in space.endos()]
     if kind == "sigma_derivation":
         return [decompose_sigma_derivation(t, sigma, d) for d in space.endos()]
     if kind in ("centralizing", "commuting"):
@@ -240,7 +254,7 @@ def _oracle_accepts(t, kind, space, parts):
 @pytest.mark.parametrize("name", SPACE_INSTANCES)
 def test_decompose_space_matches_each_member(name, twist):
     t = SPACE_INSTANCES[name]()
-    sigma = LinearEndo.identity(t.algebra) if twist == "identity" else unipotent_automorphism(t)
+    sigma = LinearEndo.identity(t) if twist == "identity" else unipotent_automorphism(t)
     outcomes = {}
     for kind in SPACE_KINDS:
         outcomes[kind] = _outcome(lambda: _member_by_member(t, sigma, kind, _solved(t, sigma, kind)))
@@ -351,8 +365,8 @@ def test_decompose_space_caches_die_with_the_algebra():
     for _ in range(2):
         t = trian_trunc(2, F7)
         decompose_space(t, unipotent_automorphism(t), "generalized_pair")
-        assert t.memo and t.algebra.memo
-        refs += [weakref.ref(t), weakref.ref(t.algebra)]
+        assert t.memo
+        refs += [weakref.ref(t)]
     del t
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)

@@ -1,5 +1,5 @@
 import pytest
-from dense_oracle import dense_bracket_matrix, dense_kernel
+from dense_oracle import dense_bracket_matrix, dense_kernel, dense_table
 
 from trialg import (
     GF,
@@ -104,14 +104,14 @@ def _global_positions(t, top_dims, bottom_dims):
 )
 def test_assembly_matches_matrix_unit_model(builder, top, bottom):
     t = builder()
-    alg = t.algebra
+    table = dense_table(t.zero(), t._sparse)
     positions = _global_positions(t, top, bottom)
     index = {pos: k for k, pos in enumerate(positions)}
     for u, (p, q) in enumerate(positions):
         for v, (r, s) in enumerate(positions):
-            got = alg.table[u][v]
+            got = table[u][v]
             if q == r and (p, s) in index:
-                assert got == alg.basis_vector(index[(p, s)])
+                assert got == t.basis_vector(index[(p, s)])
             else:
                 assert not any(got)
 
@@ -165,10 +165,10 @@ def test_trian_aa0_needs_degree_two():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda f: upper_triangular(3, f).algebra,
-        lambda f: upper_triangular(3, f, split=2).algebra,
-        lambda f: block_upper((1, 2), 1, f).algebra,
-        lambda f: trian_trunc(3, f).algebra,
+        lambda f: upper_triangular(3, f),
+        lambda f: upper_triangular(3, f, split=2),
+        lambda f: block_upper((1, 2), 1, f),
+        lambda f: trian_trunc(3, f),
         lambda f: trunc_poly(3, f),
         lambda f: full_matrix_algebra(2, f),
         lambda f: fixture_n3(f).algebra,

@@ -6,7 +6,7 @@ has an algebra that only that check rejects.
 """
 
 import pytest
-from dense_oracle import dense_inverse, has_only_trivial_idempotents_bruteforce
+from dense_oracle import dense_inverse, dense_table, has_only_trivial_idempotents_bruteforce
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from trialg import GF, QQ, FDAlgebra, block_algebra, fixture_n3, trivial_idempotents, trunc_poly
@@ -19,12 +19,13 @@ def direct_product(A, B):
     f, na, n = A.field, A.dim, A.dim + B.dim
     zero = (f.zero,) * n
     table = [[zero] * n for _ in range(n)]
+    a_table, b_table = dense_table(A.zero(), A._sparse), dense_table(B.zero(), B._sparse)
     for i in range(na):
         for j in range(na):
-            table[i][j] = A.table[i][j] + B.zero()
+            table[i][j] = a_table[i][j] + B.zero()
     for i in range(B.dim):
         for j in range(B.dim):
-            table[na + i][na + j] = A.zero() + B.table[i][j]
+            table[na + i][na + j] = A.zero() + b_table[i][j]
     return FDAlgebra(f, [f"e{i}" for i in range(n)], table, A.unit + B.unit)
 
 

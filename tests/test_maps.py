@@ -59,11 +59,11 @@ def inner_derivation(alg, t):
 
 
 def test_identity_bracket_is_commutator(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     assert not any(bracket_sigma(ident, t2q.p, t2q.q))
     x = t2q.element((Fraction(1),), (Fraction(2),), (Fraction(3),))
     y = t2q.element((Fraction(0),), (Fraction(1),), (Fraction(-1),))
-    comm = vec_sub(QQ, t2q.algebra.mul(x, y), t2q.algebra.mul(y, x))
+    comm = vec_sub(QQ, t2q.mul(x, y), t2q.mul(y, x))
     assert bracket_sigma(ident, x, y) == comm
 
 
@@ -83,12 +83,12 @@ def test_bracket_with_unit_vanishes_for_unital_automorphism(t2q):
     sig = diag_sign_automorphism(t2q)
     rng = random.Random(1)
     for _ in range(10):
-        y = rand_vec(t2q.algebra, rng)
-        assert not any(bracket_sigma(sig, tuple(t2q.algebra.unit), y))
+        y = rand_vec(t2q, rng)
+        assert not any(bracket_sigma(sig, tuple(t2q.unit), y))
 
 
 def test_identity_is_automorphism(t2q):
-    assert is_automorphism(LinearEndo.identity(t2q.algebra)).ok
+    assert is_automorphism(LinearEndo.identity(t2q)).ok
 
 
 def test_sign_conjugation_is_automorphism(t2q):
@@ -96,7 +96,7 @@ def test_sign_conjugation_is_automorphism(t2q):
 
 
 def test_projection_is_not_automorphism(t2q):
-    alg = t2q.algebra
+    alg = t2q
     cols = [tuple(alg.unit)] + [alg.zero()] * (alg.dim - 1)
     proj = LinearEndo.from_images(alg, cols)
     res = is_automorphism(proj)
@@ -104,7 +104,7 @@ def test_projection_is_not_automorphism(t2q):
 
 
 def test_scaling_is_not_automorphism(t2q):
-    two = LinearEndo(t2q.algebra, Matrix(QQ, [[Fraction(2), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(2)]]))
+    two = LinearEndo(t2q, Matrix(QQ, [[Fraction(2), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(2)]]))
     res = is_automorphism(two)
     assert not res.ok and res.witness.reason == "unit not preserved"
 
@@ -112,8 +112,8 @@ def test_scaling_is_not_automorphism(t2q):
 def test_inner_derivations_satisfy_leibniz(t3q):
     rng = random.Random(5)
     for _ in range(5):
-        t = rand_vec(t3q.algebra, rng)
-        assert is_derivation(inner_derivation(t3q.algebra, t)).ok
+        t = rand_vec(t3q, rng)
+        assert is_derivation(inner_derivation(t3q, t)).ok
 
 
 def test_fixture_derivation_twisted_but_not_plain():
@@ -134,7 +134,7 @@ def test_fixture_derivation_twisted_but_not_plain():
 def test_generalized_pair_with_itself(t2q):
     sp = solve_space(t2q, None, "derivation")
     for d in sp.endos():
-        assert is_generalized_pair(d, d, LinearEndo.identity(t2q.algebra)).ok
+        assert is_generalized_pair(d, d, LinearEndo.identity(t2q)).ok
 
 
 def test_fixture_generalized_pair_and_missing_partner():
@@ -152,7 +152,7 @@ def test_fixture_generalized_pair_and_missing_partner():
 
 def test_partner_is_unique_on_unital_algebras(t2q, t3q):
     for t in (t2q, t3q):
-        ident = LinearEndo.identity(t.algebra)
+        ident = LinearEndo.identity(t)
         pairs = solve_space(t, ident, "generalized_pair")
         D, d = pairs.endo_pairs()[0]
         found = associated_derivations(D, ident)
@@ -163,12 +163,12 @@ def test_partner_is_unique_on_unital_algebras(t2q, t3q):
 
 
 def test_identity_map_is_commuting(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     assert predicate(ident, ident, "commuting").ok
 
 
 def test_central_multiplication_is_commuting_and_centralizing(t3q):
-    alg = t3q.algebra
+    alg = t3q
     z = tuple(QQ.mul(Fraction(2), c) for c in alg.unit)
     theta = LinearEndo(alg, alg.left_mul_matrix(z))
     ident = LinearEndo.identity(alg)
@@ -189,7 +189,7 @@ def test_corner_fixture_skew_commuting_witness():
 
 def test_unknown_mode_rejected(t2q):
     with pytest.raises(ValueError):
-        predicate(LinearEndo.identity(t2q.algebra), LinearEndo.identity(t2q.algebra), "weird")
+        predicate(LinearEndo.identity(t2q), LinearEndo.identity(t2q), "weird")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_unknown_mode_rejected(t2q):
 def test_derivations_of_t2_are_inner(t2q):
     space = solve_space(t2q, None, "derivation")
     assert space.dim == 2
-    alg = t2q.algebra
+    alg = t2q
     inner = Subspace.from_vectors(
         QQ, alg.dim ** 2, [vec_of_endo(inner_derivation(alg, alg.basis_vector(i))) for i in range(alg.dim)]
     )
@@ -208,7 +208,7 @@ def test_derivations_of_t2_are_inner(t2q):
 
 def test_derivations_of_matrix_unit_families_are_inner(t3q, block21q):
     for t in (t3q, block21q):
-        alg = t.algebra
+        alg = t
         space = solve_space(t, None, "derivation")
         inner = Subspace.from_vectors(
             QQ, alg.dim ** 2, [vec_of_endo(inner_derivation(alg, alg.basis_vector(i))) for i in range(alg.dim)]
@@ -219,7 +219,7 @@ def test_derivations_of_matrix_unit_families_are_inner(t3q, block21q):
 
 def test_commuting_maps_are_centralizing(t2q, t3q):
     for t in (t2q, t3q):
-        for sig in (LinearEndo.identity(t.algebra), diag_sign_automorphism(t)):
+        for sig in (LinearEndo.identity(t), diag_sign_automorphism(t)):
             comm = solve_space(t, sig, "commuting")
             cent = solve_space(t, sig, "centralizing")
             assert comm.space.leq(cent.space)
@@ -228,7 +228,7 @@ def test_commuting_maps_are_centralizing(t2q, t3q):
 def test_left_multipliers_of_t2_are_left_multiplications(t2q):
     space = solve_space(t2q, None, "left_multiplier")
     assert space.dim == 3
-    alg = t2q.algebra
+    alg = t2q
     mults = Subspace.from_vectors(
         QQ,
         alg.dim ** 2,
@@ -241,13 +241,13 @@ def test_left_multipliers_of_t2_are_left_multiplications(t2q):
 
 
 def test_skew_commuting_space_is_zero(t2q):
-    assert solve_space(t2q, LinearEndo.identity(t2q.algebra), "skew_commuting").dim == 0
+    assert solve_space(t2q, LinearEndo.identity(t2q), "skew_commuting").dim == 0
 
 
 def test_solved_spaces_are_sound(t2q, t3q):
     rng = random.Random(9)
     for t in (t2q, t3q):
-        ident = LinearEndo.identity(t.algebra)
+        ident = LinearEndo.identity(t)
         sig = diag_sign_automorphism(t)
         for kind, s in (
             ("derivation", ident),
@@ -270,22 +270,22 @@ def test_solved_spaces_are_sound(t2q, t3q):
 def test_quantified_kinds_hold_on_random_elements(t2q):
     rng = random.Random(11)
     sig = diag_sign_automorphism(t2q)
-    z = center_subspace(t2q.algebra)
+    z = center_subspace(t2q)
     space = solve_space(t2q, sig, "centralizing")
     for theta in space.endos():
         for _ in range(100):
-            x = rand_vec(t2q.algebra, rng)
+            x = rand_vec(t2q, rng)
             val = bracket_sigma(sig, x, theta(x))
             assert z.contains(val)
     space = solve_space(t2q, sig, "commuting")
     for theta in space.endos():
         for _ in range(100):
-            x = rand_vec(t2q.algebra, rng)
+            x = rand_vec(t2q, rng)
             assert not any(bracket_sigma(sig, x, theta(x)))
 
 
 def test_constructed_members_lie_in_their_spaces(t3q):
-    alg = t3q.algebra
+    alg = t3q
     rng = random.Random(3)
     der = solve_space(t3q, None, "derivation")
     for _ in range(5):
@@ -301,12 +301,12 @@ def test_constructed_members_lie_in_their_spaces(t3q):
 def test_plain_derivations_equal_identity_twisted(t2q, t3q):
     for t in (t2q, t3q):
         plain = solve_space(t, None, "derivation")
-        twisted = solve_space(t, LinearEndo.identity(t.algebra), "sigma_derivation")
+        twisted = solve_space(t, LinearEndo.identity(t), "sigma_derivation")
         assert plain.space == twisted.space
 
 
 def test_solve_rejects_non_automorphism(t2q):
-    proj = LinearEndo.zero(t2q.algebra)
+    proj = LinearEndo.zero(t2q)
     with pytest.raises(NotAutomorphism):
         solve_space(t2q, proj, "sigma_derivation")
     with pytest.raises(ValueError):
@@ -314,7 +314,7 @@ def test_solve_rejects_non_automorphism(t2q):
 
 
 def test_pair_space_interface(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     pairs = solve_space(t2q, ident, "generalized_pair")
     assert pairs.pair
     with pytest.raises(ValueError):
@@ -331,18 +331,18 @@ def test_as_endo_compares_structure_constants():
     """An endomorphism of an equal but distinct build is accepted; one of an
     algebra of the same dimension with other products is not."""
     first, second = upper_triangular(3, QQ), upper_triangular(3, QQ)
-    endo = LinearEndo.identity(first.algebra)
-    assert second.algebra is not first.algebra
+    endo = LinearEndo.identity(first)
+    assert second is not first
     assert as_endo(second, endo) is endo
     split1, split2 = upper_triangular(3, QQ, split=1), upper_triangular(3, QQ, split=2)
     assert split1.dim == split2.dim == 6
     with pytest.raises(ValueError, match="different algebra"):
-        as_endo(split2, LinearEndo.identity(split1.algebra))
+        as_endo(split2, LinearEndo.identity(split1))
 
 
 def test_endo_vectorization_round_trip(t2q):
     rng = random.Random(2)
-    alg = t2q.algebra
+    alg = t2q
     m = Matrix(QQ, [[Fraction(rng.randint(-5, 5)) for _ in range(alg.dim)] for _ in range(alg.dim)])
     e = LinearEndo(alg, m)
     assert endo_of_vec(alg, vec_of_endo(e)).matrix == m
@@ -353,7 +353,7 @@ def test_checks_convert_each_map_column_at_most_once(monkeypatch):
     maps' basis images from their sparse columns: at most one dense-to-sparse
     conversion per column, and no rescans of dense product operands."""
     t = trian_trunc(2, QQ)
-    alg = t.algebra
+    alg = t
     sigma = unipotent_automorphism(t)
     d = endo_of_vec(alg, [sum(c) for c in zip(*solve_space(t, sigma, "sigma_derivation").space.basis)]).matrix
     theta = endo_of_vec(alg, [sum(c) for c in zip(*solve_space(t, sigma, "centralizing").space.basis)]).matrix
@@ -428,7 +428,7 @@ def test_solve_streams_each_equation_into_elimination(monkeypatch, kind):
     only once every row of the equations before it has been reduced."""
     t = trian_trunc(2, GF(7))
     sigma = unipotent_automorphism(t)
-    center_subspace(t.algebra)
+    center_subspace(t)
     assembled, reduced, streams = [], [0], []
 
     equation = trialg.maps._System.equation
@@ -469,7 +469,7 @@ def test_pair_solve_holds_pivots_not_the_system():
     equations) peaks at about 0.65 MiB; storing the system's rows before
     eliminating them took it to about 1.8 MiB."""
     t = upper_triangular(6, GF(10007))
-    ident = LinearEndo.identity(t.algebra)
+    ident = LinearEndo.identity(t)
     tracemalloc.start()
     try:
         space = solve_space(t, ident, "generalized_pair")
@@ -496,24 +496,24 @@ def test_each_space_is_solved_once(monkeypatch):
     monkeypatch.setattr(trialg.maps._System, "kernel", counting)
     for kind in SOLVE_KINDS:
         first = solve_space(t, sigma, kind)
-        assert solve_space(t, LinearEndo(t.algebra, sigma.matrix), kind) is first
-        assert solve_space(t.algebra, sigma.matrix, kind) is first
+        assert solve_space(t, LinearEndo(t, sigma.matrix), kind) is first
+        assert solve_space(t, sigma.matrix, kind) is first
     assert len(kernels) == len(SOLVE_KINDS)
     assert solve_space(t, None, "derivation") is solve_space(t, sigma, "derivation")
     assert solve_space(t, None, "left_multiplier") is solve_space(t, sigma, "left_multiplier")
     assert len(kernels) == len(SOLVE_KINDS)
-    identity = LinearEndo.identity(t.algebra)
+    identity = LinearEndo.identity(t)
     assert solve_space(t, identity, "sigma_derivation") is not solve_space(t, sigma, "sigma_derivation")
     assert len(kernels) == len(SOLVE_KINDS) + 1
 
 
 def test_a_rejected_twist_is_rejected_every_time():
     t = upper_triangular(2, QQ)
-    proj = LinearEndo(t.algebra, Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    proj = LinearEndo(t, Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     for _ in range(2):
         with pytest.raises(NotAutomorphism):
             solve_space(t, proj, "sigma_derivation")
-    assert not any(key[0] == "solve" for key in t.algebra.memo if isinstance(key, tuple))
+    assert not any(key[0] == "solve" for key in t.memo if isinstance(key, tuple))
 
 
 def test_a_run_solves_each_space_once(monkeypatch):
@@ -579,7 +579,7 @@ def test_none_is_the_identity_twist():
     given identity is checked, and both give the one memoized space."""
     t = trian_trunc(2, GF(7))
     for kind in SOLVE_KINDS:
-        assert solve_space(t, None, kind) is solve_space(t, LinearEndo.identity(t.algebra), kind)
+        assert solve_space(t, None, kind) is solve_space(t, LinearEndo.identity(t), kind)
 
 
 @pytest.mark.parametrize(
@@ -608,7 +608,7 @@ def test_leibniz_solves_stream_basis_times_generators(monkeypatch, build, kind, 
         return kernel(system, count())
 
     monkeypatch.setattr(_System, "kernel", counting)
-    solve_space(t, LinearEndo.identity(t.algebra), kind)
+    solve_space(t, LinearEndo.identity(t), kind)
     assert dict(streamed) == blocks
 
 
@@ -617,7 +617,7 @@ def test_an_unverified_twist_keeps_the_full_scan():
     the twisted rule on every pair (e_i, g) can still break it elsewhere:
     ``is_sigma_derivation`` must scan all pairs to reject it."""
     t = upper_triangular(3, QQ)
-    alg = t.algebra
+    alg = t
     rows = [[Fraction(int(i == j)) for j in range(alg.dim)] for i in range(alg.dim)]
     rows[0][0] = Fraction(2)
     sigma = LinearEndo(alg, Matrix(QQ, rows))
@@ -640,11 +640,11 @@ def test_an_unverified_twist_keeps_the_full_scan():
 def test_dropping_a_generator_breaks_the_solve(monkeypatch, kind):
     """Without e12 among T4's generators the Leibniz-type solves find spaces
     larger than the dense oracle's, so the generating set carries weight."""
-    generators = _generators(upper_triangular(4, QQ).algebra)
+    generators = _generators(upper_triangular(4, QQ))
     assert 1 in generators  # e12, the first basis vector of M
     monkeypatch.setattr(trialg.maps, "_generators", lambda alg: tuple(g for g in generators if g != 1))
     t = upper_triangular(4, QQ)
-    ident = LinearEndo.identity(t.algebra)
+    ident = LinearEndo.identity(t)
     space = solve_space(t, ident, kind).space
     basis, _ = dense_solve_space(t, ident, kind)
     assert space.dim > len(basis)

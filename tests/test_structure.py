@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from dense_oracle import dense_bracket_matrix, dense_centralizing_conditions, vec_of_endo
+from dense_oracle import dense_bracket_matrix, dense_centralizing_conditions, dense_table, vec_of_endo
 
 from trialg import (
     GF,
@@ -50,11 +50,11 @@ ONE = Fraction(1)
 
 def shear(t2q):
     """Conjugation by the unipotent element (1, 1, 1)."""
-    return inner_automorphism(t2q.algebra, t2q.element((ONE,), (ONE,), (ONE,)))
+    return inner_automorphism(t2q, t2q.element((ONE,), (ONE,), (ONE,)))
 
 
 def test_identity_automorphism_decomposes_trivially(t2q):
-    parts = decompose_automorphism(t2q, LinearEndo.identity(t2q.algebra))
+    parts = decompose_automorphism(t2q, LinearEndo.identity(t2q))
     assert parts.f_sigma == Matrix.identity(QQ, 1)
     assert parts.g_sigma == Matrix.identity(QQ, 1)
     assert parts.m_sigma == (Fraction(0),)
@@ -76,7 +76,7 @@ def test_sign_conjugation_flips_module(t2q):
 
 def test_decomposition_gates_on_idempotent_flags(t3q):
     with pytest.raises(HypothesisNotMet):
-        decompose_automorphism(t3q, LinearEndo.identity(t3q.algebra))
+        decompose_automorphism(t3q, LinearEndo.identity(t3q))
 
 
 # every entry point that needs a triangular algebra, called on a plain one
@@ -110,12 +110,12 @@ def test_decompose_space_gates_before_it_solves():
     for kind in ("sigma_derivation", "centralizing", "commuting", "generalized_pair"):
         with pytest.raises(HypothesisNotMet, match="^automorphism decomposition needs diagonal algebras"):
             decompose_space(t, diag_sign_automorphism(t), kind)
-    assert not any(key[0] == "solve" for key in t.algebra.memo if isinstance(key, tuple))
+    assert not any(key[0] == "solve" for key in t.memo if isinstance(key, tuple))
 
 
 def test_decomposition_rejects_non_automorphism(t2q):
     with pytest.raises(NotAutomorphism):
-        decompose_automorphism(t2q, LinearEndo.zero(t2q.algebra))
+        decompose_automorphism(t2q, LinearEndo.zero(t2q))
 
 
 def test_compose_identity_parts(t2q):
@@ -127,7 +127,7 @@ def test_compose_with_corner_matches_conjugation(t2q):
     parts = AutParts(t2q, Matrix.identity(QQ, 1), Matrix.identity(QQ, 1), (ONE,), Matrix.identity(QQ, 1))
     endo = compose_automorphism(t2q, parts)
     u = t2q.element((ONE,), (Fraction(-1),), (ONE,))
-    assert endo.matrix == inner_automorphism(t2q.algebra, u).matrix
+    assert endo.matrix == inner_automorphism(t2q, u).matrix
 
 
 def test_compose_rejects_singular_module_component(t2q):
@@ -155,13 +155,13 @@ def test_decomposition_checks_the_automorphism_once(automorphism_checks):
 
 
 def test_zero_derivation_decomposes_to_zero(t2q):
-    parts = decompose_sigma_derivation(t2q, LinearEndo.identity(t2q.algebra), LinearEndo.zero(t2q.algebra))
+    parts = decompose_sigma_derivation(t2q, LinearEndo.identity(t2q), LinearEndo.zero(t2q))
     assert parts.d_A.is_zero() and parts.d_B.is_zero() and parts.xi.is_zero()
     assert parts.m_d == (Fraction(0),)
 
 
 def test_inner_derivation_components(t2q):
-    alg = t2q.algebra
+    alg = t2q
     e12 = t2q.element((Fraction(0),), (ONE,), (Fraction(0),))
     ad = LinearEndo(alg, dense_bracket_matrix(alg, e12, e12, -1))
     parts = decompose_sigma_derivation(t2q, LinearEndo.identity(alg), ad)
@@ -171,7 +171,7 @@ def test_inner_derivation_components(t2q):
 
 def test_derivation_round_trip_and_unit_annihilation(t2q, t2f5, trunc3q):
     for t in (t2q, t2f5, trunc3q):
-        for sig in (LinearEndo.identity(t.algebra), diag_sign_automorphism(t)):
+        for sig in (LinearEndo.identity(t), diag_sign_automorphism(t)):
             space = solve_space(t, sig, "sigma_derivation")
             for d in space.endos():
                 parts = decompose_sigma_derivation(t, sig, d)
@@ -184,25 +184,25 @@ def test_xi_compatibility_identities(trunc3q):
     t = trunc3q
     sig = diag_sign_automorphism(t)
     space = solve_space(t, sig, "sigma_derivation")
-    f = t.field
+    f, left = t.field, dense_table(t.M.zero(), t.M._left)
     for d in space.endos():
         parts = decompose_sigma_derivation(t, sig, d)
         for i in range(t.A.dim):
             for k in range(t.M.dim):
-                lhs = parts.xi.mul_vec(t.M.left[i][k])
+                lhs = parts.xi.mul_vec(left[i][k])
                 rhs_l = t.M.act_left(parts.d_A.column(i), t.M.basis_vector(k))
                 rhs_r = t.M.act_left(parts.aut.f_sigma.column(i), parts.xi.column(k))
                 assert lhs == tuple(f.add(a, b) for a, b in zip(rhs_l, rhs_r))
 
 
 def test_derivation_decomposition_rejects_non_derivation(t2q):
-    not_d = LinearEndo.identity(t2q.algebra)
+    not_d = LinearEndo.identity(t2q)
     with pytest.raises(PredicateNotSatisfied):
-        decompose_sigma_derivation(t2q, LinearEndo.identity(t2q.algebra), not_d)
+        decompose_sigma_derivation(t2q, LinearEndo.identity(t2q), not_d)
 
 
 def test_identity_map_centralizing_components(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     parts = decompose_centralizing(t2q, ident, ident)
     assert parts.delta1 == Matrix.identity(QQ, 1)
     assert parts.mu3 == Matrix.identity(QQ, 1)
@@ -211,7 +211,7 @@ def test_identity_map_centralizing_components(t2q):
 
 
 def test_central_multiplication_decomposes(t2q):
-    alg = t2q.algebra
+    alg = t2q
     z = tuple(QQ.mul(Fraction(3), c) for c in alg.unit)
     theta = LinearEndo(alg, alg.left_mul_matrix(z))
     parts = decompose_centralizing(t2q, LinearEndo.identity(alg), theta)
@@ -221,7 +221,7 @@ def test_central_multiplication_decomposes(t2q):
 
 
 def test_centralizing_condition_labels(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(ident)])
     assert decompose_centralizing(t2q, ident, ident).conditions == conds
     expected = {"i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "delta2_range", "mu2_range", "m_component"}
@@ -232,10 +232,10 @@ def test_centralizing_condition_labels(t2q):
 def test_corrupted_components_fail_their_conditions(t2q):
     """The identity with δ₃ = id breaks (vi); (iv) holds, as B = K·1_B, and
     the M-rows are still the canonical ones."""
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     rows = [list(r) for r in ident.matrix.entries]
     rows[0][2] = ONE  # the A-row of the B column: δ₃
-    broken = LinearEndo(t2q.algebra, Matrix(QQ, rows))
+    broken = LinearEndo(t2q, Matrix(QQ, rows))
     assert _extract_cent_parts(t2q, ident, broken).delta3 == Matrix.identity(QQ, 1)
     [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(broken)])
     assert {label for label, r in conds.items() if not r.ok} == {"vi"}
@@ -247,12 +247,12 @@ def test_centralizing_conditions_make_no_dense_product(monkeypatch):
     """Every side of the conditions and of the round trip is read from the
     sparse tables and the parts' sparse columns, not from dense products."""
     t = trian_trunc(4, GF(10007))
-    ident = LinearEndo.identity(t.algebra)
+    ident = LinearEndo.identity(t)
     space = solve_space(t, ident, "centralizing").space
     v = space.basis[0]
     for b in space.basis[1:]:
         v = vec_add(t.field, v, b)
-    theta = endo_of_vec(t.algebra, v)
+    theta = endo_of_vec(t, v)
     decompose_centralizing(t, ident, theta)
     calls = []
 
@@ -273,10 +273,10 @@ def test_centralizing_conditions_make_no_dense_product(monkeypatch):
 def test_module_component_witness_is_first_differing_column(t2q):
     # θ = id with the M-row entry of the e_22 column changed: the round trip of
     # its parts differs from it in that column only, by that entry
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     rows = [list(r) for r in ident.matrix.entries]
     rows[1][2] = Fraction(5)
-    theta = LinearEndo(t2q.algebra, Matrix(QQ, rows))
+    theta = LinearEndo(t2q, Matrix(QQ, rows))
     [conds] = description_conditions(t2q, ident, "centralizing", [vec_of_endo(theta)])
     check = conds["m_component"]
     assert not check.ok
@@ -287,7 +287,7 @@ def test_module_component_witness_is_first_differing_column(t2q):
 
 def test_centralizing_round_trip_all_twists(t2q, t2f5, trunc3q):
     for t in (t2q, t2f5, trunc3q):
-        for sig in (LinearEndo.identity(t.algebra), diag_sign_automorphism(t), unipotent_automorphism(t)):
+        for sig in (LinearEndo.identity(t), diag_sign_automorphism(t), unipotent_automorphism(t)):
             space = solve_space(t, sig, "centralizing")
             for theta in space.endos():
                 parts = decompose_centralizing(t, sig, theta)
@@ -296,12 +296,12 @@ def test_centralizing_round_trip_all_twists(t2q, t2f5, trunc3q):
 
 def test_centralizing_gate_for_twisted_maps_on_unflagged_instance(t3q):
     with pytest.raises(HypothesisNotMet):
-        decompose_centralizing(t3q, diag_sign_automorphism(t3q), LinearEndo.zero(t3q.algebra))
+        decompose_centralizing(t3q, diag_sign_automorphism(t3q), LinearEndo.zero(t3q))
 
 
 def test_identity_twist_decomposition_allowed_on_unflagged_instance(t3q, block21q):
     for t in (t3q, block21q):
-        ident = LinearEndo.identity(t.algebra)
+        ident = LinearEndo.identity(t)
         space = solve_space(t, ident, "centralizing")
         for theta in space.endos():
             parts = decompose_centralizing(t, ident, theta)
@@ -310,7 +310,7 @@ def test_identity_twist_decomposition_allowed_on_unflagged_instance(t3q, block21
 
 def test_commuting_criterion_matches_predicate(t2q, trunc3q):
     for t in (t2q, trunc3q):
-        for sig in (LinearEndo.identity(t.algebra), diag_sign_automorphism(t)):
+        for sig in (LinearEndo.identity(t), diag_sign_automorphism(t)):
             space = solve_space(t, sig, "centralizing")
             for theta in space.endos():
                 parts = decompose_centralizing(t, sig, theta)
@@ -326,15 +326,15 @@ def test_commuting_maps_pass_the_criterion(t2q):
 
 
 def test_generalized_pair_with_derivation_round_trips(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     for d in solve_space(t2q, None, "derivation").endos():
         parts = decompose_generalized(t2q, ident, d, d)
         assert compose_generalized(t2q, parts).matrix == d.matrix
 
 
 def test_left_multiplier_as_generalized_derivation(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
-    alg = t2q.algebra
+    ident = LinearEndo.identity(t2q)
+    alg = t2q
     F = LinearEndo(alg, alg.left_mul_matrix(t2q.element((Fraction(2),), (ONE,), (Fraction(-1),))))
     parts = decompose_generalized(t2q, ident, F, LinearEndo.zero(alg))
     assert parts.xi.is_zero()
@@ -343,7 +343,7 @@ def test_left_multiplier_as_generalized_derivation(t2q):
 
 
 def test_generalized_round_trip_over_pair_space(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     for D, d in solve_space(t2q, ident, "generalized_pair").endo_pairs():
         parts = decompose_generalized(t2q, ident, D, d)
         assert compose_generalized(t2q, parts).matrix == D.matrix
@@ -352,7 +352,7 @@ def test_generalized_round_trip_over_pair_space(t2q):
 
 def test_generalized_display_variant_differs_with_corner(t2q):
     sig = shear(t2q)  # corner element is -1
-    parts = decompose_generalized(t2q, sig, LinearEndo.identity(t2q.algebra), LinearEndo.zero(t2q.algebra))
+    parts = decompose_generalized(t2q, sig, LinearEndo.identity(t2q), LinearEndo.zero(t2q))
     assert not parts.display_matches
     assert compose_generalized(t2q, parts).matrix == Matrix.identity(QQ, t2q.dim)
     variant = compose_generalized(t2q, parts.replace(der=parts.der.replace(d_B=parts.D_B)))
@@ -360,14 +360,14 @@ def test_generalized_display_variant_differs_with_corner(t2q):
 
 
 def test_identity_is_left_multiplier_with_trivial_parts(t2q):
-    parts = decompose_left_multiplier(t2q, LinearEndo.identity(t2q.algebra))
+    parts = decompose_left_multiplier(t2q, LinearEndo.identity(t2q))
     assert parts.F_A == Matrix.identity(QQ, 1)
     assert parts.F_B == Matrix.identity(QQ, 1)
     assert parts.m_F == (Fraction(0),)
 
 
 def test_left_multiplication_components_follow_blocks(t2q):
-    alg = t2q.algebra
+    alg = t2q
     a0, m0, b0 = (Fraction(2),), (Fraction(5),), (Fraction(-3),)
     F = LinearEndo(alg, alg.left_mul_matrix(t2q.element(a0, m0, b0)))
     parts = decompose_left_multiplier(t2q, F)
@@ -380,13 +380,13 @@ def test_left_multiplier_round_trip_over_space(t2q, t3q):
     for t in (t2q, t3q):
         for F in solve_space(t, None, "left_multiplier").endos():
             parts = decompose_left_multiplier(t, F)
-            gen = decompose_generalized(t, LinearEndo.identity(t.algebra), F, LinearEndo.zero(t.algebra))
+            gen = decompose_generalized(t, LinearEndo.identity(t), F, LinearEndo.zero(t))
             assert (parts.F_A, parts.F_B, parts.m_F) == (gen.D_A, gen.D_B, gen.m_D)
             assert compose_generalized(t, gen).matrix == F.matrix
 
 
 def test_left_multiplier_rejects_other_maps(t2q):
-    alg = t2q.algebra
+    alg = t2q
     e12 = t2q.element((Fraction(0),), (ONE,), (Fraction(0),))
     ad = LinearEndo(alg, dense_bracket_matrix(alg, e12, e12, -1))
     with pytest.raises(PredicateNotSatisfied):

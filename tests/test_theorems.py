@@ -109,13 +109,25 @@ def test_vanishing_verifiers_need_a_triangular_algebra_for_a_twist():
 
 
 @pytest.mark.parametrize(
-    "verify", [verify_gd_left_mult, verify_description, verify_mayne], ids=["gd_left_mult", "description", "mayne"]
+    "verify,message",
+    [
+        (verify_gd_left_mult, "needs a triangular algebra"),
+        (verify_description, "needs a triangular algebra"),
+        (verify_mayne, "needs a triangular algebra"),
+        (verify_posner, "^posner with a non-identity twist needs a triangular algebra$"),
+        (verify_skew_zero, "^skew_zero with a non-identity twist needs a triangular algebra$"),
+    ],
+    ids=["gd_left_mult", "description", "mayne", "posner-twisted", "skew_zero-twisted"],
 )
-def test_triangular_verifiers_reject_a_plain_algebra(verify):
+def test_triangular_verifiers_reject_a_plain_algebra(verify, message):
     """The statements about the corners of T need a triangular algebra; a
-    plain one is a hypothesis not met, not a missing attribute."""
-    with pytest.raises(HypothesisNotMet, match="needs a triangular algebra"):
-        verify(trunc_poly(3, QQ))
+    plain one is a hypothesis not met, not a missing attribute.  Posner and
+    skew-zero need one only under a non-identity twist, and say so rather
+    than name the corners' idempotent hypothesis."""
+    fx = fixture_n3(QQ)
+    args = (fx.algebra, fx.maps["sigma"]) if "twist" in message else (trunc_poly(3, QQ),)
+    with pytest.raises(HypothesisNotMet, match=message):
+        verify(*args)
 
 
 @pytest.mark.parametrize("verify", [verify_posner, verify_skew_zero, verify_sharma_dhara])
@@ -171,15 +183,15 @@ def test_gd_left_mult_witness_is_a_multiplier_outside_the_space(monkeypatch, t3q
     report = verify_gd_left_mult(t3q)
     assert not report.passed and not report.details["restriction_inside_multipliers"]
     assert report.details["left_multiplier"] and report.details["partner_zero"]
-    F = LinearEndo(t3q.algebra, report.witness)
+    F = LinearEndo(t3q, report.witness)
     assert is_left_multiplier(F).ok
     assert not without_multipliers(t3q, None, "left_multiplier").space.contains(vec_of_endo(F))
 
 
 def test_identity_map_lies_in_the_restricted_pair_space(t2q):
-    ident = LinearEndo.identity(t2q.algebra)
+    ident = LinearEndo.identity(t2q)
     pairs = solve_space(t2q, ident, "generalized_pair")
-    assert contains_pair(pairs, ident, LinearEndo.zero(t2q.algebra))
+    assert contains_pair(pairs, ident, LinearEndo.zero(t2q))
     assert predicate(ident, ident, "centralizing").ok
 
 
@@ -210,7 +222,7 @@ def test_mayne_gate(t3q):
 
 def test_unipotent_conjugation_is_not_centralizing(t2q):
     sig = unipotent_automorphism(t2q)
-    assert not predicate(sig, LinearEndo.identity(t2q.algebra), "centralizing").ok
+    assert not predicate(sig, LinearEndo.identity(t2q), "centralizing").ok
 
 
 def test_reports_are_truthy_only_when_passing(t2q):
@@ -264,7 +276,7 @@ def test_inner_parts_compose_to_a_conjugation_by_a_unit(build):
         )
         parts = AutParts(t, inner_automorphism(A, u).matrix, inner_automorphism(B, w).matrix, m_sigma, nu)
         unit = t.element(tuple(f.mul(s, x) for x in u), vec_neg(f, M.act_right(m_sigma, w)), w)
-        assert compose_automorphism(t, parts) == inner_automorphism(t.algebra, unit)
+        assert compose_automorphism(t, parts) == inner_automorphism(t, unit)
 
 
 def test_mayne_reports_the_first_sample_that_is_centralizing(t2f5, monkeypatch):
