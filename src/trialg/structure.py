@@ -8,12 +8,12 @@ side condition, and every entry of the canonical form, is one group.  The
 rows serve twice.  Their kernel K is the space the description defines
 (:func:`description_space`), and evaluated on given maps they decide every
 condition for every map (:func:`description_conditions`): a group holds on a
-map exactly when all its rows vanish there.  A decomposition checks the
-map's defining identity and the twisted hypothesis, evaluates the rows on
-its members (a whole solved space at once in :func:`decompose_space`; there
-is no fallback), and reads the parts off the blocks of each member.  The
-canonical form is among the rows, so a member on which they all vanish
-recomposes exactly.
+map exactly when all its rows vanish there.  A decomposition evaluates the
+rows on its members and reads the parts off the blocks of each member: a
+whole solved space at once (:func:`decompose_space`), or one map after the
+one per-map body (:func:`_decompose_map`) has checked its defining
+identity against the table :data:`_IDENTITIES`.  The canonical form is
+among the rows, so a member on which they all vanish recomposes exactly.
 
 An automorphism σ is split into (f, g, m_σ, ν) by its blocks and m_σ =
 π_M σ(p), and the recomposed map is compared with σ entry by entry.  A
@@ -270,13 +270,7 @@ def compose_sigma_derivation(t: TriangularAlgebra, parts: DerParts) -> LinearEnd
 
 def decompose_sigma_derivation(t: TriangularAlgebra, sigma, d) -> DerParts:
     """Decompose a twisted derivation: its rule, then its description."""
-    sigma = resolve_twist(t, sigma)
-    require_hypotheses(t, "decompose_sigma_derivation", _TWISTED_DECOMPOSITION, sigma)
-    d = as_endo(t, d)
-    chk = is_sigma_derivation(d, sigma)
-    if not chk.ok:
-        raise PredicateNotSatisfied(chk.witness)
-    return _decompose_members(t, sigma, "sigma_derivation", [_entries(d)])[0]
+    return _decompose_map("decompose_sigma_derivation", t, sigma, "sigma_derivation", d)
 
 
 def _der_blocks(t: TriangularAlgebra, aut: AutParts, d: LinearEndo) -> DerParts:
@@ -353,13 +347,7 @@ def compose_centralizing(t: TriangularAlgebra, parts: CentParts) -> LinearEndo:
 def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:
     """Decompose a twisted centralizing map and verify conditions (i)-(viii),
     the range constraints on δ₂/μ₂, and the canonical module component."""
-    sigma = resolve_twist(t, sigma)
-    require_hypotheses(t, "decompose_centralizing", _TWISTED_DECOMPOSITION, sigma)
-    theta = as_endo(t, theta)
-    chk = predicate(theta, sigma, "centralizing")
-    if not chk.ok:
-        raise PredicateNotSatisfied(chk.witness)
-    return _decompose_members(t, sigma, "centralizing", [_entries(theta)])[0]
+    return _decompose_map("decompose_centralizing", t, sigma, "centralizing", theta)
 
 
 def commuting_criterion(parts: CentParts) -> bool:
@@ -417,14 +405,7 @@ def decompose_generalized(t: TriangularAlgebra, sigma, D, d) -> GenParts:
 
     The pair's rule (:func:`trialg.maps.is_generalized_pair`: d's, then D's)
     is checked once on the whole algebra, then the description of the pair."""
-    sigma = resolve_twist(t, sigma)
-    require_hypotheses(t, "decompose_generalized", _TWISTED_DECOMPOSITION, sigma)
-    D = as_endo(t, D)
-    d = as_endo(t, d)
-    chk = is_generalized_pair(D, d, sigma)
-    if not chk.ok:
-        raise PredicateNotSatisfied(chk.witness)
-    return _decompose_members(t, sigma, "generalized_pair", [_entries(D, d)])[0]
+    return _decompose_map("decompose_generalized", t, sigma, "generalized_pair", D, d)
 
 
 def _gen_blocks(t: TriangularAlgebra, der: DerParts, D: LinearEndo) -> GenParts:
@@ -461,12 +442,7 @@ def decompose_left_multiplier(t: TriangularAlgebra, F) -> MultParts:
     """(a, m, b) -> (F_A(a), m_F b + F_A(1_A)m, F_B(b)): F's rule, which is
     the generalized Leibniz rule of (F, 0), then the left multiplier
     description."""
-    require_hypotheses(t, "decompose_left_multiplier")
-    F = as_endo(t, F)
-    chk = _leibniz_check(F, None, None, "generalized Leibniz rule")
-    if not chk.ok:
-        raise PredicateNotSatisfied(chk.witness)
-    return _decompose_members(t, resolve_twist(t, None), "left_multiplier", [_entries(F)])[0]
+    return _decompose_map("decompose_left_multiplier", t, None, "left_multiplier", F)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +624,7 @@ def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> l
     """
     sigma = resolve_twist(t, sigma, kind)
     require_hypotheses(t, "description_conditions", "twisted description", sigma)
+    vectors = list(vectors)
     f, n, p = t.field, t.dim, t.field.char
     system = _System(f, n, 2 if kind == "generalized_pair" else 1)
     entries: dict[int, list] = {}  # unknown -> the (vector, value) nonzeros there
@@ -684,9 +661,30 @@ def description_conditions(t: TriangularAlgebra, sigma, kind: str, vectors) -> l
 # decomposing members
 
 
+# the defining identity of each described kind, on a member's maps (D, then d for a pair)
+_IDENTITIES = {
+    "sigma_derivation": lambda sigma, d: is_sigma_derivation(d, sigma),
+    "generalized_pair": lambda sigma, D, d: is_generalized_pair(D, d, sigma),
+    "centralizing": lambda sigma, theta: predicate(theta, sigma, "centralizing"),
+    "left_multiplier": lambda sigma, F: _leibniz_check(F, None, None, "generalized Leibniz rule"),
+}
+
+
 def _entries(*maps: LinearEndo) -> Vector:
     """The entries of the maps, row by row and one map after another."""
     return tuple(x for X in maps for row in X.matrix.entries for x in row)
+
+
+def _decompose_map(what: str, t: TriangularAlgebra, sigma, kind: str, *maps):
+    """The per-map ``decompose_*`` named ``what``: σ resolved, hypotheses
+    gated, the maps' identity checked (PredicateNotSatisfied), then decomposed."""
+    sigma = resolve_twist(t, sigma, kind)
+    require_hypotheses(t, what, _TWISTED_DECOMPOSITION, sigma)
+    maps = [as_endo(t, X) for X in maps]
+    chk = _IDENTITIES[kind](sigma, *maps)
+    if not chk.ok:
+        raise PredicateNotSatisfied(chk.witness)
+    return _decompose_members(t, sigma, kind, [_entries(*maps)])[0]
 
 
 def _decompose_members(t: TriangularAlgebra, sigma: LinearEndo, kind: str, vectors) -> list:

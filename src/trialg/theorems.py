@@ -1,9 +1,15 @@
 """Executable verification of the structure theorems on concrete instances.
 
 Each verifier returns a :class:`TheoremReport` whose dimensions are exact and
-reproducible; a failing report carries a witness rechecked against the
-defining predicates, and a witness that fails its recheck raises
-StructuralMismatch.
+reproducible.  A failing report carries a witness that :func:`_counterexample`
+builds and rechecks against the defining predicates: for Posner, a σ-derivation
+that is σ-centralizing; skew-zero, a skew-commuting map; Sharma–Dhara, a
+skew-centralizing map that is not commuting; gd_left_mult, a centralizing D,
+which outside the multipliers also fails the left multiplier rule; and the
+description, a map on which the defining identity holds and a description
+group fails (C outside K), or every group holds and the identity fails (K
+outside C).  A witness that fails its recheck raises StructuralMismatch.
+Mayne's sampled witness is checked as an automorphism before it is tested.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .maps import (
     solve_space,
 )
 from .records import Record, field
-from .structure import DESCRIPTION_KINDS, _decompose_members, description_space
+from .structure import DESCRIPTION_KINDS, _IDENTITIES, _decompose_members, _entries
+from .structure import description_conditions, description_space
 
 POSNER = "posner"
 MAYNE = "mayne"
@@ -48,15 +55,17 @@ class TheoremReport(Record):
         return self.passed
 
 
-def _counterexample(t, space: Subspace, inside: Subspace | None, recheck) -> Matrix | None:
-    """The first basis vector of ``space`` outside ``inside`` (None: zero) as a
-    map's matrix, or None; StructuralMismatch if ``recheck`` rejects the map."""
-    for v in space.basis:
+def _counterexample(t, vectors, inside: Subspace | None, recheck) -> Matrix | None:
+    """The first of ``vectors`` outside ``inside`` (None: zero) as a matrix of
+    n columns (a pair's D above its d), or None; StructuralMismatch if the
+    verifier's ``recheck`` (see the module docstring) rejects its maps (one
+    map, or D then d)."""
+    n = t.dim
+    for v in vectors:
         if inside is None or not inside.contains(v):
-            w = endo_of_vec(t, v)
-            if not recheck(w):
+            if not recheck(*(endo_of_vec(t, v[r : r + n * n]) for r in range(0, len(v), n * n))):
                 raise StructuralMismatch("a counterexample fails its defining predicates")
-            return w.matrix
+            return Matrix(t.field, [v[r : r + n] for r in range(0, len(v), n)], ncols=n)
     return None
 
 
@@ -72,7 +81,7 @@ def verify_posner(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
     witness = _counterexample(
-        t, inter, None, lambda w: is_sigma_derivation(w, sigma).ok and predicate(w, sigma, "centralizing").ok
+        t, inter.basis, None, lambda w: is_sigma_derivation(w, sigma).ok and predicate(w, sigma, "centralizing").ok
     )
     return TheoremReport(
         POSNER,
@@ -94,7 +103,7 @@ def verify_skew_zero(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremRep
     sigma = resolve_twist(t, sigma)
     require_hypotheses(t, None, f"{SKEW_ZERO} with a non-identity twist", sigma)
     space = solve_space(t, sigma, "skew_commuting")
-    witness = _counterexample(t, space.space, None, lambda w: predicate(w, sigma, "skew_commuting").ok)
+    witness = _counterexample(t, space.space.basis, None, lambda w: predicate(w, sigma, "skew_commuting").ok)
     return TheoremReport(
         SKEW_ZERO,
         instance or repr(t),
@@ -116,7 +125,7 @@ def verify_sharma_dhara(alg: FDAlgebra, instance: str = "") -> TheoremReport:
     def recheck(w):
         return predicate(w, ident, "skew_centralizing").ok and not predicate(w, ident, "commuting").ok
 
-    witness = _counterexample(alg, skew.space, comm.space, recheck)
+    witness = _counterexample(alg, skew.space.basis, comm.space, recheck)
     return TheoremReport(
         SHARMA_DHARA,
         instance or repr(alg),
@@ -133,8 +142,9 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     Restricts the solved (D, d) pair space to pairs with centralizing D,
     decomposes its members at once, and checks member by member: D is a left
     multiplier, the partner d is zero, and the decomposition has m_d = 0 and
-    ξ = 0.  Every D must lie in the solved left-multiplier space; when one
-    does not, the first such D is the witness.
+    ξ = 0.  Every D must also lie in the solved left-multiplier space.  The
+    witness is the D of the first member that fails, or else the first D
+    outside that space.
     """
     require_hypotheses(t, GD_LEFT_MULT)
     ident = LinearEndo.identity(t)
@@ -147,19 +157,17 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
     witness = None
     checks = {"left_multiplier": True, "partner_zero": True, "decomposition_trivial": True}
     for v, parts in zip(restricted.basis, _decompose_members(t, ident, "generalized_pair", restricted.basis)):
-        D = endo_of_vec(t, v[:n2])
-        if not is_left_multiplier(D).ok:
-            checks["left_multiplier"] = False
-        if any(v[n2:]):
-            checks["partner_zero"] = False
-        if any(parts.m_d) or not parts.xi.is_zero():
-            checks["decomposition_trivial"] = False
+        checks["left_multiplier"] &= is_left_multiplier(endo_of_vec(t, v[:n2])).ok
+        checks["partner_zero"] &= not any(v[n2:])
+        checks["decomposition_trivial"] &= not any(parts.m_d) and parts.xi.is_zero()
         if not all(checks.values()):
-            witness = D.matrix
+            witness = _counterexample(t, [v[:n2]], None, lambda D: predicate(D, ident, "centralizing"))
             break
-    outside = next((v[:n2] for v in restricted.basis if not mult.space.contains(v[:n2])), None)
-    if witness is None and outside is not None:
-        witness = endo_of_vec(t, outside).matrix
+    outside = [v[:n2] for v in restricted.basis if not mult.space.contains(v[:n2])]
+    if witness is None:
+        witness = _counterexample(
+            t, outside, None, lambda D: predicate(D, ident, "centralizing") and not is_left_multiplier(D)
+        )
     return TheoremReport(
         GD_LEFT_MULT,
         instance or repr(t),
@@ -169,7 +177,7 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
             "centralizing_restriction": restricted.dim,
             "left_multipliers": mult.dim,
         },
-        details={"restriction_inside_multipliers": outside is None, **checks},
+        details={"restriction_inside_multipliers": not outside, **checks},
         witness=witness,
     )
 
@@ -181,12 +189,12 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
     K of the description (:func:`trialg.structure.description_space`) must
     equal the solved space C, which decides both directions of the statement
     at once.  A failure carries the first basis vector of C missing from K,
-    or else of K missing from C, as a matrix of n columns (D's rows above
-    d's for a pair).
+    on which the defining identity holds and a description group fails, or
+    else of K missing from C, on which every group holds and the identity
+    fails, as a matrix of n columns (D's rows above d's for a pair).
     """
     sigma = resolve_twist(t, sigma)
     require_hypotheses(t, DESCRIPTION, f"{DESCRIPTION} with a non-identity twist", sigma)
-    n = t.dim
     dimensions: dict[str, int] = {}
     details: dict = {}
     witness = None
@@ -197,11 +205,16 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
         dimensions[f"{kind}_description"] = described.dim
         details[kind] = described == solved
         if witness is None and not details[kind]:
-            missing = [(v, "description") for v in solved.basis if not described.contains(v)]
-            missing += [(v, "solved_space") for v in described.basis if not solved.contains(v)]
-            v, details["witness_missing_from"] = missing[0]
-            details["witness_kind"] = kind
-            witness = Matrix(t.field, [v[r : r + n] for r in range(0, len(v), n)], ncols=n)
+
+            def verdicts(*maps):
+                conditions = description_conditions(t, sigma, kind, [_entries(*maps)])[0]
+                return _IDENTITIES[kind](sigma, *maps).ok, all(conditions.values())
+
+            details["witness_missing_from"], details["witness_kind"] = "description", kind
+            witness = _counterexample(t, solved.basis, described, lambda *m: verdicts(*m) == (True, False))
+            if witness is None:
+                details["witness_missing_from"] = "solved_space"
+                witness = _counterexample(t, described.basis, solved, lambda *m: verdicts(*m) == (False, True))
     return TheoremReport(
         DESCRIPTION,
         instance or repr(t),

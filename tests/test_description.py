@@ -13,9 +13,9 @@ import weakref
 import pytest
 
 from trialg import GF, QQ, LinearEndo, block_upper, cli, structure, theorems, trian_trunc, upper_triangular
-from trialg.errors import ConditionFailure
+from trialg.errors import ConditionFailure, StructuralMismatch
 from trialg.linalg import Matrix, Subspace
-from trialg.maps import MapSpace, _System, solve_space
+from trialg.maps import MapSpace, _System, is_generalized_pair, is_sigma_derivation, solve_space
 from trialg.structure import (
     DESCRIPTION_KINDS,
     DerParts,
@@ -175,6 +175,15 @@ def test_description_conditions_refuse_a_vector_of_the_wrong_length(kind, vector
     width = 2 * t.dim**2 if kind == "generalized_pair" else t.dim**2
     with pytest.raises(ValueError, match=f"^a {kind} vector has {width} entries, got {len(vector)}$"):
         description_conditions(t, None, kind, [vector])
+
+
+def test_description_conditions_take_any_iterable_of_vectors():
+    """An iterator of maps is read once: its results are the list's."""
+    t = upper_triangular(2, QQ)
+    v = (1,) + (0,) * (t.dim**2 - 1)
+    [conditions] = description_conditions(t, None, "sigma_derivation", [v])
+    assert not conditions["d_A twisted Leibniz"].ok
+    assert description_conditions(t, None, "sigma_derivation", iter([v])) == [conditions]
 
 
 def test_description_is_memoized_on_the_triangular_algebra():
@@ -389,7 +398,20 @@ def test_verify_description_passes_with_every_dimension():
     assert record["details"] == dict.fromkeys(DESCRIPTION_KINDS, True)
 
 
+def _weakened(kinds):
+    """``_description_rows`` without the DROPPED group of each of ``kinds``."""
+    rows = structure._description_rows
+
+    def weaker(t, sigma, kind):
+        return [(label, eqs) for label, eqs in rows(t, sigma, kind) if kind not in kinds or label != DROPPED[kind]]
+
+    return weaker
+
+
 def test_verify_description_fails_with_the_first_missing_vector(monkeypatch):
+    """A description kernel that the description's own conditions contradict
+    (K weakened behind them) gives no witness: the first vector of K
+    outside C holds the identity or fails a group, so its recheck fails."""
     t = trian_trunc(3, F7)
     sigma = unipotent_automorphism(t)
 
@@ -398,25 +420,73 @@ def test_verify_description_fails_with_the_first_missing_vector(monkeypatch):
         return _description_kernel(t, kind, groups)
 
     monkeypatch.setattr(theorems, "description_space", weaker)
+    with pytest.raises(StructuralMismatch):
+        theorems.verify_description(t, sigma)
+
+
+def test_verify_description_of_a_weaker_description_fails_with_the_first_missing_vector(monkeypatch):
+    """With one group dropped from the description itself, K and the
+    rechecking conditions read the same weaker statement: the witness is the
+    first vector of K outside C, every group holds on it and the identity fails."""
+    t = trian_trunc(3, F7)
+    sigma = unipotent_automorphism(t)
+    monkeypatch.setattr(structure, "_description_rows", _weakened(DROPPED))
     report = theorems.verify_description(t, sigma)
     assert not report.passed
     assert report.details["witness_kind"] == "sigma_derivation"
     assert report.details["witness_missing_from"] == "solved_space"
     solved = solve_space(t, sigma, "sigma_derivation").space
-    first = next(v for v in weaker(t, sigma, "sigma_derivation").basis if not solved.contains(v))
+    first = next(v for v in description_space(t, sigma, "sigma_derivation").basis if not solved.contains(v))
     n = t.dim
     assert report.witness.entries == tuple(first[r : r + n] for r in range(0, n * n, n))
     assert report.dimensions["sigma_derivation_description"] > report.dimensions["sigma_derivation"]
 
 
 def test_verify_description_pair_witness_stacks_d_under_D(monkeypatch):
+    """A zero pair description that the description's own conditions
+    contradict gives no witness: every solved pair satisfies every group,
+    so the first one missing from K fails its recheck."""
     t = trian_trunc(2, F7)
     monkeypatch.setattr(theorems, "description_space", lambda t, sigma, kind: Subspace.zero(t.field, 2 * t.dim**2)
                         if kind == "generalized_pair" else solve_space(t, sigma, kind).space)
+    with pytest.raises(StructuralMismatch):
+        theorems.verify_description(t)
+
+
+def test_verify_description_pair_witness_of_a_weaker_description_stacks_d_under_D(monkeypatch):
+    """With D_B's generalized Leibniz group dropped from the pair
+    description, the witness is a pair of K outside C, D's rows above d's:
+    d is a derivation and (D, d) fails the generalized Leibniz rule."""
+    t = trian_trunc(2, F7)
+    monkeypatch.setattr(structure, "_description_rows", _weakened(("generalized_pair",)))
     report = theorems.verify_description(t)
-    assert report.details["witness_missing_from"] == "description"
+    assert report.details["witness_missing_from"] == "solved_space"
     assert report.details["witness_kind"] == "generalized_pair"
-    assert (report.witness.nrows, report.witness.ncols) == (2 * t.dim, t.dim)
+    n, ident = t.dim, LinearEndo.identity(t)
+    assert (report.witness.nrows, report.witness.ncols) == (2 * n, n)
+    solved = solve_space(t, None, "generalized_pair").space
+    first = next(v for v in description_space(t, None, "generalized_pair").basis if not solved.contains(v))
+    assert report.witness.entries == tuple(first[r : r + n] for r in range(0, 2 * n * n, n))
+    D, d = (LinearEndo(t, Matrix(t.field, rows, ncols=n)) for rows in (report.witness.entries[:n], report.witness.entries[n:]))
+    assert is_sigma_derivation(d, ident).ok and not is_generalized_pair(D, d, ident).ok
+
+
+@pytest.mark.parametrize("kind", DESCRIPTION_KINDS)
+def test_verify_description_rechecks_a_solved_space_the_identity_contradicts(monkeypatch, kind):
+    """A solved space replaced by the whole space is not a source of
+    witnesses: its first vector outside K fails the defining identity."""
+    t = trian_trunc(2, F7)
+    solve = theorems.solve_space
+
+    def whole(t, sigma, solved_kind):
+        space = solve(t, sigma, solved_kind)
+        if solved_kind != kind:
+            return space
+        return MapSpace(space.algebra, kind, space.pair, Subspace.full(t.field, space.space.ambient_dim))
+
+    monkeypatch.setattr(theorems, "solve_space", whole)
+    with pytest.raises(StructuralMismatch):
+        theorems.verify_description(t)
 
 
 def test_verify_description_outside_the_hypotheses_matches_the_other_verifiers():

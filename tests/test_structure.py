@@ -391,3 +391,34 @@ def test_left_multiplier_rejects_other_maps(t2q):
     ad = LinearEndo(alg, dense_bracket_matrix(alg, e12, e12, -1))
     with pytest.raises(PredicateNotSatisfied):
         decompose_left_multiplier(t2q, ad)
+
+
+# ---------------------------------------------------------------------------
+# the one per-map body; test_description.py's test_decompose_space_matches_each_member
+# checks each one against decompose_space, member by member
+
+PER_MAP = {
+    "sigma_derivation": decompose_sigma_derivation,
+    "generalized_pair": decompose_generalized,
+    "centralizing": decompose_centralizing,
+    "left_multiplier": lambda t, sigma, F: decompose_left_multiplier(t, F),  # σ ignored
+}
+
+
+# the defining identity each per-map decomposition names when it fails, on trian_trunc(3) over F_7
+IDENTITY_FAILURES = {
+    "sigma_derivation": "twisted Leibniz rule at pair (0, 0), lhs [1, 0, 0, 0, 0, 0, 0, 0, 0], rhs [2, 0, 0, 0, 0, 0, 0, 0, 0]",
+    "generalized_pair": "generalized Leibniz rule at pair (0, 0), lhs [1, 0, 0, 6, 0, 0, 0, 0, 0], rhs [1, 0, 0, 0, 0, 0, 0, 0, 0]",
+    "centralizing": "centralizing fails at pair (0, 0), element [1, 0, 0, 0, 0, 0, 0, 0, 0], lhs [0, 0, 0, 6, 0, 0, 0, 0, 0]",
+    "left_multiplier": "generalized Leibniz rule at pair (0, 0), lhs [1, 0, 0, 6, 0, 0, 0, 0, 0], rhs [1, 0, 0, 0, 0, 0, 0, 0, 0]",
+}
+
+
+@pytest.mark.parametrize("kind", PER_MAP)
+def test_a_per_map_decomposition_names_the_failed_identity(kind):
+    t = trian_trunc(3, GF(7))
+    u = unipotent_automorphism(t)
+    maps = {"sigma_derivation": (LinearEndo.identity(t),), "generalized_pair": (u, LinearEndo.zero(t))}.get(kind, (u,))
+    with pytest.raises(PredicateNotSatisfied) as exc:
+        PER_MAP[kind](t, None, *maps)
+    assert str(exc.value) == "map fails its defining identity: " + IDENTITY_FAILURES[kind]

@@ -170,7 +170,8 @@ def test_centralizing_generalized_derivations_are_multipliers(t2q, t3q):
 
 def test_gd_left_mult_witness_is_a_multiplier_outside_the_space(monkeypatch, t3q):
     """With the left-multiplier space replaced by zero, the restriction is not
-    inside it, and the witness is a left multiplier the space misses."""
+    inside it, but its first D outside is a left multiplier, which fails the
+    recheck: a solver that contradicts the predicates gives no witness."""
     solve = theorems.solve_space
 
     def without_multipliers(t, sigma, kind):
@@ -180,12 +181,40 @@ def test_gd_left_mult_witness_is_a_multiplier_outside_the_space(monkeypatch, t3q
         return MapSpace(space.algebra, kind, False, Subspace.zero(t.field, t.dim**2))
 
     monkeypatch.setattr(theorems, "solve_space", without_multipliers)
+    with pytest.raises(StructuralMismatch):
+        verify_gd_left_mult(t3q)
+
+
+def test_gd_left_mult_rechecks_a_failing_member(monkeypatch, t3q):
+    """With the centralizing space replaced by the whole space, every pair is
+    kept; the first member that fails a check has a D that is not
+    centralizing, so it is no witness."""
+    solve = theorems.solve_space
+
+    def everything_centralizing(t, sigma, kind):
+        space = solve(t, sigma, kind)
+        if kind != "centralizing":
+            return space
+        return MapSpace(space.algebra, kind, False, Subspace.full(t.field, t.dim**2))
+
+    monkeypatch.setattr(theorems, "solve_space", everything_centralizing)
+    with pytest.raises(StructuralMismatch):
+        verify_gd_left_mult(t3q)
+
+
+def test_gd_left_mult_witness_is_the_first_failing_member(monkeypatch, t3q):
+    """With a left multiplier rule that rejects every map, the first member
+    fails it; its D is centralizing, so it is the witness, while every D
+    still lies in the solved left-multiplier space."""
+    monkeypatch.setattr(theorems, "is_left_multiplier", lambda F: CheckResult(False))
     report = verify_gd_left_mult(t3q)
-    assert not report.passed and not report.details["restriction_inside_multipliers"]
-    assert report.details["left_multiplier"] and report.details["partner_zero"]
-    F = LinearEndo(t3q, report.witness)
-    assert is_left_multiplier(F).ok
-    assert not without_multipliers(t3q, None, "left_multiplier").space.contains(vec_of_endo(F))
+    assert not report.passed and report.details["restriction_inside_multipliers"]
+    assert not report.details["left_multiplier"] and report.details["partner_zero"]
+    first = solve_space(t3q, None, "generalized_pair").space.restrict(
+        solve_space(t3q, None, "centralizing").space, lambda v: v[: t3q.dim**2]
+    ).basis[0]
+    assert vec_of_endo(LinearEndo(t3q, report.witness)) == first[: t3q.dim**2]
+    assert predicate(LinearEndo(t3q, report.witness), LinearEndo.identity(t3q), "centralizing").ok
 
 
 def test_identity_map_lies_in_the_restricted_pair_space(t2q):
