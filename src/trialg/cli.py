@@ -214,15 +214,22 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
     if len(spec) != 1:
         raise ConfigError(where, f"must name exactly one of {sorted(SIGMA_FORMS)}")
     try:
-        if "fixture_map" in spec:
-            if instance.fixture is None:
-                raise ConfigError(where, "fixture_map needs a fixture instance")
-            name = spec["fixture_map"]
-            if not isinstance(name, str):
-                raise ConfigError(where, f"fixture_map must be a string, got {name!r}")
-            if name not in instance.fixture.maps:
-                raise ConfigError(where, f"fixture has no map {name!r}")
-            return instance.fixture.maps[name]
+        if "fixture_map" in spec or "matrix" in spec:
+            if "matrix" in spec:
+                what, twist = "matrix", parse_matrix(field, spec["matrix"])
+            else:
+                if instance.fixture is None:
+                    raise ConfigError(where, "fixture_map needs a fixture instance")
+                name = spec["fixture_map"]
+                if not isinstance(name, str):
+                    raise ConfigError(where, f"fixture_map must be a string, got {name!r}")
+                if name not in instance.fixture.maps:
+                    raise ConfigError(where, f"fixture has no map {name!r}")
+                what, twist = f"fixture map {name!r}", instance.fixture.maps[name]
+            try:
+                return resolve_twist(alg, twist)
+            except NotAutomorphism as exc:
+                raise ConfigError(where, f"{what} is not an automorphism: {exc.witness}") from exc
         if "diag_signs" in spec:
             require_hypotheses(alg, "diag_signs")
             signs = _config_list(spec["diag_signs"], "diag_signs")
@@ -236,11 +243,6 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
         if "conjugate_by" in spec:
             u = parse_vector(field, spec["conjugate_by"])
             return inner_automorphism(alg, u)
-        if "matrix" in spec:
-            try:
-                return resolve_twist(alg, parse_matrix(field, spec["matrix"]))
-            except NotAutomorphism as exc:
-                raise ConfigError(where, f"matrix is not an automorphism: {exc.witness}") from exc
         # the one form left: parts
         require_hypotheses(alg, "parts")
         p = spec["parts"]

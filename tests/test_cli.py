@@ -166,9 +166,16 @@ def test_fixture_twisted_commutant_needs_automorphism():
     report, _ = run_config(dict(base, sigma={"fixture_map": "sigma"}))
     assert report["tasks"][0]["status"] == "ok"
     assert report["tasks"][0]["sigma_center"]["dim"] >= 1
-    report, _ = run_config(dict(base, sigma={"fixture_map": "theta"}))
-    assert report["tasks"][0]["status"] == "error"
-    assert "NotAutomorphism" in report["tasks"][0]["error"]
+    with pytest.raises(ConfigError, match="^sigma: fixture map 'theta' is not an automorphism: not invertible$"):
+        run_config(dict(base, sigma={"fixture_map": "theta"}))
+
+
+def test_fixture_map_is_checked_before_any_task(tmp_path, capsys):
+    """A fixture map that is no automorphism is a config error even for a
+    run whose only task never reads σ."""
+    config = dict(BASE, algebra={"family": "fixture", "name": "n3"}, sigma={"fixture_map": "theta"}, tasks=["center"])
+    assert main(["run", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == "config error: sigma: fixture map 'theta' is not an automorphism: not invertible\n"
 
 
 def test_schema_version_checked():

@@ -45,8 +45,8 @@ GOLDEN = {
             "seed": 7,
             "samples": 10,
         },
-        "530553fb905d31c9a8669891cfd478450399a4e1f831075615a1399efcdd4941",
-        "b2615c9804caeea37be8fc063fb392bc238869e4810652127f87f83718a3b251",
+        "8cb09f9531e6ad5a96a146205dd8de2c1eb630ba6a1d54dead0dd1dcbaeadfeb",
+        "ecc3ab2c2d88bcfab273bc33320f881aaa923f2a313acbb7630e151a3436a60e",
     ),
     "t3_q_solve_all": (
         {

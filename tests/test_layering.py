@@ -71,6 +71,20 @@ def test_intra_package_imports_are_acyclic():
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
+def test_theorems_takes_only_the_description_from_structure():
+    """``theorems`` reads the paper's descriptions from ``structure`` and
+    nothing of its decompositions, nor the module as a whole."""
+    imported = [
+        alias.name
+        for node in _imports(MODULES["theorems"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if "structure" in (node.module, alias.name)
+    ]
+    names = ["DESCRIPTION_KINDS", "_IDENTITIES", "_entries", "description_conditions", "description_space"]
+    assert sorted(imported) == names
+
+
 def _names_importlib(tree):
     return any(
         (isinstance(node, ast.Name) and node.id == "importlib")

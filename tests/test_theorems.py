@@ -17,11 +17,13 @@ from trialg import (
     fixture_n3,
     full_matrix_algebra,
     inner_automorphism,
+    is_generalized_pair,
     is_left_multiplier,
     is_sigma_derivation,
     predicate,
     solve_linear,
     solve_space,
+    structure,
     theorems,
     trian_trunc,
     trunc_poly,
@@ -34,9 +36,9 @@ from trialg import (
     verify_skew_zero,
 )
 from conftest import diag_sign_automorphism, unipotent_automorphism
-from dense_oracle import contains_pair, vec_of_endo
+from dense_oracle import contains_pair
 from trialg.linalg import vec_neg
-from trialg.maps import MapSpace
+from trialg.maps import MapSpace, endo_of_vec
 
 
 def test_posner_identity_twist(t2q, t3q, block21q):
@@ -163,9 +165,64 @@ def test_centralizing_generalized_derivations_are_multipliers(t2q, t3q):
     for t in (t2q, t3q):
         report = verify_gd_left_mult(t)
         assert report.passed
-        assert report.details["restriction_inside_multipliers"]
-        assert report.details["partner_zero"]
-        assert report.details["decomposition_trivial"]
+        assert report.details == {"inclusion": True}
+
+
+def _centralizing_pairs(t):
+    """R: the solved generalized pairs (D, d) whose D is centralizing."""
+    return solve_space(t, None, "generalized_pair").space.restrict(
+        solve_space(t, None, "centralizing").space, lambda v: v[: t.dim**2]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: upper_triangular(2, QQ),
+        lambda: upper_triangular(3, QQ),
+        lambda: upper_triangular(2, GF(5)),
+        lambda: block_upper((2, 1), 1, QQ),
+        lambda: trian_trunc(3, GF(7)),
+    ],
+    ids=["T2-Q", "T3-Q", "T2-GF5", "block21-Q", "trian_trunc3-GF7"],
+)
+def test_centralizing_generalized_pairs_are_multipliers_member_by_member(build):
+    """What the inclusion R ⊆ L × {0} decides, member by member: each pair of
+    R has d = 0, a D that is a left multiplier, and parts with m_d = 0 and
+    ξ = 0."""
+    t = build()
+    assert verify_gd_left_mult(t).passed
+    members = _centralizing_pairs(t).basis
+    n2 = t.dim**2
+    parts = structure._decompose_members(t, LinearEndo.identity(t), "generalized_pair", members)
+    assert len(parts) == len(members) >= 1
+    for v, part in zip(members, parts):
+        assert not any(v[n2:])
+        assert is_left_multiplier(endo_of_vec(t, v[:n2])).ok
+        assert not any(part.m_d) and part.xi.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_gd_left_mult_fails_on_a_commutative_local_algebra(monkeypatch, field):
+    """trunc_poly(3) is no triangular algebra; with the hypothesis gate
+    lifted, its centralizing generalized pairs leave L × {0}, and the witness
+    is the first basis vector of R outside it, rechecked as a pair."""
+    monkeypatch.setattr(theorems, "require_hypotheses", lambda *args: None)
+    t = trunc_poly(3, field)
+    report = verify_gd_left_mult(t)
+    assert not report.passed and report.details == {"inclusion": False}
+    assert report.dimensions == {"generalized_pairs": 5, "centralizing_restriction": 5, "left_multipliers": 3}
+    n2 = t.dim**2
+    mult = solve_space(t, None, "left_multiplier").space
+    first = next(v for v in _centralizing_pairs(t).basis if any(v[n2:]) or not mult.contains(v[:n2]))
+    assert report.witness.nrows == 2 * t.dim and report.witness.ncols == t.dim
+    assert tuple(x for row in report.witness.entries for x in row) == first
+    D, d = endo_of_vec(t, first[:n2]), endo_of_vec(t, first[n2:])
+    ident = LinearEndo.identity(t)
+    assert is_generalized_pair(D, d, ident).ok and predicate(D, ident, "centralizing").ok
+    assert not d.matrix.is_zero() or not is_left_multiplier(D).ok
+    if field is QQ:
+        assert report.witness == Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, -1], [0, 0, 0], [0, -1, 0], [0, 0, -2]])
 
 
 def test_gd_left_mult_witness_is_a_multiplier_outside_the_space(monkeypatch, t3q):
@@ -200,21 +257,6 @@ def test_gd_left_mult_rechecks_a_failing_member(monkeypatch, t3q):
     monkeypatch.setattr(theorems, "solve_space", everything_centralizing)
     with pytest.raises(StructuralMismatch):
         verify_gd_left_mult(t3q)
-
-
-def test_gd_left_mult_witness_is_the_first_failing_member(monkeypatch, t3q):
-    """With a left multiplier rule that rejects every map, the first member
-    fails it; its D is centralizing, so it is the witness, while every D
-    still lies in the solved left-multiplier space."""
-    monkeypatch.setattr(theorems, "is_left_multiplier", lambda F: CheckResult(False))
-    report = verify_gd_left_mult(t3q)
-    assert not report.passed and report.details["restriction_inside_multipliers"]
-    assert not report.details["left_multiplier"] and report.details["partner_zero"]
-    first = solve_space(t3q, None, "generalized_pair").space.restrict(
-        solve_space(t3q, None, "centralizing").space, lambda v: v[: t3q.dim**2]
-    ).basis[0]
-    assert vec_of_endo(LinearEndo(t3q, report.witness)) == first[: t3q.dim**2]
-    assert predicate(LinearEndo(t3q, report.witness), LinearEndo.identity(t3q), "centralizing").ok
 
 
 def test_identity_map_lies_in_the_restricted_pair_space(t2q):
