@@ -148,18 +148,18 @@ class Instance(Record):
     fixture: Fixture | None = None
 
 
-def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
+def build_instance(field: Field, spec) -> Instance:
     if not isinstance(spec, dict):
-        raise ConfigError(where, "algebra spec must be an object")
+        raise ConfigError("algebra", "algebra spec must be an object")
     family = spec.get("family")
     named = {"family": family, "name": spec.get("name")} if family == "fixture" else {"family": family}
     for key, value in named.items():
         if value is not None and not isinstance(value, str):
-            raise ConfigError(where, f"{key} must be a string, got {value!r}")
+            raise ConfigError("algebra", f"{key} must be a string, got {value!r}")
     try:
         allowed = FAMILY_KEYS.get(tuple(named.values()) if family == "fixture" else family)
         if allowed is not None:
-            _reject_unknown_keys(spec, allowed, where)
+            _reject_unknown_keys(spec, allowed, "algebra")
         if family == "Tn":
             n = _config_int(spec["n"], "n")
             split = _config_int(spec.get("split", 1), "split")
@@ -184,7 +184,7 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
             elif name == "trian_AA0":
                 fx = fixture_trian_AA0(_config_int(spec.get("N", 4), "N"), field)
             else:
-                raise ConfigError(where, f"unknown fixture {name!r}")
+                raise ConfigError("algebra", f"unknown fixture {name!r}")
             return Instance(fx.name, fx.algebra, fixture=fx)
         if family is None and "table" in spec:
             rows = _config_list(spec["table"], "table")
@@ -195,49 +195,49 @@ def build_instance(field: Field, spec, where: str = "algebra") -> Instance:
     except ConfigError:
         raise
     except KeyError as exc:
-        raise ConfigError(where, f"missing key {exc.args[0]!r}") from exc
+        raise ConfigError("algebra", f"missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
-        raise ConfigError(where, f"bad algebra spec: {exc}") from exc
+        raise ConfigError("algebra", f"bad algebra spec: {exc}") from exc
     except (TrialgError, ValueError) as exc:
-        raise ConfigError(where, str(exc)) from exc
-    raise ConfigError(where, f"unknown algebra family {family!r}")
+        raise ConfigError("algebra", str(exc)) from exc
+    raise ConfigError("algebra", f"unknown algebra family {family!r}")
 
 
-def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
+def build_sigma(instance: Instance, spec) -> LinearEndo:
     alg = instance.algebra
     field = alg.field
     if spec in (None, "identity"):
         return LinearEndo.identity(alg)
     if not isinstance(spec, dict):
-        raise ConfigError(where, f"bad sigma spec {spec!r}")
-    _reject_unknown_keys(spec, SIGMA_FORMS, where)
+        raise ConfigError("sigma", f"bad sigma spec {spec!r}")
+    _reject_unknown_keys(spec, SIGMA_FORMS, "sigma")
     if len(spec) != 1:
-        raise ConfigError(where, f"must name exactly one of {sorted(SIGMA_FORMS)}")
+        raise ConfigError("sigma", f"must name exactly one of {sorted(SIGMA_FORMS)}")
     try:
         if "fixture_map" in spec or "matrix" in spec:
             if "matrix" in spec:
                 what, twist = "matrix", parse_matrix(field, spec["matrix"])
             else:
                 if instance.fixture is None:
-                    raise ConfigError(where, "fixture_map needs a fixture instance")
+                    raise ConfigError("sigma", "fixture_map needs a fixture instance")
                 name = spec["fixture_map"]
                 if not isinstance(name, str):
-                    raise ConfigError(where, f"fixture_map must be a string, got {name!r}")
+                    raise ConfigError("sigma", f"fixture_map must be a string, got {name!r}")
                 if name not in instance.fixture.maps:
-                    raise ConfigError(where, f"fixture has no map {name!r}")
+                    raise ConfigError("sigma", f"fixture has no map {name!r}")
                 what, twist = f"fixture map {name!r}", instance.fixture.maps[name]
             try:
                 return resolve_twist(alg, twist)
             except NotAutomorphism as exc:
-                raise ConfigError(where, f"{what} is not an automorphism: {exc.witness}") from exc
+                raise ConfigError("sigma", f"{what} is not an automorphism: {exc.witness}") from exc
         if "diag_signs" in spec:
             require_hypotheses(alg, "diag_signs")
             signs = _config_list(spec["diag_signs"], "diag_signs")
             if len(signs) != 2:
-                raise ConfigError(where, "diag_signs must give one sign per diagonal corner")
+                raise ConfigError("sigma", "diag_signs must give one sign per diagonal corner")
             sa, sb = (parse_scalar(field, s) for s in signs)
             if not sa or not sb:
-                raise ConfigError(where, "diagonal signs must be invertible")
+                raise ConfigError("sigma", "diagonal signs must be invertible")
             u = vec_add(field, vec_scale(field, sa, alg.p), vec_scale(field, sb, alg.q))
             return inner_automorphism(alg, u)
         if "conjugate_by" in spec:
@@ -247,8 +247,8 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
         require_hypotheses(alg, "parts")
         p = spec["parts"]
         if not isinstance(p, dict):
-            raise ConfigError(where, f"parts must be an object, got {p!r}")
-        _reject_unknown_keys(p, PARTS_KEYS, f"{where}.parts")
+            raise ConfigError("sigma", f"parts must be an object, got {p!r}")
+        _reject_unknown_keys(p, PARTS_KEYS, "sigma.parts")
         parts = structure.AutParts(
             alg,
             parse_matrix(field, p["f"]),
@@ -260,11 +260,11 @@ def build_sigma(instance: Instance, spec, where: str = "sigma") -> LinearEndo:
     except ConfigError:
         raise
     except KeyError as exc:
-        raise ConfigError(where, f"missing key {exc.args[0]!r}") from exc
+        raise ConfigError("sigma", f"missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
-        raise ConfigError(where, f"bad sigma spec: {exc}") from exc
+        raise ConfigError("sigma", f"bad sigma spec: {exc}") from exc
     except (TrialgError, ValueError) as exc:
-        raise ConfigError(where, str(exc)) from exc
+        raise ConfigError("sigma", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +360,8 @@ def run_config(config: dict) -> tuple[dict, int]:
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported schema version {version!r}")
     field = _field_from_config(config)
-    instance = build_instance(field, config.get("algebra"), "algebra")
-    sigma = build_sigma(instance, config.get("sigma"), "sigma")
+    instance = build_instance(field, config.get("algebra"))
+    sigma = build_sigma(instance, config.get("sigma"))
     tasks = config.get("tasks")
     if not isinstance(tasks, list) or not all(isinstance(x, str) for x in tasks):
         raise ConfigError("tasks", "tasks must be a list of strings")

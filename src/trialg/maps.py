@@ -183,12 +183,15 @@ def _generators(alg: FDAlgebra) -> tuple[int, ...]:
 
     The set starts from the vectors e_t in the support of no product e_i·e_j
     with i, j ≠ t (in T_n the e_ii and e_{i,i+1}, 2n − 1 of n(n+1)/2).  It
-    is closed under the sparse structure table with a worklist: once e_i
-    and e_j are generated, so is the one vector e_u, if there is one, that
-    is still ungenerated in the support of e_i·e_j, because s_u·e_u is that
-    product less generated vectors and s_u ≠ 0.  While the closure misses a
-    vector, the lowest missing index joins the set and the closure goes on.
-    The set is sound but need not be minimal.
+    is closed by passes over the nonzero products of the sparse structure
+    table: once e_i and e_j are generated, so is the one vector e_u, if there
+    is one, that is still ungenerated in the support of e_i·e_j, because
+    s_u·e_u is that product less generated vectors and s_u ≠ 0.  The rule
+    only adds vectors, and a product that qualifies stays qualified (or its
+    e_u is generated) as the set grows, so the closure is the least set
+    closed under the rule, whatever the order of the passes.  When a pass
+    adds nothing and a vector is missing, the lowest missing index joins the
+    set and the passes go on.  The set is sound but need not be minimal.
 
     Why an identity on every pair (x, y) need only be checked on the pairs
     (e_i, g), g generated: let S = {w : the identity holds at (x, w) for
@@ -208,35 +211,19 @@ def _generators(alg: FDAlgebra) -> tuple[int, ...]:
     So S contains every product of generators, which span the algebra.
     """
     if "generators" not in alg.memo:
-        S, n = alg._sparse, alg.dim
-        produced = {t for i, row in enumerate(S) for j, v in enumerate(row) for t, _ in v if t != i and t != j}
-        generators = [k for k in range(n) if k not in produced]
-        generated: set[int] = set()
-        waiting: dict[int, list[set]] = {}  # ungenerated t -> the open supports that hold it
-
-        def close(k: int) -> None:
-            worklist = [k]
-            while worklist:
-                u = worklist.pop()
-                if u in generated:
-                    continue
-                generated.add(u)
-                supports = waiting.pop(u, [])
-                for support in supports:
-                    support.discard(u)
-                for g in generated:
-                    for i, j in {(u, g), (g, u)}:
-                        support = {t for t, _ in S[i][j]} - generated
-                        supports.append(support)
-                        for t in support:
-                            waiting.setdefault(t, []).append(support)
-                worklist.extend(next(iter(s)) for s in supports if len(s) == 1)
-
-        for k in generators:
-            close(k)
+        n = alg.dim
+        products = [(i, j, {t for t, _ in v}) for i, row in enumerate(alg._sparse) for j, v in enumerate(row) if v]
+        generators = set(range(n)).difference(*(support - {i, j} for i, j, support in products))
+        generated, size = set(generators), -1
         while len(generated) < n:
-            generators.append(min(set(range(n)) - generated))
-            close(generators[-1])
+            if len(generated) == size:
+                lowest = min(set(range(n)) - generated)
+                generators.add(lowest)
+                generated.add(lowest)
+            size = len(generated)
+            for i, j, support in products:
+                if i in generated and j in generated and len(support - generated) == 1:
+                    generated |= support
         alg.memo["generators"] = tuple(sorted(generators))
     return alg.memo["generators"]
 

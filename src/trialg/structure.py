@@ -93,12 +93,6 @@ def _corner_matrix(t: TriangularAlgebra, endo: LinearEndo, out: str, into: str) 
     return Matrix(t.field, [r[cols] for r in endo.matrix.entries[rows]], ncols=cols.stop - cols.start)
 
 
-def _endo_from_corner_images(t: TriangularAlgebra, images) -> LinearEndo:
-    """The map sending the basis of A, then M, then B to the ``(a, m, b)`` of ``images``."""
-    cols = [t.element(*img) for img in images]
-    return LinearEndo(t, Matrix.from_columns(t.field, cols, nrows=t.dim))
-
-
 def _compare(t: TriangularAlgebra, recomposed: LinearEndo, original: LinearEndo) -> None:
     if recomposed.matrix == original.matrix:
         return
@@ -179,7 +173,7 @@ def _canonical(t: TriangularAlgebra, aut: AutParts, X_A, m_1, X_M, m_2, Y_B, X_B
     for j in range(B.dim):
         m = vec_sub(f, M.act_right(m_2, B.basis_vector(j)), M.act_right(aut.m_sigma, Y_B.column(j)))
         images.append((A.zero(), m, X_B.column(j)))
-    return _endo_from_corner_images(t, images)
+    return LinearEndo.from_images(t, [t.element(*img) for img in images])
 
 
 _TWISTED_DECOMPOSITION = "automorphism decomposition"
@@ -341,7 +335,7 @@ def compose_centralizing(t: TriangularAlgebra, parts: CentParts) -> LinearEndo:
         for i, col in enumerate(mu._cols()):
             m = _bilinear(f, M.dim, M._right, ((minus_m_sigma, col),))
             images.append((delta.column(i), m if c_one is None else vec_add(f, c_one[i], m), mu.column(i)))
-    return _endo_from_corner_images(t, images)
+    return LinearEndo.from_images(t, [t.element(*img) for img in images])
 
 
 def decompose_centralizing(t: TriangularAlgebra, sigma, theta) -> CentParts:

@@ -9,7 +9,8 @@ skew-centralizing map that is not commuting; gd_left_mult, a generalized pair
 description, a map on which the defining identity holds and a description
 group fails (C outside K), or every group holds and the identity fails (K
 outside C).  A witness that fails its recheck raises StructuralMismatch.
-Mayne's sampled witness is checked as an automorphism before it is tested.
+Mayne's verifier runs :func:`~trialg.maps.is_automorphism` on every sample
+before it tests it, and raises StructuralMismatch if one fails.
 """
 
 from __future__ import annotations

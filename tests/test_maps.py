@@ -26,10 +26,13 @@ from trialg import (
     LinearEndo,
     NotAutomorphism,
     Subspace,
+    block_algebra,
+    block_upper,
     bracket_sigma,
     center_subspace,
     fixture_n3,
     fixture_trian_AA0,
+    full_matrix_algebra,
     is_automorphism,
     is_generalized_pair,
     is_left_multiplier,
@@ -610,6 +613,35 @@ def test_leibniz_solves_stream_basis_times_generators(monkeypatch, build, kind, 
     monkeypatch.setattr(_System, "kernel", counting)
     solve_space(t, LinearEndo.identity(t), kind)
     assert dict(streamed) == blocks
+
+
+@pytest.mark.parametrize(
+    "build, generators",
+    [
+        (lambda: upper_triangular(4, QQ), (0, 1, 4, 5, 7, 8, 9)),
+        (lambda: upper_triangular(5, QQ), (0, 1, 5, 6, 9, 10, 12, 13, 14)),
+        (lambda: upper_triangular(6, GF(10007)), (0, 1, 6, 7, 11, 12, 15, 16, 18, 19, 20)),
+        (lambda: upper_triangular(7, GF(10007)), (0, 1, 7, 8, 13, 14, 18, 19, 22, 23, 25, 26, 27)),
+        (
+            lambda: upper_triangular(10, GF(10007)),
+            (0, 1, 10, 11, 19, 20, 27, 28, 34, 35, 40, 41, 45, 46, 49, 50, 52, 53, 54),
+        ),
+        (lambda: block_upper((2, 2, 2), 1, GF(10007)), (1, 2, 4, 6, 13, 14, 16, 21, 22)),
+        (lambda: trian_trunc(4, GF(10007)), (0, 1, 4, 8, 9)),
+        (lambda: block_upper((1, 2), 1, QQ), (0, 1, 4, 5)),
+        (lambda: block_upper((2, 2, 1), 2, QQ), (1, 2, 4, 9, 10, 12, 14, 16)),
+        (lambda: full_matrix_algebra(3, QQ), (0, 1, 2, 3, 6)),
+        (lambda: block_algebra((2, 2), QQ), (1, 2, 4, 9, 10)),
+    ],
+    ids=["T4", "T5", "T6-gfp", "T7-gfp", "T10-gfp", "block222-gfp", "trian_trunc4-gfp",
+         "block_upper12", "block_upper221-split2", "M3", "block_algebra22"],
+)
+def test_generators_are_pinned(build, generators):
+    """The generating sets exactly, since the solver writes n·|G| Leibniz
+    equations per block: T_n's 2n − 1 vectors e_ii and e_{i,i+1}, and, in
+    the last four, sets where the closure stalls and the lowest missing
+    index joins."""
+    assert _generators(build()) == generators
 
 
 def test_an_unverified_twist_keeps_the_full_scan():

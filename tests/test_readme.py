@@ -43,3 +43,13 @@ def test_solve_line_runs(capsys, optional):
     report = json.loads(capsys.readouterr().out)
     assert report["field"] == ({"prime": 5} if optional else "rational")
     assert [task["status"] for task in report["tasks"]] == ["ok"]
+
+
+def test_layout_names_every_module():
+    """The Layout section has a ``- `trialg.<name>` `` bullet for every module
+    of the package but ``__init__``."""
+    with open(README, encoding="utf-8") as fh:
+        bullets = set(re.findall(r"^- `trialg\.(\w+)`", fh.read(), flags=re.M))
+    package = os.path.join(os.path.dirname(README), "src", "trialg")
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py") and name != "__init__.py"}
+    assert modules <= bullets
