@@ -3,16 +3,18 @@
 An :class:`FDAlgebra` is given by structure constants over a fixed field; a
 :class:`TriangularAlgebra` glues two unital algebras and a faithful bimodule
 into the block algebra of formal upper-triangular 2x2 matrices, and is itself
-an :class:`FDAlgebra`.  The center is the twisted center of the
-identity, and twisted centers are kernels of the bracket operators
-λ ↦ σ(e_i)λ − λe_i, which one sparse builder reads from the structure
-constants for :mod:`trialg.maps` and :mod:`trialg.structure` too.
-The (twisted) center of a triangular algebra is cross-checked against its
-structural form, built from the pairs (a, b) with a·m = ν(m)·b, and the
-corner maps τ and η are read off those pairs (the twisted-center caller needs
-the automorphism decomposition and lives in :mod:`trialg.structure`).  Whether a
-unital algebra has only the trivial idempotents, the hypothesis of the paper's
-twisted structure theorems, is decided by :func:`trivial_idempotents`, and
+an :class:`FDAlgebra`.  The center is the twisted center of the identity, and
+twisted centers are kernels of the bracket operators λ ↦ σ(e_i)λ − λe_i,
+which one sparse builder reads from the structure constants for
+:mod:`trialg.maps` and :mod:`trialg.structure` too.  The (twisted) center of
+a triangular algebra is cross-checked against its structural form, whose
+pairs (a, b) with a·m = ν(m)·b are the kernel on A ⊕ B of the module brackets
+c_k(λ) = λ·m_k − ν(m_k)·λ; τ and η are read off those pairs (η in
+:mod:`trialg.structure`, which decomposes the automorphism).
+:func:`_module_brackets` builds the brackets once, on T, for these pairs, for
+faithfulness and for the centralizing description.  Whether a unital algebra
+has only the trivial idempotents, the hypothesis of the paper's twisted
+structure theorems, is decided by :func:`trivial_idempotents`, and
 :func:`require_hypotheses` is the one gate of it and of being triangular.
 
 Structure constants are held in one form, as the ``(t, s)`` nonzeros of
@@ -25,7 +27,8 @@ first failure are those of all triples.  A triangular algebra is assembled
 from its corners' sparse tables, since every nonzero product of its basis
 elements is one corner product with shifted indices; it is associative with
 unit (1_A, 0, 1_B) because A and B are and M is a unital bimodule, so its
-laws follow from the corners' checks and are not checked again.
+laws follow from the corners' checks and are not checked again.  M is then
+checked faithful on T, by the A and B columns of the brackets at ν = id.
 """
 
 from __future__ import annotations
@@ -316,8 +319,8 @@ class TriangularAlgebra(FDAlgebra):
         if M.left_algebra is not A or M.right_algebra is not B:
             raise ValueError("bimodule does not act for the given algebras")
         self.A, self.M, self.B = A, M, B
-        self._check_faithful()
         self._assemble()
+        self._check_faithful()
         self.p = self.element(A.unit, M.zero(), B.zero())
         self.q = self.element(A.zero(), M.zero(), B.unit)
 
@@ -363,17 +366,12 @@ class TriangularAlgebra(FDAlgebra):
         self._init(A.field, labels, sparse, self.element(A.unit, M.zero(), B.unit))
 
     def _check_faithful(self) -> None:
-        # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; the column of a
-        # basis element stacks its action on every basis vector of M, row
-        # k·dim M + t holding coordinate t of its action on m_k
-        A, M, B, f, n = self.A, self.M, self.B, self.A.field, self.M.dim
-        left = ((k * n + t, i, s) for i, row in enumerate(M._left) for k, v in enumerate(row) for t, s in v)
-        right = ((k * n + t, j, s) for k, row in enumerate(M._right) for j, v in enumerate(row) for t, s in v)
-        for side, entries, ncols in (("left", left, A.dim), ("right", right, B.dim)):
-            rows: list[dict] = [{} for _ in range(n * n)]
-            for r, c, s in entries:
-                rows[r][c] = s
-            ker = sparse_kernel(f, rows, ncols)
+        # a ↦ (m ↦ a·m) and b ↦ (m ↦ m·b) must be injective; at ν = id the module
+        # brackets' A columns stack a·m_k over every k, their B columns −m_k·b
+        f = self.field
+        rows = [row for op in _module_brackets(self, Matrix.identity(f, self.M.dim)) for _, row in op]
+        for side, cols in (("left", range(self.A.dim)), ("right", range(self.dim - self.B.dim, self.dim))):
+            ker = sparse_kernel(f, [{c - cols.start: s for c, s in row.items() if c in cols} for row in rows], len(cols))
             if ker.dim:
                 raise NotFaithful(side, ker.basis[0])
 
@@ -446,21 +444,23 @@ class CenterData(Record):
     tau: Matrix
 
 
+def _module_brackets(t: TriangularAlgebra, nu: Matrix) -> list[list[tuple[int, dict]]]:
+    """For each basis vector m_k of M, the live rows, in T's coordinates, of
+    the module bracket c_k(λ) = λ·m_k − ν(m_k)·λ, read through
+    :func:`_bracket_operator`.  As c_k(a, m, b) = a·m_k − ν(m_k)·b, the rows
+    are on M and the columns on A and B."""
+    na, one = t.A.dim, t.field.one
+    minus_nu = [tuple((na + r, -v) for r, v in col) for col in nu._cols()]
+    ops = (_bracket_operator(t, x, ((na + k, one),), 1) for k, x in enumerate(minus_nu))
+    return [[(r, row) for r, row in enumerate(rows) if row] for rows in ops]
+
+
 def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
-    """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates."""
-    A, M, B = t.A, t.M, t.B
-    f, na, n = t.field, A.dim, M.dim
-    rows: list[dict] = [{} for _ in range(n * n)]  # row k·dim M + t: coordinate t at m_k
-    for k in range(n):
-        block = rows[k * n : (k + 1) * n]
-        for i in range(na):
-            for tcoord, s in M._left[i][k]:
-                block[tcoord][i] = s
-        nu_mk = nu.column(k)
-        for j in range(B.dim):
-            for tcoord, s in _sparse(M.act_right(nu_mk, B.basis_vector(j))).items():
-                block[tcoord][na + j] = f.neg(s)
-    return sparse_kernel(f, rows, na + B.dim)
+    """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates:
+    the kernel of the module brackets on A ⊕ B."""
+    na, nm = t.A.dim, t.M.dim
+    rows = [{c if c < na else c - nm: s for c, s in row.items()} for op in _module_brackets(t, nu) for _, row in op]
+    return sparse_kernel(t.field, rows, na + t.B.dim)
 
 
 def _structural_pairs(t: TriangularAlgebra, space: Subspace, nu: Matrix, m_sigma: Vector, what: str) -> Subspace:

@@ -24,7 +24,8 @@ canonical M-column is read off the module bracket c_x(m) = δ(x)·m −
 The twisted center is computed as a kernel and, when the automorphism can be
 decomposed, cross-checked against the structural form that its memoized
 parts (m_σ, ν) determine, by the cross-check that :func:`trialg.algebra.center`
-uses; η is read off the same structural pairs.
+uses: its pairs are the kernel of the module brackets c_k on A ⊕ B, and η is
+read off them.  The centralizing description takes c_k from the same builder.
 
 Every entry point resolves σ (:func:`trialg.maps.resolve_twist`) and gates
 its hypotheses (:func:`trialg.algebra.require_hypotheses`) before any work: a
@@ -40,6 +41,7 @@ from .algebra import (
     TriangularAlgebra,
     _bilinear,
     _bracket_operator,
+    _module_brackets,
     _pair_partners,
     _structural_pairs,
     _twisted_brackets,
@@ -485,7 +487,7 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
     if kind not in DESCRIPTION_KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     f = t.field
-    na, nm, one = t.A.dim, t.M.dim, t.field.one
+    na, nm = t.A.dim, t.M.dim
     spans = {"a": range(0, na), "m": range(na, na + nm), "b": range(na + nm, t.dim)}
     A, M, B = spans["a"], spans["m"], spans["b"]
     aut = _aut_parts_for(t, sigma)
@@ -546,14 +548,11 @@ def _description_rows(t: TriangularAlgebra, sigma: LinearEndo, kind: str) -> lis
         ]
 
     # centralizing: θ(x) = (δ(x), ·, μ(x)); c_x(m_k) = δ(x)·m_k − ν(m_k)·μ(x)
-    # is C_k θ(x) with C_k(λ) = π_M(λ·m_k − ν(m_k)·λ)
+    # is c_k θ(x) for the module bracket c_k(λ) = λ·m_k − ν(m_k)·λ, whose
+    # kernel on A ⊕ B is also the structural form of the (twisted) center
     bracket = _twisted_brackets(t, sigma.matrix, -1)  # σ(e_i)λ − λe_i
     op = {i: _corner_rows(_live(bracket[i]), spans["a" if i in A else "b"]) for i in chain(A, B)}
-    nu = aut.nu_sigma._cols()
-    c = {
-        k: _corner_rows(_live(_bracket_operator(t, tuple((na + r, -v) for r, v in nu[k - na]), ((k, one),), 1)), M)
-        for k in M
-    }
+    c = dict(zip(M, _module_brackets(t, aut.nu_sigma)))
 
     def on_b(rows):
         """Rows of an operator into B, moved to B's coordinates in T."""

@@ -128,6 +128,16 @@ def test_unfaithful_left_action_rejected():
     assert str(err.value) == "module is not faithful on the left: [0, 1] annihilates it"
 
 
+def test_unfaithful_right_action_rejected():
+    # Q ⊕ Q acting on a 1-dim module through its first coordinate only, on the right
+    A, B = scalar_algebra(), diagonal_pair_algebra()
+    with pytest.raises(NotFaithful) as err:
+        TriangularAlgebra(A, Bimodule(A, B, ["m"], [[ONE1]], [[ONE1, ZERO1]]), B)
+    assert err.value.side == "right"
+    assert err.value.witness == (Fraction(0), Fraction(1))
+    assert str(err.value) == "module is not faithful on the right: [0, 1] annihilates it"
+
+
 def test_reconstruction_mismatch_writes_its_vectors_as_reports_do():
     mismatch = ReconstructionMismatch(1, (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(-1)))
     assert str(mismatch).endswith("on basis element 1: expected [1/2, 0], got [0, -1]")
@@ -223,6 +233,28 @@ def test_triangular_laws_are_checked_only_on_the_corners(monkeypatch):
     t = upper_triangular(7, GF(10007))
     monkeypatch.undo()
     assert len(tables) == 5 and t._sparse not in tables
+
+
+@pytest.mark.parametrize("name", ["trunc3q", "block21q"])
+def test_module_brackets_match_the_action_tables(request, name):
+    """c_k(a, m, b) = a·m_k − ν(m_k)·b, read off T's table, equals its value
+    on M's action tables, for an arbitrary ν."""
+    t = request.getfixturevalue(name)
+    rng = random.Random(3)
+    na, nm = t.A.dim, t.M.dim
+    nu = Matrix(QQ, [[Fraction(rng.randint(-3, 3)) for _ in range(nm)] for _ in range(nm)])
+    brackets = algebra_module._module_brackets(t, nu)
+    assert len(brackets) == nm
+    for _ in range(5):
+        x = tuple(Fraction(rng.randint(-4, 4)) for _ in range(t.dim))
+        a, b = t.pi_a(x), t.pi_b(x)
+        for k, op in enumerate(brackets):
+            got = [Fraction(0)] * nm
+            for r, row in op:
+                assert r in range(na, na + nm) and all(c not in range(na, na + nm) for c in row)
+                got[r - na] = sum(s * x[c] for c, s in row.items())
+            want = [p - q for p, q in zip(t.M.act_left(a, t.M.basis_vector(k)), t.M.act_right(nu.column(k), b))]
+            assert got == want
 
 
 def test_peirce_corners(t3q):
