@@ -6,11 +6,14 @@ into the block algebra of formal upper-triangular 2x2 matrices, and is itself
 an :class:`FDAlgebra`.  The center is the twisted center of the identity, and
 twisted centers are kernels of the bracket operators λ ↦ σ(e_i)λ − λe_i,
 which one sparse builder reads from the structure constants for
-:mod:`trialg.maps` and :mod:`trialg.structure` too.  The (twisted) center of
-a triangular algebra is cross-checked against its structural form, whose
-pairs (a, b) with a·m = ν(m)·b are the kernel on A ⊕ B of the module brackets
-c_k(λ) = λ·m_k − ν(m_k)·λ; τ and η are read off those pairs (η in
-:mod:`trialg.structure`, which decomposes the automorphism).
+:mod:`trialg.maps` and :mod:`trialg.structure` too.  One function,
+:func:`_center_parts`, builds the structural data of the center and of the
+twisted center of a triangular algebra: their projections π_A and π_B, the
+cross-check against the structural form, whose pairs (a, b) with
+a·m = ν(m)·b are the kernel on A ⊕ B of the module brackets
+c_k(λ) = λ·m_k − ν(m_k)·λ, and τ or η, both read off those pairs here.  The
+center is its call at (ν, m_σ) = (id, 0); :mod:`trialg.structure`, which
+decomposes the automorphism, supplies only (ν_σ, m_σ) for the twisted one.
 :func:`_module_brackets` builds the brackets once, on T, for these pairs, for
 faithfulness and for the centralizing description.  Whether a unital algebra
 has only the trivial idempotents, the hypothesis of the paper's twisted
@@ -455,57 +458,45 @@ def _module_brackets(t: TriangularAlgebra, nu: Matrix) -> list[list[tuple[int, d
     return [[(r, row) for r, row in enumerate(rows) if row] for rows in ops]
 
 
-def _structural_center_pairs(t: TriangularAlgebra, nu: Matrix) -> Subspace:
-    """Solutions (a, b) of a·m = ν(m)·b for all m, in stacked (A|B)-coordinates:
-    the kernel of the module brackets on A ⊕ B."""
-    na, nm = t.A.dim, t.M.dim
+def _center_parts(t: TriangularAlgebra, space: Subspace, nu: Matrix | None, m_sigma, what: str, from_a: bool):
+    """π_A and π_B of the (twisted) center ``space`` and the partner map of
+    its structural form {(a, −m_σ·b, b) : a·m = ν(m)·b for all m}, whose pairs
+    (a, b) are the kernel on A ⊕ B of the module brackets at ν; they must
+    span ``space`` (StructuralMismatch naming ``what`` otherwise).  M is
+    faithful, so each part of a pair determines the other: the partner map
+    sends the basis of π_A (``from_a``) or π_B to the other parts, through
+    coordinates over the pairs found by :func:`solve_linear`.  With ``nu``
+    None there is no structural form and no partner map."""
+    f, na, nm, nb = t.field, t.A.dim, t.M.dim, t.B.dim
+    piA = Subspace.from_vectors(f, na, [t.pi_a(v) for v in space.basis])
+    piB = Subspace.from_vectors(f, nb, [t.pi_b(v) for v in space.basis])
+    if nu is None:
+        return piA, piB, None
     rows = [{c if c < na else c - nm: s for c, s in row.items()} for op in _module_brackets(t, nu) for _, row in op]
-    return sparse_kernel(t.field, rows, na + t.B.dim)
-
-
-def _structural_pairs(t: TriangularAlgebra, space: Subspace, nu: Matrix, m_sigma: Vector, what: str) -> Subspace:
-    """The pairs (a, b) with a·m = ν(m)·b for all m, once the elements
-    (a, −m_σ·b, b) are checked to span ``space``, the kernel-computed
-    (twisted) center; raises StructuralMismatch naming ``what`` otherwise."""
-    na = t.A.dim
-    pairs = _structural_center_pairs(t, nu)
-    members = [t.element(v[:na], vec_neg(t.field, t.M.act_right(m_sigma, v[na:])), v[na:]) for v in pairs.basis]
-    if Subspace.from_vectors(t.field, t.dim, members) != space:
+    pairs = sparse_kernel(f, rows, na + nb).basis
+    members = [t.element(w[:na], vec_neg(f, t.M.act_right(m_sigma, w[na:])), w[na:]) for w in pairs]
+    if Subspace.from_vectors(f, t.dim, members) != space:
         raise StructuralMismatch(f"{what} kernel differs from its structural form")
-    return pairs
-
-
-def _pair_partners(t: TriangularAlgebra, pairs: Subspace, parts: Sequence[Vector], from_a: bool) -> Matrix:
-    """The matrix sending each of ``parts`` (A-parts of pairs when ``from_a``,
-    else B-parts) to the other part of its pair, column by column.
-
-    M is faithful, so each part of a pair (a, b) with a·m = ν(m)·b determines
-    the other: a part's coordinates over the pair basis, found by
-    :func:`solve_linear`, give its partner.
-    """
-    f, na = t.field, t.A.dim
-    own, other = (slice(0, na), slice(na, None)) if from_a else (slice(na, None), slice(0, na))
-    nrows = (na, t.B.dim) if from_a else (t.B.dim, na)
-    known = Matrix.from_columns(f, [w[own] for w in pairs.basis], nrows=nrows[0])
-    rest = Matrix.from_columns(f, [w[other] for w in pairs.basis], nrows=nrows[1])
-    return Matrix.from_columns(f, [rest.mul_vec(solve_linear(known, v)) for v in parts], nrows=nrows[1])
+    own, other, parts = (slice(0, na), slice(na, None), piA) if from_a else (slice(na, None), slice(0, na), piB)
+    known = Matrix.from_columns(f, [w[own] for w in pairs], nrows=parts.ambient_dim)
+    rest = Matrix.from_columns(f, [w[other] for w in pairs], nrows=na + nb - parts.ambient_dim)
+    partner = Matrix.from_columns(f, [rest.mul_vec(solve_linear(known, v)) for v in parts.basis], nrows=rest.nrows)
+    return piA, piB, partner
 
 
 def center(t: TriangularAlgebra) -> CenterData:
     """Center as a commutator kernel, cross-checked against its structural
-    form {(a, 0, b) : a·m = m·b for all m}; raises StructuralMismatch if the
-    cross-check fails.  τ is read off the structural pairs."""
+    form {(a, 0, b) : a·m = m·b for all m}, the twisted one at σ = id;
+    raises StructuralMismatch if the cross-check fails.  τ is read off the
+    structural pairs."""
     require_hypotheses(t, "center")
-    f = t.field
     oracle = center_subspace(t)
-    pairs = _structural_pairs(t, oracle, Matrix.identity(f, t.M.dim), t.M.zero(), "center")
-    piA = Subspace.from_vectors(f, t.A.dim, [t.pi_a(v) for v in oracle.basis])
-    piB = Subspace.from_vectors(f, t.B.dim, [t.pi_b(v) for v in oracle.basis])
+    piA, piB, tau = _center_parts(t, oracle, Matrix.identity(t.field, t.M.dim), t.M.zero(), "center", from_a=True)
     if not piA.leq(center_subspace(t.A)):
         raise StructuralMismatch("projection of Z(T) is not central in A")
     if not piB.leq(center_subspace(t.B)):
         raise StructuralMismatch("projection of Z(T) is not central in B")
-    return CenterData(oracle, piA, piB, _pair_partners(t, pairs, piA.basis, from_a=True))
+    return CenterData(oracle, piA, piB, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,6 @@ class RationalField:
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
@@ -112,11 +107,6 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
     def from_int(self, n: int) -> int:
         return n % self.p

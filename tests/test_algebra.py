@@ -16,6 +16,7 @@ from trialg import (
     LinearEndo,
     NotFaithful,
     ReconstructionMismatch,
+    StructuralMismatch,
     TriangularAlgebra,
     UnitViolation,
     ZeroModule,
@@ -407,6 +408,19 @@ def test_eta_intertwines_module_action(t2q, trunc3q):
             for k in range(t.M.dim):
                 mk = t.M.basis_vector(k)
                 assert t.M.act_left(eta_b, mk) == t.M.act_right(nu.mul_vec(mk), b)
+
+
+def test_structural_cross_check_catches_a_lost_module_bracket(monkeypatch):
+    """The kernel (twisted) center is compared with its structural form: with
+    the last module bracket dropped, the structural pairs of T2 over Q are all
+    of A ⊕ B, and both centers refuse to return."""
+    t = upper_triangular(2, QQ)  # built first: its faithfulness check reads the brackets too
+    brackets = algebra_module._module_brackets
+    monkeypatch.setattr(algebra_module, "_module_brackets", lambda t, nu: brackets(t, nu)[:-1])
+    with pytest.raises(StructuralMismatch, match="^center kernel differs from its structural form$"):
+        center(t)
+    with pytest.raises(StructuralMismatch, match="^twisted center kernel differs from its structural form$"):
+        sigma_center(t, diag_sign_automorphism(t))
 
 
 def test_bruteforce_idempotents_on_scalar_field():

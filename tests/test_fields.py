@@ -8,7 +8,6 @@ from trialg.fields import PrimeField, field_from_spec, field_to_spec
 
 def test_rational_ops():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert QQ.inv(Fraction(-2, 7)) == Fraction(-7, 2)
     assert QQ.format(Fraction(3, 4)) == "3/4"
     assert QQ.format(Fraction(5)) == "5"
     assert QQ.parse("3/4") == Fraction(3, 4)
@@ -32,7 +31,6 @@ def test_prime_field_ops():
     assert f5.add(3, 4) == 2
     assert f5.mul(3, 4) == 2
     assert f5.neg(2) == 3
-    assert f5.inv(3) == 2
     assert f5.from_int(-1) == 4
     assert f5.parse("12") == 2
 
@@ -55,13 +53,6 @@ def test_composite_modulus_rejected():
         GF(9)
     with pytest.raises(ValueError):
         GF(1)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        GF(5).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
 
 
 def test_field_specs_round_trip():

@@ -311,29 +311,28 @@ KEPT_API = {
 
 
 def _definitions(tree):
-    """``(qualified name, name)`` of every function and method, nested ones too."""
+    """``(qualified name, name, is a method)`` of every function and method, nested ones too."""
     classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     methods = {fn: f"{cls.name}.{fn.name}" for cls in classes for fn in cls.body if isinstance(fn, ast.FunctionDef)}
-    return [(methods.get(fn, fn.name), fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    return [(methods.get(fn, fn.name), fn.name, fn in methods) for fn in functions]
 
 
 def test_every_definition_is_used():
-    """Every non-dunder function or method of the package is referenced by
-    name, as a Name or an Attribute, somewhere in its modules other than
-    ``__init__``; re-exporting it does not count, and tests are not read.
-    The match is by name only, so a method named like another call (``mul``,
-    ``add``, ``zero``) passes."""
+    """Every non-dunder function or method of the package is referenced
+    somewhere in its modules other than ``__init__``: a function by name, as
+    a Name or an Attribute, and a method only as an Attribute (``.name``), so
+    a local variable of the same name does not count for it.  Re-exporting
+    does not count, and tests are not read.  The match is by name only, so a
+    method named like another attribute (``mul``, ``add``, ``zero``) passes."""
     modules = [tree for module, tree in MODULES.items() if module != "__init__"]
-    referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in modules
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    nodes = [node for tree in modules for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    referenced = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
     unused = {
         qualified
         for tree in modules
-        for qualified, name in _definitions(tree)
-        if not (name.startswith("__") and name.endswith("__")) and name not in referenced
+        for qualified, name, method in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in (attributes if method else referenced)
     }
     assert unused == set(KEPT_API)

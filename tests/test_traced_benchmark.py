@@ -6,6 +6,13 @@ never call ``rref`` the traced run exits 1 with ``KeyError:
 'linalg.rref.rank'``.  So while ``Matrix.rank`` and ``Subspace.from_vectors``
 stay on ``rref``, this test keeps the traced benchmark runnable.  It goes
 once the benchmark guards ``counts["linalg.rref.rank"]``.
+
+On ``solve-gfp`` and ``solve-q`` the only ``rref`` calls are ``Matrix.rank``
+inside ``maps.require_automorphism``, which ``resolve_twist`` runs for every
+kind but ``derivation`` and ``left_multiplier``: at seed 1, 2 calls on
+``solve-gfp``, both on the identity σ, and 3 on ``solve-q``, 2 of them on the
+identity σ.  Skipping that check for an identity σ, or moving
+``Matrix.rank`` off ``rref``, makes this test fail.
 """
 
 import os
