@@ -328,20 +328,20 @@ def _run_decompose(instance: Instance, sigma: LinearEndo, kind: str) -> dict:
 def _run_verify(instance: Instance, sigma: LinearEndo, name: str, seed: int, samples: int) -> dict:
     t = instance.algebra
     if name == "posner":
-        report = theorems.verify_posner(t, sigma, instance.name)
+        report = theorems.verify_posner(t, sigma)
     elif name == "mayne":
-        report = theorems.verify_mayne(t, samples=samples, seed=seed, instance=instance.name)
+        report = theorems.verify_mayne(t, samples=samples, seed=seed)
     elif name == "skew_zero":
-        report = theorems.verify_skew_zero(t, sigma, instance.name)
+        report = theorems.verify_skew_zero(t, sigma)
     elif name == "sharma_dhara":
-        report = theorems.verify_sharma_dhara(t, instance.name)
+        report = theorems.verify_sharma_dhara(t)
     elif name == "gd_left_mult":
-        report = theorems.verify_gd_left_mult(t, instance.name)
+        report = theorems.verify_gd_left_mult(t)
     else:
-        report = theorems.verify_description(t, sigma, instance.name)
+        report = theorems.verify_description(t, sigma)
     out = {
         "theorem": report.theorem,
-        "instance": report.instance,
+        "instance": instance.name,
         "passed": report.passed,
         "dimensions": report.dimensions,
         "details": report.details,

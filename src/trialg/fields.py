@@ -3,7 +3,8 @@
 Scalars are plain Python values (``fractions.Fraction`` over Q, ``int`` in
 ``[0, p)`` over F_p); a field object supplies the arithmetic.  Everything
 downstream (matrices, subspaces, algebras) is generic over the field object
-and never touches floating point.
+and never touches floating point.  A prime modulus must lie below
+:data:`PRIME_BOUND`, the range in which primality is certified exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ from typing import Union
 
 Scalar = Union[Fraction, int]
 
+# ψ₁₂ = 399165290221 · 798330580441, the least composite that passes
+# Miller-Rabin to all twelve prime bases 2..37 (Sorenson and Webster,
+# Math. Comp. 86 (2017))
+PRIME_BOUND = 318665857834031151167461
+
 
 def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any usable modulus here."""
+    """Miller-Rabin to the twelve prime bases 2..37: exact for n < PRIME_BOUND."""
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -81,7 +87,8 @@ class PrimeField:
     """The field F_p for an odd prime p; scalars are ints in ``[0, p)``.
 
     p = 2 is rejected: every identity verified downstream assumes the
-    ambient algebra is 2-torsion-free.
+    ambient algebra is 2-torsion-free.  So is p ≥ :data:`PRIME_BOUND`, whose
+    primality the test cannot certify.
     """
 
     char: int
@@ -89,6 +96,8 @@ class PrimeField:
     def __init__(self, p: int):
         if p == 2:
             raise ValueError("characteristic 2 is not supported (2-torsion-free arithmetic required)")
+        if p >= PRIME_BOUND:
+            raise ValueError(f"{p} is too large: primality is certified only below {PRIME_BOUND}")
         if not _is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

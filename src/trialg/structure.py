@@ -15,11 +15,11 @@ one per-map body (:func:`_decompose_map`) has checked its defining
 identity against the table :data:`_IDENTITIES`.  The canonical form is
 among the rows, so a member on which they all vanish recomposes exactly.
 
-An automorphism σ is split into (f, g, m_σ, ν) by its blocks and m_σ =
-π_M σ(p), and the recomposed map is compared with σ entry by entry.  A
-centralizing map θ splits into the corner maps δ₁, δ₂, δ₃, μ₁, μ₂, μ₃; its
-canonical M-column is read off the module bracket c_x(m) = δ(x)·m −
-ν(m)·μ(x) at x = 1_A.
+An automorphism σ, the identity included, is split into (f, g, m_σ, ν) by
+its blocks and m_σ = π_M σ(p), and the recomposed map is compared with σ
+entry by entry.  A centralizing map θ splits into the corner maps δ₁, δ₂,
+δ₃, μ₁, μ₂, μ₃; its canonical M-column is read off the module bracket
+c_x(m) = δ(x)·m − ν(m)·μ(x) at x = 1_A.
 
 The twisted center is computed as a kernel, and its projections, structural
 cross-check and η come from the one function that builds the center's,
@@ -117,17 +117,6 @@ class AutParts(Record):
     nu_sigma: Matrix
 
 
-def identity_aut_parts(t: TriangularAlgebra) -> AutParts:
-    f = t.field
-    return AutParts(
-        t,
-        Matrix.identity(f, t.A.dim),
-        Matrix.identity(f, t.B.dim),
-        t.M.zero(),
-        Matrix.identity(f, t.M.dim),
-    )
-
-
 def _check_aut_parts(parts: AutParts) -> CheckResult:
     t = parts.t
     A, M, B = t.A, t.M, t.B
@@ -183,8 +172,8 @@ _TWISTED_DECOMPOSITION = "automorphism decomposition"
 
 def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
     """Split a verified automorphism into (f, g, m_σ, ν); exact round trip."""
-    require_hypotheses(t, "decompose_automorphism", _TWISTED_DECOMPOSITION)
     sigma = resolve_twist(t, sigma)
+    require_hypotheses(t, "decompose_automorphism", _TWISTED_DECOMPOSITION, sigma)
     f = _corner_matrix(t, sigma, "a", "a")
     g = _corner_matrix(t, sigma, "b", "b")
     nu = _corner_matrix(t, sigma, "m", "m")
@@ -195,10 +184,9 @@ def decompose_automorphism(t: TriangularAlgebra, sigma) -> AutParts:
 
 
 def _aut_parts_for(t: TriangularAlgebra, sigma: LinearEndo) -> AutParts:
-    identity = sigma.is_identity()
-    key = ("automorphism_parts", None if identity else sigma.matrix)
+    key = ("automorphism_parts", sigma.matrix)
     if key not in t.memo:
-        t.memo[key] = identity_aut_parts(t) if identity else decompose_automorphism(t, sigma.matrix)
+        t.memo[key] = decompose_automorphism(t, sigma)
     return t.memo[key]
 
 

@@ -1,9 +1,13 @@
 """Executable verification of the structure theorems on concrete instances.
 
 Each verifier returns a :class:`TheoremReport` whose dimensions are exact and
-reproducible.  A failing report carries a witness that :func:`_counterexample`
-builds and rechecks against the defining predicates: for Posner, a σ-derivation
-that is σ-centralizing; skew-zero, a skew-commuting map; Sharma–Dhara, a
+reproducible.  A verifier takes no label for its instance: the CLI names the
+instance in its own record.  Posner, skew-zero, Sharma–Dhara and
+gd_left_mult are each one inclusion of solved spaces, and each ends in
+:func:`_inclusion`, the one body of their verdict and report.  A failing
+report carries a witness that :func:`_counterexample` builds and rechecks
+against the defining predicates: for Posner, a σ-derivation that is
+σ-centralizing; skew-zero, a skew-commuting map; Sharma–Dhara, a
 skew-centralizing map that is not commuting; gd_left_mult, a generalized pair
 (D, d) with centralizing D and d ≠ 0 or D no left multiplier; and the
 description, a map on which the defining identity holds and a description
@@ -47,7 +51,6 @@ DESCRIPTION = "description"
 
 class TheoremReport(Record):
     theorem: str
-    instance: str
     passed: bool
     dimensions: dict[str, int] = field(factory=dict)
     details: dict = field(factory=dict)
@@ -71,7 +74,17 @@ def _counterexample(t, vectors, inside: Subspace | None, recheck) -> Matrix | No
     return None
 
 
-def verify_posner(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def _inclusion(theorem: str, t, dimensions: dict[str, int], vectors, inside: Subspace | None, recheck) -> TheoremReport:
+    """The report of the statement that ``vectors`` span a subspace of
+    ``inside`` (None: the zero space): it passes iff :func:`_counterexample`
+    finds no witness, and when ``inside`` is a space the verdict is also
+    ``details["inclusion"]``."""
+    witness = _counterexample(t, vectors, inside, recheck)
+    details = {} if inside is None else {"inclusion": witness is None}
+    return TheoremReport(theorem, passed=witness is None, dimensions=dimensions, details=details, witness=witness)
+
+
+def verify_posner(t: FDAlgebra, sigma=None) -> TheoremReport:
     """Twisted derivations that are twisted-centralizing must vanish.
 
     Computes the two solved spaces and intersects them; passes iff the
@@ -82,40 +95,29 @@ def verify_posner(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport
     der = solve_space(t, sigma, "sigma_derivation")
     cent = solve_space(t, sigma, "centralizing")
     inter = der.space.intersect(cent.space)
-    witness = _counterexample(
-        t, inter.basis, None, lambda w: is_sigma_derivation(w, sigma).ok and predicate(w, sigma, "centralizing").ok
-    )
-    return TheoremReport(
-        POSNER,
-        instance or repr(t),
-        passed=witness is None,
-        dimensions={
-            "twisted_derivations": der.dim,
-            "twisted_centralizing": cent.dim,
-            "intersection": inter.dim,
-        },
-        witness=witness,
-    )
+
+    def recheck(w):
+        return is_sigma_derivation(w, sigma).ok and predicate(w, sigma, "centralizing").ok
+
+    dimensions = {"twisted_derivations": der.dim, "twisted_centralizing": cent.dim, "intersection": inter.dim}
+    return _inclusion(POSNER, t, dimensions, inter.basis, None, recheck)
 
 
-def verify_skew_zero(t: FDAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def verify_skew_zero(t: FDAlgebra, sigma=None) -> TheoremReport:
     """Zero is the only twisted skew-commuting map (char != 2 is guaranteed
     by the admitted fields, so the algebra is 2-torsion-free).  Runs on any
     algebra under the identity twist."""
     sigma = resolve_twist(t, sigma)
     require_hypotheses(t, None, f"{SKEW_ZERO} with a non-identity twist", sigma)
     space = solve_space(t, sigma, "skew_commuting")
-    witness = _counterexample(t, space.space.basis, None, lambda w: predicate(w, sigma, "skew_commuting").ok)
-    return TheoremReport(
-        SKEW_ZERO,
-        instance or repr(t),
-        passed=witness is None,
-        dimensions={"skew_commuting": space.dim},
-        witness=witness,
-    )
+
+    def recheck(w):
+        return predicate(w, sigma, "skew_commuting").ok
+
+    return _inclusion(SKEW_ZERO, t, {"skew_commuting": space.dim}, space.space.basis, None, recheck)
 
 
-def verify_sharma_dhara(alg: FDAlgebra, instance: str = "") -> TheoremReport:
+def verify_sharma_dhara(alg: FDAlgebra) -> TheoremReport:
     """Skew-centralizing maps degenerate to commuting maps (any 2-torsion-free
     algebra with a left identity; here: any unital algebra over our fields)."""
     if not alg.is_unital:
@@ -127,18 +129,11 @@ def verify_sharma_dhara(alg: FDAlgebra, instance: str = "") -> TheoremReport:
     def recheck(w):
         return predicate(w, ident, "skew_centralizing").ok and not predicate(w, ident, "commuting").ok
 
-    witness = _counterexample(alg, skew.space.basis, comm.space, recheck)
-    return TheoremReport(
-        SHARMA_DHARA,
-        instance or repr(alg),
-        passed=witness is None,
-        dimensions={"skew_centralizing": skew.dim, "commuting": comm.dim},
-        details={"inclusion": witness is None},
-        witness=witness,
-    )
+    dimensions = {"skew_centralizing": skew.dim, "commuting": comm.dim}
+    return _inclusion(SHARMA_DHARA, alg, dimensions, skew.space.basis, comm.space, recheck)
 
 
-def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremReport:
+def verify_gd_left_mult(t: TriangularAlgebra) -> TheoremReport:
     """Centralizing generalized derivations degenerate to left multipliers.
 
     Restricts the solved (D, d) pair space to the pairs R with centralizing
@@ -165,22 +160,15 @@ def verify_gd_left_mult(t: TriangularAlgebra, instance: str = "") -> TheoremRepo
             and (not d.matrix.is_zero() or not is_left_multiplier(D).ok)
         )
 
-    witness = _counterexample(t, restricted.basis, mult_pairs, recheck)
-    return TheoremReport(
-        GD_LEFT_MULT,
-        instance or repr(t),
-        passed=witness is None,
-        dimensions={
-            "generalized_pairs": pairs.dim,
-            "centralizing_restriction": restricted.dim,
-            "left_multipliers": mult.dim,
-        },
-        details={"inclusion": witness is None},
-        witness=witness,
-    )
+    dimensions = {
+        "generalized_pairs": pairs.dim,
+        "centralizing_restriction": restricted.dim,
+        "left_multipliers": mult.dim,
+    }
+    return _inclusion(GD_LEFT_MULT, t, dimensions, restricted.basis, mult_pairs, recheck)
 
 
-def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> TheoremReport:
+def verify_description(t: TriangularAlgebra, sigma=None) -> TheoremReport:
     """The paper's precise descriptions, each as one space equality.
 
     For every kind of :data:`trialg.structure.DESCRIPTION_KINDS` the kernel
@@ -213,14 +201,7 @@ def verify_description(t: TriangularAlgebra, sigma=None, instance: str = "") -> 
             if witness is None:
                 details["witness_missing_from"] = "solved_space"
                 witness = _counterexample(t, described.basis, solved, lambda *m: verdicts(*m) == (False, True))
-    return TheoremReport(
-        DESCRIPTION,
-        instance or repr(t),
-        passed=witness is None,
-        dimensions=dimensions,
-        details=details,
-        witness=witness,
-    )
+    return TheoremReport(DESCRIPTION, passed=witness is None, dimensions=dimensions, details=details, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +214,7 @@ def _random_vector(field: Field, n: int, rng: random.Random) -> Vector:
     return tuple(field.from_int(rng.randrange(field.char)) for _ in range(n))
 
 
-def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instance: str = "") -> TheoremReport:
+def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0) -> TheoremReport:
     """The identity is the only centralizing automorphism.
 
     The automorphisms of an algebra are not a linear space, so this is a
@@ -274,11 +255,5 @@ def verify_mayne(t: TriangularAlgebra, samples: int = 50, seed: int = 0, instanc
             break
         tested += 1
     passed = witness is None and identity_commutes
-    return TheoremReport(
-        MAYNE,
-        instance or repr(t),
-        passed=passed,
-        dimensions={"samples": tested},
-        details={"identity_commuting": identity_commutes, "seed": seed},
-        witness=witness,
-    )
+    details = {"identity_commuting": identity_commutes, "seed": seed}
+    return TheoremReport(MAYNE, passed=passed, dimensions={"samples": tested}, details=details, witness=witness)

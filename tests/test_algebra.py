@@ -33,7 +33,7 @@ from trialg import (
     upper_triangular,
 )
 from trialg import algebra as algebra_module
-from trialg.linalg import Matrix
+from trialg.linalg import Matrix, Subspace
 
 from conftest import diag_sign_automorphism
 from dense_oracle import dense_table, embed_a, embed_b, embed_m, has_only_trivial_idempotents_bruteforce
@@ -421,6 +421,20 @@ def test_structural_cross_check_catches_a_lost_module_bracket(monkeypatch):
         center(t)
     with pytest.raises(StructuralMismatch, match="^twisted center kernel differs from its structural form$"):
         sigma_center(t, diag_sign_automorphism(t))
+
+
+@pytest.mark.parametrize("corner", ["A", "B"])
+def test_center_checks_its_projections_are_central_in_the_corners(monkeypatch, corner):
+    """With the center of one corner of T2 over Q taken as zero, the
+    projection of Z(T) there is not central, and ``center`` refuses."""
+    t = upper_triangular(2, QQ)
+    own = algebra_module.center_subspace
+    zeroed = getattr(t, corner)
+    monkeypatch.setattr(
+        algebra_module, "center_subspace", lambda alg: Subspace.zero(alg.field, alg.dim) if alg is zeroed else own(alg)
+    )
+    with pytest.raises(StructuralMismatch, match=f"^projection of Z\\(T\\) is not central in {corner}$"):
+        center(t)
 
 
 def test_bruteforce_idempotents_on_scalar_field():

@@ -464,6 +464,16 @@ def test_main_bad_config_value_exit_two(tmp_path, capsys, edit):
          "sigma: fixture_map must be a string, got ['x']"),
         ({"sigma": {"parts": []}}, "sigma: parts must be an object, got []"),
         ({"sigma": {"parts": "fg"}}, "sigma: parts must be an object, got 'fg'"),
+        ({"algebra": {"family": "fixture", "name": "n4"}}, "algebra: unknown fixture 'n4'"),
+        ({"sigma": {"fixture_map": "x"}}, "sigma: fixture_map needs a fixture instance"),
+        ({"algebra": {"family": "fixture", "name": "n3"}, "sigma": {"fixture_map": "nope"}},
+         "sigma: fixture has no map 'nope'"),
+        ({"sigma": {"diag_signs": ["1", "-1", "1"]}}, "sigma: diag_signs must give one sign per diagonal corner"),
+        ({"sigma": {"parts": {"f": [["1"]], "g": [["1"]], "m_sigma": ["0", "0"], "nu": [["1"]]}}},
+         "sigma: corner element has wrong dimension"),
+        # ψ₁₂, the least composite that the twelve Miller-Rabin bases 2..37 pass
+        ({"field": {"prime": 318665857834031151167461}},
+         "field: 318665857834031151167461 is too large: primality is certified only below 318665857834031151167461"),
     ],
 )
 def test_config_errors_name_the_field_and_the_value(tmp_path, capsys, edit, message):

@@ -22,9 +22,9 @@ from trialg.structure import (
     GenParts,
     compose_generalized,
     compose_sigma_derivation,
-    identity_aut_parts,
     _description_kernel,
     _description_rows,
+    decompose_automorphism,
     decompose_centralizing,
     decompose_generalized,
     decompose_left_multiplier,
@@ -249,8 +249,8 @@ def _oracle_accepts(t, kind, space, parts):
             assert compose_generalized(t, p).matrix == D.matrix
     elif kind == "left_multiplier":
         f, na, nm, nb = t.field, t.A.dim, t.M.dim, t.B.dim
-        zero = DerParts(t, identity_aut_parts(t), Matrix.zeros(f, na, na), Matrix.zeros(f, nb, nb), t.M.zero(),
-                        Matrix.zeros(f, nm, nm))
+        zero = DerParts(t, decompose_automorphism(t, None), Matrix.zeros(f, na, na), Matrix.zeros(f, nb, nb),
+                        t.M.zero(), Matrix.zeros(f, nm, nm))
         for F, p in zip(space.endos(), parts):
             assert compose_generalized(t, GenParts(t, zero, p.F_A, p.F_B, p.m_F, True)).matrix == F.matrix
     else:
@@ -281,7 +281,8 @@ def test_described_members_run_no_pointwise_check(monkeypatch):
     pointwise checker: only the description's rows are evaluated on them."""
     t = trian_trunc(3, F7)
     sigma = unipotent_automorphism(t)
-    structure._aut_parts_for(t, sigma)  # decomposing σ checks σ, not the members
+    for twist in (LinearEndo.identity(t), sigma):  # decomposing a twist checks it, not the members
+        structure._aut_parts_for(t, twist)
     for kind in SPACE_KINDS:
         _solved(t, sigma, kind)
 

@@ -878,7 +878,7 @@ RECORD_FIELDS = {
     GenParts: ("t", "der", "D_A", "D_B", "m_D", "display_matches"),
     MultParts: ("t", "F_A", "F_B", "m_F"),
     TheoremReport: (
-        "theorem", "instance", "passed",
+        "theorem", "passed",
         ("dimensions", dataclasses.field(default_factory=dict)),
         ("details", dataclasses.field(default_factory=dict)),
         ("witness", None),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trialg import GF, QQ
-from trialg.fields import PrimeField, field_from_spec, field_to_spec
+from trialg.fields import PRIME_BOUND, PrimeField, field_from_spec, field_to_spec
 
 
 def test_rational_ops():
@@ -53,6 +53,19 @@ def test_composite_modulus_rejected():
         GF(9)
     with pytest.raises(ValueError):
         GF(1)
+    # 41 * 61 has no factor among the bases: the squaring loop of Miller-Rabin finds it composite
+    with pytest.raises(ValueError, match="^2501 is not prime$"):
+        GF(2501)
+
+
+def test_modulus_beyond_certified_primality_rejected():
+    """psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to all twelve
+    bases 2..37; no modulus from it on is accepted."""
+    psi_12 = 318665857834031151167461
+    assert PRIME_BOUND == psi_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="too large"):
+        GF(psi_12)
+    assert GF(2**61 - 1).char == 2**61 - 1
 
 
 def test_field_specs_round_trip():

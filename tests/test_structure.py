@@ -13,6 +13,7 @@ from trialg import (
     LinearEndo,
     NotAutomorphism,
     PredicateNotSatisfied,
+    ReconstructionMismatch,
     commuting_criterion,
     compose_automorphism,
     compose_centralizing,
@@ -26,6 +27,7 @@ from trialg import (
     inner_automorphism,
     predicate,
     solve_space,
+    structure,
     trian_trunc,
     trunc_poly,
     upper_triangular,
@@ -39,7 +41,6 @@ from trialg.structure import (
     decompose_space,
     description_conditions,
     description_space,
-    identity_aut_parts,
     sigma_center,
 )
 
@@ -74,9 +75,23 @@ def test_sign_conjugation_flips_module(t2q):
     assert parts.nu_sigma == Matrix(QQ, [[Fraction(-1)]])
 
 
+@pytest.mark.parametrize("name", ["T3/Q", "trian_trunc3/F3"])
+def test_identity_decomposes_on_unflagged_corners(name):
+    """The identity twist needs no idempotent-free corners: it decomposes to
+    (I, I, 0, I) where a non-identity twist is refused."""
+    t = upper_triangular(3, QQ) if name == "T3/Q" else trian_trunc(3, GF(3))
+    assert not t.trivial_idempotent_components
+    parts = decompose_automorphism(t, None)
+    f = t.field
+    assert parts.f_sigma == Matrix.identity(f, t.A.dim)
+    assert parts.g_sigma == Matrix.identity(f, t.B.dim)
+    assert parts.m_sigma == t.M.zero()
+    assert parts.nu_sigma == Matrix.identity(f, t.M.dim)
+
+
 def test_decomposition_gates_on_idempotent_flags(t3q):
     with pytest.raises(HypothesisNotMet):
-        decompose_automorphism(t3q, LinearEndo.identity(t3q))
+        decompose_automorphism(t3q, diag_sign_automorphism(t3q))
 
 
 # every entry point that needs a triangular algebra, called on a plain one
@@ -118,8 +133,28 @@ def test_decomposition_rejects_non_automorphism(t2q):
         decompose_automorphism(t2q, LinearEndo.zero(t2q))
 
 
+def test_decomposition_recomposes_to_sigma_column_by_column(monkeypatch):
+    """A recomposition that differs from σ on one basis element is refused
+    with ReconstructionMismatch naming that element and both columns."""
+    t = upper_triangular(2, QQ)
+    composed = structure._composed
+
+    def perturbed(t, parts):
+        columns = composed(t, parts).matrix.columns()
+        columns[1] = vec_add(QQ, columns[1], t.unit)
+        return LinearEndo.from_images(t, columns)
+
+    monkeypatch.setattr(structure, "_composed", perturbed)
+    with pytest.raises(ReconstructionMismatch) as err:
+        decompose_automorphism(t, shear(t))
+    assert (err.value.basis_index, err.value.expected, err.value.got) == (1, (0, 1, 0), (1, 1, 1))
+    assert str(err.value) == (
+        "recomposition disagrees with the original map on basis element 1: expected [0, 1, 0], got [1, 1, 1]"
+    )
+
+
 def test_compose_identity_parts(t2q):
-    endo = compose_automorphism(t2q, identity_aut_parts(t2q))
+    endo = compose_automorphism(t2q, decompose_automorphism(t2q, None))
     assert endo.is_identity()
 
 

@@ -374,3 +374,18 @@ def test_mayne_raises_on_a_sampled_non_automorphism(t2f5, monkeypatch):
     monkeypatch.setattr(theorems, "inner_automorphism", lambda alg, u: LinearEndo.zero(alg))
     with pytest.raises(StructuralMismatch, match="non-automorphism"):
         verify_mayne(t2f5, samples=5, seed=1)
+
+
+def test_mayne_stops_when_no_sample_is_an_automorphism(t2f5, monkeypatch):
+    """If no draw is a unit the sampler gives up with StructuralMismatch
+    instead of drawing forever (the recorder stops a loop without a bound)."""
+    draws = []
+
+    def no_unit(alg, u):
+        draws.append(u)
+        assert len(draws) <= 10_000, "the sampler does not stop"
+        raise ValueError("not a unit")
+
+    monkeypatch.setattr(theorems, "inner_automorphism", no_unit)
+    with pytest.raises(StructuralMismatch, match="^automorphism sampling failed to produce non-identity maps$"):
+        verify_mayne(t2f5, samples=1, seed=0)
